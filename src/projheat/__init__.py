@@ -24,13 +24,8 @@ from .geometry import (
     volume_density,
 )
 from .kernels import (
-    KernelQuery,
     KernelValue,
-    cpn_integral,
-    cpn_series,
-    evaluate,
-    hpn_integral,
-    hpn_series,
+    series_values,
     stationary_value,
     unified,
 )
@@ -51,11 +46,10 @@ from .quadrature import (
     integrate_weighted,
 )
 from .thetapsi import (
-    ThetaQuery,
     TruncationPolicy,
     jacobi_theta2_reference,
-    psi,
-    theta,
+    psi_sum,
+    theta_sum,
 )
 from .verify import (
     SuiteProfile,

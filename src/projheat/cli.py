@@ -138,62 +138,49 @@ def _open_out(args):
     return open(args.out, "w", encoding="utf-8", newline=""), True
 
 
-def _eval_point(space, t, d, method, tol):
-    return kernels.unified(space.n, space.k, t, d, tol=tol, method=method)
+def _evaluate_grid(args, t_default, d_default):
+    """Kernel results over the requested grid: (space, [(t, d, results)]).
+
+    Rows run t-major, d-minor; ``results`` holds one KernelValue per method,
+    series before integral for ``--method both``.
+    """
+    space = _space_from_args(args)
+    ts = _values_from_args(args, "t", t_default)
+    ds = _values_from_args(args, "d", d_default)
+    _validate_times(ts)
+    _validate_distances(ds)
+    methods = kernels.METHODS if args.method == "both" else (args.method,)
+    rows = [
+        (t, d, [kernels.unified(space.n, space.k, t, d, tol=args.tol, method=m)
+                for m in methods])
+        for t in ts for d in ds
+    ]
+    return space, rows
 
 
 def cmd_eval(args) -> int:
-    space = _space_from_args(args)
-    ts = _values_from_args(args, "t", None) if args.t is not None or args.t_grid else None
-    if ts is None or len(ts) != 1:
-        raise UsageError("eval needs a single --t")
-    ds = _values_from_args(args, "d", None) if args.d is not None or args.d_grid else None
-    if ds is None or len(ds) != 1:
-        raise UsageError("eval needs a single --d")
-    _validate_times(ts)
-    _validate_distances(ds)
-    t, d = ts[0], ds[0]
+    """One point; csv and json are the 1 x 1 table, pretty is name-value lines."""
+    for name in ("t", "d"):
+        given = getattr(args, name) is not None or getattr(args, f"{name}_grid")
+        if not given or len(_values_from_args(args, name, None)) != 1:
+            raise UsageError(f"eval needs a single --{name}")
+    if args.fmt != "pretty":
+        return cmd_table(args)
+    _, [(_, _, results)] = _evaluate_grid(args, None, None)  # the single row
 
     out, close = _open_out(args)
     try:
         if args.method == "both":
-            rs = _eval_point(space, t, d, "series", args.tol)
-            ri = _eval_point(space, t, d, "integral", args.tol)
-            if args.fmt == "json":
-                out.write(json.dumps({
-                    "k": space.k, "n": space.n, "t": t, "d": d,
-                    "value_series": rs.value, "value_integral": ri.value,
-                    "abs_diff": abs(rs.value - ri.value),
-                }) + "\n")
-            elif args.fmt == "csv":
-                out.write("k,n,t,d,method,value_series,value_integral,abs_diff\n")
-                out.write(",".join([
-                    str(space.k), str(space.n), _fmt(t), _fmt(d), "both",
-                    _fmt(rs.value), _fmt(ri.value), _fmt(abs(rs.value - ri.value)),
-                ]) + "\n")
-            else:
-                out.write(f"value_series   {_fmt(rs.value)}\n")
-                out.write(f"value_integral {_fmt(ri.value)}\n")
-                out.write(f"abs_diff       {_fmt(abs(rs.value - ri.value))}\n")
+            rs, ri = results
+            out.write(f"value_series   {_fmt(rs.value)}\n")
+            out.write(f"value_integral {_fmt(ri.value)}\n")
+            out.write(f"abs_diff       {_fmt(abs(rs.value - ri.value))}\n")
         else:
-            res = _eval_point(space, t, d, args.method, args.tol)
-            if args.fmt == "json":
-                out.write(json.dumps({
-                    "k": space.k, "n": space.n, "t": t, "d": d, "method": args.method,
-                    "value": res.value, "est_error": res.est_error,
-                    "terms_or_nodes": res.terms_or_nodes,
-                }) + "\n")
-            elif args.fmt == "csv":
-                out.write("k,n,t,d,method,value,est_error,terms_or_nodes\n")
-                out.write(",".join([
-                    str(space.k), str(space.n), _fmt(t), _fmt(d), args.method,
-                    _fmt(res.value), _fmt(res.est_error), str(res.terms_or_nodes),
-                ]) + "\n")
-            else:
-                out.write(f"value          {_fmt(res.value)}\n")
-                out.write(f"method         {args.method}\n")
-                out.write(f"terms_or_nodes {res.terms_or_nodes}\n")
-                out.write(f"est_error      {_fmt(res.est_error)}\n")
+            [res] = results
+            out.write(f"value          {_fmt(res.value)}\n")
+            out.write(f"method         {args.method}\n")
+            out.write(f"terms_or_nodes {res.terms_or_nodes}\n")
+            out.write(f"est_error      {_fmt(res.est_error)}\n")
     finally:
         if close:
             out.close()
@@ -201,46 +188,34 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    space = _space_from_args(args)
-    ts = _values_from_args(args, "t", "0.2:1:3")
-    ds = _values_from_args(args, "d", "0:1.2:5")
-    _validate_times(ts)
-    _validate_distances(ds)
-
-    rows = []
+    space, rows = _evaluate_grid(args, "0.2:1:3", "0:1.2:5")
     both = args.method == "both"
-    for t in ts:  # deterministic t-major, d-minor order
-        for d in ds:
-            if both:
-                rs = _eval_point(space, t, d, "series", args.tol)
-                ri = _eval_point(space, t, d, "integral", args.tol)
-                rows.append((t, d, rs, ri))
-            else:
-                rows.append((t, d, _eval_point(space, t, d, args.method, args.tol), None))
 
     out, close = _open_out(args)
     try:
         if args.fmt == "json":
-            for t, d, a, b in rows:
+            for t, d, results in rows:
                 rec = {"k": space.k, "n": space.n, "t": t, "d": d}
                 if both:
+                    a, b = results
                     rec.update(value_series=a.value, value_integral=b.value,
                                abs_diff=abs(a.value - b.value))
                 else:
+                    [a] = results
                     rec.update(method=args.method, value=a.value,
                                est_error=a.est_error, terms_or_nodes=a.terms_or_nodes)
                 out.write(json.dumps(rec) + "\n")
         else:
             if both:
                 out.write("k,n,t,d,method,value_series,value_integral,abs_diff\n")
-                for t, d, a, b in rows:
+                for t, d, (a, b) in rows:
                     out.write(",".join([
                         str(space.k), str(space.n), _fmt(t), _fmt(d), "both",
                         _fmt(a.value), _fmt(b.value), _fmt(abs(a.value - b.value)),
                     ]) + "\n")
             else:
                 out.write("k,n,t,d,method,value,est_error,terms_or_nodes\n")
-                for t, d, a, _ in rows:
+                for t, d, (a,) in rows:
                     out.write(",".join([
                         str(space.k), str(space.n), _fmt(t), _fmt(d), args.method,
                         _fmt(a.value), _fmt(a.est_error), str(a.terms_or_nodes),
@@ -266,8 +241,10 @@ def cmd_compare(args) -> int:
             out.write("k,n,t,d,value_series,value_integral,abs_err,rel_err,status\n")
         for t in ts:
             for d in ds:
-                rs = _eval_point(space, t, d, "series", min(tol, 1e-10))
-                ri = _eval_point(space, t, d, "integral", min(tol, 1e-10))
+                rs = kernels.unified(space.n, space.k, t, d, tol=min(tol, 1e-10),
+                                     method="series")
+                ri = kernels.unified(space.n, space.k, t, d, tol=min(tol, 1e-10),
+                                     method="integral")
                 rep = verify.make_report(
                     "representation_equivalence",
                     {"k": space.k, "n": space.n, "t": t, "d": d},

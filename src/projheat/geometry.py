@@ -66,10 +66,6 @@ class Quaternion:
         return math.sqrt(self.norm_sq())
 
     @classmethod
-    def from_complex(cls, value: complex) -> "Quaternion":
-        return cls(value.real, value.imag, 0.0, 0.0)
-
-    @classmethod
     def zero(cls) -> "Quaternion":
         return cls(0.0, 0.0, 0.0, 0.0)
 

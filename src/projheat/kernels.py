@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import DomainError, TruncationCapError
 from .geometry import SpaceDescriptor
+from .orthopoly import jacobi_step
 from .quadrature import SqrtWeightedIntegral, adaptive_integrate
-from .thetapsi import TruncationPolicy, psi_sum
+from .thetapsi import DEFAULT_POLICY, TruncationPolicy, psi_sum
 
 _HALF_PI = 0.5 * math.pi
 
@@ -44,30 +45,7 @@ MIN_TIME = 1e-4
 #: hard cap on spectral series terms; ~320 suffice at t = MIN_TIME
 SERIES_CAP = 2000
 
-_PSI_POLICY = TruncationPolicy(tol=1e-12, l_max_cap=20000)
-
 METHODS = ("series", "integral")
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    """One kernel evaluation request."""
-
-    space: SpaceDescriptor
-    t: float
-    d: float
-    method: str = "series"
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError(f"diffusion time must be positive, got {self.t}")
-        if not (0.0 <= self.d < _HALF_PI):
-            raise DomainError(f"distance must lie in [0, pi/2), got {self.d}")
-        if self.method not in METHODS:
-            raise DomainError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.tol > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -79,25 +57,15 @@ class KernelValue:
     est_error: float
 
 
-def _jacobi_advance(lnew: int, a: float, b: float, x: np.ndarray,
-                    p_cur: np.ndarray, p_prev: np.ndarray) -> np.ndarray:
-    # P_lnew from (P_{lnew-1}, P_{lnew-2})
-    if lnew == 1:
-        return (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    k = lnew
-    c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-    c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-    c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
-    c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-    return ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
-
-
-def _check_time_distance(t: float, d) -> None:
+def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
+    SpaceDescriptor(n=n, k=k)  # validates index and field selector
     if not t > 0:
         raise DomainError(f"diffusion time must be positive, got {t}")
     d_arr = np.asarray(d, dtype=float)
-    if np.any(d_arr < 0.0) or np.any(d_arr >= _HALF_PI):
+    if not np.all((d_arr >= 0.0) & (d_arr < _HALF_PI)):
         raise DomainError("distance must lie in [0, pi/2)")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
 
 
 def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
@@ -106,8 +74,7 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     Returns (values, terms_used, tail_bound).  The truncation index is
     shared across the array because the term bound is uniform in d.
     """
-    SpaceDescriptor(n=n, k=k)  # validates index and field selector
-    _check_time_distance(t, d)
+    _check_args(k, n, t, d, tol)
     x = np.cos(2.0 * np.asarray(d, dtype=float))
     alpha = float(k * n - 1)
     beta = float(k - 1)
@@ -139,30 +106,22 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
             tail = b_next / (1.0 - rho)
             if tail <= tol:
                 return total, l + 1, tail
-        p_cur, p_prev = _jacobi_advance(l + 1, alpha, beta, x, p_cur, p_prev), p_cur
+        p_cur, p_prev = jacobi_step(l + 1, alpha, beta, x, p_cur, p_prev), p_cur
     raise TruncationCapError(
         f"spectral series needs more than {SERIES_CAP} terms at t={t} (t too small)"
     )
 
 
-def _series_kernel(k: int, n: int, t: float, d: float, tol: float) -> KernelValue:
-    values, terms, tail = series_values(k, n, t, np.asarray([d]), tol)
-    return KernelValue(value=float(values[0]), terms_or_nodes=terms, est_error=tail)
-
-
 def _integral_kernel(k: int, n: int, t: float, d: float, tol: float) -> KernelValue:
-    SpaceDescriptor(n=n, k=k)  # validates index and field selector
-    _check_time_distance(t, d)
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    _check_args(k, n, t, d, tol)
     m = k * (n + 1)
     j = m - 1  # = c, the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outer = cnk / math.cos(d) ** (2 * (k - 1))
     shift = float(j * j)  # folded exp(c^2 t), termwise
     policy = (
-        _PSI_POLICY if tol >= 10.0 * _PSI_POLICY.tol
-        else TruncationPolicy(tol=0.1 * tol, l_max_cap=_PSI_POLICY.l_max_cap)
+        DEFAULT_POLICY if tol >= 10.0 * DEFAULT_POLICY.tol
+        else TruncationPolicy(tol=0.1 * tol, l_max_cap=DEFAULT_POLICY.l_max_cap)
     )
 
     def g(u):
@@ -175,34 +134,18 @@ def _integral_kernel(k: int, n: int, t: float, d: float, tol: float) -> KernelVa
     return KernelValue(value=outer * res.value, terms_or_nodes=res.nodes, est_error=est)
 
 
-def cpn_series(n: int, t: float, d: float, tol: float = 1e-10) -> KernelValue:
-    """Heat kernel on P^n(C), spectral series."""
-    return _series_kernel(1, n, t, d, tol)
-
-
-def cpn_integral(n: int, t: float, d: float, tol: float = 1e-10) -> KernelValue:
-    """Heat kernel on P^n(C), theta-integral representation."""
-    return _integral_kernel(1, n, t, d, tol)
-
-
-def hpn_series(n: int, t: float, d: float, tol: float = 1e-10) -> KernelValue:
-    """Heat kernel on P^n(H), spectral series."""
-    return _series_kernel(2, n, t, d, tol)
-
-
-def hpn_integral(n: int, t: float, d: float, tol: float = 1e-10) -> KernelValue:
-    """Heat kernel on P^n(H), theta-integral representation."""
-    return _integral_kernel(2, n, t, d, tol)
-
-
 def unified(n: int, k: int, t: float, d: float, tol: float = 1e-10,
             method: str = "series") -> KernelValue:
-    """Kernel on P^n(F) for either field, by the selected representation."""
-    space = SpaceDescriptor(n=n, k=k)  # validates n, k
+    """Kernel on P^n(F) at one point, by the selected representation.
+
+    Raises DomainError for an index, field, time, distance, tolerance or
+    method outside its domain, whichever method is chosen.
+    """
     if method == "series":
-        return _series_kernel(space.k, space.n, t, d, tol)
+        values, terms, tail = series_values(k, n, t, np.asarray([d]), tol)
+        return KernelValue(value=float(values[0]), terms_or_nodes=terms, est_error=tail)
     if method == "integral":
-        return _integral_kernel(space.k, space.n, t, d, tol)
+        return _integral_kernel(k, n, t, d, tol)
     raise DomainError(f"method must be one of {METHODS}, got {method!r}")
 
 
@@ -213,8 +156,3 @@ def stationary_value(space: SpaceDescriptor) -> float:
         math.factorial(space.k - 1) * math.pi ** (space.k * space.n)
     )
 
-
-def evaluate(query: KernelQuery) -> KernelValue:
-    """Dispatch a KernelQuery to the requested representation."""
-    return unified(query.space.n, query.space.k, query.t, query.d,
-                   tol=query.tol, method=query.method)

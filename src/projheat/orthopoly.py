@@ -97,17 +97,25 @@ def _scalar_or_array(values, x):
     return float(values) if np.ndim(x) == 0 else values
 
 
+def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):
+    """P_l^(a,b)(x) from (P_{l-1}, P_{l-2}) by the three-term recurrence.
+
+    At l = 1 the closed form is returned and both inputs are ignored, so a
+    loop may start from (P_0, P_{-1}) = (1, 0).
+    """
+    if l == 1:
+        return (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    c1 = 2.0 * l * (l + a + b) * (2.0 * l + a + b - 2.0)
+    c2 = (2.0 * l + a + b - 1.0) * (a * a - b * b)
+    c3 = (2.0 * l + a + b - 2.0) * (2.0 * l + a + b - 1.0) * (2.0 * l + a + b)
+    c4 = 2.0 * (l + a - 1.0) * (l + b - 1.0) * (2.0 * l + a + b)
+    return ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
+
+
 def _jacobi_values(l: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    p_prev = np.ones_like(x)
-    if l == 0:
-        return p_prev
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for k in range(2, l + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 2.0) * (2.0 * k + a + b - 1.0) * (2.0 * k + a + b)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        p, p_prev = ((c2 + c3 * x) * p - c4 * p_prev) / c1, p
+    p, p_prev = np.ones_like(x), np.zeros_like(x)
+    for k in range(1, l + 1):
+        p, p_prev = jacobi_step(k, a, b, x, p, p_prev), p
     return p
 
 
@@ -127,13 +135,21 @@ def jacobi_endpoint(l: int, alpha: float) -> float:
     return out
 
 
+def gegenbauer_step(l: int, lam: float, x, c_cur, c_prev):
+    """C_l^lam(x) from (C_{l-1}, C_{l-2}) by the three-term recurrence.
+
+    At l = 1 the closed form is returned and both inputs are ignored, so a
+    loop may start from (C_0, C_{-1}) = (1, 0).
+    """
+    if l == 1:
+        return 2.0 * lam * x
+    return (2.0 * (l + lam - 1.0) * x * c_cur - (l + 2.0 * lam - 2.0) * c_prev) / l
+
+
 def _gegenbauer_values(l: int, lam: float, x: np.ndarray) -> np.ndarray:
-    c_prev = np.ones_like(x)
-    if l == 0:
-        return c_prev
-    c = 2.0 * lam * x
-    for k in range(2, l + 1):
-        c, c_prev = (2.0 * (k + lam - 1.0) * x * c - (k + 2.0 * lam - 2.0) * c_prev) / k, c
+    c, c_prev = np.ones_like(x), np.zeros_like(x)
+    for k in range(1, l + 1):
+        c, c_prev = gegenbauer_step(k, lam, x, c, c_prev), c
     return c
 
 
@@ -145,20 +161,6 @@ def gegenbauer_c(params: GegenbauerParams, x):
     """
     xv = _check_x(x)
     return _scalar_or_array(_gegenbauer_values(params.l, params.lam, xv), x)
-
-
-def gegenbauer_endpoint(degree: int, lam: float) -> float:
-    """C_degree^lam(1) = binom(degree + 2*lam - 1, degree); bounds |C| on [-1, 1]."""
-    if degree < 0:
-        return 0.0
-    if degree > _LOG_SPACE_DEGREE:
-        return math.exp(
-            math.lgamma(degree + 2.0 * lam) - math.lgamma(2.0 * lam) - math.lgamma(degree + 1)
-        )
-    out = 1.0
-    for i in range(1, degree + 1):
-        out *= (2.0 * lam + i - 1.0) / i
-    return out
 
 
 def pochhammer(a: float, m: int) -> float:

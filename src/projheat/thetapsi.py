@@ -29,25 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationCapError
-
-_LADDER_SCALE_CACHE: dict[int, float] = {}
-
-
-@dataclass(frozen=True)
-class ThetaQuery:
-    """Arguments of one theta-series evaluation: subscript m, time t, angle u."""
-
-    m: int
-    t: float
-    u: float
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"series subscript must be >= 2, got {self.m}")
-        if not self.t > 0:
-            raise DomainError(f"diffusion time must be positive, got {self.t}")
-        if not math.isfinite(self.u):
-            raise DomainError("angle must be finite")
+from .orthopoly import gegenbauer_step
 
 
 @dataclass(frozen=True)
@@ -67,6 +49,15 @@ class TruncationPolicy:
 DEFAULT_POLICY = TruncationPolicy()
 
 
+def _check_series_args(m: int, t: float, u: np.ndarray) -> None:
+    if m < 2:
+        raise DomainError(f"series subscript must be >= 2, got {m}")
+    if not t > 0:
+        raise DomainError(f"diffusion time must be positive, got {t}")
+    if not np.all(np.isfinite(u)):
+        raise DomainError("angle must be finite")
+
+
 def theta_sum(m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLICY,
               exp_shift: float = 0.0):
     """Truncated theta_m(t; u), vectorized over u.
@@ -76,6 +67,7 @@ def theta_sum(m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLICY,
     how the kernel assembly keeps large-t prefactors from overflowing.
     """
     u_arr = np.asarray(u, dtype=float)
+    _check_series_args(m, t, u_arr)
     half = 0.5 * (m - 1)
     total = np.zeros_like(u_arr)
     for l in range(policy.l_max_cap + 1):
@@ -90,21 +82,6 @@ def theta_sum(m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLICY,
     )
 
 
-def theta(q: ThetaQuery, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """theta_m(t; u) with absolute truncation error <= policy.tol."""
-    return theta_sum(q.m, q.t, q.u, policy)
-
-
-def _ladder_base_scale(j: int) -> float:
-    # 2^(j-1) (j-1)!, the q-independent part of the cosine-ladder scale
-    try:
-        return _LADDER_SCALE_CACHE[j]
-    except KeyError:
-        val = (2.0 ** (j - 1)) * math.factorial(j - 1)
-        _LADDER_SCALE_CACHE[j] = val
-        return val
-
-
 def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLICY,
             exp_shift: float = 0.0):
     """sin(u) L^j theta_m(t, u), vectorized over u.
@@ -116,35 +93,28 @@ def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLI
     """
     if j < 1:
         raise DomainError(f"ladder count must be >= 1, got {j}")
-    if m < 2:
-        raise DomainError(f"series subscript must be >= 2, got {m}")
     u_arr = np.asarray(u, dtype=float)
+    _check_series_args(m, t, u_arr)
     x = np.cos(u_arr)
     lam = float(j)
-    base = _ladder_base_scale(j)
+    base = (2.0 ** (j - 1)) * math.factorial(j - 1)  # q-independent ladder scale
     half = 0.5 * (m - 1)
 
     total = np.zeros_like(u_arr)
-    # rolling Gegenbauer pair (C_{deg-1}, C_deg) of order j
-    c_prev = np.ones_like(u_arr)
-    c_cur = 2.0 * lam * x
-    deg = 1
+    # rolling Gegenbauer pair (C_deg, C_{deg-1}) of order j
+    c_cur, c_prev = np.ones_like(u_arr), np.zeros_like(u_arr)
+    deg = 0
     endpoint = None  # binom(q + j - 1, 2j - 1) for the current l
     for l in range(policy.l_max_cap + 1):
         q = 2 * l + m - 1
         if q < j:
             continue  # ladder annihilates harmonics below its count
         target = q - j
-        while deg < target:
+        while deg < target:  # targets only grow, so deg ends equal to target
             deg += 1
-            c_cur, c_prev = (
-                (2.0 * (deg + lam - 1.0) * x * c_cur - (deg + 2.0 * lam - 2.0) * c_prev) / deg,
-                c_cur,
-            )
-        # targets step by 2, so after advancing either deg or deg-1 matches
-        cval = c_cur if target == deg else c_prev
+            c_cur, c_prev = gegenbauer_step(deg, lam, x, c_cur, c_prev), c_cur
         a = math.exp((exp_shift - 4.0 * (l + half) ** 2) * t)
-        total += (a * q * base) * cval
+        total += (a * q * base) * c_cur
 
         if endpoint is None:
             endpoint = float(math.comb(q + j - 1, 2 * j - 1))
@@ -167,17 +137,12 @@ def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLI
     )
 
 
-def psi(m_exponent: int, q: ThetaQuery, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Psi with m_exponent ladder applications on theta_{q.m}(t, u)."""
-    return psi_sum(m_exponent, q.m, q.t, q.u, policy)
-
-
 def jacobi_theta2_reference(z: float, tau_imag: float,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Second Jacobi theta function at purely imaginary lattice parameter.
 
     Sums 2 sum_{l>=0} exp(-pi tau_imag (l + 1/2)^2) cos((2l+1) pi z)
-    directly; real-valued here.  Kept independent of ``theta`` so the two
+    directly; real-valued here.  Kept independent of ``theta_sum`` so the two
     summations can certify each other.
     """
     if not tau_imag > 0:

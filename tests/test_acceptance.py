@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
-criteria execute.  Tolerances are fixed here, not configurable.
+criteria execute.  Tolerances are fixed here, not configurable.  Criteria
+3-9 and 11 read their reports from one run of the public ``full_suite``.
 """
 
 import math
@@ -13,9 +14,8 @@ import numpy as np
 import pytest
 
 from projheat import verify
-from projheat.geometry import SpaceDescriptor
-from projheat.kernels import hpn_series, series_values, unified
-from projheat.verify import SuiteProfile, full_suite
+from projheat.kernels import series_values, unified
+from projheat.verify import full_suite
 
 from helpers import s4_heat_kernel
 
@@ -29,6 +29,18 @@ def _report(criterion, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} {detail}".rstrip())
     assert passed, f"{criterion} failed: {detail}"
+
+
+@pytest.fixture(scope="module")
+def suite():
+    return full_suite()
+
+
+def _identity(reports, name):
+    """The reports of one identity; never empty, so max() below is safe."""
+    picked = [r for r in reports if r.identity_name == name]
+    assert picked, f"the suite emitted no {name} reports"
+    return picked
 
 
 def test_criterion_1_representation_equivalence():
@@ -72,25 +84,17 @@ def test_criterion_2_stationary_limits():
     _report("2 stationary_limits", ok, " ".join(details))
 
 
-def test_criterion_3_normalization():
-    worst = 0.0
-    for k in KS:
-        for n in NS:
-            space = SpaceDescriptor(n=n, k=k)
-            for t in TS:
-                from projheat.geometry import volume_density
-
-                def fvec(r):
-                    vals, _, _ = series_values(k, n, t, r, 1e-12)
-                    return vals * volume_density(space, r)
-
-                integral = verify._radial_integral(fvec, 1e-10)
-                worst = max(worst, abs(integral - 1.0))
-    _report("3 normalization", worst <= 1e-8, f"worst |integral - 1| = {worst:.2e}")
+def test_criterion_3_normalization(suite):
+    reports = _identity(suite, "kernel_normalization")
+    worst = max(r.abs_err for r in reports)
+    _report(
+        "3 normalization", all(r.passed for r in reports) and worst <= 1e-8,
+        f"worst |integral - 1| = {worst:.2e}",
+    )
 
 
-def test_criterion_4_heat_equation_residual():
-    reports = verify._check_kernels_residual(SuiteProfile())
+def test_criterion_4_heat_equation_residual(suite):
+    reports = _identity(suite, "heat_equation_residual")
     worst = max(r.rel_err for r in reports)
     _report(
         "4 heat_equation_residual", all(r.passed for r in reports),
@@ -98,8 +102,8 @@ def test_criterion_4_heat_equation_residual():
     )
 
 
-def test_criterion_5_semigroup():
-    reports = verify._check_kernels_semigroup(SuiteProfile())
+def test_criterion_5_semigroup(suite):
+    reports = _identity(suite, "kernel_semigroup")
     worst = max(r.abs_err for r in reports)
     _report(
         "5 semigroup", all(r.passed for r in reports),
@@ -107,8 +111,8 @@ def test_criterion_5_semigroup():
     )
 
 
-def test_criterion_6_lemma_certification():
-    reports = verify._check_lemma(SuiteProfile())
+def test_criterion_6_lemma_certification(suite):
+    reports = _identity(suite, "gegenbauer_ladder_to_jacobi")
     analytic_ok = True
     for d in (0.0, 0.3, 0.7, 1.1, 1.4):
         rep = verify.lemma_check(1, 0, d)
@@ -121,11 +125,10 @@ def test_criterion_6_lemma_certification():
     )
 
 
-def test_criterion_7_jacobi_rep_convention():
-    reports = full_suite(SuiteProfile(groups=("jacobi_rep",)))
-    res = [r for r in reports if r.identity_name == "jacobi_sqrt_integral_rep_resolution"]
+def test_criterion_7_jacobi_rep_convention(suite):
+    res = _identity(suite, "jacobi_sqrt_integral_rep_resolution")
     ok = len(res) == 1 and res[0].passed
-    winner = res[0].parameters.get("passing_convention") if res else "?"
+    winner = res[0].parameters.get("passing_convention")
     _report(
         "7 jacobi_integral_rep", ok,
         f"exactly one superscript convention holds: {winner} "
@@ -133,17 +136,17 @@ def test_criterion_7_jacobi_rep_convention():
     )
 
 
-def test_criterion_8_theta_relation():
-    reports = verify._check_theta2_grid(SuiteProfile())
+def test_criterion_8_theta_relation(suite):
+    reports = _identity(suite, "theta_halfinteger_relation")
     worst = max(r.abs_err for r in reports)
     _report(
         "8 theta_relation", all(r.passed for r in reports),
-        f"worst abs err {worst:.2e} (tol 1e-10)",
+        f"worst abs err {worst:.2e} (tol 1e-11)",
     )
 
 
-def test_criterion_9_eigenfunction_law():
-    reports = verify._check_geometry_eigenfunction(SuiteProfile())
+def test_criterion_9_eigenfunction_law(suite):
+    reports = _identity(suite, "radial_eigenfunction_law")
     worst = max(r.rel_err for r in reports)
     _report(
         "9 eigenfunction_law", all(r.passed for r in reports),
@@ -156,12 +159,12 @@ def test_criterion_10_s4_oracle():
     for t in (0.2, 1.0):
         for d in DS:
             oracle = s4_heat_kernel(t, float(d))
-            ours = hpn_series(1, t, float(d), tol=1e-13).value
+            ours = unified(1, 2, t, float(d), tol=1e-13).value
             worst = max(worst, abs(oracle - ours) / abs(oracle))
     _report("10 s4_oracle", worst <= 1e-8, f"worst rel diff {worst:.2e}")
 
 
-def test_criterion_11_cli_contract():
+def test_criterion_11_cli_contract(suite):
     cmd = [sys.executable, "-m", "projheat"]
     # deterministic CSV
     args = cmd + ["table", "--space", "hpn", "--t-grid", "0.2:1:3",
@@ -182,12 +185,11 @@ def test_criterion_11_cli_contract():
         capture_output=True, text=True).returncode == 1
 
     # the full self-test suite is green
-    reports = full_suite()
-    green = all(r.passed for r in reports)
+    green = all(r.passed for r in suite)
 
     _report(
         "11 cli_contract",
         deterministic and usage and noconv and vfail and green,
         f"deterministic={deterministic} exit2={usage} exit3={noconv} "
-        f"exit1={vfail} selftest {sum(r.passed for r in reports)}/{len(reports)}",
+        f"exit1={vfail} selftest {sum(r.passed for r in suite)}/{len(suite)}",
     )

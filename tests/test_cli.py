@@ -5,6 +5,10 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from projheat import cli
+
 CMD = [sys.executable, "-m", "projheat"]
 
 
@@ -41,6 +45,13 @@ class TestEval:
                   "--method", "integral", "--tol", "1e-30")
         assert res.returncode == 3
         assert "convergence" in res.stderr.lower()
+
+    @pytest.mark.parametrize("command", ["eval", "table"])
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_nonpositive_tolerance_is_usage_error(self, command, method, tol):
+        argv = [command, "--t", "0.5", "--d", "0.3", "--method", method, "--tol", tol]
+        assert cli.main(argv) == cli.EXIT_USAGE
 
     def test_json_format(self):
         res = run("eval", "--t", "0.5", "--d", "0.3", "--format", "json")

@@ -8,28 +8,17 @@ from numpy.testing import assert_allclose
 
 from projheat.errors import DomainError, TruncationCapError
 from projheat.geometry import SpaceDescriptor
-from projheat.kernels import (
-    KernelQuery,
-    KernelValue,
-    cpn_integral,
-    cpn_series,
-    evaluate,
-    hpn_integral,
-    hpn_series,
-    series_values,
-    stationary_value,
-    unified,
-)
+from projheat.kernels import KernelValue, series_values, stationary_value, unified
 
 
 class TestStationaryLimits:
     def test_hp1_long_time(self):
         # l = 0 coefficient: 3! / pi^2
-        res = hpn_series(1, 50.0, 0.3)
+        res = unified(1, 2, 50.0, 0.3)
         assert_allclose(res.value, 6.0 / math.pi**2, rtol=1e-12)
 
     def test_cp1_long_time(self):
-        res = cpn_series(1, 50.0, 0.1)
+        res = unified(1, 1, 50.0, 0.1)
         assert_allclose(res.value, 1.0 / math.pi, rtol=1e-12)
 
     def test_cp2_long_time(self):
@@ -37,9 +26,9 @@ class TestStationaryLimits:
         assert_allclose(res.value, 2.0 / math.pi**2, rtol=1e-12)
 
     def test_integral_reaches_long_time_without_overflow(self):
-        res = hpn_integral(1, 50.0, 0.7, tol=1e-10)
+        res = unified(1, 2, 50.0, 0.7, tol=1e-10, method="integral")
         assert_allclose(res.value, 6.0 / math.pi**2, rtol=1e-8)
-        res = cpn_integral(1, 50.0, 0.2, tol=1e-10)
+        res = unified(1, 1, 50.0, 0.2, tol=1e-10, method="integral")
         assert_allclose(res.value, 1.0 / math.pi, rtol=1e-8)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -58,81 +47,61 @@ class TestRepresentationEquivalence:
     @pytest.mark.parametrize("t", [0.05, 0.5, 5.0])
     @pytest.mark.parametrize("d", [0.0, 0.4, 1.5])
     def test_hp1(self, t, d):
-        s = hpn_series(1, t, d, tol=1e-12)
-        i = hpn_integral(1, t, d, tol=1e-12)
+        s = unified(1, 2, t, d, tol=1e-12)
+        i = unified(1, 2, t, d, tol=1e-12, method="integral")
         assert abs(s.value - i.value) <= 1e-8 * abs(s.value)
 
     @pytest.mark.parametrize("t", [0.05, 0.5])
     @pytest.mark.parametrize("d", [0.0, 0.3, 1.2])
     def test_cp1(self, t, d):
-        s = cpn_series(1, t, d, tol=1e-12)
-        i = cpn_integral(1, t, d, tol=1e-12)
+        s = unified(1, 1, t, d, tol=1e-12)
+        i = unified(1, 1, t, d, tol=1e-12, method="integral")
         assert abs(s.value - i.value) <= 1e-8 * abs(s.value)
 
     def test_near_diameter(self):
         d = math.pi / 2 - 1e-3
-        s = hpn_series(1, 0.5, d, tol=1e-12)
-        i = hpn_integral(1, 0.5, d, tol=1e-12)
+        s = unified(1, 2, 0.5, d, tol=1e-12)
+        i = unified(1, 2, 0.5, d, tol=1e-12, method="integral")
         assert s.value > 0
         assert abs(s.value - i.value) <= 1e-8 * abs(s.value)
 
     def test_odd_complex_index_consistency(self):
         # the odd-index complex kernel shares its theta series with the
-        # quaternionic one; both prefactor spellings must agree
-        for n in (1, 2, 3):
-            odd = 2 * n + 1
-            direct = 1.0 / (2.0 ** (2 * n - 1) * math.pi ** (2 * n + 2))
-            generic = 1.0 / (2.0 ** (odd - 2) * math.pi ** (odd + 1))
-            assert direct == generic
-        s = cpn_series(3, 0.5, 0.3, tol=1e-12)
-        i = cpn_integral(3, 0.5, 0.3, tol=1e-12)
+        # quaternionic one
+        s = unified(3, 1, 0.5, 0.3, tol=1e-12)
+        i = unified(3, 1, 0.5, 0.3, tol=1e-12, method="integral")
         assert abs(s.value - i.value) <= 1e-8 * abs(s.value)
-
-
-class TestUnifiedReduction:
-    def test_k1_equals_cpn(self):
-        for n, t, d in ((3, 0.4, 0.5), (1, 0.2, 0.0), (2, 1.0, 1.1)):
-            assert unified(n, 1, t, d).value == cpn_series(n, t, d).value
-
-    def test_k2_equals_hpn(self):
-        for n, t, d in ((1, 0.4, 0.5), (2, 0.2, 0.0), (3, 1.0, 1.1)):
-            assert unified(n, 2, t, d).value == hpn_series(n, t, d).value
-
-    def test_integral_dispatch(self):
-        a = unified(1, 2, 0.5, 0.4, tol=1e-11, method="integral")
-        b = hpn_integral(1, 0.5, 0.4, tol=1e-11)
-        assert a.value == b.value
 
 
 class TestTruncationBehaviour:
     def test_tail_bound_sound(self):
         # tightening the tolerance changes the value by less than the
         # looser tolerance's reported bound
-        loose = hpn_series(2, 0.3, 0.6, tol=1e-8)
-        tight = hpn_series(2, 0.3, 0.6, tol=1e-14)
+        loose = unified(2, 2, 0.3, 0.6, tol=1e-8)
+        tight = unified(2, 2, 0.3, 0.6, tol=1e-14)
         assert abs(loose.value - tight.value) <= loose.est_error
         assert loose.est_error <= 1e-8
 
     def test_d_zero_same_code_path(self):
-        res = cpn_series(2, 0.2, 0.0, tol=1e-10)
-        tight = cpn_series(2, 0.2, 0.0, tol=1e-14)
+        res = unified(2, 1, 0.2, 0.0, tol=1e-10)
+        tight = unified(2, 1, 0.2, 0.0, tol=1e-14)
         assert abs(res.value - tight.value) <= res.est_error
 
     def test_terms_grow_as_t_shrinks(self):
-        few = hpn_series(1, 1.0, 0.3).terms_or_nodes
-        many = hpn_series(1, 1e-3, 0.3).terms_or_nodes
+        few = unified(1, 2, 1.0, 0.3).terms_or_nodes
+        many = unified(1, 2, 1e-3, 0.3).terms_or_nodes
         assert many > few
 
     def test_cap_error_for_tiny_t(self):
         with pytest.raises(TruncationCapError):
-            hpn_series(1, 1e-9, 0.3, tol=1e-12)
+            unified(1, 2, 1e-9, 0.3, tol=1e-12)
 
     def test_series_values_vectorized(self):
         ds = np.linspace(0.0, 1.5, 7)
         vals, terms, tail = series_values(2, 1, 0.5, ds, 1e-12)
         assert terms >= 1 and tail <= 1e-12
         for d, v in zip(ds, vals):
-            assert_allclose(v, hpn_series(1, 0.5, float(d), tol=1e-12).value, rtol=1e-15)
+            assert_allclose(v, unified(1, 2, 0.5, float(d), tol=1e-12).value, rtol=1e-15)
 
 
 class TestPositivityAndMonotonicity:
@@ -146,18 +115,13 @@ class TestPositivityAndMonotonicity:
         space = SpaceDescriptor(n=1, k=2)
         flat = stationary_value(space)
         ts = np.linspace(1.0, 2.0, 20)
-        vals = np.array([hpn_series(1, float(t), 0.4, tol=1e-13).value for t in ts])
+        vals = np.array([unified(1, 2, float(t), 0.4, tol=1e-13).value for t in ts])
         inc = np.diff(vals)
         direction = 1.0 if inc[np.argmax(np.abs(inc))] >= 0 else -1.0
         assert np.all(inc * direction >= -1e-13 * max(1.0, abs(flat)))
 
 
 class TestQueryInterface:
-    def test_evaluate_dispatch(self):
-        space = SpaceDescriptor(n=1, k=2)
-        q = KernelQuery(space=space, t=0.5, d=0.4, method="series", tol=1e-10)
-        assert evaluate(q).value == hpn_series(1, 0.5, 0.4, tol=1e-10).value
-
     def test_est_error_within_tol(self):
         for method in ("series", "integral"):
             res = unified(1, 2, 0.5, 0.4, tol=1e-9, method=method)
@@ -165,23 +129,25 @@ class TestQueryInterface:
             assert res.terms_or_nodes >= 1
 
     def test_validation(self):
-        space = SpaceDescriptor(n=1, k=1)
+        for method in ("series", "integral"):
+            with pytest.raises(DomainError):
+                unified(1, 1, -1.0, 0.3, method=method)
+            with pytest.raises(DomainError):
+                unified(1, 1, 0.5, math.pi / 2, method=method)
+            with pytest.raises(DomainError):
+                unified(1, 1, 0.5, float("nan"), method=method)
+            with pytest.raises(DomainError):
+                unified(1, 3, 0.5, 0.3, method=method)
+            with pytest.raises(DomainError):
+                unified(0, 1, 0.5, 0.3, method=method)
         with pytest.raises(DomainError):
-            KernelQuery(space=space, t=-1.0, d=0.3)
+            unified(1, 1, 0.5, 0.3, method="magic")
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, method, tol):
         with pytest.raises(DomainError):
-            KernelQuery(space=space, t=0.5, d=math.pi / 2)
-        with pytest.raises(DomainError):
-            KernelQuery(space=space, t=0.5, d=0.3, method="magic")
-        with pytest.raises(DomainError):
-            KernelQuery(space=space, t=0.5, d=0.3, tol=0.0)
-        with pytest.raises(DomainError):
-            unified(1, 3, 0.5, 0.3)
-        with pytest.raises(DomainError):
-            cpn_series(0, 0.5, 0.3)
-        with pytest.raises(DomainError):
-            hpn_series(1, -0.5, 0.3)
-        with pytest.raises(DomainError):
-            hpn_integral(1, 0.5, 1.6)
+            unified(2, 2, 0.5, 0.3, tol=tol, method=method)
 
     def test_kernel_value_is_plain_record(self):
         v = KernelValue(value=1.0, terms_or_nodes=3, est_error=1e-12)

@@ -9,12 +9,9 @@ from numpy.testing import assert_allclose
 from projheat.errors import DomainError, TruncationCapError
 from projheat.thetapsi import (
     DEFAULT_POLICY,
-    ThetaQuery,
     TruncationPolicy,
     jacobi_theta2_reference,
-    psi,
     psi_sum,
-    theta,
     theta_sum,
 )
 
@@ -24,26 +21,26 @@ from helpers import theta2_brute, theta_brute
 class TestTheta:
     def test_odd_cosines_vanish_at_half_pi(self):
         # every term carries cos(odd * pi/2) = 0
-        val = theta(ThetaQuery(m=4, t=0.5, u=math.pi / 2))
+        val = theta_sum(4, 0.5, math.pi / 2)
         assert abs(val) <= 1e-12
 
     def test_single_term_domination_at_large_t(self):
         # (m=4, t=10, u=0): first term exp(-4*10*(3/2)^2) = exp(-90)
-        val = theta(ThetaQuery(m=4, t=10.0, u=0.0))
+        val = theta_sum(4, 10.0, 0.0)
         assert_allclose(val, math.exp(-90.0), rtol=1e-14)
         assert_allclose(theta_brute(4, 10.0, 0.0), math.exp(-90.0), rtol=1e-14)
 
     @pytest.mark.parametrize("m,t,u", [(2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2),
                                        (3, 0.7, 2.5), (2, 0.001, 0.9)])
     def test_matches_brute_force(self, m, t, u):
-        auto = theta(ThetaQuery(m=m, t=t, u=u))
+        auto = theta_sum(m, t, u)
         brute = theta_brute(m, t, u, terms=2000)
         assert abs(auto - brute) <= DEFAULT_POLICY.tol
 
     def test_matches_half_classical_theta2(self):
         # the m=2 series is half the classical theta-2 on the nose
         t, u = 0.3, 0.4
-        lhs = theta(ThetaQuery(m=2, t=t, u=u))
+        lhs = theta_sum(2, t, u)
         rhs = 0.5 * jacobi_theta2_reference(u / math.pi, 4.0 * t / math.pi)
         assert_allclose(lhs, rhs, atol=1e-13)
 
@@ -60,7 +57,7 @@ class TestTheta:
     def test_cap_error_signals_small_t(self):
         policy = TruncationPolicy(tol=1e-12, l_max_cap=5)
         with pytest.raises(TruncationCapError):
-            theta(ThetaQuery(m=2, t=1e-4, u=0.3), policy)
+            theta_sum(2, 1e-4, 0.3, policy)
 
     def test_exp_shift_matches_plain_scaling(self):
         # for moderate t the shift is just a multiplicative factor
@@ -71,20 +68,29 @@ class TestTheta:
 
     def test_query_validation(self):
         with pytest.raises(DomainError):
-            ThetaQuery(m=1, t=0.5, u=0.1)
-        with pytest.raises(DomainError):
-            ThetaQuery(m=4, t=0.0, u=0.1)
-        with pytest.raises(DomainError):
             TruncationPolicy(tol=0.0)
         with pytest.raises(DomainError):
             TruncationPolicy(tol=1e-12, l_max_cap=0)
+
+    def test_rejects_subscript_below_two(self):
+        with pytest.raises(DomainError):
+            theta_sum(1, 0.5, 0.3)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, float("nan")])
+    def test_rejects_nonpositive_time(self, t):
+        with pytest.raises(DomainError):
+            theta_sum(4, t, 0.1)
+
+    def test_rejects_nonfinite_angle(self):
+        with pytest.raises(DomainError):
+            theta_sum(4, 0.5, np.array([0.1, np.inf]))
 
 
 class TestPsi:
     def test_single_ladder_is_sine_series(self):
         # one application turns cos((2l+1)u) into (2l+1) sin((2l+1)u)
         t, u = 0.5, 0.9
-        lhs = psi(1, ThetaQuery(m=2, t=t, u=u))
+        lhs = psi_sum(1, 2, t, u)
         rhs = sum(
             (2 * l + 1) * math.exp(-4.0 * t * (l + 0.5) ** 2) * math.sin((2 * l + 1) * u)
             for l in range(200)
@@ -95,12 +101,12 @@ class TestPsi:
         # (j=3, m=4, t=5): the leading term is 24 sin(u) exp(-45); the next
         # one is exp(-80) smaller, so the closed form is exact to roundoff
         u = 0.8
-        val = psi(3, ThetaQuery(m=4, t=5.0, u=u))
+        val = psi_sum(3, 4, 5.0, u)
         assert_allclose(val, 24.0 * math.sin(u) * math.exp(-45.0), rtol=1e-12)
 
     def test_finite_at_u_zero_and_pi(self):
-        assert psi(3, ThetaQuery(m=4, t=0.5, u=0.0)) == 0.0
-        assert abs(psi(3, ThetaQuery(m=4, t=0.5, u=math.pi))) < 1e-12
+        assert psi_sum(3, 4, 0.5, 0.0) == 0.0
+        assert abs(psi_sum(3, 4, 0.5, math.pi)) < 1e-12
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_finite_at_half_pi_and_matches_fd(self, j):
@@ -108,7 +114,7 @@ class TestPsi:
         from helpers import ladder_fd
 
         m, t, u = 4, 0.5, math.pi / 2
-        val = psi(j, ThetaQuery(m=m, t=t, u=u))
+        val = psi_sum(j, m, t, u)
         assert math.isfinite(val)
         fd = math.sin(u) * ladder_fd(lambda v: theta_sum(m, t, v), u, j)
         assert abs(val - fd) <= 1e-5 * max(1.0, abs(val))
@@ -127,12 +133,11 @@ class TestPsi:
             auto = psi_sum(j, m, t, u)
             brute = 0.0
             for l in range(3000):
-                q = 2 * l + m - 1
-                ladder = cosine_ladder(j, q)
-                brute += (
-                    math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
-                    * math.sin(u) * ladder.evaluate(math.cos(u))
-                )
+                a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
+                if a == 0.0:
+                    break  # a only falls with l: every later term is +-0.0, a no-op
+                ladder = cosine_ladder(j, 2 * l + m - 1)
+                brute += a * math.sin(u) * ladder.evaluate(math.cos(u))
             assert abs(auto - brute) <= DEFAULT_POLICY.tol
 
     def test_exp_shift_fold(self):
@@ -150,6 +155,19 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_sum(0, 4, 0.5, 0.3)
 
+    def test_rejects_subscript_below_two(self):
+        with pytest.raises(DomainError):
+            psi_sum(1, 1, 0.5, 0.3)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, float("nan")])
+    def test_rejects_nonpositive_time(self, t):
+        with pytest.raises(DomainError):
+            psi_sum(3, 4, t, 0.5)
+
+    def test_rejects_nonfinite_angle(self):
+        with pytest.raises(DomainError):
+            psi_sum(3, 4, 0.5, float("nan"))
+
 
 class TestTheta2Reference:
     def test_zero_at_half(self):
@@ -166,7 +184,7 @@ class TestTheta2Reference:
         # z = x/pi, tau = 4it/pi turns theta-2 into twice the m=2 series
         for t, x in ((0.5, 0.0), (0.8, 0.27 * math.pi), (0.3, 1.1)):
             lhs = jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
-            rhs = 2.0 * theta(ThetaQuery(m=2, t=t, u=x))
+            rhs = 2.0 * theta_sum(2, t, x)
             assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_nonpositive_tau(self):
@@ -179,7 +197,7 @@ def test_halfinteger_relation_grid():
     for n in (1, 2):
         for t in (0.1, 0.5, 2.0):
             for x in np.linspace(0.0, math.pi / 2, 50):
-                lhs = theta(ThetaQuery(m=2 * n + 2, t=t, u=float(x)))
+                lhs = theta_sum(2 * n + 2, t, float(x))
                 corr = sum(
                     math.exp(-4.0 * t * (l + 0.5) ** 2) * math.cos((2 * l + 1) * x)
                     for l in range(n)
