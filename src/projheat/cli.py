@@ -8,6 +8,7 @@ tables are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from . import kernels, verify
-from .errors import DomainError, ProjheatError, QuadratureConvergenceError, TruncationCapError
+from .errors import ProjheatError, QuadratureConvergenceError, TruncationCapError
 from .geometry import SpaceDescriptor
 
 _HALF_PI = 0.5 * math.pi
@@ -99,11 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _space_from_args(args) -> SpaceDescriptor:
-    k = 1 if args.space == "cpn" else 2
-    try:
-        return SpaceDescriptor(n=args.n, k=k)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from None
+    return SpaceDescriptor(n=args.n, k=1 if args.space == "cpn" else 2)
 
 
 def _values_from_args(args, name: str, grid_default: str) -> list:
@@ -132,29 +129,36 @@ def _validate_distances(ds) -> None:
             raise UsageError(f"d={d} out of range: distance must lie in [0, pi/2)")
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, or stdout when none is given."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            yield out
 
 
-def _evaluate_grid(args, t_default, d_default):
+def _methods(args) -> tuple:
+    return kernels.METHODS if args.method == "both" else (args.method,)
+
+
+def _evaluate_grid(args, t_default, d_default, methods, tol):
     """Kernel results over the requested grid: (space, [(t, d, results)]).
 
-    Rows run t-major, d-minor; ``results`` holds one KernelValue per method,
-    series before integral for ``--method both``.
+    Each t-row is one ``unified`` call per method over every distance.
+    Rows run t-major, d-minor; ``results`` holds one KernelValue per
+    method, in the order of ``methods``.
     """
     space = _space_from_args(args)
     ts = _values_from_args(args, "t", t_default)
     ds = _values_from_args(args, "d", d_default)
     _validate_times(ts)
     _validate_distances(ds)
-    methods = kernels.METHODS if args.method == "both" else (args.method,)
-    rows = [
-        (t, d, [kernels.unified(space.n, space.k, t, d, tol=args.tol, method=m)
-                for m in methods])
-        for t in ts for d in ds
-    ]
+    rows = []
+    for t in ts:
+        per_method = [kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods]
+        rows.extend((t, d, results) for d, *results in zip(ds, *per_method))
     return space, rows
 
 
@@ -166,10 +170,9 @@ def cmd_eval(args) -> int:
             raise UsageError(f"eval needs a single --{name}")
     if args.fmt != "pretty":
         return cmd_table(args)
-    _, [(_, _, results)] = _evaluate_grid(args, None, None)  # the single row
+    _, [(_, _, results)] = _evaluate_grid(args, None, None, _methods(args), args.tol)
 
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.method == "both":
             rs, ri = results
             out.write(f"value_series   {_fmt(rs.value)}\n")
@@ -181,18 +184,14 @@ def cmd_eval(args) -> int:
             out.write(f"method         {args.method}\n")
             out.write(f"terms_or_nodes {res.terms_or_nodes}\n")
             out.write(f"est_error      {_fmt(res.est_error)}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    space, rows = _evaluate_grid(args, "0.2:1:3", "0:1.2:5")
+    space, rows = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", _methods(args), args.tol)
     both = args.method == "both"
 
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.fmt == "json":
             for t, d, results in rows:
                 rec = {"k": space.k, "n": space.n, "t": t, "d": d}
@@ -220,55 +219,39 @@ def cmd_table(args) -> int:
                         str(space.k), str(space.n), _fmt(t), _fmt(d), args.method,
                         _fmt(a.value), _fmt(a.est_error), str(a.terms_or_nodes),
                     ]) + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    space = _space_from_args(args)
-    ts = _values_from_args(args, "t", "0.1:1:4")
-    ds = _values_from_args(args, "d", "0:1.4:6")
-    _validate_times(ts)
-    _validate_distances(ds)
     tol = args.tol
-
-    out, close = _open_out(args)
+    space, rows = _evaluate_grid(args, "0.1:1:4", "0:1.4:6", kernels.METHODS,
+                                 min(tol, 1e-10))
     all_ok = True
-    try:
+    with _output(args) as out:
         if args.fmt == "csv":
             out.write("k,n,t,d,value_series,value_integral,abs_err,rel_err,status\n")
-        for t in ts:
-            for d in ds:
-                rs = kernels.unified(space.n, space.k, t, d, tol=min(tol, 1e-10),
-                                     method="series")
-                ri = kernels.unified(space.n, space.k, t, d, tol=min(tol, 1e-10),
-                                     method="integral")
-                rep = verify.make_report(
-                    "representation_equivalence",
-                    {"k": space.k, "n": space.n, "t": t, "d": d},
-                    rs.value, ri.value, tol,
+        for t, d, (rs, ri) in rows:
+            rep = verify.make_report(
+                "representation_equivalence",
+                {"k": space.k, "n": space.n, "t": t, "d": d},
+                rs.value, ri.value, tol,
+            )
+            all_ok = all_ok and rep.passed
+            if args.fmt == "json":
+                out.write(rep.to_json() + "\n")
+            elif args.fmt == "csv":
+                out.write(",".join([
+                    str(space.k), str(space.n), _fmt(t), _fmt(d),
+                    _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.abs_err),
+                    _fmt(rep.rel_err), "pass" if rep.passed else "fail",
+                ]) + "\n")
+            else:
+                status = "PASS" if rep.passed else "FAIL"
+                out.write(
+                    f"{status} k={space.k} n={space.n} t={_fmt(t)} d={_fmt(d)} "
+                    f"series={_fmt(rep.lhs)} integral={_fmt(rep.rhs)} "
+                    f"rel_err={rep.rel_err:.3e}\n"
                 )
-                all_ok = all_ok and rep.passed
-                if args.fmt == "json":
-                    out.write(rep.to_json() + "\n")
-                elif args.fmt == "csv":
-                    out.write(",".join([
-                        str(space.k), str(space.n), _fmt(t), _fmt(d),
-                        _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.abs_err),
-                        _fmt(rep.rel_err), "pass" if rep.passed else "fail",
-                    ]) + "\n")
-                else:
-                    status = "PASS" if rep.passed else "FAIL"
-                    out.write(
-                        f"{status} k={space.k} n={space.n} t={_fmt(t)} d={_fmt(d)} "
-                        f"series={_fmt(rep.lhs)} integral={_fmt(rep.rhs)} "
-                        f"rel_err={rep.rel_err:.3e}\n"
-                    )
-    finally:
-        if close:
-            out.close()
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -278,8 +261,7 @@ def cmd_selftest(args) -> int:
     profile = verify.SuiteProfile(tol_override=args.tol, ks=ks, groups=groups)
     reports = verify.full_suite(profile)
 
-    out, close = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.json:
             for rep in reports:
                 out.write(rep.to_json() + "\n")
@@ -293,9 +275,6 @@ def cmd_selftest(args) -> int:
                 )
             n_fail = sum(1 for r in reports if not r.passed)
             out.write(f"# {len(reports) - n_fail}/{len(reports)} checks passed\n")
-    finally:
-        if close:
-            out.close()
     if not reports:
         raise UsageError(f"no checks match --only {args.only!r}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
@@ -312,16 +291,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
-        print(f"projheat: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"projheat: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (TruncationCapError, QuadratureConvergenceError) as exc:
         print(f"projheat: no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ProjheatError as exc:
+    except (UsageError, ProjheatError) as exc:
         print(f"projheat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -113,7 +113,6 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
 
 
 def _integral_kernel(k: int, n: int, t: float, d: float, tol: float) -> KernelValue:
-    _check_args(k, n, t, d, tol)
     m = k * (n + 1)
     j = m - 1  # = c, the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
@@ -134,19 +133,31 @@ def _integral_kernel(k: int, n: int, t: float, d: float, tol: float) -> KernelVa
     return KernelValue(value=outer * res.value, terms_or_nodes=res.nodes, est_error=est)
 
 
-def unified(n: int, k: int, t: float, d: float, tol: float = 1e-10,
-            method: str = "series") -> KernelValue:
-    """Kernel on P^n(F) at one point, by the selected representation.
+def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
+            method: str = "series"):
+    """Kernel on P^n(F) at time t, by the selected representation.
 
-    Raises DomainError for an index, field, time, distance, tolerance or
-    method outside its domain, whichever method is chosen.
+    A scalar distance ``d`` gives one KernelValue.  A sequence of
+    distances gives a list of KernelValue, one per distance, equal to the
+    scalar calls: the series evaluates the whole row in one
+    ``series_values`` call (its truncation index does not depend on d),
+    the integral runs one adaptive quadrature per distance.
+
+    Raises DomainError for an index, field, time, distance (anywhere in
+    the row), tolerance or method outside its domain, whichever method is
+    chosen.
     """
+    ds = np.atleast_1d(np.asarray(d, dtype=float))
     if method == "series":
-        values, terms, tail = series_values(k, n, t, np.asarray([d]), tol)
-        return KernelValue(value=float(values[0]), terms_or_nodes=terms, est_error=tail)
-    if method == "integral":
-        return _integral_kernel(k, n, t, d, tol)
-    raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+        values, terms, tail = series_values(k, n, t, ds, tol)
+        row = [KernelValue(value=float(v), terms_or_nodes=terms, est_error=tail)
+               for v in values]
+    elif method == "integral":
+        _check_args(k, n, t, ds, tol)
+        row = [_integral_kernel(k, n, t, float(x), tol) for x in ds]
+    else:
+        raise DomainError(f"method must be one of {METHODS}, got {method!r}")
+    return row if np.ndim(d) else row[0]
 
 
 def stationary_value(space: SpaceDescriptor) -> float:

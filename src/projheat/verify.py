@@ -83,11 +83,23 @@ def make_report(name: str, parameters: dict, lhs: float, rhs: float, tol: float,
     abs_err = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs), scale)
     rel_err = abs_err / denom if denom > 0 else 0.0
-    passed = abs_err <= tol or rel_err <= tol
+    passed = bool(abs_err <= tol or rel_err <= tol)  # a plain bool, for json
     return VerificationReport(
         identity_name=name, parameters=parameters, lhs=lhs, rhs=rhs,
         abs_err=abs_err, rel_err=rel_err, tol=tol, passed=passed,
     )
+
+
+def _worst_report(name: str, parameters: dict, key: str, xs: np.ndarray,
+                  lhs: np.ndarray, rhs: np.ndarray, tol: float,
+                  scale: float = 0.0) -> VerificationReport:
+    """One report at the point of ``xs`` where |lhs - rhs| is largest.
+
+    That point's coordinate is recorded under ``key`` after ``parameters``.
+    """
+    worst = int(np.argmax(np.abs(lhs - rhs)))
+    return make_report(name, {**parameters, key: float(xs[worst])},
+                       float(lhs[worst]), float(rhs[worst]), tol, scale=scale)
 
 
 def _flag_report(name: str, parameters: dict, passed: bool, lhs: float, rhs: float,
@@ -305,10 +317,8 @@ def _check_orthopoly_trig(profile: SuiteProfile):
     for l in (1, 2, 5, 20, 50):
         vals = orthopoly.gegenbauer_c(GegenbauerParams(l=l, lam=1.0), np.cos(thetas))
         ref = np.sin((l + 1) * thetas) / np.sin(thetas)
-        worst = int(np.argmax(np.abs(vals - ref)))
-        reports.append(make_report(
-            "gegenbauer_dirichlet_ratio", {"l": l, "theta": float(thetas[worst])},
-            float(vals[worst]), float(ref[worst]), tol,
+        reports.append(_worst_report(
+            "gegenbauer_dirichlet_ratio", {"l": l}, "theta", thetas, vals, ref, tol,
         ))
     return reports
 
@@ -326,10 +336,9 @@ def _check_orthopoly_ladder(profile: SuiteProfile):
         exact_vals = np.array([ladder.evaluate(math.cos(u)) for u in us])
         fd_vals = np.array([_ladder_fd(f, u, m) for u in us])
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
-        worst = int(np.argmax(np.abs(exact_vals - fd_vals)))
-        reports.append(make_report(
-            "gegenbauer_ladder_vs_fd", {"m": m, "l": l, "lam": lam, "u": float(us[worst])},
-            float(exact_vals[worst]), float(fd_vals[worst]), tol, scale=scale,
+        reports.append(_worst_report(
+            "gegenbauer_ladder_vs_fd", {"m": m, "l": l, "lam": lam}, "u", us,
+            exact_vals, fd_vals, tol, scale=scale,
         ))
     for m, q in ((1, 3), (2, 5), (3, 5), (3, 8)):
         ladder = orthopoly.cosine_ladder(m, q)
@@ -340,10 +349,9 @@ def _check_orthopoly_ladder(profile: SuiteProfile):
         exact_vals = np.array([ladder.evaluate(math.cos(u)) for u in us])
         fd_vals = np.array([_ladder_fd(f, u, m) for u in us])
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
-        worst = int(np.argmax(np.abs(exact_vals - fd_vals)))
-        reports.append(make_report(
-            "cosine_ladder_vs_fd", {"m": m, "q": q, "u": float(us[worst])},
-            float(exact_vals[worst]), float(fd_vals[worst]), tol, scale=scale,
+        reports.append(_worst_report(
+            "cosine_ladder_vs_fd", {"m": m, "q": q}, "u", us,
+            exact_vals, fd_vals, tol, scale=scale,
         ))
     return reports
 
@@ -462,10 +470,9 @@ def _check_theta_ladder(profile: SuiteProfile):
             exact_vals = np.array([thetapsi.psi_sum(j, m, t, float(u)) for u in us])
             fd_vals = np.array([math.sin(u) * _ladder_fd(f, float(u), j) for u in us])
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))
-            worst = int(np.argmax(np.abs(exact_vals - fd_vals)))
-            reports.append(make_report(
-                "psi_ladder_vs_fd", {"j": j, "m": m, "t": t, "u": float(us[worst])},
-                float(exact_vals[worst]), float(fd_vals[worst]), tol, scale=scale,
+            reports.append(_worst_report(
+                "psi_ladder_vs_fd", {"j": j, "m": m, "t": t}, "u", us,
+                exact_vals, fd_vals, tol, scale=scale,
             ))
     return reports
 
@@ -597,13 +604,13 @@ def _check_kernels_equivalence(profile: SuiteProfile):
     for k in profile.ks:
         for n in _NS:
             for t in _EQUIV_TS:
-                series_vals, _, _ = kernels.series_values(k, n, t, np.asarray(_EQUIV_DS), 1e-12)
-                for d, sval in zip(_EQUIV_DS, series_vals):
-                    ival = kernels.unified(n, k, t, float(d), tol=1e-12, method="integral")
+                series, integral = (kernels.unified(n, k, t, _EQUIV_DS, 1e-12, m)
+                                    for m in kernels.METHODS)
+                for d, s, i in zip(_EQUIV_DS, series, integral):
                     reports.append(make_report(
                         "representation_equivalence",
                         {"k": k, "n": n, "t": t, "d": float(d)},
-                        float(sval), ival.value, tol,
+                        s.value, i.value, tol,
                     ))
     return reports
 

@@ -1,34 +1,16 @@
 """Independent oracles shared by the tests.
 
-Everything here is deliberately written from scratch against the defining
-series/operators, never by calling the package's own evaluation paths.
+Everything here is written from scratch against the defining
+series/operators and never calls the package's own evaluation paths.  The
+exact Jacobi series and the finite-difference ladder are the self-test's
+oracles in ``projheat.verify``, re-exported under the tests' names; they
+share nothing with the production recurrences either.
 """
 
 import math
 from fractions import Fraction
 
-import numpy as np
-
-
-def jacobi_series_exact(l, alpha, beta, x):
-    """Jacobi polynomial by its terminating series in exact rational arithmetic.
-
-    alpha, beta, x are floats (hence exact binary rationals), so the value
-    is exact up to the final float conversion.
-    """
-    a = Fraction(alpha)
-    b = Fraction(beta)
-    z = (1 - Fraction(x)) / 2
-    total = Fraction(0)
-    for s in range(l + 1):
-        term = Fraction(1)
-        for i in range(s):
-            term *= l + a + b + 1 + i  # (l+a+b+1)_s
-        for i in range(l - s):
-            term *= a + s + 1 + i  # (a+s+1)_(l-s)
-        term *= (-z) ** s
-        total += term / (math.factorial(s) * math.factorial(l - s))
-    return float(total)
+from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
 
 
 def gegenbauer_series_exact(l, lam, x):
@@ -43,26 +25,6 @@ def gegenbauer_series_exact(l, lam, x):
         term *= Fraction(-1) ** i * (2 * x_f) ** (l - 2 * i)
         total += term / (math.factorial(i) * math.factorial(l - 2 * i))
     return float(total)
-
-
-def ladder_fd(f, u0, m, h=None):
-    """Iterated -(1/sin u) d/du by nested central differences, Richardson once.
-
-    The default step doubles with each nesting level beyond two because
-    nested differencing amplifies roundoff by (2h)^-m.
-    """
-    if h is None:
-        h = 1e-3 * (2.0 ** max(0, m - 2))
-
-    def once(step):
-        us = u0 + step * np.arange(-m, m + 1, dtype=float)
-        vals = np.array([f(v) for v in us], dtype=float)
-        for _ in range(m):
-            vals = -(vals[2:] - vals[:-2]) / (2.0 * step * np.sin(us[1:-1]))
-            us = us[1:-1]
-        return float(vals[0])
-
-    return (4.0 * once(0.5 * h) - once(h)) / 3.0
 
 
 def theta_brute(m, t, u, terms=1000):

@@ -139,6 +139,32 @@ class TestCompare:
         assert res.returncode == 0
 
 
+class TestErrorLines:
+    """Exact stderr line and exit code, in-process."""
+
+    def test_bad_index_is_usage_error(self, capsys):
+        assert cli.main(["eval", "--n", "0", "--t", "0.5", "--d", "0.3"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "projheat: error: projective index must be >= 1, got 0\n"
+
+    def test_no_convergence_is_exit_3(self, capsys):
+        argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0"]
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("projheat: no convergence: ")
+        assert captured.err.count("\n") == 1
+
+    def test_failed_compare_writes_no_out_file(self, tmp_path):
+        # the whole grid is evaluated before --out is opened
+        target = tmp_path / "compare.csv"
+        argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0",
+                "--format", "csv", "--out", str(target)]
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+        assert not target.exists()
+
+
 class TestSelftest:
     def test_only_lemma(self):
         res = run("selftest", "--only", "lemma")
@@ -153,6 +179,13 @@ class TestSelftest:
         for line in res.stdout.strip().splitlines():
             rec = json.loads(line)
             assert rec["passed"] is True
+
+    def test_json_reports_are_plain_json(self, capsys):
+        # the psi truncation reports compare numpy scalars
+        assert cli.main(["selftest", "--only", "theta_truncation", "--json"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert all(json.loads(line)["passed"] is True for line in lines)
 
     def test_zero_tolerance_fails(self):
         res = run("selftest", "--only", "theta2", "--tol", "0")

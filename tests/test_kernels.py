@@ -152,3 +152,38 @@ class TestQueryInterface:
     def test_kernel_value_is_plain_record(self):
         v = KernelValue(value=1.0, terms_or_nodes=3, est_error=1e-12)
         assert v.value == 1.0 and v.terms_or_nodes == 3
+
+
+class TestRowCall:
+    """A sequence of distances gives one KernelValue per distance."""
+
+    DS = [0.0, 1.5, *np.linspace(0.05, 1.45, 18)]
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("k,n,t", [(1, 1, 0.05), (1, 3, 0.5), (2, 1, 0.2), (2, 3, 1.0)])
+    def test_row_equals_scalar_calls(self, method, k, n, t):
+        row = unified(n, k, t, self.DS, 1e-10, method)
+        assert isinstance(row, list) and len(row) == len(self.DS)
+        for d, got in zip(self.DS, row):
+            want = unified(n, k, t, float(d), 1e-10, method)
+            assert got.value == want.value
+            assert got.terms_or_nodes == want.terms_or_nodes
+            assert got.est_error == want.est_error
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_scalar_distance_gives_one_value(self, method):
+        assert isinstance(unified(1, 2, 0.5, 0.4, method=method), KernelValue)
+        assert isinstance(unified(1, 2, 0.5, np.float64(0.4), method=method), KernelValue)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("bad", [math.pi / 2, -0.1, float("nan")])
+    @pytest.mark.parametrize("where", [0, 3, -1])
+    def test_one_bad_distance_rejects_the_row(self, method, bad, where):
+        ds = [0.1, 0.4, 0.7, 1.0, 1.3]
+        ds[where] = bad
+        with pytest.raises(DomainError):
+            unified(1, 2, 0.5, ds, method=method)
+
+    def test_bad_method_with_a_row(self):
+        with pytest.raises(DomainError):
+            unified(1, 2, 0.5, [0.1, 0.4], method="magic")
