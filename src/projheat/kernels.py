@@ -26,6 +26,7 @@ endpoint-regularized substitution from the quadrature module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import DomainError, TruncationCapError
 from .geometry import SpaceDescriptor
 from .orthopoly import jacobi_step
-from .quadrature import SqrtWeightedIntegral, adaptive_integrate
+from .quadrature import adaptive_integrate_row
 from .thetapsi import DEFAULT_POLICY, TruncationPolicy, psi_sum
 
 _HALF_PI = 0.5 * math.pi
@@ -62,6 +63,8 @@ def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
     if not t > 0:
         raise DomainError(f"diffusion time must be positive, got {t}")
     d_arr = np.asarray(d, dtype=float)
+    if d_arr.ndim > 1:
+        raise DomainError(f"distance must be a scalar or a row, got {d_arr.ndim} dimensions")
     if not np.all((d_arr >= 0.0) & (d_arr < _HALF_PI)):
         raise DomainError("distance must lie in [0, pi/2)")
     if not tol > 0:
@@ -112,25 +115,22 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     )
 
 
-def _integral_kernel(k: int, n: int, t: float, d: float, tol: float) -> KernelValue:
+def _integral_kernel(k: int, n: int, t: float, ds: list, tol: float) -> list:
     m = k * (n + 1)
     j = m - 1  # = c, the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
-    outer = cnk / math.cos(d) ** (2 * (k - 1))
+    outers = [cnk / math.cos(d) ** (2 * (k - 1)) for d in ds]
     shift = float(j * j)  # folded exp(c^2 t), termwise
     policy = (
         DEFAULT_POLICY if tol >= 10.0 * DEFAULT_POLICY.tol
         else TruncationPolicy(tol=0.1 * tol, l_max_cap=DEFAULT_POLICY.l_max_cap)
     )
-
-    def g(u):
-        return psi_sum(j, m, t, u, policy, exp_shift=shift)
-
-    spec = SqrtWeightedIntegral(d=d, exponent_sign=0.5 if k == 2 else -0.5)
-    res = adaptive_integrate(spec, g, tol=0.5 * tol / outer)
+    g = functools.partial(psi_sum, j, m, t, policy=policy, exp_shift=shift)
+    row = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, g, [0.5 * tol / o for o in outers])
     # termwise theta truncation contributes at most cnk * pi/2 * policy tol
-    est = outer * res.est_error + cnk * _HALF_PI * policy.tol
-    return KernelValue(value=outer * res.value, terms_or_nodes=res.nodes, est_error=est)
+    return [KernelValue(value=outer * res.value, terms_or_nodes=res.nodes,
+                        est_error=outer * res.est_error + cnk * _HALF_PI * policy.tol)
+            for outer, res in zip(outers, row)]
 
 
 def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
@@ -141,7 +141,8 @@ def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
     distances gives a list of KernelValue, one per distance, equal to the
     scalar calls: the series evaluates the whole row in one
     ``series_values`` call (its truncation index does not depend on d),
-    the integral runs one adaptive quadrature per distance.
+    the integral runs one doubling loop over the row, with one ``psi_sum``
+    call per round for every distance not yet converged.
 
     Raises DomainError for an index, field, time, distance (anywhere in
     the row), tolerance or method outside its domain, whichever method is
@@ -154,7 +155,7 @@ def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
                for v in values]
     elif method == "integral":
         _check_args(k, n, t, ds, tol)
-        row = [_integral_kernel(k, n, t, float(x), tol) for x in ds]
+        row = _integral_kernel(k, n, t, ds.tolist(), tol)
     else:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
     return row if np.ndim(d) else row[0]

@@ -24,6 +24,9 @@ from .errors import DomainError, QuadratureConvergenceError
 
 _HALF_PI = 0.5 * math.pi
 
+#: most substitution nodes one call of the integrand receives
+_CALL_NODES = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -111,6 +114,22 @@ class SqrtWeightedIntegral:
             raise DomainError(f"weight exponent must be +0.5 or -0.5, got {self.exponent_sign}")
 
 
+def _weighted_sums(cos_ds: np.ndarray, exponent_sign: float,
+                   g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> list:
+    """The rule's estimates for each cos d, whole distances per call of g, one dot each."""
+    phi = (rule.nodes + 1.0) * (0.25 * math.pi)
+    step = max(1, _CALL_NODES // rule.count)
+    sums = []
+    for lo in range(0, cos_ds.size, step):
+        c = cos_ds[lo:lo + step, None]
+        c_sin_phi = c * np.sin(phi)
+        sin_u = np.sqrt(1.0 - c_sin_phi ** 2)
+        gv = np.asarray(g(np.arccos(c_sin_phi).ravel()), dtype=float).reshape(sin_u.shape)
+        weight = (c * c) * np.cos(phi) ** 2 if exponent_sign > 0 else 1.0  # 1.0 * gv is exact
+        sums += [float((0.25 * math.pi) * (rule.weights @ row)) for row in weight * gv / sin_u]
+    return sums
+
+
 def integrate_weighted(spec: SqrtWeightedIntegral, g: Callable[[np.ndarray], np.ndarray],
                        rule: QuadratureRule) -> float:
     """Integral of (cos^2 d - cos^2 u)^(+-1/2) * g(u) over [d, pi/2].
@@ -119,17 +138,7 @@ def integrate_weighted(spec: SqrtWeightedIntegral, g: Callable[[np.ndarray], np.
     d = 0 the transformed integrand is smooth provided g carries a sin(u)
     factor, which every caller in this package does.
     """
-    c = math.cos(spec.d)
-    phi = (rule.nodes + 1.0) * (0.25 * math.pi)
-    sin_phi = np.sin(phi)
-    sin_u = np.sqrt(1.0 - (c * sin_phi) ** 2)
-    u = np.arccos(c * sin_phi)
-    gv = np.asarray(g(u), dtype=float)
-    if spec.exponent_sign > 0:
-        integrand = (c * c) * np.cos(phi) ** 2 * gv / sin_u
-    else:
-        integrand = gv / sin_u
-    return float((0.25 * math.pi) * (rule.weights @ integrand))
+    return _weighted_sums(np.array([math.cos(spec.d)]), spec.exponent_sign, g, rule)[0]
 
 
 class AdaptiveResult(NamedTuple):
@@ -138,23 +147,39 @@ class AdaptiveResult(NamedTuple):
     est_error: float
 
 
+def adaptive_integrate_row(ds: list, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
+                           tols: list, start: int = 16, cap: int = 4096) -> list:
+    """``adaptive_integrate`` for each lower limit of ``ds`` at its tolerance in ``tols``.
+
+    Each round evaluates every unconverged distance on one rule.  Raises
+    QuadratureConvergenceError for the first one, in row order, left at the cap.
+    """
+    for d, tol in zip(ds, tols):
+        SqrtWeightedIntegral(d=d, exponent_sign=exponent_sign)  # validates the limit
+        if not tol > 0:
+            raise DomainError(f"tolerance must be positive, got {tol}")
+    cos_ds = np.array([math.cos(d) for d in ds])
+    results, count = [None] * len(ds), start
+    est = dict(enumerate(_weighted_sums(cos_ds, exponent_sign, g, gauss_legendre_rule(count))))
+    while est and count < cap:
+        count *= 2
+        rule = gauss_legendre_rule(count)
+        new = dict(zip(est, _weighted_sums(cos_ds[list(est)], exponent_sign, g, rule)))
+        for i, value in new.items():
+            diff = abs(value - est[i])
+            if diff <= tols[i]:
+                results[i] = AdaptiveResult(value=value, nodes=count, est_error=diff)
+        est = {i: value for i, value in new.items() if results[i] is None}
+    if est:
+        raise QuadratureConvergenceError(
+            f"no convergence to tol={tols[min(est)]} within {cap} nodes")
+    return results
+
+
 def adaptive_integrate(spec: SqrtWeightedIntegral, g: Callable[[np.ndarray], np.ndarray],
                        tol: float, start: int = 16, cap: int = 4096) -> AdaptiveResult:
     """Double the node count until two successive estimates agree within tol.
 
     Raises QuadratureConvergenceError if the cap is reached first.
     """
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    count = start
-    est = integrate_weighted(spec, g, gauss_legendre_rule(count))
-    while count < cap:
-        count *= 2
-        new = integrate_weighted(spec, g, gauss_legendre_rule(count))
-        diff = abs(new - est)
-        if diff <= tol:
-            return AdaptiveResult(value=new, nodes=count, est_error=diff)
-        est = new
-    raise QuadratureConvergenceError(
-        f"no convergence to tol={tol} within {cap} nodes"
-    )
+    return adaptive_integrate_row([spec.d], spec.exponent_sign, g, [tol], start, cap)[0]

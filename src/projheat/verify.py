@@ -16,6 +16,7 @@ numerically true.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -404,20 +405,23 @@ def _check_quadrature_substitution(profile: SuiteProfile):
 
 def _check_quadrature_doubling(profile: SuiteProfile):
     tol = profile.tol(1e-12)
-    reports = []
+    psi = functools.partial(thetapsi.psi_sum, 3, 4, 0.5)
     cases = [
-        ("psi_plus", SqrtWeightedIntegral(d=0.3, exponent_sign=0.5),
-         lambda u: thetapsi.psi_sum(3, 4, 0.5, u)),
-        ("gegenbauer_minus", SqrtWeightedIntegral(d=0.7, exponent_sign=-0.5),
+        ({"case": "psi_plus"}, SqrtWeightedIntegral(d=0.3, exponent_sign=0.5), psi),
+        ({"case": "gegenbauer_minus"}, SqrtWeightedIntegral(d=0.7, exponent_sign=-0.5),
          lambda u: np.sin(u) * orthopoly.gegenbauer_c(GegenbauerParams(l=4, lam=1.0), np.cos(u))),
     ]
-    for label, spec, g in cases:
-        res = adaptive_integrate(spec, g, tol)
+    results = [adaptive_integrate(spec, g, tol) for _, spec, g in cases]
+    # the row loop as the integral kernel runs it, one report per distance
+    ds = (0.0, 0.35, 0.7, 1.05, 1.4)
+    cases += [({"case": "psi_plus_row", "d": d}, SqrtWeightedIntegral(d=d, exponent_sign=0.5), psi)
+              for d in ds]
+    results += quadrature.adaptive_integrate_row(ds, 0.5, psi, [tol] * len(ds))
+    reports = []
+    for (parameters, spec, g), res in zip(cases, results):
         extra = quadrature.integrate_weighted(spec, g, gauss_legendre_rule(2 * res.nodes))
-        reports.append(make_report(
-            "adaptive_doubling_stability", {"case": label, "nodes": res.nodes},
-            res.value, extra, tol,
-        ))
+        reports.append(make_report("adaptive_doubling_stability",
+                                   {**parameters, "nodes": res.nodes}, res.value, extra, tol))
     return reports
 
 

@@ -4,12 +4,19 @@ Everything here is written from scratch against the defining
 series/operators and never calls the package's own evaluation paths.  The
 exact Jacobi series and the finite-difference ladder are the self-test's
 oracles in ``projheat.verify``, re-exported under the tests' names; they
-share nothing with the production recurrences either.
+share nothing with the production recurrences either.  The reference
+doubling loop and kernel below run one distance at a time over
+``integrate_weighted``: they pin the row loop's batching, chunking and
+bookkeeping, not the substitution arithmetic they share with it.
 """
 
 import math
 from fractions import Fraction
 
+from projheat.errors import QuadratureConvergenceError
+from projheat.kernels import KernelValue
+from projheat.quadrature import SqrtWeightedIntegral, gauss_legendre_rule, integrate_weighted
+from projheat.thetapsi import DEFAULT_POLICY, TruncationPolicy, psi_sum
 from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
 
 
@@ -63,3 +70,34 @@ def s4_heat_kernel(t, d, terms=200):
             cl = c_cur
         total += (2 * l + 3) * cl * math.exp(-4.0 * l * (l + 3) * t)
     return 2.0 * total / math.pi**2
+
+
+def adaptive_reference(spec, g, tol, start=16, cap=4096):
+    """Doubling Gauss-Legendre for one distance alone: (value, nodes, est_error)."""
+    count = start
+    est = integrate_weighted(spec, g, gauss_legendre_rule(count))
+    while count < cap:
+        count *= 2
+        new = integrate_weighted(spec, g, gauss_legendre_rule(count))
+        if abs(new - est) <= tol:
+            return new, count, abs(new - est)
+        est = new
+    raise QuadratureConvergenceError(f"no convergence to tol={tol} within {cap} nodes")
+
+
+def integral_kernel_reference(n, k, t, d, tol):
+    """The integral-form kernel at one distance, over ``adaptive_reference``."""
+    m = k * (n + 1)
+    cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
+    outer = cnk / math.cos(d) ** (2 * (k - 1))
+    policy = (
+        DEFAULT_POLICY if tol >= 10.0 * DEFAULT_POLICY.tol
+        else TruncationPolicy(tol=0.1 * tol, l_max_cap=DEFAULT_POLICY.l_max_cap)
+    )
+    spec = SqrtWeightedIntegral(d=d, exponent_sign=0.5 if k == 2 else -0.5)
+    value, nodes, err = adaptive_reference(
+        spec, lambda u: psi_sum(m - 1, m, t, u, policy, exp_shift=float((m - 1) ** 2)),
+        0.5 * tol / outer,
+    )
+    return KernelValue(value=outer * value, terms_or_nodes=nodes,
+                       est_error=outer * err + cnk * 0.5 * math.pi * policy.tol)

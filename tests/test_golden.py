@@ -39,6 +39,10 @@ COMMANDS = {
     },
     "compare_cpn_n2.csv": ["compare", "--space", "cpn", "--n", "2",
                            "--t-grid", "0.1:1:3", "--d-grid", "0:1.4:4", "--format", "csv"],
+    # its rows need 32, 64 and 512 quadrature nodes
+    "table_integral_cpn_n2.json": ["table", "--space", "cpn", "--n", "2",
+                                   "--t-grid", "0.0002:0.02:3", "--d-grid", "0:1.56:9",
+                                   "--tol", "1e-6", "--method", "integral", "--format", "json"],
 }
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import integral_kernel_reference
+from projheat import quadrature
 from projheat.errors import DomainError, TruncationCapError
 from projheat.geometry import SpaceDescriptor
 from projheat.kernels import KernelValue, series_values, stationary_value, unified
@@ -162,10 +164,15 @@ class TestRowCall:
     @pytest.mark.parametrize("method", ["series", "integral"])
     @pytest.mark.parametrize("k,n,t", [(1, 1, 0.05), (1, 3, 0.5), (2, 1, 0.2), (2, 3, 1.0)])
     def test_row_equals_scalar_calls(self, method, k, n, t):
+        # the integral's scalar call is itself a row of one, so its row is
+        # held against the one-distance reference loop instead
         row = unified(n, k, t, self.DS, 1e-10, method)
         assert isinstance(row, list) and len(row) == len(self.DS)
         for d, got in zip(self.DS, row):
-            want = unified(n, k, t, float(d), 1e-10, method)
+            if method == "integral":
+                want = integral_kernel_reference(n, k, t, float(d), 1e-10)
+            else:
+                want = unified(n, k, t, float(d), 1e-10, method)
             assert got.value == want.value
             assert got.terms_or_nodes == want.terms_or_nodes
             assert got.est_error == want.est_error
@@ -187,3 +194,32 @@ class TestRowCall:
     def test_bad_method_with_a_row(self):
         with pytest.raises(DomainError):
             unified(1, 2, 0.5, [0.1, 0.4], method="magic")
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_multidimensional_distances_rejected(self, method):
+        with pytest.raises(DomainError):
+            unified(1, 2, 0.5, np.array([[0.1, 0.2]]), method=method)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_empty_row(self, method):
+        assert unified(1, 2, 0.5, [], method=method) == []
+
+
+class TestIntegralRow:
+    """The integral row against the one-distance reference doubling loop."""
+
+    # at t = 2e-4 the row needs 32, 64 and 512 nodes
+    DS = [float(d) for d in np.linspace(0.0, 1.565, 60)]
+
+    def test_mixed_node_counts(self):
+        row = unified(2, 1, 2e-4, self.DS, 1e-6, "integral")
+        assert len({v.terms_or_nodes for v in row}) >= 3
+        for d, got in zip(self.DS, row):
+            assert got == integral_kernel_reference(2, 1, 2e-4, d, 1e-6)
+
+    def test_row_split_into_chunks(self, monkeypatch):
+        # 1000 nodes per integrand call splits every round after the first
+        monkeypatch.setattr(quadrature, "_CALL_NODES", 1000)
+        row = unified(2, 1, 2e-4, self.DS, 1e-6, "integral")
+        for d, got in zip(self.DS, row):
+            assert got == integral_kernel_reference(2, 1, 2e-4, d, 1e-6)

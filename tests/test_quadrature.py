@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import adaptive_reference
+from projheat import quadrature
 from projheat.errors import DomainError, QuadratureConvergenceError
 from projheat.quadrature import (
     SqrtWeightedIntegral,
     adaptive_integrate,
+    adaptive_integrate_row,
     gauss_legendre_rule,
     integrate_weighted,
 )
@@ -128,3 +131,55 @@ class TestAdaptive:
         spec = SqrtWeightedIntegral(d=0.2, exponent_sign=0.5)
         with pytest.raises(DomainError):
             adaptive_integrate(spec, np.sin, tol=0.0)
+
+
+def _hard(u):
+    return np.sin(u) / (1.01 + np.cos(37.0 * u))
+
+
+class TestAdaptiveRow:
+    def test_equals_reference_per_distance(self):
+        from projheat.thetapsi import psi_sum
+
+        ds = [0.0, 0.3, 0.7, 1.2, 1.4, 1.5]
+        tols = [1e-8, 1e-9, 1e-6, 1e-9, 1e-8, 1e-9]
+
+        def g(u):
+            return psi_sum(3, 4, 0.02, u)
+
+        for sign in (0.5, -0.5):
+            row = adaptive_integrate_row(ds, sign, g, tols)
+            for d, tol, res in zip(ds, tols, row):
+                want = adaptive_reference(SqrtWeightedIntegral(d=d, exponent_sign=sign), g, tol)
+                assert (res.value, res.nodes, res.est_error) == want
+
+    def test_long_row_is_split_into_chunks(self):
+        ds = [float(d) for d in np.linspace(0.0, 1.5, 5000)]
+        sizes = []
+
+        def g(u):
+            sizes.append(u.size)
+            return np.sin(u) * np.cos(u) ** 6
+
+        row = adaptive_integrate_row(ds, 0.5, g, [1e-13] * len(ds))
+        assert max(sizes) <= quadrature._CALL_NODES
+        assert len(sizes) > 2  # more than one call per round
+        for d, res in list(zip(ds, row))[::97]:
+            want = adaptive_reference(SqrtWeightedIntegral(d=d, exponent_sign=0.5), g, 1e-13)
+            assert (res.value, res.nodes, res.est_error) == want
+
+    def test_cap_names_first_failing_distance(self):
+        with pytest.raises(QuadratureConvergenceError, match=r"tol=1e-30 within 4096 nodes"):
+            adaptive_integrate_row([0.2, 0.5, 0.9], 0.5, _hard, [1.0, 1e-30, 2e-30])
+
+    def test_empty_row(self):
+        def g(u):
+            raise AssertionError("the integrand of an empty row is never called")
+
+        assert adaptive_integrate_row([], 0.5, g, []) == []
+
+    def test_rejects_bad_row(self):
+        with pytest.raises(DomainError):
+            adaptive_integrate_row([0.2, math.pi / 2], 0.5, np.sin, [1e-10, 1e-10])
+        with pytest.raises(DomainError):
+            adaptive_integrate_row([0.2, 0.4], 0.5, np.sin, [1e-10, 0.0])
