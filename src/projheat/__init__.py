@@ -40,13 +40,11 @@ from .orthopoly import (
 )
 from .quadrature import (
     QuadratureRule,
-    SqrtWeightedIntegral,
-    adaptive_integrate,
+    adaptive_integrate_row,
     gauss_legendre_rule,
     integrate_weighted,
 )
 from .thetapsi import (
-    TruncationPolicy,
     jacobi_theta2_reference,
     psi_sum,
     theta_sum,

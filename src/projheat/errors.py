@@ -12,7 +12,7 @@ class DomainError(ProjheatError, ValueError):
 class TruncationCapError(ProjheatError, RuntimeError):
     """A series hit its term cap before the tail bound met the tolerance.
 
-    Usually means the diffusion time is too small for the requested policy.
+    Usually means the diffusion time is too small for the requested tolerance.
     """
 
 

@@ -36,7 +36,7 @@ from .errors import DomainError, TruncationCapError
 from .geometry import SpaceDescriptor
 from .orthopoly import jacobi_step
 from .quadrature import adaptive_integrate_row
-from .thetapsi import DEFAULT_POLICY, TruncationPolicy, psi_sum
+from .thetapsi import DEFAULT_TOL, psi_sum
 
 _HALF_PI = 0.5 * math.pi
 
@@ -121,15 +121,12 @@ def _integral_kernel(k: int, n: int, t: float, ds: list, tol: float) -> list:
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = [cnk / math.cos(d) ** (2 * (k - 1)) for d in ds]
     shift = float(j * j)  # folded exp(c^2 t), termwise
-    policy = (
-        DEFAULT_POLICY if tol >= 10.0 * DEFAULT_POLICY.tol
-        else TruncationPolicy(tol=0.1 * tol, l_max_cap=DEFAULT_POLICY.l_max_cap)
-    )
-    g = functools.partial(psi_sum, j, m, t, policy=policy, exp_shift=shift)
+    theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
+    g = functools.partial(psi_sum, j, m, t, tol=theta_tol, exp_shift=shift)
     row = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, g, [0.5 * tol / o for o in outers])
-    # termwise theta truncation contributes at most cnk * pi/2 * policy tol
+    # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
     return [KernelValue(value=outer * res.value, terms_or_nodes=res.nodes,
-                        est_error=outer * res.est_error + cnk * _HALF_PI * policy.tol)
+                        est_error=outer * res.est_error + cnk * _HALF_PI * theta_tol)
             for outer, res in zip(outers, row)]
 
 

@@ -27,6 +27,10 @@ _HALF_PI = 0.5 * math.pi
 #: most substitution nodes one call of the integrand receives
 _CALL_NODES = 1 << 16
 
+#: node counts of the doubling loop's first rule and of its last
+START_NODES = 16
+MAX_NODES = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -38,9 +42,6 @@ class QuadratureRule:
     @property
     def count(self) -> int:
         return self.nodes.size
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
 
 
 _RULE_CACHE: dict[int, QuadratureRule] = {}
@@ -100,23 +101,22 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
     return rule
 
 
-@dataclass(frozen=True)
-class SqrtWeightedIntegral:
-    """Integral over [d, pi/2] with weight (cos^2 d - cos^2 u)^exponent_sign."""
+def integrate_weighted(ds, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
+                       rule: QuadratureRule) -> list:
+    """Integral of (cos^2 d - cos^2 u)^exponent_sign * g(u) over [d, pi/2], each d of ``ds``.
 
-    d: float
-    exponent_sign: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.d < _HALF_PI):
-            raise DomainError(f"lower limit must lie in [0, pi/2), got {self.d}")
-        if self.exponent_sign not in (0.5, -0.5):
-            raise DomainError(f"weight exponent must be +0.5 or -0.5, got {self.exponent_sign}")
-
-
-def _weighted_sums(cos_ds: np.ndarray, exponent_sign: float,
-                   g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> list:
-    """The rule's estimates for each cos d, whole distances per call of g, one dot each."""
+    ``exponent_sign`` is +0.5 or -0.5.  ``g`` is evaluated at interior
+    points only, for whole distances per call and at most ``_CALL_NODES``
+    nodes a call.  For the -1/2 weight with d = 0 the transformed
+    integrand is smooth provided g carries a sin(u) factor, which every
+    caller in this package does.
+    """
+    for d in ds:
+        if not (0.0 <= d < _HALF_PI):
+            raise DomainError(f"lower limit must lie in [0, pi/2), got {d}")
+    if exponent_sign not in (0.5, -0.5):
+        raise DomainError(f"weight exponent must be +0.5 or -0.5, got {exponent_sign}")
+    cos_ds = np.array([math.cos(d) for d in ds])
     phi = (rule.nodes + 1.0) * (0.25 * math.pi)
     step = max(1, _CALL_NODES // rule.count)
     sums = []
@@ -130,41 +130,31 @@ def _weighted_sums(cos_ds: np.ndarray, exponent_sign: float,
     return sums
 
 
-def integrate_weighted(spec: SqrtWeightedIntegral, g: Callable[[np.ndarray], np.ndarray],
-                       rule: QuadratureRule) -> float:
-    """Integral of (cos^2 d - cos^2 u)^(+-1/2) * g(u) over [d, pi/2].
-
-    ``g`` is evaluated at interior points only.  For the -1/2 weight with
-    d = 0 the transformed integrand is smooth provided g carries a sin(u)
-    factor, which every caller in this package does.
-    """
-    return _weighted_sums(np.array([math.cos(spec.d)]), spec.exponent_sign, g, rule)[0]
-
-
 class AdaptiveResult(NamedTuple):
     value: float
     nodes: int
     est_error: float
 
 
-def adaptive_integrate_row(ds: list, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
-                           tols: list, start: int = 16, cap: int = 4096) -> list:
-    """``adaptive_integrate`` for each lower limit of ``ds`` at its tolerance in ``tols``.
+def adaptive_integrate_row(ds, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
+                           tols) -> list:
+    """``integrate_weighted`` for each d of ``ds`` to its tolerance in ``tols``.
 
-    Each round evaluates every unconverged distance on one rule.  Raises
-    QuadratureConvergenceError for the first one, in row order, left at the cap.
+    Doubles the node count from START_NODES until two successive estimates
+    of a distance agree within its tolerance; each round evaluates every
+    unconverged distance on one rule.  Raises QuadratureConvergenceError
+    for the first distance, in row order, left unconverged at MAX_NODES.
+    A bad limit, exponent or tolerance raises DomainError before ``g`` runs.
     """
-    for d, tol in zip(ds, tols):
-        SqrtWeightedIntegral(d=d, exponent_sign=exponent_sign)  # validates the limit
+    for tol in tols:
         if not tol > 0:
             raise DomainError(f"tolerance must be positive, got {tol}")
-    cos_ds = np.array([math.cos(d) for d in ds])
-    results, count = [None] * len(ds), start
-    est = dict(enumerate(_weighted_sums(cos_ds, exponent_sign, g, gauss_legendre_rule(count))))
-    while est and count < cap:
+    results, count = [None] * len(ds), START_NODES
+    est = dict(enumerate(integrate_weighted(ds, exponent_sign, g, gauss_legendre_rule(count))))
+    while est and count < MAX_NODES:
         count *= 2
         rule = gauss_legendre_rule(count)
-        new = dict(zip(est, _weighted_sums(cos_ds[list(est)], exponent_sign, g, rule)))
+        new = dict(zip(est, integrate_weighted([ds[i] for i in est], exponent_sign, g, rule)))
         for i, value in new.items():
             diff = abs(value - est[i])
             if diff <= tols[i]:
@@ -172,14 +162,5 @@ def adaptive_integrate_row(ds: list, exponent_sign: float, g: Callable[[np.ndarr
         est = {i: value for i, value in new.items() if results[i] is None}
     if est:
         raise QuadratureConvergenceError(
-            f"no convergence to tol={tols[min(est)]} within {cap} nodes")
+            f"no convergence to tol={tols[min(est)]} within {MAX_NODES} nodes")
     return results
-
-
-def adaptive_integrate(spec: SqrtWeightedIntegral, g: Callable[[np.ndarray], np.ndarray],
-                       tol: float, start: int = 16, cap: int = 4096) -> AdaptiveResult:
-    """Double the node count until two successive estimates agree within tol.
-
-    Raises QuadratureConvergenceError if the cap is reached first.
-    """
-    return adaptive_integrate_row([spec.d], spec.exponent_sign, g, [tol], start, cap)[0]

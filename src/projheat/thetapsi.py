@@ -13,7 +13,8 @@ differentiation and is finite at u = 0 and u = pi.  Truncation is
 controlled by an analytic tail bound: successive term bounds shrink by a
 factor that is itself decreasing, so the tail is dominated by a geometric
 series and summation stops as soon as that majorant drops below the
-policy tolerance.
+tolerance ``tol`` (``DEFAULT_TOL`` unless given); a series that would need
+more than ``TERM_CAP`` terms raises TruncationCapError instead.
 
 For m = 2 the series coincides with half the classical second Jacobi
 theta function at purely imaginary lattice parameter;
@@ -24,7 +25,6 @@ relation can be certified rather than assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +32,20 @@ from .errors import DomainError, TruncationCapError
 from .orthopoly import gegenbauer_step
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Absolute tail tolerance plus a hard safety cap on the term count."""
+#: absolute tail tolerance of every series here unless the caller gives one
+DEFAULT_TOL = 1e-12
 
-    tol: float = 1e-12
-    l_max_cap: int = 20000
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
-        if self.l_max_cap < 1:
-            raise DomainError(f"term cap must be >= 1, got {self.l_max_cap}")
+#: hard cap on the terms of one series, which TruncationCapError reports
+TERM_CAP = 20000
 
 
-DEFAULT_POLICY = TruncationPolicy()
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
 
 
-def _check_series_args(m: int, t: float, u: np.ndarray) -> None:
+def _check_series_args(m: int, t: float, u: np.ndarray, tol: float) -> None:
+    _check_tol(tol)
     if m < 2:
         raise DomainError(f"series subscript must be >= 2, got {m}")
     if not t > 0:
@@ -58,33 +54,28 @@ def _check_series_args(m: int, t: float, u: np.ndarray) -> None:
         raise DomainError("angle must be finite")
 
 
-def theta_sum(m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLICY,
-              exp_shift: float = 0.0):
-    """Truncated theta_m(t; u), vectorized over u.
+def theta_sum(m: int, t: float, u, tol: float = DEFAULT_TOL):
+    """Truncated theta_m(t; u), vectorized over u."""
+    u_arr = np.asarray(u, dtype=float)
+    _check_series_args(m, t, u_arr, tol)
+    half = 0.5 * (m - 1)
+    total = np.zeros_like(u_arr)
+    for l in range(TERM_CAP + 1):
+        a = math.exp(-4.0 * (l + half) ** 2 * t)
+        total += a * np.cos((2 * l + m - 1) * u_arr)
+        b_next = math.exp(-4.0 * (l + 1 + half) ** 2 * t)
+        rho = math.exp(-4.0 * t * (2 * l + 2 + m))
+        if rho < 1.0 and b_next / (1.0 - rho) <= tol:
+            return float(total) if np.ndim(u) == 0 else total
+    raise TruncationCapError(f"theta series needs more than {TERM_CAP} terms at t={t}")
+
+
+def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: float = 0.0):
+    """sin(u) L^j theta_m(t, u), vectorized over u.
 
     ``exp_shift`` folds a factor exp(exp_shift * t) into every term; with
     exp_shift = (m-1)^2 the exponents become -4 t l (l + m - 1), which is
     how the kernel assembly keeps large-t prefactors from overflowing.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    _check_series_args(m, t, u_arr)
-    half = 0.5 * (m - 1)
-    total = np.zeros_like(u_arr)
-    for l in range(policy.l_max_cap + 1):
-        a = math.exp((exp_shift - 4.0 * (l + half) ** 2) * t)
-        total += a * np.cos((2 * l + m - 1) * u_arr)
-        b_next = math.exp((exp_shift - 4.0 * (l + 1 + half) ** 2) * t)
-        rho = math.exp(-4.0 * t * (2 * l + 2 + m))
-        if rho < 1.0 and b_next / (1.0 - rho) <= policy.tol:
-            return float(total) if np.ndim(u) == 0 else total
-    raise TruncationCapError(
-        f"theta series needs more than {policy.l_max_cap} terms at t={t}"
-    )
-
-
-def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLICY,
-            exp_shift: float = 0.0):
-    """sin(u) L^j theta_m(t, u), vectorized over u.
 
     Termwise the cosine ladder turns harmonic 2l+m-1 into a Gegenbauer
     term of order j and degree 2l+m-1-j, so the sum is a single rolling
@@ -94,7 +85,7 @@ def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLI
     if j < 1:
         raise DomainError(f"ladder count must be >= 1, got {j}")
     u_arr = np.asarray(u, dtype=float)
-    _check_series_args(m, t, u_arr)
+    _check_series_args(m, t, u_arr, tol)
     x = np.cos(u_arr)
     lam = float(j)
     base = (2.0 ** (j - 1)) * math.factorial(j - 1)  # q-independent ladder scale
@@ -105,7 +96,7 @@ def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLI
     c_cur, c_prev = np.ones_like(u_arr), np.zeros_like(u_arr)
     deg = 0
     endpoint = None  # binom(q + j - 1, 2j - 1) for the current l
-    for l in range(policy.l_max_cap + 1):
+    for l in range(TERM_CAP + 1):
         q = 2 * l + m - 1
         if q < j:
             continue  # ladder annihilates harmonics below its count
@@ -129,33 +120,29 @@ def psi_sum(j: int, m: int, t: float, u, policy: TruncationPolicy = DEFAULT_POLI
             * ((qn + 2) / qn)
             * (((qn + j) * (qn + j + 1)) / ((qn - j + 1) * (qn - j + 2)))
         )
-        if rho < 1.0 and b_next / (1.0 - rho) <= policy.tol:
+        if rho < 1.0 and b_next / (1.0 - rho) <= tol:
             result = np.sin(u_arr) * total
             return float(result) if np.ndim(u) == 0 else result
-    raise TruncationCapError(
-        f"ladder series needs more than {policy.l_max_cap} terms at t={t}"
-    )
+    raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
 
 
-def jacobi_theta2_reference(z: float, tau_imag: float,
-                            policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def jacobi_theta2_reference(z: float, tau_imag: float, tol: float = DEFAULT_TOL) -> float:
     """Second Jacobi theta function at purely imaginary lattice parameter.
 
     Sums 2 sum_{l>=0} exp(-pi tau_imag (l + 1/2)^2) cos((2l+1) pi z)
     directly; real-valued here.  Kept independent of ``theta_sum`` so the two
     summations can certify each other.
     """
+    _check_tol(tol)
     if not tau_imag > 0:
         raise DomainError(f"imaginary part of tau must be positive, got {tau_imag}")
     total = 0.0
-    for l in range(policy.l_max_cap + 1):
+    for l in range(TERM_CAP + 1):
         total += 2.0 * math.exp(-math.pi * tau_imag * (l + 0.5) ** 2) * math.cos(
             (2 * l + 1) * math.pi * z
         )
         b_next = 2.0 * math.exp(-math.pi * tau_imag * (l + 1.5) ** 2)
         rho = math.exp(-math.pi * tau_imag * (2 * l + 4))
-        if rho < 1.0 and b_next / (1.0 - rho) <= policy.tol:
+        if rho < 1.0 and b_next / (1.0 - rho) <= tol:
             return total
-    raise TruncationCapError(
-        f"theta2 series needs more than {policy.l_max_cap} terms at tau={tau_imag}j"
-    )
+    raise TruncationCapError(f"theta2 series needs more than {TERM_CAP} terms at tau={tau_imag}j")

@@ -29,8 +29,7 @@ from . import geometry, kernels, orthopoly, quadrature, thetapsi
 from .errors import DomainError, QuadratureConvergenceError
 from .geometry import SpaceDescriptor
 from .orthopoly import GegenbauerParams, JacobiParams
-from .quadrature import SqrtWeightedIntegral, adaptive_integrate, gauss_legendre_rule
-from .thetapsi import DEFAULT_POLICY
+from .quadrature import adaptive_integrate_row, gauss_legendre_rule
 
 _HALF_PI = 0.5 * math.pi
 
@@ -39,6 +38,13 @@ JACOBI_REP_CONVENTIONS = ("2n-1", "2n-2")
 
 #: projective indices every per-space group covers
 _NS = (1, 2, 3)
+
+#: lower limits at which the lemma and jacobi_rep groups integrate
+_REP_DS = (0.0, 0.3, 0.7, 1.1, 1.4)
+
+#: node counts of the radial doubling loop's first rule and of its last
+_RADIAL_START = 64
+_RADIAL_MAX = 8192
 
 
 @dataclass(frozen=True)
@@ -183,12 +189,11 @@ def _series_scalar(space: SpaceDescriptor, t: float, r: float, tol: float = 1e-1
     return float(vals[0])
 
 
-def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float,
-                     start: int = 64, cap: int = 8192) -> float:
+def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
     """Doubling Gauss-Legendre integral over (0, pi/2)."""
     prev = None
-    count = start
-    while count <= cap:
+    count = _RADIAL_START
+    while count <= _RADIAL_MAX:
         rule = gauss_legendre_rule(count)
         r = (rule.nodes + 1.0) * (0.25 * math.pi)
         est = (0.25 * math.pi) * float(rule.weights @ np.asarray(fvec(r), dtype=float))
@@ -203,45 +208,44 @@ def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float,
 # named identity checks
 
 
-def lemma_check(n: int, l: int, d: float, tol: float = 1e-8) -> VerificationReport:
+def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
     """Square-root-weight integral of a laddered Gegenbauer term vs Jacobi form.
 
     LHS: integral over [d, pi/2] of sqrt(cos^2 d - cos^2 u)/cos^2 d times
     L^(2n) C_{2l+2n}^1(cos u) sin(u); RHS: 2^(2n-2) pi (l+2n)!/(l+1)!
-    times P_l^(2n-1,1)(cos 2d).
+    times P_l^(2n-1,1)(cos 2d).  One report per distance d of ``ds``,
+    all integrated in one doubling loop.
     """
     ladder = orthopoly.ladder_apply(2 * n, GegenbauerParams(l=2 * l + 2 * n, lam=1.0))
 
     def g(u):
         return np.sin(u) * ladder.evaluate(np.cos(u))
 
-    rhs = (
-        2.0 ** (2 * n - 2) * math.pi
-        * (math.factorial(l + 2 * n) / math.factorial(l + 1))
-        * orthopoly.jacobi_p(JacobiParams(l=l, alpha=2 * n - 1, beta=1), math.cos(2 * d))
-    )
-    cos2 = math.cos(d) ** 2
-    qtol = max(1e-13, 1e-11 * abs(rhs)) * cos2
-    res = adaptive_integrate(SqrtWeightedIntegral(d=d, exponent_sign=0.5), g, qtol)
-    lhs = res.value / cos2
-    return make_report(
-        "gegenbauer_ladder_to_jacobi", {"n": n, "l": l, "d": d}, lhs, rhs, tol
-    )
+    const = 2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n) / math.factorial(l + 1))
+    params = JacobiParams(l=l, alpha=2 * n - 1, beta=1)
+    rhss = [const * orthopoly.jacobi_p(params, math.cos(2 * d)) for d in ds]
+    cos2s = [math.cos(d) ** 2 for d in ds]
+    qtols = [max(1e-13, 1e-11 * abs(rhs)) * cos2 for rhs, cos2 in zip(rhss, cos2s)]
+    results = adaptive_integrate_row(ds, 0.5, g, qtols)
+    return [make_report("gegenbauer_ladder_to_jacobi", {"n": n, "l": l, "d": float(d)},
+                        res.value / cos2, rhs, tol)
+            for d, rhs, cos2, res in zip(ds, rhss, cos2s, results)]
 
 
-def jacobi_rep_check(n: int, l: int, d: float, tol: float = 1e-8,
-                     convention: str = "2n-2") -> VerificationReport:
+def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
+                     convention: str = "2n-2") -> list:
     """Inverse-square-root integral representation of Jacobi polynomials.
 
     RHS: 2 (l+1)! (2n-2)! / (pi (l+2n-1)!) times the integral over
     [d, pi/2] of sin(u) C_{2l+2}^(2n-1)(cos u) / sqrt(cos^2 d - cos^2 u).
     LHS: P_{l+1}^(a, 0)(cos 2d) with a = 2n-1 or 2n-2 per ``convention``;
     exactly one choice makes this an identity, and the suite records which.
+    One report per distance d of ``ds``, all integrated in one doubling loop.
     """
     if convention not in JACOBI_REP_CONVENTIONS:
         raise DomainError(f"convention must be one of {JACOBI_REP_CONVENTIONS}")
     alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
-    lhs = orthopoly.jacobi_p(JacobiParams(l=l + 1, alpha=alpha, beta=0), math.cos(2 * d))
+    params = JacobiParams(l=l + 1, alpha=alpha, beta=0)
     gp = GegenbauerParams(l=2 * l + 2, lam=2 * n - 1)
 
     def g(u):
@@ -252,22 +256,25 @@ def jacobi_rep_check(n: int, l: int, d: float, tol: float = 1e-8,
     )
     scale = max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha))
     qtol = max(1e-13, 1e-11 * scale) / const
-    res = adaptive_integrate(SqrtWeightedIntegral(d=d, exponent_sign=-0.5), g, qtol)
-    rhs = const * res.value
-    return make_report(
-        "jacobi_sqrt_integral_rep",
-        {"n": n, "l": l, "d": d, "convention": convention},
-        lhs, rhs, tol, scale=scale,
-    )
+    results = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds))
+    return [make_report("jacobi_sqrt_integral_rep",
+                        {"n": n, "l": l, "d": float(d), "convention": convention},
+                        orthopoly.jacobi_p(params, math.cos(2 * d)), const * res.value, tol,
+                        scale=scale)
+            for d, res in zip(ds, results)]
 
 
 def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> VerificationReport:
-    """theta_{2n+2} vs half the classical theta-2 minus its first n harmonics."""
-    lhs = thetapsi.theta_sum(2 * n + 2, t, x)
-    correction = sum(
+    """theta_{2n+2} plus the first n harmonics of half the classical theta-2 vs that half.
+
+    Neither side is a difference, so no side cancels down to roundoff and
+    the relative error stays meaningful where theta_{2n+2} itself is tiny.
+    """
+    harmonics = sum(
         math.exp(-4.0 * t * (l + 0.5) ** 2) * math.cos((2 * l + 1) * x) for l in range(n)
     )
-    rhs = 0.5 * thetapsi.jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi) - correction
+    lhs = thetapsi.theta_sum(2 * n + 2, t, x) + harmonics
+    rhs = 0.5 * thetapsi.jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
     return make_report(
         "theta_halfinteger_relation", {"n": n, "t": t, "x": x}, lhs, rhs, tol
     )
@@ -385,17 +392,14 @@ def _check_quadrature_substitution(profile: SuiteProfile):
     tol = profile.tol(1e-12)
     reports = []
     rule = gauss_legendre_rule(64)
-    for d in (0.0, 0.3, 0.7, 1.2, 1.5):
-        plus = quadrature.integrate_weighted(
-            SqrtWeightedIntegral(d=d, exponent_sign=0.5), np.sin, rule
-        )
+    ds = (0.0, 0.3, 0.7, 1.2, 1.5)
+    pluses = quadrature.integrate_weighted(ds, 0.5, np.sin, rule)
+    minuses = quadrature.integrate_weighted(ds, -0.5, np.sin, rule)
+    for d, plus, minus in zip(ds, pluses, minuses):
         reports.append(make_report(
             "sqrt_weight_closed_form", {"d": d, "sign": "+1/2"},
             plus, (math.pi / 4.0) * math.cos(d) ** 2, tol,
         ))
-        minus = quadrature.integrate_weighted(
-            SqrtWeightedIntegral(d=d, exponent_sign=-0.5), np.sin, rule
-        )
         reports.append(make_report(
             "sqrt_weight_closed_form", {"d": d, "sign": "-1/2"},
             minus, math.pi / 2.0, tol,
@@ -406,22 +410,24 @@ def _check_quadrature_substitution(profile: SuiteProfile):
 def _check_quadrature_doubling(profile: SuiteProfile):
     tol = profile.tol(1e-12)
     psi = functools.partial(thetapsi.psi_sum, 3, 4, 0.5)
-    cases = [
-        ({"case": "psi_plus"}, SqrtWeightedIntegral(d=0.3, exponent_sign=0.5), psi),
-        ({"case": "gegenbauer_minus"}, SqrtWeightedIntegral(d=0.7, exponent_sign=-0.5),
-         lambda u: np.sin(u) * orthopoly.gegenbauer_c(GegenbauerParams(l=4, lam=1.0), np.cos(u))),
-    ]
-    results = [adaptive_integrate(spec, g, tol) for _, spec, g in cases]
-    # the row loop as the integral kernel runs it, one report per distance
+
+    def gegenbauer(u):
+        return np.sin(u) * orthopoly.gegenbauer_c(GegenbauerParams(l=4, lam=1.0), np.cos(u))
+
     ds = (0.0, 0.35, 0.7, 1.05, 1.4)
-    cases += [({"case": "psi_plus_row", "d": d}, SqrtWeightedIntegral(d=d, exponent_sign=0.5), psi)
-              for d in ds]
-    results += quadrature.adaptive_integrate_row(ds, 0.5, psi, [tol] * len(ds))
+    rows = [  # (parameters of each distance, distances, weight exponent, integrand)
+        ([{"case": "psi_plus"}], (0.3,), 0.5, psi),
+        ([{"case": "gegenbauer_minus"}], (0.7,), -0.5, gegenbauer),
+        # the row loop as the integral kernel runs it, one report per distance
+        ([{"case": "psi_plus_row", "d": d} for d in ds], ds, 0.5, psi),
+    ]
     reports = []
-    for (parameters, spec, g), res in zip(cases, results):
-        extra = quadrature.integrate_weighted(spec, g, gauss_legendre_rule(2 * res.nodes))
-        reports.append(make_report("adaptive_doubling_stability",
-                                   {**parameters, "nodes": res.nodes}, res.value, extra, tol))
+    for row_params, row, sign, g in rows:
+        results = quadrature.adaptive_integrate_row(row, sign, g, [tol] * len(row))
+        for parameters, d, res in zip(row_params, row, results):
+            [extra] = quadrature.integrate_weighted([d], sign, g, gauss_legendre_rule(2 * res.nodes))
+            reports.append(make_report("adaptive_doubling_stability",
+                                       {**parameters, "nodes": res.nodes}, res.value, extra, tol))
     return reports
 
 
@@ -436,7 +442,7 @@ def _check_theta_parity(profile: SuiteProfile):
 
 
 def _check_theta_truncation(profile: SuiteProfile):
-    tol = profile.tol(DEFAULT_POLICY.tol)
+    tol = profile.tol(thetapsi.DEFAULT_TOL)
     reports = []
     for m, t, u in ((2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2)):
         auto = thetapsi.theta_sum(m, t, u)
@@ -481,6 +487,15 @@ def _check_theta_ladder(profile: SuiteProfile):
     return reports
 
 
+def _random_point(k: int, rng: np.random.Generator) -> geometry.HomogeneousPoint:
+    """A point of P^2(C) (k = 1) or P^2(H) (k = 2) with normal random coordinates."""
+    if k == 1:
+        coords = [complex(*rng.normal(size=2)) for _ in range(3)]
+    else:
+        coords = [geometry.Quaternion(*map(float, rng.normal(size=4))) for _ in range(3)]
+    return geometry.HomogeneousPoint(field_k=k, coords=tuple(coords))
+
+
 def _check_geometry_invariance(profile: SuiteProfile):
     tol = profile.tol(1e-12)
     rng = np.random.default_rng(7)
@@ -489,31 +504,15 @@ def _check_geometry_invariance(profile: SuiteProfile):
         space = SpaceDescriptor(n=2, k=k)
         worst = 0.0
         for _ in range(25):
-            if k == 1:
-                coords_x = [complex(*rng.normal(size=2)) for _ in range(3)]
-                coords_y = [complex(*rng.normal(size=2)) for _ in range(3)]
-                x = geometry.HomogeneousPoint(field_k=1, coords=tuple(coords_x))
-                y = geometry.HomogeneousPoint(field_k=1, coords=tuple(coords_y))
-            else:
-                x = geometry.HomogeneousPoint(
-                    field_k=2,
-                    coords=tuple(geometry.Quaternion(*map(float, rng.normal(size=4)))
-                                 for _ in range(3)),
-                )
-                y = geometry.HomogeneousPoint(
-                    field_k=2,
-                    coords=tuple(geometry.Quaternion(*map(float, rng.normal(size=4)))
-                                 for _ in range(3)),
-                )
+            x = _random_point(k, rng)
+            y = _random_point(k, rng)
             base = geometry.distance(space, x, y)
             q1 = geometry.random_unit_scalar(k, rng)
             q2 = geometry.random_unit_scalar(k, rng)
             moved = geometry.distance(
                 space, geometry.scale_point(x, q1), geometry.scale_point(y, q2)
             )
-            worst = max(worst, abs(moved - base))
-            if abs(geometry.distance(space, y, x) - base) != 0.0:
-                worst = max(worst, abs(geometry.distance(space, y, x) - base))
+            worst = max(worst, abs(moved - base), abs(geometry.distance(space, y, x) - base))
         reports.append(make_report(
             "distance_projective_invariance", {"k": k}, worst, 0.0, tol,
         ))
@@ -745,12 +744,7 @@ def _check_kernels_stationary(profile: SuiteProfile):
 
 def _check_lemma(profile: SuiteProfile):
     tol = profile.tol(1e-8)
-    reports = []
-    for n in (1, 2, 3):
-        for l in range(0, 9):
-            for d in (0.0, 0.3, 0.7, 1.1, 1.4):
-                reports.append(lemma_check(n, l, d, tol))
-    return reports
+    return [rep for n in _NS for l in range(9) for rep in lemma_check(n, l, _REP_DS, tol)]
 
 
 def _check_jacobi_rep(profile: SuiteProfile):
@@ -765,11 +759,8 @@ def _check_jacobi_rep(profile: SuiteProfile):
     by_convention = {}
     worst_rejected = {}
     for convention in JACOBI_REP_CONVENTIONS:
-        reps = []
-        for n in (1, 2, 3):
-            for l in range(0, 9):
-                for d in (0.0, 0.3, 0.7, 1.1, 1.4):
-                    reps.append(jacobi_rep_check(n, l, d, tol, convention=convention))
+        reps = [rep for n in _NS for l in range(9)
+                for rep in jacobi_rep_check(n, l, _REP_DS, tol, convention)]
         by_convention[convention] = reps
         worst_rejected[convention] = max(r.rel_err for r in reps)
     winners = [c for c, reps in by_convention.items() if all(r.passed for r in reps)]
@@ -793,7 +784,7 @@ def _check_jacobi_rep(profile: SuiteProfile):
 
 def _check_theta2_grid(profile: SuiteProfile):
     # worst point per (n, t) over the union of a 50- and a 20-point x grid
-    tol = profile.tol(1e-11)
+    tol = profile.tol(1e-13)
     xs = sorted({*np.linspace(0.0, _HALF_PI, 50), *np.linspace(0.0, _HALF_PI, 20)})
     reports = []
     for n in (1, 2, 3):

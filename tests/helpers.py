@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from projheat.errors import QuadratureConvergenceError
 from projheat.kernels import KernelValue
-from projheat.quadrature import SqrtWeightedIntegral, gauss_legendre_rule, integrate_weighted
-from projheat.thetapsi import DEFAULT_POLICY, TruncationPolicy, psi_sum
+from projheat.quadrature import MAX_NODES, START_NODES, gauss_legendre_rule, integrate_weighted
+from projheat.thetapsi import DEFAULT_TOL, psi_sum
 from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
 
 
@@ -72,17 +72,17 @@ def s4_heat_kernel(t, d, terms=200):
     return 2.0 * total / math.pi**2
 
 
-def adaptive_reference(spec, g, tol, start=16, cap=4096):
+def adaptive_reference(d, exponent_sign, g, tol):
     """Doubling Gauss-Legendre for one distance alone: (value, nodes, est_error)."""
-    count = start
-    est = integrate_weighted(spec, g, gauss_legendre_rule(count))
-    while count < cap:
+    count = START_NODES
+    [est] = integrate_weighted([d], exponent_sign, g, gauss_legendre_rule(count))
+    while count < MAX_NODES:
         count *= 2
-        new = integrate_weighted(spec, g, gauss_legendre_rule(count))
+        [new] = integrate_weighted([d], exponent_sign, g, gauss_legendre_rule(count))
         if abs(new - est) <= tol:
             return new, count, abs(new - est)
         est = new
-    raise QuadratureConvergenceError(f"no convergence to tol={tol} within {cap} nodes")
+    raise QuadratureConvergenceError(f"no convergence to tol={tol} within {MAX_NODES} nodes")
 
 
 def integral_kernel_reference(n, k, t, d, tol):
@@ -90,14 +90,11 @@ def integral_kernel_reference(n, k, t, d, tol):
     m = k * (n + 1)
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outer = cnk / math.cos(d) ** (2 * (k - 1))
-    policy = (
-        DEFAULT_POLICY if tol >= 10.0 * DEFAULT_POLICY.tol
-        else TruncationPolicy(tol=0.1 * tol, l_max_cap=DEFAULT_POLICY.l_max_cap)
-    )
-    spec = SqrtWeightedIntegral(d=d, exponent_sign=0.5 if k == 2 else -0.5)
+    theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
     value, nodes, err = adaptive_reference(
-        spec, lambda u: psi_sum(m - 1, m, t, u, policy, exp_shift=float((m - 1) ** 2)),
+        d, 0.5 if k == 2 else -0.5,
+        lambda u: psi_sum(m - 1, m, t, u, theta_tol, exp_shift=float((m - 1) ** 2)),
         0.5 * tol / outer,
     )
     return KernelValue(value=outer * value, terms_or_nodes=nodes,
-                       est_error=outer * err + cnk * 0.5 * math.pi * policy.tol)
+                       est_error=outer * err + cnk * 0.5 * math.pi * theta_tol)

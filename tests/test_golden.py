@@ -43,6 +43,7 @@ COMMANDS = {
     "table_integral_cpn_n2.json": ["table", "--space", "cpn", "--n", "2",
                                    "--t-grid", "0.0002:0.02:3", "--d-grid", "0:1.56:9",
                                    "--tol", "1e-6", "--method", "integral", "--format", "json"],
+    "selftest.txt": ["selftest"],
 }
 
 

@@ -10,8 +10,7 @@ from helpers import adaptive_reference
 from projheat import quadrature
 from projheat.errors import DomainError, QuadratureConvergenceError
 from projheat.quadrature import (
-    SqrtWeightedIntegral,
-    adaptive_integrate,
+    MAX_NODES,
     adaptive_integrate_row,
     gauss_legendre_rule,
     integrate_weighted,
@@ -32,14 +31,14 @@ class TestRuleGeneration:
 
     def test_three_point_quartic(self):
         rule = gauss_legendre_rule(3)
-        assert_allclose(rule.integrate(lambda x: x**4), 0.4, rtol=1e-15)
+        assert_allclose(rule.weights @ rule.nodes**4, 0.4, rtol=1e-15)
 
     @pytest.mark.parametrize("count", range(1, 11))
     def test_polynomial_exactness(self, count):
         rule = gauss_legendre_rule(count)
         for deg in range(2 * count):
             exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
-            assert abs(rule.integrate(lambda x: x**deg) - exact) <= 1e-14
+            assert abs(rule.weights @ rule.nodes**deg - exact) <= 1e-14
 
     @pytest.mark.parametrize("count", [2, 3, 5, 17, 64, 257, 1024, 4096])
     def test_rule_invariants(self, count):
@@ -64,44 +63,58 @@ class TestRuleGeneration:
             gauss_legendre_rule(0)
 
 
+def _hard(u):
+    return np.sin(u) / (1.01 + np.cos(37.0 * u))
+
+
 class TestWeightedIntegration:
-    @pytest.mark.parametrize("d", [0.0, 0.3, 0.7, 1.2, 1.5])
+    DS = [0.0, 0.3, 0.7, 1.2, 1.5]
+
+    @pytest.mark.parametrize("d", DS)
     def test_plus_half_closed_form(self, d):
         # integral of sqrt(cos^2 d - cos^2 u) sin u over [d, pi/2] = pi/4 cos^2 d
-        spec = SqrtWeightedIntegral(d=d, exponent_sign=0.5)
-        val = integrate_weighted(spec, np.sin, gauss_legendre_rule(64))
+        [val] = integrate_weighted([d], 0.5, np.sin, gauss_legendre_rule(64))
         assert abs(val - 0.25 * math.pi * math.cos(d) ** 2) <= 1e-12
 
-    @pytest.mark.parametrize("d", [0.0, 0.3, 0.7, 1.2, 1.5])
+    @pytest.mark.parametrize("d", DS)
     def test_minus_half_closed_form(self, d):
         # integral of sin u / sqrt(cos^2 d - cos^2 u) over [d, pi/2] = pi/2
-        spec = SqrtWeightedIntegral(d=d, exponent_sign=-0.5)
-        val = integrate_weighted(spec, np.sin, gauss_legendre_rule(64))
+        [val] = integrate_weighted([d], -0.5, np.sin, gauss_legendre_rule(64))
         assert abs(val - 0.5 * math.pi) <= 1e-12
 
+    @pytest.mark.parametrize("sign", [0.5, -0.5])
+    def test_row_equals_one_distance_rows(self, sign):
+        rule = gauss_legendre_rule(64)
+        row = integrate_weighted(self.DS, sign, np.sin, rule)
+        assert row == [integrate_weighted([d], sign, np.sin, rule)[0] for d in self.DS]
+
     def test_vanishing_interval(self):
-        spec = SqrtWeightedIntegral(d=math.pi / 2 - 1e-6, exponent_sign=0.5)
-        val = integrate_weighted(spec, lambda u: np.ones_like(u), gauss_legendre_rule(32))
+        [val] = integrate_weighted([math.pi / 2 - 1e-6], 0.5, lambda u: np.ones_like(u),
+                                   gauss_legendre_rule(32))
         assert abs(val) <= 1e-9
 
     def test_rejects_bad_spec(self):
-        with pytest.raises(DomainError):
-            SqrtWeightedIntegral(d=math.pi / 2, exponent_sign=0.5)
-        with pytest.raises(DomainError):
-            SqrtWeightedIntegral(d=-0.1, exponent_sign=0.5)
-        with pytest.raises(DomainError):
-            SqrtWeightedIntegral(d=0.1, exponent_sign=1.0)
+        rule = gauss_legendre_rule(8)
+        for where in (0, 2):
+            for bad in (math.pi / 2, -0.1, float("nan")):
+                ds = [0.1, 0.4, 0.7]
+                ds[where] = bad
+                with pytest.raises(DomainError, match="lower limit"):
+                    integrate_weighted(ds, 0.5, np.sin, rule)
+        for sign in (1.0, 0.0, -1.0):
+            with pytest.raises(DomainError, match="weight exponent"):
+                integrate_weighted([0.1], sign, np.sin, rule)
 
 
 class TestAdaptive:
-    def test_polynomial_converges_immediately(self):
-        spec = SqrtWeightedIntegral(d=0.4, exponent_sign=0.5)
+    """Rows of one distance."""
 
+    def test_polynomial_converges_immediately(self):
         def g(u):
             return np.sin(u) * np.cos(u) ** 6
 
-        res = adaptive_integrate(spec, g, tol=1e-13)
-        direct = integrate_weighted(spec, g, gauss_legendre_rule(32))
+        [res] = adaptive_integrate_row([0.4], 0.5, g, [1e-13])
+        [direct] = integrate_weighted([0.4], 0.5, g, gauss_legendre_rule(32))
         assert res.nodes == 32
         assert_allclose(res.value, direct, rtol=1e-14)
         assert res.est_error <= 1e-13
@@ -109,32 +122,21 @@ class TestAdaptive:
     def test_psi_integrand_doubling_invariant(self):
         from projheat.thetapsi import psi_sum
 
-        spec = SqrtWeightedIntegral(d=0.3, exponent_sign=0.5)
-
         def g(u):
             return psi_sum(3, 4, 0.5, u)
 
-        res = adaptive_integrate(spec, g, tol=1e-12)
-        bigger = integrate_weighted(spec, g, gauss_legendre_rule(2 * res.nodes))
+        [res] = adaptive_integrate_row([0.3], 0.5, g, [1e-12])
+        [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * res.nodes))
         assert abs(res.value - bigger) <= 1e-12
 
     def test_unreachable_tolerance_raises(self):
-        spec = SqrtWeightedIntegral(d=0.2, exponent_sign=0.5)
-
-        def g(u):
-            return np.sin(u) / (1.01 + np.cos(37.0 * u))
-
         with pytest.raises(QuadratureConvergenceError):
-            adaptive_integrate(spec, g, tol=1e-30)
+            adaptive_integrate_row([0.2], 0.5, _hard, [1e-30])
 
     def test_rejects_bad_tolerance(self):
-        spec = SqrtWeightedIntegral(d=0.2, exponent_sign=0.5)
-        with pytest.raises(DomainError):
-            adaptive_integrate(spec, np.sin, tol=0.0)
-
-
-def _hard(u):
-    return np.sin(u) / (1.01 + np.cos(37.0 * u))
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError):
+                adaptive_integrate_row([0.2], 0.5, np.sin, [tol])
 
 
 class TestAdaptiveRow:
@@ -150,7 +152,7 @@ class TestAdaptiveRow:
         for sign in (0.5, -0.5):
             row = adaptive_integrate_row(ds, sign, g, tols)
             for d, tol, res in zip(ds, tols, row):
-                want = adaptive_reference(SqrtWeightedIntegral(d=d, exponent_sign=sign), g, tol)
+                want = adaptive_reference(d, sign, g, tol)
                 assert (res.value, res.nodes, res.est_error) == want
 
     def test_long_row_is_split_into_chunks(self):
@@ -165,11 +167,11 @@ class TestAdaptiveRow:
         assert max(sizes) <= quadrature._CALL_NODES
         assert len(sizes) > 2  # more than one call per round
         for d, res in list(zip(ds, row))[::97]:
-            want = adaptive_reference(SqrtWeightedIntegral(d=d, exponent_sign=0.5), g, 1e-13)
+            want = adaptive_reference(d, 0.5, g, 1e-13)
             assert (res.value, res.nodes, res.est_error) == want
 
     def test_cap_names_first_failing_distance(self):
-        with pytest.raises(QuadratureConvergenceError, match=r"tol=1e-30 within 4096 nodes"):
+        with pytest.raises(QuadratureConvergenceError, match=rf"tol=1e-30 within {MAX_NODES} nodes"):
             adaptive_integrate_row([0.2, 0.5, 0.9], 0.5, _hard, [1.0, 1e-30, 2e-30])
 
     def test_empty_row(self):
@@ -179,7 +181,17 @@ class TestAdaptiveRow:
         assert adaptive_integrate_row([], 0.5, g, []) == []
 
     def test_rejects_bad_row(self):
+        def g(u):
+            raise AssertionError("a rejected row never calls its integrand")
+
+        for where in (0, 2):
+            for bad in (math.pi / 2, -0.1, float("nan")):
+                ds = [0.2, 0.4, 0.6]
+                ds[where] = bad
+                with pytest.raises(DomainError, match="lower limit"):
+                    adaptive_integrate_row(ds, 0.5, g, [1e-10] * 3)
+        for sign in (1.0, 0.0, -1.0):
+            with pytest.raises(DomainError, match="weight exponent"):
+                adaptive_integrate_row([0.2], sign, g, [1e-10])
         with pytest.raises(DomainError):
-            adaptive_integrate_row([0.2, math.pi / 2], 0.5, np.sin, [1e-10, 1e-10])
-        with pytest.raises(DomainError):
-            adaptive_integrate_row([0.2, 0.4], 0.5, np.sin, [1e-10, 0.0])
+            adaptive_integrate_row([0.2, 0.4], 0.5, g, [1e-10, 0.0])

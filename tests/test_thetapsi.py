@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from projheat import thetapsi
 from projheat.errors import DomainError, TruncationCapError
 from projheat.thetapsi import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
+    DEFAULT_TOL,
     jacobi_theta2_reference,
     psi_sum,
     theta_sum,
@@ -35,7 +35,7 @@ class TestTheta:
     def test_matches_brute_force(self, m, t, u):
         auto = theta_sum(m, t, u)
         brute = theta_brute(m, t, u, terms=2000)
-        assert abs(auto - brute) <= DEFAULT_POLICY.tol
+        assert abs(auto - brute) <= DEFAULT_TOL
 
     def test_matches_half_classical_theta2(self):
         # the m=2 series is half the classical theta-2 on the nose
@@ -52,25 +52,27 @@ class TestTheta:
         for m, t, u in ((2, 0.3, 0.4), (4, 0.05, 1.0)):
             auto = theta_sum(m, t, u)
             brute = theta_brute(m, t, u, terms=4000)
-            assert abs(auto - brute) < DEFAULT_POLICY.tol
+            assert abs(auto - brute) < DEFAULT_TOL
 
-    def test_cap_error_signals_small_t(self):
-        policy = TruncationPolicy(tol=1e-12, l_max_cap=5)
-        with pytest.raises(TruncationCapError):
-            theta_sum(2, 1e-4, 0.3, policy)
-
-    def test_exp_shift_matches_plain_scaling(self):
-        # for moderate t the shift is just a multiplicative factor
-        m, t, u = 4, 0.5, 0.7
-        shifted = theta_sum(m, t, u, exp_shift=9.0)
-        plain = theta_sum(m, t, u, TruncationPolicy(tol=1e-16, l_max_cap=20000))
-        assert_allclose(shifted, math.exp(9.0 * t) * plain, rtol=1e-12)
+    def test_cap_error_signals_small_t(self, monkeypatch):
+        monkeypatch.setattr(thetapsi, "TERM_CAP", 5)
+        with pytest.raises(TruncationCapError, match="more than 5 terms"):
+            theta_sum(2, 1e-4, 0.3)
 
     def test_query_validation(self):
-        with pytest.raises(DomainError):
-            TruncationPolicy(tol=0.0)
-        with pytest.raises(DomainError):
-            TruncationPolicy(tol=1e-12, l_max_cap=0)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                theta_sum(4, 0.5, 0.3, tol)
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                psi_sum(3, 4, 0.5, 0.3, tol)
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                jacobi_theta2_reference(0.3, 1.0, tol)
+
+    def test_looser_tolerance_stops_earlier_within_it(self):
+        m, t, u = 4, 0.05, 1.0
+        loose = theta_sum(m, t, u, 1e-6)
+        assert loose != theta_sum(m, t, u)
+        assert abs(loose - theta_brute(m, t, u, terms=2000)) <= 1e-6
 
     def test_rejects_subscript_below_two(self):
         with pytest.raises(DomainError):
@@ -138,18 +140,18 @@ class TestPsi:
                     break  # a only falls with l: every later term is +-0.0, a no-op
                 ladder = cosine_ladder(j, 2 * l + m - 1)
                 brute += a * math.sin(u) * ladder.evaluate(math.cos(u))
-            assert abs(auto - brute) <= DEFAULT_POLICY.tol
+            assert abs(auto - brute) <= DEFAULT_TOL
 
     def test_exp_shift_fold(self):
         j, m, t, u = 3, 4, 0.8, 0.6
         shifted = psi_sum(j, m, t, u, exp_shift=float(j * j))
-        plain = psi_sum(j, m, t, u, TruncationPolicy(tol=1e-16, l_max_cap=20000))
+        plain = psi_sum(j, m, t, u, tol=1e-16)
         assert_allclose(shifted, math.exp(j * j * t) * plain, rtol=1e-12)
 
-    def test_cap_error(self):
-        policy = TruncationPolicy(tol=1e-12, l_max_cap=4)
-        with pytest.raises(TruncationCapError):
-            psi_sum(3, 4, 1e-4, 0.5, policy)
+    def test_cap_error(self, monkeypatch):
+        monkeypatch.setattr(thetapsi, "TERM_CAP", 4)
+        with pytest.raises(TruncationCapError, match="more than 4 terms"):
+            psi_sum(3, 4, 1e-4, 0.5)
 
     def test_rejects_bad_ladder_count(self):
         with pytest.raises(DomainError):
@@ -190,6 +192,11 @@ class TestTheta2Reference:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(DomainError):
             jacobi_theta2_reference(0.3, 0.0)
+
+    def test_cap_error(self, monkeypatch):
+        monkeypatch.setattr(thetapsi, "TERM_CAP", 3)
+        with pytest.raises(TruncationCapError, match="more than 3 terms"):
+            jacobi_theta2_reference(0.3, 1e-3)
 
 
 def test_halfinteger_relation_grid():

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -43,27 +44,34 @@ class TestLemma:
     def test_analytic_case_is_two_pi(self, d):
         # n=1, l=0: the laddered term is the constant 8, so the integral
         # collapses to 8 * (pi/4) = 2 pi, matching the closed form exactly
-        rep = lemma_check(1, 0, d)
+        [rep] = lemma_check(1, 0, [d])
         assert_allclose(rep.rhs, 2.0 * math.pi, rtol=1e-15)
         assert_allclose(rep.lhs, 2.0 * math.pi, rtol=1e-12)
         assert rep.passed
 
     @pytest.mark.parametrize("n,l,d", [(1, 1, 0.5), (2, 3, 0.2), (3, 8, 1.4), (2, 0, 0.0)])
     def test_general_cases(self, n, l, d):
-        rep = lemma_check(n, l, d, tol=1e-9)
+        [rep] = lemma_check(n, l, [d], tol=1e-9)
         assert rep.passed, (rep.abs_err, rep.rel_err)
+
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 3), (3, 8)])
+    def test_row_equals_one_distance_rows(self, n, l):
+        ds = [0.0, 0.3, 0.7, 1.1, 1.4]
+        row = lemma_check(n, l, ds)
+        assert [r.parameters["d"] for r in row] == ds
+        assert row == [lemma_check(n, l, [d])[0] for d in ds]
 
 
 class TestJacobiRep:
     def test_shifted_convention_passes(self):
         for n, l, d in ((1, 0, 0.0), (1, 2, 0.7), (2, 1, 0.4), (3, 5, 1.1)):
-            rep = jacobi_rep_check(n, l, d, tol=1e-9, convention="2n-2")
+            [rep] = jacobi_rep_check(n, l, [d], tol=1e-9, convention="2n-2")
             assert rep.passed, rep.parameters
 
     def test_displayed_convention_fails(self):
         # at n=1, l=0, d=0 the displayed reading compares P_1^(1,0)(1) = 2
         # against an integral worth 1: off by a factor two, not a roundoff
-        rep = jacobi_rep_check(1, 0, 0.0, convention="2n-1")
+        [rep] = jacobi_rep_check(1, 0, [0.0], convention="2n-1")
         assert not rep.passed
         assert_allclose(rep.lhs, 2.0, rtol=1e-12)
         assert_allclose(rep.rhs, 1.0, rtol=1e-9)
@@ -72,7 +80,15 @@ class TestJacobiRep:
         from projheat.errors import DomainError
 
         with pytest.raises(DomainError):
-            jacobi_rep_check(1, 0, 0.0, convention="2n")
+            jacobi_rep_check(1, 0, [0.0], convention="2n")
+
+    @pytest.mark.parametrize("convention", ["2n-1", "2n-2"])
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 3), (3, 8)])
+    def test_row_equals_one_distance_rows(self, n, l, convention):
+        ds = [0.0, 0.3, 0.7, 1.1, 1.4]
+        row = jacobi_rep_check(n, l, ds, 1e-8, convention)
+        assert [r.parameters["d"] for r in row] == ds
+        assert row == [jacobi_rep_check(n, l, [d], 1e-8, convention)[0] for d in ds]
 
     def test_suite_resolution_names_winner(self):
         reports = full_suite(SuiteProfile(groups=("jacobi_rep",)))
@@ -93,6 +109,14 @@ class TestThetaRelation:
     def test_passes(self, n, t, x):
         rep = theta2_relation_check(n, t, x, tol=1e-11)
         assert rep.passed
+
+    def test_relative_error_is_roundoff_at_large_t(self):
+        # at t = 2 theta_6 is ~1e-8 of either side; neither side of the check
+        # may be a difference that cancels down to it
+        rep = theta2_relation_check(2, 2.0, 0.9937691047069753)
+        assert rep.rel_err < 1e-12
+        for x in np.linspace(0.0, math.pi / 2, 50):
+            assert theta2_relation_check(2, 2.0, float(x)).rel_err < 1e-12
 
     def test_both_sides_vanish_at_half_pi(self):
         rep = theta2_relation_check(2, 0.4, math.pi / 2, tol=1e-11)
