@@ -1,8 +1,14 @@
 """Command-line front end: point evaluation, grid tables, comparisons, self-test.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-non-convergence.  Numeric output is printed with 17 significant digits so
-tables are reproducible byte for byte.
+non-convergence, 141 standard output closed by its reader (as a shell
+reports SIGPIPE, e.g. after ``| head``; nothing goes to stderr then).
+Numeric output is printed with 17 significant digits so tables are
+reproducible byte for byte.
+
+``table`` and ``compare`` evaluate the grid one t-row at a time: each row
+is one ``kernels.unified`` call per method over every distance, and is
+written as one block of lines, formatted from the row's arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -25,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -144,22 +152,26 @@ def _methods(args) -> tuple:
 
 
 def _evaluate_grid(args, t_default, d_default, methods, tol):
-    """Kernel results over the requested grid: (space, [(t, d, results)]).
+    """Kernel rows over the requested grid: (space, ds, rows).
 
-    Each t-row is one ``unified`` call per method over every distance.
-    Rows run t-major, d-minor; ``results`` holds one KernelValue per
-    method, in the order of ``methods``.
+    ``rows`` holds one (t, records) pair per t, in grid order.  ``records``
+    holds one row record per method, in the order of ``methods``: the
+    KernelValue of arrays that one ``unified`` call gives over every
+    distance of ``ds``.
     """
     space = _space_from_args(args)
     ts = _values_from_args(args, "t", t_default)
     ds = _values_from_args(args, "d", d_default)
     _validate_times(ts)
     _validate_distances(ds)
-    rows = []
-    for t in ts:
-        per_method = [kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods]
-        rows.extend((t, d, results) for d, *results in zip(ds, *per_method))
-    return space, rows
+    rows = [(t, [kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods])
+            for t in ts]
+    return space, ds, rows
+
+
+def _block(line: str, *columns) -> str:
+    """One t-row of output: ``line % entries`` for the entries of each distance, joined."""
+    return "".join([line % entries for entries in zip(*columns)])
 
 
 def cmd_eval(args) -> int:
@@ -170,88 +182,89 @@ def cmd_eval(args) -> int:
             raise UsageError(f"eval needs a single --{name}")
     if args.fmt != "pretty":
         return cmd_table(args)
-    _, [(_, _, results)] = _evaluate_grid(args, None, None, _methods(args), args.tol)
+    _, _, [(_, results)] = _evaluate_grid(args, None, None, _methods(args), args.tol)
 
     with _output(args) as out:
         if args.method == "both":
-            rs, ri = results
-            out.write(f"value_series   {_fmt(rs.value)}\n")
-            out.write(f"value_integral {_fmt(ri.value)}\n")
-            out.write(f"abs_diff       {_fmt(abs(rs.value - ri.value))}\n")
+            vs, vi = (float(r.value[0]) for r in results)
+            out.write(f"value_series   {_fmt(vs)}\n")
+            out.write(f"value_integral {_fmt(vi)}\n")
+            out.write(f"abs_diff       {_fmt(abs(vs - vi))}\n")
         else:
             [res] = results
-            out.write(f"value          {_fmt(res.value)}\n")
+            out.write(f"value          {_fmt(res.value[0])}\n")
             out.write(f"method         {args.method}\n")
-            out.write(f"terms_or_nodes {res.terms_or_nodes}\n")
-            out.write(f"est_error      {_fmt(res.est_error)}\n")
+            out.write(f"terms_or_nodes {res.terms_or_nodes[0]}\n")
+            out.write(f"est_error      {_fmt(res.est_error[0])}\n")
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    space, rows = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", _methods(args), args.tol)
+    space, ds, rows = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", _methods(args), args.tol)
     both = args.method == "both"
+    names = ("value_series", "value_integral", "abs_diff") if both else (
+        "value", "est_error", "terms_or_nodes")
+    d_strs = [_fmt(d) for d in ds]
 
     with _output(args) as out:
-        if args.fmt == "json":
-            for t, d, results in rows:
-                rec = {"k": space.k, "n": space.n, "t": t, "d": d}
-                if both:
-                    a, b = results
-                    rec.update(value_series=a.value, value_integral=b.value,
-                               abs_diff=abs(a.value - b.value))
-                else:
-                    [a] = results
-                    rec.update(method=args.method, value=a.value,
-                               est_error=a.est_error, terms_or_nodes=a.terms_or_nodes)
-                out.write(json.dumps(rec) + "\n")
-        else:
+        if args.fmt != "json":
+            out.write(f"k,n,t,d,method,{','.join(names)}\n")
+        for t, results in rows:
             if both:
-                out.write("k,n,t,d,method,value_series,value_integral,abs_diff\n")
-                for t, d, (a, b) in rows:
-                    out.write(",".join([
-                        str(space.k), str(space.n), _fmt(t), _fmt(d), "both",
-                        _fmt(a.value), _fmt(b.value), _fmt(abs(a.value - b.value)),
-                    ]) + "\n")
+                a, b = results
+                columns = [a.value, b.value, np.abs(a.value - b.value)]
             else:
-                out.write("k,n,t,d,method,value,est_error,terms_or_nodes\n")
-                for t, d, (a,) in rows:
-                    out.write(",".join([
-                        str(space.k), str(space.n), _fmt(t), _fmt(d), args.method,
-                        _fmt(a.value), _fmt(a.est_error), str(a.terms_or_nodes),
-                    ]) + "\n")
+                [a] = results
+                columns = [a.value, a.est_error, a.terms_or_nodes]
+            if args.fmt == "json":
+                head = {"k": space.k, "n": space.n, "t": t}
+                method = {} if both else {"method": args.method}
+                out.write("".join(
+                    json.dumps({**head, "d": d, **method, **dict(zip(names, entries))}) + "\n"
+                    for d, *entries in zip(ds, *(c.tolist() for c in columns))))
+            elif args.method == "series":  # one tail bound and term count per row
+                out.write(_block(f"{space.k},{space.n},{_fmt(t)},%s,series,%.17g,"
+                                 f"{_fmt(a.est_error[0])},{a.terms_or_nodes[0]}\n",
+                                 d_strs, a.value.tolist()))
+            else:  # %.17g prints a node count as %d does
+                out.write(_block(f"{space.k},{space.n},{_fmt(t)},%s,{args.method},"
+                                 "%.17g,%.17g,%.17g\n", d_strs, *(c.tolist() for c in columns)))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     tol = args.tol
-    space, rows = _evaluate_grid(args, "0.1:1:4", "0:1.4:6", kernels.METHODS,
-                                 min(tol, 1e-10))
+    space, ds, rows = _evaluate_grid(args, "0.1:1:4", "0:1.4:6", kernels.METHODS,
+                                     min(tol, 1e-10))
     all_ok = True
+    d_strs = [_fmt(d) for d in ds]
     with _output(args) as out:
         if args.fmt == "csv":
             out.write("k,n,t,d,value_series,value_integral,abs_err,rel_err,status\n")
-        for t, d, (rs, ri) in rows:
-            rep = verify.make_report(
-                "representation_equivalence",
-                {"k": space.k, "n": space.n, "t": t, "d": d},
-                rs.value, ri.value, tol,
-            )
-            all_ok = all_ok and rep.passed
+        for t, (rs, ri) in rows:
+            abs_err, rel_err, passed = verify.compare_values(rs.value, ri.value, tol)
+            all_ok = all_ok and bool(passed.all())
             if args.fmt == "json":
-                out.write(rep.to_json() + "\n")
+                out.write("".join(
+                    verify.VerificationReport(
+                        "representation_equivalence",
+                        {"k": space.k, "n": space.n, "t": t, "d": d},
+                        *entries, tol=tol, passed=ok,
+                    ).to_json() + "\n"
+                    for d, ok, *entries in zip(ds, passed.tolist(), rs.value.tolist(),
+                                               ri.value.tolist(), abs_err.tolist(),
+                                               rel_err.tolist())))
             elif args.fmt == "csv":
-                out.write(",".join([
-                    str(space.k), str(space.n), _fmt(t), _fmt(d),
-                    _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.abs_err),
-                    _fmt(rep.rel_err), "pass" if rep.passed else "fail",
-                ]) + "\n")
+                out.write(_block(
+                    f"{space.k},{space.n},{_fmt(t)},%s,%.17g,%.17g,%.17g,%.17g,%s\n",
+                    d_strs, rs.value.tolist(), ri.value.tolist(), abs_err.tolist(),
+                    rel_err.tolist(), np.where(passed, "pass", "fail").tolist()))
             else:
-                status = "PASS" if rep.passed else "FAIL"
-                out.write(
-                    f"{status} k={space.k} n={space.n} t={_fmt(t)} d={_fmt(d)} "
-                    f"series={_fmt(rep.lhs)} integral={_fmt(rep.rhs)} "
-                    f"rel_err={rep.rel_err:.3e}\n"
-                )
+                out.write(_block(
+                    f"%s k={space.k} n={space.n} t={_fmt(t)} d=%s "
+                    "series=%.17g integral=%.17g rel_err=%.3e\n",
+                    np.where(passed, "PASS", "FAIL").tolist(), d_strs, rs.value.tolist(),
+                    ri.value.tolist(), rel_err.tolist()))
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
@@ -290,7 +303,13 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the exit-time flush would fail again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (TruncationCapError, QuadratureConvergenceError) as exc:
         print(f"projheat: no convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -51,7 +51,11 @@ METHODS = ("series", "integral")
 
 @dataclass(frozen=True)
 class KernelValue:
-    """Kernel value with the work done and an error estimate."""
+    """Kernel value with the work done and an error estimate.
+
+    A scalar distance gives a float, an int and a float; a row of
+    distances gives one array of each, with one entry per distance.
+    """
 
     value: float
     terms_or_nodes: int
@@ -115,31 +119,31 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     )
 
 
-def _integral_kernel(k: int, n: int, t: float, ds: list, tol: float) -> list:
+def _integral_kernel(k: int, n: int, t: float, ds: np.ndarray, tol: float) -> KernelValue:
     m = k * (n + 1)
     j = m - 1  # = c, the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
-    outers = [cnk / math.cos(d) ** (2 * (k - 1)) for d in ds]
+    outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
     shift = float(j * j)  # folded exp(c^2 t), termwise
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
     g = functools.partial(psi_sum, j, m, t, tol=theta_tol, exp_shift=shift)
-    row = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, g, [0.5 * tol / o for o in outers])
+    row = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, g, 0.5 * tol / outers)
     # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
-    return [KernelValue(value=outer * res.value, terms_or_nodes=res.nodes,
-                        est_error=outer * res.est_error + cnk * _HALF_PI * theta_tol)
-            for outer, res in zip(outers, row)]
+    return KernelValue(value=outers * row.value, terms_or_nodes=row.nodes,
+                       est_error=outers * row.est_error + cnk * _HALF_PI * theta_tol)
 
 
 def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
-            method: str = "series"):
+            method: str = "series") -> KernelValue:
     """Kernel on P^n(F) at time t, by the selected representation.
 
-    A scalar distance ``d`` gives one KernelValue.  A sequence of
-    distances gives a list of KernelValue, one per distance, equal to the
-    scalar calls: the series evaluates the whole row in one
-    ``series_values`` call (its truncation index does not depend on d),
-    the integral runs one doubling loop over the row, with one ``psi_sum``
-    call per round for every distance not yet converged.
+    A scalar distance ``d`` gives one KernelValue of scalars.  A sequence
+    of distances gives one KernelValue of arrays, the row record, whose
+    entries equal the scalar calls: the series evaluates the whole row in
+    one ``series_values`` call (its truncation index and tail bound do not
+    depend on d, so every entry of ``terms_or_nodes`` and ``est_error`` is
+    the same), the integral runs one doubling loop over the row, with one
+    ``psi_sum`` call per round for every distance not yet converged.
 
     Raises DomainError for an index, field, time, distance (anywhere in
     the row), tolerance or method outside its domain, whichever method is
@@ -148,14 +152,17 @@ def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
     ds = np.atleast_1d(np.asarray(d, dtype=float))
     if method == "series":
         values, terms, tail = series_values(k, n, t, ds, tol)
-        row = [KernelValue(value=float(v), terms_or_nodes=terms, est_error=tail)
-               for v in values]
+        row = KernelValue(value=values, terms_or_nodes=np.full(ds.shape, terms),
+                          est_error=np.full(ds.shape, tail))
     elif method == "integral":
         _check_args(k, n, t, ds, tol)
-        row = _integral_kernel(k, n, t, ds.tolist(), tol)
+        row = _integral_kernel(k, n, t, ds, tol)
     else:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    return row if np.ndim(d) else row[0]
+    if np.ndim(d):
+        return row
+    return KernelValue(value=float(row.value[0]), terms_or_nodes=int(row.terms_or_nodes[0]),
+                       est_error=float(row.est_error[0]))
 
 
 def stationary_value(space: SpaceDescriptor) -> float:

@@ -102,15 +102,16 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
 
 
 def integrate_weighted(ds, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
-                       rule: QuadratureRule) -> list:
+                       rule: QuadratureRule) -> np.ndarray:
     """Integral of (cos^2 d - cos^2 u)^exponent_sign * g(u) over [d, pi/2], each d of ``ds``.
 
-    ``exponent_sign`` is +0.5 or -0.5.  ``g`` is evaluated at interior
-    points only, for whole distances per call and at most ``_CALL_NODES``
-    nodes a call.  For the -1/2 weight with d = 0 the transformed
-    integrand is smooth provided g carries a sin(u) factor, which every
-    caller in this package does.
+    Returns one float per distance.  ``exponent_sign`` is +0.5 or -0.5.
+    ``g`` is evaluated at interior points only, for whole distances per
+    call and at most ``_CALL_NODES`` nodes a call.  For the -1/2 weight
+    with d = 0 the transformed integrand is smooth provided g carries a
+    sin(u) factor, which every caller in this package does.
     """
+    ds = np.asarray(ds, dtype=float).tolist()
     for d in ds:
         if not (0.0 <= d < _HALF_PI):
             raise DomainError(f"lower limit must lie in [0, pi/2), got {d}")
@@ -119,48 +120,57 @@ def integrate_weighted(ds, exponent_sign: float, g: Callable[[np.ndarray], np.nd
     cos_ds = np.array([math.cos(d) for d in ds])
     phi = (rule.nodes + 1.0) * (0.25 * math.pi)
     step = max(1, _CALL_NODES // rule.count)
-    sums = []
+    sums = np.empty(cos_ds.size)
     for lo in range(0, cos_ds.size, step):
         c = cos_ds[lo:lo + step, None]
         c_sin_phi = c * np.sin(phi)
         sin_u = np.sqrt(1.0 - c_sin_phi ** 2)
         gv = np.asarray(g(np.arccos(c_sin_phi).ravel()), dtype=float).reshape(sin_u.shape)
         weight = (c * c) * np.cos(phi) ** 2 if exponent_sign > 0 else 1.0  # 1.0 * gv is exact
-        sums += [float((0.25 * math.pi) * (rule.weights @ row)) for row in weight * gv / sin_u]
-    return sums
+        # one dot product per distance: the same sums as ``rule.weights @ row``
+        sums[lo:lo + step] = np.vecdot(weight * gv / sin_u, rule.weights)
+    return (0.25 * math.pi) * sums
 
 
 class AdaptiveResult(NamedTuple):
-    value: float
-    nodes: int
-    est_error: float
+    """A row of doubling results, one entry per distance."""
+
+    value: np.ndarray
+    nodes: np.ndarray
+    est_error: np.ndarray
 
 
 def adaptive_integrate_row(ds, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
-                           tols) -> list:
+                           tols) -> AdaptiveResult:
     """``integrate_weighted`` for each d of ``ds`` to its tolerance in ``tols``.
 
     Doubles the node count from START_NODES until two successive estimates
     of a distance agree within its tolerance; each round evaluates every
-    unconverged distance on one rule.  Raises QuadratureConvergenceError
-    for the first distance, in row order, left unconverged at MAX_NODES.
-    A bad limit, exponent or tolerance raises DomainError before ``g`` runs.
+    unconverged distance on one rule.  Each distance's entries are its
+    last estimate, that rule's node count and the difference between its
+    last two estimates.  Raises QuadratureConvergenceError for the first
+    distance, in row order, left unconverged at MAX_NODES.  A bad limit,
+    exponent or tolerance raises DomainError before ``g`` runs.
     """
-    for tol in tols:
-        if not tol > 0:
-            raise DomainError(f"tolerance must be positive, got {tol}")
-    results, count = [None] * len(ds), START_NODES
-    est = dict(enumerate(integrate_weighted(ds, exponent_sign, g, gauss_legendre_rule(count))))
-    while est and count < MAX_NODES:
+    ds, tols = np.asarray(ds, dtype=float), np.asarray(tols, dtype=float)
+    bad = ~(tols > 0)
+    if bad.any():
+        raise DomainError(f"tolerance must be positive, got {float(tols[bad][0])}")
+    count = START_NODES
+    values = integrate_weighted(ds, exponent_sign, g, gauss_legendre_rule(count))
+    nodes = np.zeros(ds.size, dtype=int)
+    diffs = np.zeros(ds.size)
+    todo = np.arange(ds.size)  # unconverged distances, in row order
+    while todo.size and count < MAX_NODES:
         count *= 2
-        rule = gauss_legendre_rule(count)
-        new = dict(zip(est, integrate_weighted([ds[i] for i in est], exponent_sign, g, rule)))
-        for i, value in new.items():
-            diff = abs(value - est[i])
-            if diff <= tols[i]:
-                results[i] = AdaptiveResult(value=value, nodes=count, est_error=diff)
-        est = {i: value for i, value in new.items() if results[i] is None}
-    if est:
+        new = integrate_weighted(ds[todo], exponent_sign, g, gauss_legendre_rule(count))
+        diff = np.abs(new - values[todo])
+        values[todo] = new
+        done = diff <= tols[todo]
+        nodes[todo[done]] = count
+        diffs[todo[done]] = diff[done]
+        todo = todo[~done]
+    if todo.size:
         raise QuadratureConvergenceError(
-            f"no convergence to tol={tols[min(est)]} within {MAX_NODES} nodes")
-    return results
+            f"no convergence to tol={float(tols[todo[0]])} within {MAX_NODES} nodes")
+    return AdaptiveResult(value=values, nodes=nodes, est_error=diffs)

@@ -79,21 +79,34 @@ class VerificationReport:
         return (self.identity_name, json.dumps(self.parameters, sort_keys=True, default=str))
 
 
+def compare_values(lhs, rhs, tol: float, scale: float = 0.0):
+    """(abs_err, rel_err, passed) of ``lhs`` against ``rhs``, on floats or elementwise on arrays.
+
+    The pass rule of every report: the absolute or the relative error is
+    within ``tol``.  The relative error divides by max(|lhs|, |rhs|,
+    scale), and is 0 where that is 0 (both sides are 0 there).  A NaN or
+    infinite side makes the relative error NaN, so it fails in either
+    position.
+    """
+    denom = np.maximum(np.maximum(abs(lhs), abs(rhs)), scale)
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN
+        abs_err = abs(lhs - rhs)
+        rel_err = abs_err / (denom + (denom == 0.0))  # 0 / 1 where denom is 0
+    return abs_err, rel_err, (abs_err <= tol) | (rel_err <= tol)
+
+
 def make_report(name: str, parameters: dict, lhs: float, rhs: float, tol: float,
                 scale: float = 0.0) -> VerificationReport:
-    """Build a report; ``scale`` optionally widens the relative denominator.
+    """Build a report by ``compare_values``; ``scale`` optionally widens the relative denominator.
 
-    The relative error divides by max(|lhs|, |rhs|, scale); passing an
-    explicit scale makes polynomial-magnitude comparisons meaningful near
-    zeros of the polynomial.
+    Passing an explicit scale makes polynomial-magnitude comparisons
+    meaningful near zeros of the polynomial.
     """
-    abs_err = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs), scale)
-    rel_err = abs_err / denom if denom > 0 else 0.0
-    passed = bool(abs_err <= tol or rel_err <= tol)  # a plain bool, for json
+    abs_err, rel_err, passed = compare_values(lhs, rhs, tol, scale)
     return VerificationReport(
         identity_name=name, parameters=parameters, lhs=lhs, rhs=rhs,
-        abs_err=abs_err, rel_err=rel_err, tol=tol, passed=passed,
+        abs_err=float(abs_err), rel_err=float(rel_err), tol=tol,
+        passed=bool(passed),  # a plain bool, for json
     )
 
 
@@ -226,10 +239,10 @@ def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
     rhss = [const * orthopoly.jacobi_p(params, math.cos(2 * d)) for d in ds]
     cos2s = [math.cos(d) ** 2 for d in ds]
     qtols = [max(1e-13, 1e-11 * abs(rhs)) * cos2 for rhs, cos2 in zip(rhss, cos2s)]
-    results = adaptive_integrate_row(ds, 0.5, g, qtols)
+    values = adaptive_integrate_row(ds, 0.5, g, qtols).value.tolist()
     return [make_report("gegenbauer_ladder_to_jacobi", {"n": n, "l": l, "d": float(d)},
-                        res.value / cos2, rhs, tol)
-            for d, rhs, cos2, res in zip(ds, rhss, cos2s, results)]
+                        value / cos2, rhs, tol)
+            for d, rhs, cos2, value in zip(ds, rhss, cos2s, values)]
 
 
 def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
@@ -256,12 +269,12 @@ def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
     )
     scale = max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha))
     qtol = max(1e-13, 1e-11 * scale) / const
-    results = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds))
+    values = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value.tolist()
     return [make_report("jacobi_sqrt_integral_rep",
                         {"n": n, "l": l, "d": float(d), "convention": convention},
-                        orthopoly.jacobi_p(params, math.cos(2 * d)), const * res.value, tol,
+                        orthopoly.jacobi_p(params, math.cos(2 * d)), const * value, tol,
                         scale=scale)
-            for d, res in zip(ds, results)]
+            for d, value in zip(ds, values)]
 
 
 def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> VerificationReport:
@@ -423,11 +436,12 @@ def _check_quadrature_doubling(profile: SuiteProfile):
     ]
     reports = []
     for row_params, row, sign, g in rows:
-        results = quadrature.adaptive_integrate_row(row, sign, g, [tol] * len(row))
-        for parameters, d, res in zip(row_params, row, results):
-            [extra] = quadrature.integrate_weighted([d], sign, g, gauss_legendre_rule(2 * res.nodes))
+        res = quadrature.adaptive_integrate_row(row, sign, g, [tol] * len(row))
+        for parameters, d, value, nodes in zip(row_params, row, res.value.tolist(),
+                                               res.nodes.tolist()):
+            [extra] = quadrature.integrate_weighted([d], sign, g, gauss_legendre_rule(2 * nodes))
             reports.append(make_report("adaptive_doubling_stability",
-                                       {**parameters, "nodes": res.nodes}, res.value, extra, tol))
+                                       {**parameters, "nodes": nodes}, value, float(extra), tol))
     return reports
 
 
@@ -609,11 +623,11 @@ def _check_kernels_equivalence(profile: SuiteProfile):
             for t in _EQUIV_TS:
                 series, integral = (kernels.unified(n, k, t, _EQUIV_DS, 1e-12, m)
                                     for m in kernels.METHODS)
-                for d, s, i in zip(_EQUIV_DS, series, integral):
+                for d, s, i in zip(_EQUIV_DS, series.value.tolist(), integral.value.tolist()):
                     reports.append(make_report(
                         "representation_equivalence",
                         {"k": k, "n": n, "t": t, "d": float(d)},
-                        s.value, i.value, tol,
+                        s, i, tol,
                     ))
     return reports
 

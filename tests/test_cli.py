@@ -111,6 +111,19 @@ class TestTable:
         assert target.read_text().startswith("k,n,t,d,method")
 
 
+class TestBrokenPipe:
+    def test_closed_reader_exits_141_quietly(self):
+        # the reader takes the header and goes away, as ``| head -1`` does
+        proc = subprocess.Popen(CMD + ["table", "--t-grid", "0.2:1:30", "--d-grid", "0:1.2:50",
+                                       "--format", "csv"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"k,n,t,d,method,value,est_error,terms_or_nodes\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
 class TestCompare:
     def test_default_grid_passes(self):
         res = run("compare", "--space", "hpn", "--n", "1", "--t-grid", "0.2:1:3",

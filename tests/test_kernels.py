@@ -156,8 +156,14 @@ class TestQueryInterface:
         assert v.value == 1.0 and v.terms_or_nodes == 3
 
 
+def _entries(row):
+    """The per-distance KernelValues of a row record."""
+    return [KernelValue(*entry) for entry in zip(row.value.tolist(), row.terms_or_nodes.tolist(),
+                                                 row.est_error.tolist())]
+
+
 class TestRowCall:
-    """A sequence of distances gives one KernelValue per distance."""
+    """A sequence of distances gives one KernelValue of arrays, the row record."""
 
     DS = [0.0, 1.5, *np.linspace(0.05, 1.45, 18)]
 
@@ -167,8 +173,11 @@ class TestRowCall:
         # the integral's scalar call is itself a row of one, so its row is
         # held against the one-distance reference loop instead
         row = unified(n, k, t, self.DS, 1e-10, method)
-        assert isinstance(row, list) and len(row) == len(self.DS)
-        for d, got in zip(self.DS, row):
+        assert isinstance(row, KernelValue)
+        assert row.value.dtype == row.est_error.dtype == float
+        assert row.terms_or_nodes.dtype.kind == "i"
+        assert row.value.shape == row.terms_or_nodes.shape == row.est_error.shape == (len(self.DS),)
+        for d, got in zip(self.DS, _entries(row)):
             if method == "integral":
                 want = integral_kernel_reference(n, k, t, float(d), 1e-10)
             else:
@@ -202,7 +211,8 @@ class TestRowCall:
 
     @pytest.mark.parametrize("method", ["series", "integral"])
     def test_empty_row(self, method):
-        assert unified(1, 2, 0.5, [], method=method) == []
+        row = unified(1, 2, 0.5, [], method=method)
+        assert [column.size for column in (row.value, row.terms_or_nodes, row.est_error)] == [0] * 3
 
 
 class TestIntegralRow:
@@ -213,13 +223,13 @@ class TestIntegralRow:
 
     def test_mixed_node_counts(self):
         row = unified(2, 1, 2e-4, self.DS, 1e-6, "integral")
-        assert len({v.terms_or_nodes for v in row}) >= 3
-        for d, got in zip(self.DS, row):
+        assert len(set(row.terms_or_nodes.tolist())) >= 3
+        for d, got in zip(self.DS, _entries(row)):
             assert got == integral_kernel_reference(2, 1, 2e-4, d, 1e-6)
 
     def test_row_split_into_chunks(self, monkeypatch):
         # 1000 nodes per integrand call splits every round after the first
         monkeypatch.setattr(quadrature, "_CALL_NODES", 1000)
         row = unified(2, 1, 2e-4, self.DS, 1e-6, "integral")
-        for d, got in zip(self.DS, row):
+        for d, got in zip(self.DS, _entries(row)):
             assert got == integral_kernel_reference(2, 1, 2e-4, d, 1e-6)

@@ -86,7 +86,8 @@ class TestWeightedIntegration:
     def test_row_equals_one_distance_rows(self, sign):
         rule = gauss_legendre_rule(64)
         row = integrate_weighted(self.DS, sign, np.sin, rule)
-        assert row == [integrate_weighted([d], sign, np.sin, rule)[0] for d in self.DS]
+        assert isinstance(row, np.ndarray) and row.dtype == float
+        assert row.tolist() == [integrate_weighted([d], sign, np.sin, rule)[0] for d in self.DS]
 
     def test_vanishing_interval(self):
         [val] = integrate_weighted([math.pi / 2 - 1e-6], 0.5, lambda u: np.ones_like(u),
@@ -106,6 +107,55 @@ class TestWeightedIntegration:
                 integrate_weighted([0.1], sign, np.sin, rule)
 
 
+def _reference_sums(ds, exponent_sign, g, rule):
+    """The substitution one distance at a time, each sum one ``rule.weights @ row``."""
+    phi = (rule.nodes + 1.0) * (0.25 * math.pi)
+    sums = []
+    for d in ds:
+        c = math.cos(d)
+        c_sin_phi = c * np.sin(phi)
+        sin_u = np.sqrt(1.0 - c_sin_phi ** 2)
+        weight = (c * c) * np.cos(phi) ** 2 if exponent_sign > 0 else 1.0
+        row = weight * g(np.arccos(c_sin_phi)) / sin_u
+        sums.append(float((0.25 * math.pi) * (rule.weights @ row)))
+    return sums
+
+
+class TestRowSumsBitwise:
+    """The row sums are bit for bit the per-distance dot products.
+
+    ``integrate_weighted`` takes each chunk's sums in one ``np.vecdot``;
+    the golden files were frozen from one ``rule.weights @ row`` per
+    distance.  A numpy build whose ``vecdot`` sums in another order fails
+    here, naming the cause before the golden files do.
+    """
+
+    DS = [0.0, 0.2, 0.45, 0.7, 0.95, 1.2, 1.45, 1.55]
+
+    @pytest.mark.parametrize("count", [16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
+    @pytest.mark.parametrize("sign", [0.5, -0.5])
+    def test_equals_per_distance_dot(self, count, sign):
+        rule = gauss_legendre_rule(count)
+        got = integrate_weighted(self.DS, sign, _hard, rule)
+        assert got.tolist() == _reference_sums(self.DS, sign, _hard, rule)
+
+    @pytest.mark.parametrize("count", [16, 1024])
+    @pytest.mark.parametrize("sign", [0.5, -0.5])
+    def test_equals_per_distance_dot_in_chunks(self, count, sign, monkeypatch):
+        # three distances per integrand call: chunks of 3, 3 and 2
+        monkeypatch.setattr(quadrature, "_CALL_NODES", 3 * count)
+        sizes = []
+
+        def g(u):
+            sizes.append(u.size)
+            return _hard(u)
+
+        rule = gauss_legendre_rule(count)
+        got = integrate_weighted(self.DS, sign, g, rule)
+        assert sizes == [3 * count, 3 * count, 2 * count]
+        assert got.tolist() == _reference_sums(self.DS, sign, _hard, rule)
+
+
 class TestAdaptive:
     """Rows of one distance."""
 
@@ -113,11 +163,11 @@ class TestAdaptive:
         def g(u):
             return np.sin(u) * np.cos(u) ** 6
 
-        [res] = adaptive_integrate_row([0.4], 0.5, g, [1e-13])
+        [value], [nodes], [err] = adaptive_integrate_row([0.4], 0.5, g, [1e-13])
         [direct] = integrate_weighted([0.4], 0.5, g, gauss_legendre_rule(32))
-        assert res.nodes == 32
-        assert_allclose(res.value, direct, rtol=1e-14)
-        assert res.est_error <= 1e-13
+        assert nodes == 32
+        assert_allclose(value, direct, rtol=1e-14)
+        assert err <= 1e-13
 
     def test_psi_integrand_doubling_invariant(self):
         from projheat.thetapsi import psi_sum
@@ -125,9 +175,9 @@ class TestAdaptive:
         def g(u):
             return psi_sum(3, 4, 0.5, u)
 
-        [res] = adaptive_integrate_row([0.3], 0.5, g, [1e-12])
-        [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * res.nodes))
-        assert abs(res.value - bigger) <= 1e-12
+        [value], [nodes], _ = adaptive_integrate_row([0.3], 0.5, g, [1e-12])
+        [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * int(nodes)))
+        assert abs(value - bigger) <= 1e-12
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureConvergenceError):
@@ -151,9 +201,8 @@ class TestAdaptiveRow:
 
         for sign in (0.5, -0.5):
             row = adaptive_integrate_row(ds, sign, g, tols)
-            for d, tol, res in zip(ds, tols, row):
-                want = adaptive_reference(d, sign, g, tol)
-                assert (res.value, res.nodes, res.est_error) == want
+            for d, tol, *got in zip(ds, tols, *row):
+                assert tuple(got) == adaptive_reference(d, sign, g, tol)
 
     def test_long_row_is_split_into_chunks(self):
         ds = [float(d) for d in np.linspace(0.0, 1.5, 5000)]
@@ -166,9 +215,8 @@ class TestAdaptiveRow:
         row = adaptive_integrate_row(ds, 0.5, g, [1e-13] * len(ds))
         assert max(sizes) <= quadrature._CALL_NODES
         assert len(sizes) > 2  # more than one call per round
-        for d, res in list(zip(ds, row))[::97]:
-            want = adaptive_reference(d, 0.5, g, 1e-13)
-            assert (res.value, res.nodes, res.est_error) == want
+        for d, *got in list(zip(ds, *row))[::97]:
+            assert tuple(got) == adaptive_reference(d, 0.5, g, 1e-13)
 
     def test_cap_names_first_failing_distance(self):
         with pytest.raises(QuadratureConvergenceError, match=rf"tol=1e-30 within {MAX_NODES} nodes"):
@@ -178,7 +226,8 @@ class TestAdaptiveRow:
         def g(u):
             raise AssertionError("the integrand of an empty row is never called")
 
-        assert adaptive_integrate_row([], 0.5, g, []) == []
+        row = adaptive_integrate_row([], 0.5, g, [])
+        assert [column.size for column in row] == [0, 0, 0]
 
     def test_rejects_bad_row(self):
         def g(u):

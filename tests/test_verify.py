@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from projheat.verify import (
     JACOBI_REP_CONVENTIONS,
     SuiteProfile,
+    compare_values,
     full_suite,
     group_names,
     jacobi_rep_check,
@@ -30,6 +31,22 @@ class TestReport:
         # abs error 1e-6 on values of size 1e6 is a 1e-12 relative match
         rep = make_report("x", {}, 1e6, 1e6 + 1e-6, 1e-10)
         assert rep.passed and rep.rel_err <= 1e-10
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_side_fails_in_either_position(self, bad):
+        for lhs, rhs in ((bad, 1.0), (1.0, bad), (bad, bad)):
+            rep = make_report("x", {}, lhs, rhs, 1e-10)
+            assert rep.passed is False, (lhs, rhs, rep)
+
+    def test_array_rule_is_the_report_rule(self):
+        lhs = np.array([1.0, 1.0, 0.0, 1e6, float("nan"), 1.0])
+        rhs = np.array([1.0 + 1e-12, 2.0, 0.0, 1e6 + 1e-6, 1.0, float("nan")])
+        abs_err, rel_err, passed = compare_values(lhs, rhs, 1e-10)
+        for i, (a, b) in enumerate(zip(lhs.tolist(), rhs.tolist())):
+            rep = make_report("x", {}, a, b, 1e-10)
+            assert passed[i] == rep.passed
+            np.testing.assert_equal([abs_err[i], rel_err[i]], [rep.abs_err, rep.rel_err])
+        assert passed.tolist() == [True, False, True, True, False, False]
 
     def test_json_roundtrip(self):
         rep = make_report("name", {"a": 1, "b": 0.5}, 2.0, 2.0, 1e-8)
