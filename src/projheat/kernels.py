@@ -55,11 +55,14 @@ class KernelValue:
 
     A scalar distance gives a float, an int and a float; a row of
     distances gives one array of each, with one entry per distance.
+    Row records do not hash, and ``==`` between two of them is not
+    defined (it raises for rows of two or more distances, as ``bool`` of
+    an array does); compare their arrays instead.
     """
 
-    value: float
-    terms_or_nodes: int
-    est_error: float
+    value: float | np.ndarray
+    terms_or_nodes: int | np.ndarray
+    est_error: float | np.ndarray
 
 
 def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
