@@ -29,15 +29,6 @@ from .kernels import (
     stationary_value,
     unified,
 )
-from .orthopoly import (
-    GegenbauerParams,
-    JacobiParams,
-    LadderResult,
-    cosine_ladder,
-    gegenbauer_c,
-    jacobi_p,
-    ladder_apply,
-)
 from .quadrature import (
     QuadratureRule,
     adaptive_integrate_row,

@@ -125,9 +125,9 @@ def _values_from_args(args, name: str, grid_default: str) -> list:
 
 def _validate_times(ts) -> None:
     for t in ts:
-        if not t >= kernels.MIN_TIME:
+        if not kernels.MIN_TIME <= t < math.inf:
             raise UsageError(
-                f"t={t} out of range: diffusion time must be >= {kernels.MIN_TIME}"
+                f"t={t} out of range: diffusion time must be finite and >= {kernels.MIN_TIME}"
             )
 
 

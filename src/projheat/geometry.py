@@ -207,15 +207,16 @@ def volume_density(space: SpaceDescriptor, r):
     return float(vals) if np.ndim(r) == 0 else vals
 
 
-def radial_laplacian_fd(space: SpaceDescriptor, f: Callable[[float], float],
-                        r: float, h: float = 1e-3) -> float:
-    """Central-difference radial Laplacian of f at r.
+def radial_laplacian_fd(space: SpaceDescriptor, f: Callable, r, h: float = 1e-3):
+    """Central-difference radial Laplacian of f at r, a radius or a row of radii.
 
     Evaluates f'' + ((2kn-1) cot r - (2k-1) tan r) f' from three samples;
     deliberately numerical so it can certify closed-form eigenvalue and
-    heat-equation claims independently.
+    heat-equation claims independently.  Given a row, f is called on the
+    whole row (shifted by -h, 0 and +h) and must return one value per radius.
     """
-    if not (h < r < _HALF_PI - h):
+    r = np.asarray(r, dtype=float)
+    if not np.all((h < r) & (r < _HALF_PI - h)):
         raise DomainError(f"radius {r} too close to the coordinate endpoints for step {h}")
     f_plus = f(r + h)
     f_mid = f(r)
@@ -223,7 +224,7 @@ def radial_laplacian_fd(space: SpaceDescriptor, f: Callable[[float], float],
     second = (f_plus - 2.0 * f_mid + f_minus) / (h * h)
     first = (f_plus - f_minus) / (2.0 * h)
     kn = space.k * space.n
-    coef = (2 * kn - 1) / math.tan(r) - (2 * space.k - 1) * math.tan(r)
+    coef = (2 * kn - 1) / np.tan(r) - (2 * space.k - 1) * np.tan(r)
     return second + coef * first
 
 

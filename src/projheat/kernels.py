@@ -48,6 +48,10 @@ SERIES_CAP = 2000
 
 METHODS = ("series", "integral")
 
+#: largest c = k(n+1) - 1 accepted: (c-1)! in the series weights and in
+#: the integral's ladder scale must convert to a float
+MAX_OFFSET = 171
+
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -67,8 +71,11 @@ class KernelValue:
 
 def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
     SpaceDescriptor(n=n, k=k)  # validates index and field selector
-    if not t > 0:
-        raise DomainError(f"diffusion time must be positive, got {t}")
+    if k * (n + 1) - 1 > MAX_OFFSET:
+        raise DomainError(f"projective index must be <= {(MAX_OFFSET + 1) // k - 1} for "
+                          f"k={k}, got {n}: larger n overflows floating point")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"diffusion time must be positive and finite, got {t}")
     d_arr = np.asarray(d, dtype=float)
     if d_arr.ndim > 1:
         raise DomainError(f"distance must be a scalar or a row, got {d_arr.ndim} dimensions")

@@ -2,7 +2,9 @@
 
 Evaluation is by forward three-term recurrence in the degree, which is
 stable for the weight exponents used here (all > -1/2) and exact to
-roundoff at degrees 0 and 1.  The operator
+roundoff at degrees 0 and 1.  The kernels run only the single steps
+``jacobi_step`` and ``gegenbauer_step``; the whole-polynomial functions
+serve the identity checks.  The operator
 
     L = -(1/sin u) d/du,
 
@@ -11,14 +13,14 @@ terms it is handled algebraically through the order-raising identity
 
     L^m C_l^lam(cos u) = 2^m (lam)_m C_{l-m}^{lam+m}(cos u),
 
-never by numerical differentiation.  All functions are pure and accept
-scalars or numpy arrays for the evaluation point.
+never by numerical differentiation.  Since L cos(qu) = q C_{q-1}^1(cos u),
+the same identity ladders a single cosine harmonic.  All functions are
+pure and accept scalars or numpy arrays for the evaluation point; each
+raises DomainError for a degree, exponent, order, ladder count or
+evaluation point outside its domain.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,69 +29,21 @@ from .errors import DomainError
 # cos() roundoff can land arguments marginally outside [-1, 1]
 _X_SLACK = 1e-12
 
-# switch Pochhammer/binomial products to log space above this degree
-_LOG_SPACE_DEGREE = 150
+
+def _check_degree(l: int) -> None:
+    if l < 0:
+        raise DomainError(f"degree must be >= 0, got {l}")
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree and weight exponents (alpha, beta) of a Jacobi polynomial."""
-
-    l: int
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise DomainError(f"degree must be >= 0, got {self.l}")
-        if not (self.alpha > -0.5 and self.beta > -0.5):
-            raise DomainError(
-                f"weight exponents must exceed -1/2, got alpha={self.alpha}, beta={self.beta}"
-            )
-
-
-@dataclass(frozen=True)
-class GegenbauerParams:
-    """Degree and order of an ultraspherical (Gegenbauer) polynomial."""
-
-    l: int
-    lam: float
-
-    def __post_init__(self):
-        if self.l < 0:
-            raise DomainError(f"degree must be >= 0, got {self.l}")
-        if not self.lam > 0:
-            raise DomainError(f"order must be positive, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class LadderResult:
-    """Algebraic image of an iterated ladder application.
-
-    Represents the function ``scale * C_degree^order(cos u)``; when
-    ``degree`` is negative the represented function is identically zero
-    (the operator has differentiated the polynomial away).
-    """
-
-    scale: float
-    degree: int
-    order: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.degree < 0
-
-    def evaluate(self, x):
-        """Value of the represented function at x = cos(u)."""
-        if self.is_zero:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        return self.scale * _gegenbauer_values(self.degree, self.order, _check_x(x))
+def _check_order(lam: float) -> None:
+    if not lam > 0:
+        raise DomainError(f"order must be positive, got {lam}")
 
 
 def _check_x(x):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1.0 - _X_SLACK) or np.any(arr > 1.0 + _X_SLACK):
-        raise DomainError("evaluation point outside [-1, 1]")
+    if not np.all(np.abs(arr) <= 1.0 + _X_SLACK):  # NaN fails too
+        raise DomainError("evaluation point must lie in [-1, 1]")
     return np.clip(arr, -1.0, 1.0)
 
 
@@ -112,23 +66,20 @@ def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):
     return ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
 
 
-def _jacobi_values(l: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
-    p, p_prev = np.ones_like(x), np.zeros_like(x)
-    for k in range(1, l + 1):
-        p, p_prev = jacobi_step(k, a, b, x, p, p_prev), p
-    return p
-
-
-def jacobi_p(params: JacobiParams, x):
-    """Evaluate P_l^(alpha,beta) at x in [-1, 1] by three-term recurrence."""
+def jacobi_p(l: int, a: float, b: float, x):
+    """P_l^(a,b)(x) for x in [-1, 1] by three-term recurrence."""
+    _check_degree(l)
+    if not (a > -0.5 and b > -0.5):
+        raise DomainError(f"weight exponents must exceed -1/2, got alpha={a}, beta={b}")
     xv = _check_x(x)
-    return _scalar_or_array(_jacobi_values(params.l, params.alpha, params.beta, xv), x)
+    p, p_prev = np.ones_like(xv), np.zeros_like(xv)
+    for k in range(1, l + 1):
+        p, p_prev = jacobi_step(k, a, b, xv, p, p_prev), p
+    return _scalar_or_array(p, x)
 
 
 def jacobi_endpoint(l: int, alpha: float) -> float:
     """P_l^(alpha,beta)(1) = binom(l + alpha, l), independent of beta."""
-    if l > _LOG_SPACE_DEGREE:
-        return math.exp(math.lgamma(l + alpha + 1) - math.lgamma(alpha + 1) - math.lgamma(l + 1))
     out = 1.0
     for i in range(1, l + 1):
         out *= (alpha + i) / i
@@ -146,62 +97,34 @@ def gegenbauer_step(l: int, lam: float, x, c_cur, c_prev):
     return (2.0 * (l + lam - 1.0) * x * c_cur - (l + 2.0 * lam - 2.0) * c_prev) / l
 
 
-def _gegenbauer_values(l: int, lam: float, x: np.ndarray) -> np.ndarray:
-    c, c_prev = np.ones_like(x), np.zeros_like(x)
-    for k in range(1, l + 1):
-        c, c_prev = gegenbauer_step(k, lam, x, c, c_prev), c
-    return c
-
-
-def gegenbauer_c(params: GegenbauerParams, x):
-    """Evaluate C_l^lam at x in [-1, 1] by three-term recurrence.
+def gegenbauer_c(l: int, lam: float, x):
+    """C_l^lam(x) for x in [-1, 1] by three-term recurrence.
 
     For lam = 1 this is the Dirichlet-type ratio sin((l+1)u)/sin(u) at
     x = cos(u).
     """
+    _check_degree(l)
+    _check_order(lam)
     xv = _check_x(x)
-    return _scalar_or_array(_gegenbauer_values(params.l, params.lam, xv), x)
+    c, c_prev = np.ones_like(xv), np.zeros_like(xv)
+    for k in range(1, l + 1):
+        c, c_prev = gegenbauer_step(k, lam, xv, c, c_prev), c
+    return _scalar_or_array(c, x)
 
 
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial (a)_m = a (a+1) ... (a+m-1)."""
-    if m < 0:
-        raise DomainError("pochhammer order must be >= 0")
-    if m > _LOG_SPACE_DEGREE and a > 0:
-        return math.exp(math.lgamma(a + m) - math.lgamma(a))
-    out = 1.0
-    for i in range(m):
-        out *= a + i
-    return out
+def ladder_apply(m: int, l: int, lam: float, x):
+    """L^m C_l^lam(cos u) at x = cos u, in closed form.
 
-
-def ladder_apply(m: int, source: GegenbauerParams) -> LadderResult:
-    """Apply L m times to C_l^lam(cos u), staying in closed form.
-
-    Returns the triple with scale 2^m (lam)_m, degree l - m and order
-    lam + m; the zero function when the degree drops below zero.
+    That is 2^m (lam)_m C_{l-m}^{lam+m}(x), and zero when m > l (the
+    operator has differentiated the polynomial away).
     """
     if m < 0:
         raise DomainError(f"ladder count must be >= 0, got {m}")
-    degree = source.l - m
-    if degree < 0:
-        return LadderResult(scale=0.0, degree=-1, order=source.lam + m)
-    scale = (2.0**m) * pochhammer(source.lam, m)
-    return LadderResult(scale=scale, degree=degree, order=source.lam + m)
-
-
-def cosine_ladder(m: int, q: int) -> LadderResult:
-    """Apply L m times to the single harmonic cos(q u).
-
-    Uses L^m cos(qu) = q 2^(m-1) (m-1)! C_{q-m}^m(cos u); the zero
-    function when q < m.
-    """
-    if m < 1:
-        raise DomainError(f"ladder count must be >= 1, got {m}")
-    if q < 1:
-        raise DomainError(f"harmonic index must be >= 1, got {q}")
-    degree = q - m
-    if degree < 0:
-        return LadderResult(scale=0.0, degree=-1, order=float(m))
-    scale = q * (2.0 ** (m - 1)) * math.factorial(m - 1)
-    return LadderResult(scale=scale, degree=degree, order=float(m))
+    _check_degree(l)
+    _check_order(lam)
+    if m > l:
+        return _scalar_or_array(np.zeros_like(_check_x(x)), x)
+    rising = 1.0  # (lam)_m
+    for i in range(m):
+        rising *= lam + i
+    return (2.0**m) * rising * gegenbauer_c(l - m, lam + m, x)

@@ -28,7 +28,6 @@ import numpy as np
 from . import geometry, kernels, orthopoly, quadrature, thetapsi
 from .errors import DomainError, QuadratureConvergenceError
 from .geometry import SpaceDescriptor
-from .orthopoly import GegenbauerParams, JacobiParams
 from .quadrature import adaptive_integrate_row, gauss_legendre_rule
 
 _HALF_PI = 0.5 * math.pi
@@ -229,14 +228,11 @@ def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
     times P_l^(2n-1,1)(cos 2d).  One report per distance d of ``ds``,
     all integrated in one doubling loop.
     """
-    ladder = orthopoly.ladder_apply(2 * n, GegenbauerParams(l=2 * l + 2 * n, lam=1.0))
-
     def g(u):
-        return np.sin(u) * ladder.evaluate(np.cos(u))
+        return np.sin(u) * orthopoly.ladder_apply(2 * n, 2 * l + 2 * n, 1.0, np.cos(u))
 
     const = 2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n) / math.factorial(l + 1))
-    params = JacobiParams(l=l, alpha=2 * n - 1, beta=1)
-    rhss = [const * orthopoly.jacobi_p(params, math.cos(2 * d)) for d in ds]
+    rhss = [const * orthopoly.jacobi_p(l, 2 * n - 1, 1, math.cos(2 * d)) for d in ds]
     cos2s = [math.cos(d) ** 2 for d in ds]
     qtols = [max(1e-13, 1e-11 * abs(rhs)) * cos2 for rhs, cos2 in zip(rhss, cos2s)]
     values = adaptive_integrate_row(ds, 0.5, g, qtols).value.tolist()
@@ -258,11 +254,9 @@ def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
     if convention not in JACOBI_REP_CONVENTIONS:
         raise DomainError(f"convention must be one of {JACOBI_REP_CONVENTIONS}")
     alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
-    params = JacobiParams(l=l + 1, alpha=alpha, beta=0)
-    gp = GegenbauerParams(l=2 * l + 2, lam=2 * n - 1)
 
     def g(u):
-        return np.sin(u) * orthopoly.gegenbauer_c(gp, np.cos(u))
+        return np.sin(u) * orthopoly.gegenbauer_c(2 * l + 2, 2 * n - 1, np.cos(u))
 
     const = 2.0 * math.factorial(l + 1) * math.factorial(2 * n - 2) / (
         math.pi * math.factorial(l + 2 * n - 1)
@@ -272,7 +266,7 @@ def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
     values = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value.tolist()
     return [make_report("jacobi_sqrt_integral_rep",
                         {"n": n, "l": l, "d": float(d), "convention": convention},
-                        orthopoly.jacobi_p(params, math.cos(2 * d)), const * value, tol,
+                        orthopoly.jacobi_p(l + 1, alpha, 0, math.cos(2 * d)), const * value, tol,
                         scale=scale)
             for d, value in zip(ds, values)]
 
@@ -306,7 +300,7 @@ def _check_orthopoly_recurrence(profile: SuiteProfile):
         alpha = float(rng.uniform(-0.5 + 1e-3, 5.0))
         beta = float(rng.uniform(-0.5 + 1e-3, 5.0))
         x = float(rng.uniform(-1.0, 1.0))
-        ours = orthopoly.jacobi_p(JacobiParams(l=l, alpha=alpha, beta=beta), x)
+        ours = orthopoly.jacobi_p(l, alpha, beta, x)
         exact = _exact_jacobi(l, alpha, beta, x)
         scale = max(1.0, orthopoly.jacobi_endpoint(l, max(alpha, beta)))
         reports.append(make_report(
@@ -322,7 +316,7 @@ def _check_orthopoly_endpoint(profile: SuiteProfile):
     reports = []
     for alpha in (0, 1, 2, 3, 5):
         for l in (0, 1, 5, 12, 30):
-            ours = orthopoly.jacobi_p(JacobiParams(l=l, alpha=alpha, beta=1), 1.0)
+            ours = orthopoly.jacobi_p(l, alpha, 1, 1.0)
             exact = float(math.comb(l + alpha, l))
             reports.append(make_report(
                 "jacobi_endpoint_binomial", {"l": l, "alpha": alpha},
@@ -336,7 +330,7 @@ def _check_orthopoly_trig(profile: SuiteProfile):
     thetas = np.linspace(0.01, math.pi - 0.01, 40)
     reports = []
     for l in (1, 2, 5, 20, 50):
-        vals = orthopoly.gegenbauer_c(GegenbauerParams(l=l, lam=1.0), np.cos(thetas))
+        vals = orthopoly.gegenbauer_c(l, 1.0, np.cos(thetas))
         ref = np.sin((l + 1) * thetas) / np.sin(thetas)
         reports.append(_worst_report(
             "gegenbauer_dirichlet_ratio", {"l": l}, "theta", thetas, vals, ref, tol,
@@ -349,12 +343,10 @@ def _check_orthopoly_ladder(profile: SuiteProfile):
     us = np.linspace(0.2, _HALF_PI - 0.2, 9)
     reports = []
     for m, l, lam in ((1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0), (4, 12, 1.0)):
-        ladder = orthopoly.ladder_apply(m, GegenbauerParams(l=l, lam=lam))
-
         def f(u, _l=l, _lam=lam):
-            return orthopoly.gegenbauer_c(GegenbauerParams(l=_l, lam=_lam), math.cos(u))
+            return orthopoly.gegenbauer_c(_l, _lam, math.cos(u))
 
-        exact_vals = np.array([ladder.evaluate(math.cos(u)) for u in us])
+        exact_vals = orthopoly.ladder_apply(m, l, lam, np.cos(us))
         fd_vals = np.array([_ladder_fd(f, u, m) for u in us])
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
@@ -362,12 +354,11 @@ def _check_orthopoly_ladder(profile: SuiteProfile):
             exact_vals, fd_vals, tol, scale=scale,
         ))
     for m, q in ((1, 3), (2, 5), (3, 5), (3, 8)):
-        ladder = orthopoly.cosine_ladder(m, q)
-
         def f(u, _q=q):
             return math.cos(_q * u)
 
-        exact_vals = np.array([ladder.evaluate(math.cos(u)) for u in us])
+        # L cos(qu) = q C_{q-1}^1(cos u)
+        exact_vals = q * orthopoly.ladder_apply(m - 1, q - 1, 1.0, np.cos(us))
         fd_vals = np.array([_ladder_fd(f, u, m) for u in us])
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
@@ -425,7 +416,7 @@ def _check_quadrature_doubling(profile: SuiteProfile):
     psi = functools.partial(thetapsi.psi_sum, 3, 4, 0.5)
 
     def gegenbauer(u):
-        return np.sin(u) * orthopoly.gegenbauer_c(GegenbauerParams(l=4, lam=1.0), np.cos(u))
+        return np.sin(u) * orthopoly.gegenbauer_c(4, 1.0, np.cos(u))
 
     ds = (0.0, 0.35, 0.7, 1.05, 1.4)
     rows = [  # (parameters of each distance, distances, weight exponent, integrand)
@@ -474,8 +465,8 @@ def _check_theta_truncation(profile: SuiteProfile):
             a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
             if a == 0.0:
                 break  # a only falls with l: every later term is +-0.0, a no-op
-            ladder = orthopoly.cosine_ladder(j, 2 * l + m - 1)
-            brute += a * math.sin(u) * ladder.evaluate(math.cos(u))
+            q = 2 * l + m - 1  # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
+            brute += a * math.sin(u) * (q * orthopoly.ladder_apply(j - 1, q - 1, 1.0, math.cos(u)))
         reports.append(make_report(
             "psi_truncation_soundness", {"j": j, "m": m, "t": t, "u": u}, auto, brute, tol,
         ))
@@ -558,26 +549,17 @@ def _check_geometry_eigenfunction(profile: SuiteProfile):
         for n in _NS:
             space = SpaceDescriptor(n=n, k=k)
             for l in range(0, 7):
-                params = JacobiParams(l=l, alpha=space.jacobi_alpha, beta=space.jacobi_beta)
-
-                def f(r, _p=params):
-                    return orthopoly.jacobi_p(_p, math.cos(2.0 * r))
+                def f(r, _l=l):
+                    return orthopoly.jacobi_p(_l, space.jacobi_alpha, space.jacobi_beta,
+                                              np.cos(2.0 * r))
 
                 lam = space.eigenvalue(l)
-                sup_f = max(abs(f(r)) for r in rs)
-                scale = max(1.0, abs(lam) * sup_f)
-                worst_err = -1.0
-                worst = None
-                for r in rs:
-                    lhs = geometry.radial_laplacian_fd(space, f, float(r), h=5e-4)
-                    rhs = lam * f(float(r))
-                    if abs(lhs - rhs) > worst_err:
-                        worst_err = abs(lhs - rhs)
-                        worst = (lhs, rhs, float(r))
-                reports.append(make_report(
-                    "radial_eigenfunction_law",
-                    {"k": k, "n": n, "l": l, "r": worst[2]},
-                    worst[0], worst[1], tol, scale=scale,
+                vals = f(rs)
+                scale = max(1.0, abs(lam) * float(np.max(np.abs(vals))))
+                reports.append(_worst_report(
+                    "radial_eigenfunction_law", {"k": k, "n": n, "l": l}, "r", rs,
+                    geometry.radial_laplacian_fd(space, f, rs, h=5e-4), lam * vals, tol,
+                    scale=scale,
                 ))
     return reports
 
@@ -677,24 +659,16 @@ def _check_kernels_residual(profile: SuiteProfile):
         for n in _NS:
             space = SpaceDescriptor(n=n, k=k)
             for t in (0.2, 0.5, 1.0):
+                def e(r, tt=t):
+                    return kernels.series_values(k, n, tt, r, 1e-12)[0]
+
                 ht = 1e-4 * t
-                worst = None
-                worst_ratio = -1.0
-                for r in rs:
-                    dt = (
-                        _series_scalar(space, t + ht, float(r))
-                        - _series_scalar(space, t - ht, float(r))
-                    ) / (2.0 * ht)
-                    lap = geometry.radial_laplacian_fd(
-                        space, lambda rr: _series_scalar(space, t, rr), float(r), h=1e-3
-                    )
-                    ratio = abs(dt - lap) / max(abs(dt), 1.0)
-                    if ratio > worst_ratio:
-                        worst_ratio = ratio
-                        worst = (dt, lap, float(r))
+                dt = (e(rs, t + ht) - e(rs, t - ht)) / (2.0 * ht)
+                lap = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
+                i = int(np.argmax(np.abs(dt - lap) / np.maximum(np.abs(dt), 1.0)))
                 reports.append(make_report(
-                    "heat_equation_residual", {"k": k, "n": n, "t": t, "r": worst[2]},
-                    worst[0], worst[1], tol, scale=max(abs(worst[0]), 1.0),
+                    "heat_equation_residual", {"k": k, "n": n, "t": t, "r": float(rs[i])},
+                    float(dt[i]), float(lap[i]), tol, scale=max(abs(float(dt[i])), 1.0),
                 ))
     return reports
 

@@ -161,6 +161,23 @@ class TestErrorLines:
         assert captured.out == ""
         assert captured.err == "projheat: error: projective index must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_nonfinite_time_is_usage_error(self, capsys, t):
+        assert cli.main(["eval", "--t", t, "--d", "0.3"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"projheat: error: t={t} out of range: diffusion time "
+                                "must be finite and >= 0.0001\n")
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_index_whose_weights_overflow_is_usage_error(self, capsys, method):
+        argv = ["eval", "--n", "200", "--t", "0.5", "--d", "0.3", "--method", method]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("projheat: error: projective index must be <= 85 for k=2, "
+                                "got 200: larger n overflows floating point\n")
+
     def test_no_convergence_is_exit_3(self, capsys):
         argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0"]
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE

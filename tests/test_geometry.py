@@ -19,6 +19,7 @@ from projheat.geometry import (
     scale_point,
     volume_density,
 )
+from projheat.orthopoly import jacobi_p
 from projheat.quadrature import gauss_legendre_rule
 
 
@@ -164,11 +165,8 @@ class TestRadialLaplacian:
 
     def test_cp2_first_eigenfunction(self):
         # P_1^(1,0)(cos 2r) has eigenvalue -12 on CP^2
-        from projheat.orthopoly import JacobiParams, jacobi_p
-
         space = SpaceDescriptor(n=2, k=1)
-        params = JacobiParams(l=1, alpha=1, beta=0)
-        f = lambda rr: jacobi_p(params, math.cos(2.0 * rr))
+        f = lambda rr: jacobi_p(1, 1, 0, math.cos(2.0 * rr))
         for r in (0.4, 0.7, 1.1):
             lhs = radial_laplacian_fd(space, f, r, h=5e-4)
             assert abs(lhs - (-12.0) * f(r)) <= 1e-4 * max(1.0, abs(12.0 * f(r)))
@@ -176,13 +174,10 @@ class TestRadialLaplacian:
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_eigenfunction_law_sweep(self, k, n):
-        from projheat.orthopoly import JacobiParams, jacobi_p
-
         space = SpaceDescriptor(n=n, k=k)
         rs = np.linspace(0.2, 1.3, 12)
         for l in range(7):
-            params = JacobiParams(l=l, alpha=k * n - 1, beta=k - 1)
-            f = lambda rr: jacobi_p(params, math.cos(2.0 * rr))
+            f = lambda rr: jacobi_p(l, k * n - 1, k - 1, math.cos(2.0 * rr))
             lam = space.eigenvalue(l)
             sup_f = max(abs(f(float(r))) for r in rs)
             scale = max(1.0, abs(lam) * sup_f)
@@ -211,6 +206,20 @@ class TestRadialLaplacian:
         space = SpaceDescriptor(n=1, k=1)
         with pytest.raises(DomainError):
             radial_laplacian_fd(space, lambda r: r, 1e-5, h=1e-3)
+
+    def test_row_equals_scalar_calls(self):
+        space = SpaceDescriptor(n=2, k=2)
+        f = lambda rr: jacobi_p(3, 3, 1, np.cos(2.0 * rr))
+        rs = np.linspace(0.2, 1.3, 12)
+        row = radial_laplacian_fd(space, f, rs, h=5e-4)
+        assert row.shape == rs.shape
+        assert row.tolist() == [radial_laplacian_fd(space, f, float(r), h=5e-4) for r in rs]
+
+    @pytest.mark.parametrize("bad", [5e-4, math.pi / 2 - 1e-4])
+    def test_row_with_one_radius_near_an_endpoint_rejected(self, bad):
+        space = SpaceDescriptor(n=1, k=1)
+        with pytest.raises(DomainError):
+            radial_laplacian_fd(space, np.cos, np.array([0.4, bad, 0.9]), h=1e-3)
 
 
 def test_space_descriptor_properties():

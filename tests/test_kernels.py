@@ -151,6 +151,25 @@ class TestQueryInterface:
         with pytest.raises(DomainError):
             unified(2, 2, 0.5, 0.3, tol=tol, method=method)
 
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_nonfinite_time_rejected(self, method, t):
+        with pytest.raises(DomainError, match="finite"):
+            unified(1, 2, t, 0.3, method=method)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("k,n_max", [(1, 171), (2, 85)])
+    def test_index_whose_weights_overflow_rejected(self, method, k, n_max):
+        with pytest.raises(DomainError, match=f"must be <= {n_max} for k={k}, got {n_max + 1}"):
+            unified(n_max + 1, k, 0.5, 0.3, method=method)
+
+    @pytest.mark.parametrize("k,n_max", [(1, 171), (2, 85)])
+    def test_largest_index_is_not_rejected(self, k, n_max):
+        # its weights overflow to inf rather than raise, so the tail bound
+        # never falls and the series reports its term cap
+        with np.errstate(all="ignore"), pytest.raises(TruncationCapError):
+            unified(n_max, k, 0.5, 0.3)
+
     def test_kernel_value_is_plain_record(self):
         v = KernelValue(value=1.0, terms_or_nodes=3, est_error=1e-12)
         assert v.value == 1.0 and v.terms_or_nodes == 3

@@ -7,40 +7,32 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projheat.errors import DomainError
-from projheat.orthopoly import (
-    GegenbauerParams,
-    JacobiParams,
-    LadderResult,
-    cosine_ladder,
-    gegenbauer_c,
-    jacobi_endpoint,
-    jacobi_p,
-    ladder_apply,
-    pochhammer,
-)
+from projheat.orthopoly import gegenbauer_c, jacobi_endpoint, jacobi_p, ladder_apply
 
 from helpers import gegenbauer_series_exact, jacobi_series_exact, ladder_fd
+
+US = np.linspace(0.2, math.pi / 2 - 0.2, 9)
 
 
 class TestJacobi:
     def test_degree_zero_is_one(self):
-        assert jacobi_p(JacobiParams(l=0, alpha=1, beta=1), 0.3) == 1.0
+        assert jacobi_p(0, 1, 1, 0.3) == 1.0
 
     def test_degree_one_closed_form(self):
         # P_1^(1,1)(x) = 2x; oracle value frozen from the series definition
         assert jacobi_series_exact(1, 1.0, 1.0, 0.25) == 0.5
-        assert_allclose(jacobi_p(JacobiParams(l=1, alpha=1, beta=1), 0.25), 0.5, rtol=1e-15)
+        assert_allclose(jacobi_p(1, 1, 1, 0.25), 0.5, rtol=1e-15)
 
     def test_endpoint_value_integer_alpha(self):
         # P_5^(3,0)(1) = binom(8, 5) = 56
         assert jacobi_series_exact(5, 3.0, 0.0, 1.0) == 56.0
-        assert_allclose(jacobi_p(JacobiParams(l=5, alpha=3, beta=0), 1.0), 56.0, rtol=1e-13)
+        assert_allclose(jacobi_p(5, 3, 0, 1.0), 56.0, rtol=1e-13)
 
     def test_endpoint_identity_sweep(self):
         for alpha in (0, 1, 2, 4):
             for l in (0, 1, 3, 7, 15, 30):
-                val = jacobi_p(JacobiParams(l=l, alpha=alpha, beta=1), 1.0)
-                assert_allclose(val, math.comb(l + alpha, l), rtol=1e-12)
+                assert_allclose(jacobi_p(l, alpha, 1, 1.0), math.comb(l + alpha, l), rtol=1e-12)
+                assert_allclose(jacobi_endpoint(l, alpha), math.comb(l + alpha, l), rtol=1e-12)
 
     def test_recurrence_matches_series_definition(self):
         rng = np.random.default_rng(42)
@@ -49,7 +41,7 @@ class TestJacobi:
             alpha = float(rng.uniform(-0.5 + 1e-3, 5.0))
             beta = float(rng.uniform(-0.5 + 1e-3, 5.0))
             x = float(rng.uniform(-1.0, 1.0))
-            ours = jacobi_p(JacobiParams(l=l, alpha=alpha, beta=beta), x)
+            ours = jacobi_p(l, alpha, beta, x)
             exact = jacobi_series_exact(l, alpha, beta, x)
             # relative to the polynomial's scale on [-1, 1] (endpoint max)
             scale = max(1.0, jacobi_endpoint(l, max(alpha, beta)))
@@ -57,42 +49,48 @@ class TestJacobi:
 
     def test_vectorized_evaluation(self):
         x = np.linspace(-1, 1, 7)
-        vals = jacobi_p(JacobiParams(l=3, alpha=0.5, beta=0.5), x)
+        vals = jacobi_p(3, 0.5, 0.5, x)
         assert vals.shape == x.shape
         for xi, vi in zip(x, vals):
-            assert_allclose(vi, jacobi_p(JacobiParams(l=3, alpha=0.5, beta=0.5), float(xi)))
+            assert_allclose(vi, jacobi_p(3, 0.5, 0.5, float(xi)))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            jacobi_p(JacobiParams(l=2, alpha=1, beta=1), 1.5)
+            jacobi_p(2, 1, 1, 1.5)
         with pytest.raises(DomainError):
-            JacobiParams(l=-1, alpha=1, beta=1)
+            jacobi_p(-1, 1, 1, 0.3)
         with pytest.raises(DomainError):
-            JacobiParams(l=2, alpha=-0.6, beta=0)
+            jacobi_p(2, -0.6, 0, 0.3)
         with pytest.raises(DomainError):
-            JacobiParams(l=2, alpha=0, beta=-0.5)
+            jacobi_p(2, 0, -0.5, 0.3)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            jacobi_p(2, 1, 1, float("nan"))
+        with pytest.raises(DomainError):
+            jacobi_p(2, 1, 1, np.array([0.1, np.nan]))
 
     def test_roundoff_slack_inside_tolerance(self):
         # values like cos(pi) land at -1 - eps and must be accepted
-        jacobi_p(JacobiParams(l=4, alpha=1, beta=1), -1.0 - 1e-13)
+        jacobi_p(4, 1, 1, -1.0 - 1e-13)
 
 
 class TestGegenbauer:
     def test_degree_zero_is_one(self):
-        assert gegenbauer_c(GegenbauerParams(l=0, lam=1.0), 0.7) == 1.0
+        assert gegenbauer_c(0, 1.0, 0.7) == 1.0
 
     def test_degree_two_at_zero(self):
         # C_2^1(x) = 4x^2 - 1; also sin(3 theta)/sin(theta) at theta = pi/2
-        assert_allclose(gegenbauer_c(GegenbauerParams(l=2, lam=1.0), 0.0), -1.0, rtol=1e-15)
+        assert_allclose(gegenbauer_c(2, 1.0, 0.0), -1.0, rtol=1e-15)
 
     def test_trig_ratio_example(self):
-        val = gegenbauer_c(GegenbauerParams(l=3, lam=1.0), math.cos(0.4))
+        val = gegenbauer_c(3, 1.0, math.cos(0.4))
         assert_allclose(val, math.sin(1.6) / math.sin(0.4), rtol=1e-14)
 
     def test_trig_identity_sweep(self):
         thetas = np.linspace(0.01, math.pi - 0.01, 60)
         for l in (1, 2, 5, 17, 50):
-            vals = gegenbauer_c(GegenbauerParams(l=l, lam=1.0), np.cos(thetas))
+            vals = gegenbauer_c(l, 1.0, np.cos(thetas))
             ref = np.sin((l + 1) * thetas) / np.sin(thetas)
             assert np.max(np.abs(vals - ref)) <= 1e-10
 
@@ -102,99 +100,95 @@ class TestGegenbauer:
             l = int(rng.integers(0, 21))
             lam = float(rng.uniform(0.25, 6.0))
             x = float(rng.uniform(-1.0, 1.0))
-            ours = gegenbauer_c(GegenbauerParams(l=l, lam=lam), x)
+            ours = gegenbauer_c(l, lam, x)
             exact = gegenbauer_series_exact(l, lam, x)
             scale = max(1.0, abs(gegenbauer_series_exact(l, lam, 1.0)))
             assert abs(ours - exact) <= 1e-10 * scale
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            gegenbauer_c(GegenbauerParams(l=2, lam=1.0), -1.2)
+            gegenbauer_c(2, 1.0, -1.2)
         with pytest.raises(DomainError):
-            GegenbauerParams(l=2, lam=0.0)
+            gegenbauer_c(2, 0.0, 0.3)
         with pytest.raises(DomainError):
-            GegenbauerParams(l=-3, lam=1.0)
+            gegenbauer_c(-3, 1.0, 0.3)
+        with pytest.raises(DomainError):
+            gegenbauer_c(2, 1.0, float("nan"))
 
 
 class TestLadder:
     def test_identity_operator(self):
-        res = ladder_apply(0, GegenbauerParams(l=4, lam=1.0))
-        assert (res.scale, res.degree, res.order) == (1.0, 4, 1.0)
+        x = np.cos(US)
+        assert np.all(ladder_apply(0, 4, 1.0, x) == gegenbauer_c(4, 1.0, x))
 
     def test_two_applications(self):
         # L^2 C_4^1 = 2^2 (1)(2) C_2^3
-        res = ladder_apply(2, GegenbauerParams(l=4, lam=1.0))
-        assert (res.scale, res.degree, res.order) == (8.0, 2, 3.0)
+        assert ladder_apply(2, 4, 1.0, 0.3) == 8.0 * gegenbauer_c(2, 3.0, 0.3)
+
+    def test_rising_factorial_scale(self):
+        # the scale 2^m (lam)_m: (1)_4 = 24, (0.5)_0 = 1, (2.5)_3 = 2.5 * 3.5 * 4.5
+        assert ladder_apply(4, 6, 1.0, 0.3) == 16.0 * 24.0 * gegenbauer_c(2, 5.0, 0.3)
+        assert ladder_apply(0, 3, 0.5, 0.3) == gegenbauer_c(3, 0.5, 0.3)
+        assert_allclose(ladder_apply(3, 5, 2.5, 0.3),
+                        8.0 * 2.5 * 3.5 * 4.5 * gegenbauer_c(2, 5.5, 0.3), rtol=1e-15)
 
     def test_annihilation(self):
-        res = ladder_apply(3, GegenbauerParams(l=2, lam=1.0))
-        assert res.is_zero
-        assert res.evaluate(0.3) == 0.0
-        assert np.all(res.evaluate(np.array([0.1, 0.2])) == 0.0)
+        assert ladder_apply(3, 2, 1.0, 0.3) == 0.0
+        zeros = ladder_apply(3, 2, 1.0, np.array([0.1, 0.2]))
+        assert zeros.shape == (2,) and np.all(zeros == 0.0)
 
     @pytest.mark.parametrize("m,l,lam", [(1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0),
                                          (3, 9, 1.0), (4, 12, 1.0), (4, 8, 1.5)])
     def test_against_finite_differences(self, m, l, lam):
-        ladder = ladder_apply(m, GegenbauerParams(l=l, lam=lam))
-
-        def f(u):
-            return gegenbauer_c(GegenbauerParams(l=l, lam=lam), math.cos(u))
-
-        us = np.linspace(0.2, math.pi / 2 - 0.2, 9)
-        exact = np.array([ladder.evaluate(math.cos(u)) for u in us])
-        fd = np.array([ladder_fd(f, float(u), m) for u in us])
-        scale = max(1.0, float(np.max(np.abs(exact))))
-        assert np.max(np.abs(exact - fd)) <= 1e-5 * scale
-
-
-class TestCosineLadder:
-    def test_single_application(self):
-        # L cos(3u) = 3 sin(3u)/sin(u) = 3 C_2^1(cos u)
-        res = cosine_ladder(1, 3)
-        assert (res.scale, res.degree, res.order) == (3.0, 2, 1.0)
-
-    def test_annihilation(self):
-        assert cosine_ladder(2, 1).is_zero
-
-    def test_triple_application(self):
-        # L^3 cos(5u) = 5 * 2^2 * 2! * C_2^3
-        res = cosine_ladder(3, 5)
-        assert (res.scale, res.degree, res.order) == (40.0, 2, 3.0)
-
-    @pytest.mark.parametrize("m,q", [(1, 3), (2, 5), (3, 5), (3, 8), (4, 9)])
-    def test_against_finite_differences(self, m, q):
-        res = cosine_ladder(m, q)
-
-        def f(u):
-            return math.cos(q * u)
-
-        us = np.linspace(0.2, math.pi / 2 - 0.2, 9)
-        exact = np.array([res.evaluate(math.cos(u)) for u in us])
-        fd = np.array([ladder_fd(f, float(u), m) for u in us])
+        exact = ladder_apply(m, l, lam, np.cos(US))
+        fd = np.array([ladder_fd(lambda u: gegenbauer_c(l, lam, math.cos(u)), float(u), m)
+                       for u in US])
         scale = max(1.0, float(np.max(np.abs(exact))))
         assert np.max(np.abs(exact - fd)) <= 1e-5 * scale
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            cosine_ladder(0, 3)
+            ladder_apply(-1, 4, 1.0, 0.3)
         with pytest.raises(DomainError):
-            cosine_ladder(1, 0)
+            ladder_apply(1, -1, 1.0, 0.3)
+        with pytest.raises(DomainError):
+            ladder_apply(1, 4, 0.0, 0.3)
+        # the evaluation point is checked even where the image is zero
+        with pytest.raises(DomainError):
+            ladder_apply(3, 2, 1.0, 1.5)
+        with pytest.raises(DomainError):
+            ladder_apply(3, 2, 1.0, float("nan"))
 
 
-def test_pochhammer():
-    assert pochhammer(1.0, 4) == 24.0
-    assert pochhammer(0.5, 0) == 1.0
-    assert_allclose(pochhammer(2.5, 3), 2.5 * 3.5 * 4.5, rtol=1e-15)
-    # log-space branch must agree with the direct product
-    direct = 1.0
-    for i in range(160):
-        direct *= 0.5 + i
-    assert_allclose(pochhammer(0.5, 160), direct, rtol=1e-12)
+class TestCosineLadder:
+    """L^m cos(qu) = q L^(m-1) C_{q-1}^1(cos u), since L cos(qu) = q C_{q-1}^1(cos u)."""
 
+    def test_single_application(self):
+        # L cos(3u) = 3 sin(3u)/sin(u) = 3 C_2^1(cos u)
+        x = np.cos(US)
+        assert np.all(3 * ladder_apply(0, 2, 1.0, x) == 3.0 * gegenbauer_c(2, 1.0, x))
+        assert_allclose(3 * ladder_apply(0, 2, 1.0, x), 3.0 * np.sin(3 * US) / np.sin(US),
+                        rtol=1e-14)
 
-def test_ladder_result_evaluate_matches_gegenbauer():
-    res = LadderResult(scale=2.0, degree=3, order=2.0)
-    assert_allclose(
-        res.evaluate(0.4), 2.0 * gegenbauer_c(GegenbauerParams(l=3, lam=2.0), 0.4),
-        rtol=1e-15,
-    )
+    def test_annihilation(self):
+        # L^2 cos(u) = 0
+        assert 1 * ladder_apply(1, 0, 1.0, 0.3) == 0.0
+
+    def test_triple_application(self):
+        # L^3 cos(5u) = 5 * 2^2 * 2! * C_2^3
+        x = np.cos(US)
+        assert np.all(5 * ladder_apply(2, 4, 1.0, x) == 40.0 * gegenbauer_c(2, 3.0, x))
+
+    @pytest.mark.parametrize("m,q", [(1, 3), (2, 5), (3, 5), (3, 8), (4, 9)])
+    def test_against_finite_differences(self, m, q):
+        exact = q * ladder_apply(m - 1, q - 1, 1.0, np.cos(US))
+        fd = np.array([ladder_fd(lambda u: math.cos(q * u), float(u), m) for u in US])
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        assert np.max(np.abs(exact - fd)) <= 1e-5 * scale
+
+    def test_domain_errors(self):
+        # L^m cos(qu) needs m >= 1 and q >= 1: L^0 and cos(0u) reach negative arguments
+        with pytest.raises(DomainError):
+            3 * ladder_apply(0 - 1, 3 - 1, 1.0, 0.3)
+        with pytest.raises(DomainError):
+            0 * ladder_apply(1 - 1, 0 - 1, 1.0, 0.3)

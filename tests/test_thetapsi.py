@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from projheat import thetapsi
 from projheat.errors import DomainError, TruncationCapError
+from projheat.orthopoly import ladder_apply
 from projheat.thetapsi import (
     DEFAULT_TOL,
     jacobi_theta2_reference,
@@ -129,8 +130,6 @@ class TestPsi:
 
     def test_truncation_soundness(self):
         # doubling the brute-force term count changes nothing beyond tol
-        from projheat.orthopoly import cosine_ladder
-
         for j, m, t, u in ((1, 2, 0.3, 0.7), (3, 4, 0.2, 0.9), (5, 6, 0.1, 1.2)):
             auto = psi_sum(j, m, t, u)
             brute = 0.0
@@ -138,8 +137,8 @@ class TestPsi:
                 a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
                 if a == 0.0:
                     break  # a only falls with l: every later term is +-0.0, a no-op
-                ladder = cosine_ladder(j, 2 * l + m - 1)
-                brute += a * math.sin(u) * ladder.evaluate(math.cos(u))
+                q = 2 * l + m - 1  # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
+                brute += a * math.sin(u) * (q * ladder_apply(j - 1, q - 1, 1.0, math.cos(u)))
             assert abs(auto - brute) <= DEFAULT_TOL
 
     def test_exp_shift_fold(self):
