@@ -69,11 +69,15 @@ class KernelValue:
     est_error: float | np.ndarray
 
 
-def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
-    SpaceDescriptor(n=n, k=k)  # validates index and field selector
+def _check_index(k: int, n: int) -> None:
     if k * (n + 1) - 1 > MAX_OFFSET:
         raise DomainError(f"projective index must be <= {(MAX_OFFSET + 1) // k - 1} for "
                           f"k={k}, got {n}: larger n overflows floating point")
+
+
+def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
+    SpaceDescriptor(n=n, k=k)  # validates index and field selector
+    _check_index(k, n)
     if not 0.0 < t < math.inf:
         raise DomainError(f"diffusion time must be positive and finite, got {t}")
     d_arr = np.asarray(d, dtype=float)
@@ -123,6 +127,9 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
             tail = b_next / (1.0 - rho)
             if tail <= tol:
                 return total, l + 1, tail
+            if not math.isfinite(tail):  # (l+c-1)!/(l+k-1)! or the endpoint overflowed
+                raise TruncationCapError(f"spectral series weights overflow floating point "
+                                         f"at k={k}, n={n}, t={t}")
         p_cur, p_prev = jacobi_step(l + 1, alpha, beta, x, p_cur, p_prev), p_cur
     raise TruncationCapError(
         f"spectral series needs more than {SERIES_CAP} terms at t={t} (t too small)"
@@ -176,9 +183,16 @@ def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
 
 
 def stationary_value(space: SpaceDescriptor) -> float:
-    """Long-time limit of the kernel, 1 / volume of the space."""
-    c = space.spectral_offset
-    return math.factorial(c) / (
-        math.factorial(space.k - 1) * math.pi ** (space.k * space.n)
-    )
+    """Long-time limit of the kernel, 1 / volume of the space.
+
+    That is c!/(k-1)! / pi^(kn).  c! alone overflows a float at the top of
+    the accepted n range, so it is divided down by a power of two first
+    and the quotient scaled back up: exact steps that leave the result
+    unchanged wherever c! itself fits.  Raises DomainError beyond that
+    range, as ``unified`` does.
+    """
+    _check_index(space.k, space.n)
+    whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
+    shift = max(0, whole.bit_length() - 1000)
+    return math.ldexp(whole / (1 << shift) / math.pi ** (space.k * space.n), shift)
 

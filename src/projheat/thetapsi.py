@@ -88,7 +88,11 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
     _check_series_args(m, t, u_arr, tol)
     x = np.cos(u_arr)
     lam = float(j)
-    base = (2.0 ** (j - 1)) * math.factorial(j - 1)  # q-independent ladder scale
+    try:
+        base = (2.0 ** (j - 1)) * math.factorial(j - 1)  # q-independent ladder scale
+    except OverflowError:
+        raise DomainError(f"ladder count must be <= 171, got {j}: "
+                          "(j-1)! overflows floating point") from None
     half = 0.5 * (m - 1)
 
     total = np.zeros_like(u_arr)
@@ -120,9 +124,14 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
             * ((qn + 2) / qn)
             * (((qn + j) * (qn + j + 1)) / ((qn - j + 1) * (qn - j + 2)))
         )
-        if rho < 1.0 and b_next / (1.0 - rho) <= tol:
-            result = np.sin(u_arr) * total
-            return float(result) if np.ndim(u) == 0 else result
+        if rho < 1.0:
+            tail = b_next / (1.0 - rho)
+            if tail <= tol:
+                result = np.sin(u_arr) * total
+                return float(result) if np.ndim(u) == 0 else result
+            if not math.isfinite(tail):  # the ladder scale or the endpoint overflowed
+                raise TruncationCapError(f"ladder series weights overflow floating point "
+                                         f"at j={j}, t={t}")
     raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
 
 

@@ -20,7 +20,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,16 +108,34 @@ def make_report(name: str, parameters: dict, lhs: float, rhs: float, tol: float,
     )
 
 
+def _row_reports(name: str, parameters: list, lhs, rhs, tol: float,
+                 scale: float = 0.0) -> list:
+    """One report per entry of the rows ``lhs`` and ``rhs``, by one ``compare_values`` call.
+
+    ``parameters`` holds each entry's parameters; the reports equal the
+    ``make_report`` calls of the entries, one at a time.
+    """
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    abs_err, rel_err, passed = compare_values(lhs, rhs, tol, scale)
+    return [VerificationReport(name, p, *entries, tol, ok)
+            for p, ok, *entries in zip(parameters, passed.tolist(), lhs.tolist(), rhs.tolist(),
+                                       abs_err.tolist(), rel_err.tolist())]
+
+
 def _worst_report(name: str, parameters: dict, key: str, xs: np.ndarray,
                   lhs: np.ndarray, rhs: np.ndarray, tol: float,
                   scale: float = 0.0) -> VerificationReport:
-    """One report at the point of ``xs`` where |lhs - rhs| is largest.
+    """One report at the first point of ``xs`` where |lhs - rhs| is largest.
 
-    That point's coordinate is recorded under ``key`` after ``parameters``.
+    That point's coordinate is recorded under ``key`` after ``parameters``;
+    the whole row is compared in one ``compare_values`` call.
     """
-    worst = int(np.argmax(np.abs(lhs - rhs)))
-    return make_report(name, {**parameters, key: float(xs[worst])},
-                       float(lhs[worst]), float(rhs[worst]), tol, scale=scale)
+    abs_err, rel_err, passed = compare_values(lhs, rhs, tol, scale)
+    worst = int(np.argmax(abs_err))
+    return VerificationReport(name, {**parameters, key: float(xs[worst])},
+                              float(lhs[worst]), float(rhs[worst]), float(abs_err[worst]),
+                              float(rel_err[worst]), tol, bool(passed[worst]))
 
 
 def _flag_report(name: str, parameters: dict, passed: bool, lhs: float, rhs: float,
@@ -154,25 +171,38 @@ class SuiteProfile:
 
 
 def _exact_jacobi(l: int, alpha: float, beta: float, x: float) -> float:
-    """Jacobi polynomial by its terminating series in exact rational arithmetic.
+    """Jacobi polynomial by its terminating series, exactly, on Python ints.
 
-    Floats convert to Fractions exactly, so this is an exact evaluation of
-    the polynomial at the given binary-rational point; it shares nothing
-    with the production recurrence.
+    The series is sum_s (l+a+b+1)_s (a+s+1)_{l-s} (-z)^s / (s! (l-s)!)
+    with z = (1-x)/2.  Every float is a binary rational, so a = A/Q and
+    b = B/Q over one power-of-two Q, and z = Z/R; clearing denominators
+    turns the sum into the integer
+
+        sum_s C(l,s) prod_{i<s} ((l+1+i)Q + A + B) prod_{s<j<=l} (jQ + A) (-Z)^s R^(l-s)
+
+    over Q^l R^l l!.  One final ``int / int`` rounds that exact quotient
+    correctly, as ``float(Fraction)`` does (it is itself an ``int / int``
+    of the reduced quotient), so the result is the same float as the
+    rational-arithmetic series gives, with no gcd after every step.  It
+    shares nothing with the production recurrence.
     """
-    a = Fraction(alpha)
-    b = Fraction(beta)
-    z = (1 - Fraction(x)) / 2
-    total = Fraction(0)
+    a_num, a_den = float(alpha).as_integer_ratio()
+    b_num, b_den = float(beta).as_integer_ratio()
+    x_num, x_den = float(x).as_integer_ratio()
+    q = max(a_den, b_den)  # both powers of two
+    a = a_num * (q // a_den)
+    ab = a + b_num * (q // b_den)
+    z, r = x_den - x_num, 2 * x_den
+    # suffix[s] = prod_{s<j<=l} (jQ + A)
+    suffix = [1] * (l + 1)
+    for s in range(l - 1, -1, -1):
+        suffix[s] = suffix[s + 1] * ((s + 1) * q + a)
+    total = 0
+    rising = 1  # prod_{i<s} ((l+1+i)Q + A + B)
     for s in range(l + 1):
-        term = Fraction(1)
-        for i in range(s):
-            term *= l + a + b + 1 + i
-        for i in range(l - s):
-            term *= a + s + 1 + i
-        term *= (-z) ** s
-        total += term / (math.factorial(s) * math.factorial(l - s))
-    return float(total)
+        total += math.comb(l, s) * rising * suffix[s] * (-z) ** s * r ** (l - s)
+        rising *= (l + 1 + s) * q + ab
+    return total / (q**l * r**l * math.factorial(l))
 
 
 def _ladder_fd(f: Callable[[float], float], u0: float, m: int,
@@ -233,12 +263,12 @@ def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
 
     const = 2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n) / math.factorial(l + 1))
     rhss = [const * orthopoly.jacobi_p(l, 2 * n - 1, 1, math.cos(2 * d)) for d in ds]
-    cos2s = [math.cos(d) ** 2 for d in ds]
+    cos2s = np.array([math.cos(d) ** 2 for d in ds])
     qtols = [max(1e-13, 1e-11 * abs(rhs)) * cos2 for rhs, cos2 in zip(rhss, cos2s)]
-    values = adaptive_integrate_row(ds, 0.5, g, qtols).value.tolist()
-    return [make_report("gegenbauer_ladder_to_jacobi", {"n": n, "l": l, "d": float(d)},
-                        value / cos2, rhs, tol)
-            for d, rhs, cos2, value in zip(ds, rhss, cos2s, values)]
+    values = adaptive_integrate_row(ds, 0.5, g, qtols).value
+    return _row_reports("gegenbauer_ladder_to_jacobi",
+                        [{"n": n, "l": l, "d": float(d)} for d in ds],
+                        values / cos2s, rhss, tol)
 
 
 def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
@@ -263,12 +293,25 @@ def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
     )
     scale = max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha))
     qtol = max(1e-13, 1e-11 * scale) / const
-    values = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value.tolist()
-    return [make_report("jacobi_sqrt_integral_rep",
-                        {"n": n, "l": l, "d": float(d), "convention": convention},
-                        orthopoly.jacobi_p(l + 1, alpha, 0, math.cos(2 * d)), const * value, tol,
-                        scale=scale)
-            for d, value in zip(ds, values)]
+    values = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value
+    return _row_reports("jacobi_sqrt_integral_rep",
+                        [{"n": n, "l": l, "d": float(d), "convention": convention} for d in ds],
+                        [orthopoly.jacobi_p(l + 1, alpha, 0, math.cos(2 * d)) for d in ds],
+                        const * values, tol, scale=scale)
+
+
+def _theta2_sides(n: int, t: float, xs: list):
+    """Both sides of the theta-2 relation over the angles ``xs``: (lhs, rhs) rows.
+
+    theta_{2n+2} is one row call; the harmonics and the classical theta-2
+    are summed point by point in scalar ``math``, independently of it.
+    """
+    harmonics = [sum(math.exp(-4.0 * t * (l + 0.5) ** 2) * math.cos((2 * l + 1) * x)
+                     for l in range(n)) for x in xs]
+    lhs = thetapsi.theta_sum(2 * n + 2, t, np.asarray(xs, dtype=float)) + harmonics
+    rhs = np.array([0.5 * thetapsi.jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
+                    for x in xs])
+    return lhs, rhs
 
 
 def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> VerificationReport:
@@ -277,14 +320,9 @@ def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> Ver
     Neither side is a difference, so no side cancels down to roundoff and
     the relative error stays meaningful where theta_{2n+2} itself is tiny.
     """
-    harmonics = sum(
-        math.exp(-4.0 * t * (l + 0.5) ** 2) * math.cos((2 * l + 1) * x) for l in range(n)
-    )
-    lhs = thetapsi.theta_sum(2 * n + 2, t, x) + harmonics
-    rhs = 0.5 * thetapsi.jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
-    return make_report(
-        "theta_halfinteger_relation", {"n": n, "t": t, "x": x}, lhs, rhs, tol
-    )
+    [rep] = _row_reports("theta_halfinteger_relation", [{"n": n, "t": t, "x": x}],
+                         *_theta2_sides(n, t, [x]), tol)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +520,7 @@ def _check_theta_ladder(profile: SuiteProfile):
             def f(u, _m=m, _t=t):
                 return thetapsi.theta_sum(_m, _t, u)
 
-            exact_vals = np.array([thetapsi.psi_sum(j, m, t, float(u)) for u in us])
+            exact_vals = thetapsi.psi_sum(j, m, t, us)
             fd_vals = np.array([math.sin(u) * _ladder_fd(f, float(u), j) for u in us])
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))
             reports.append(_worst_report(
@@ -605,12 +643,11 @@ def _check_kernels_equivalence(profile: SuiteProfile):
             for t in _EQUIV_TS:
                 series, integral = (kernels.unified(n, k, t, _EQUIV_DS, 1e-12, m)
                                     for m in kernels.METHODS)
-                for d, s, i in zip(_EQUIV_DS, series.value.tolist(), integral.value.tolist()):
-                    reports.append(make_report(
-                        "representation_equivalence",
-                        {"k": k, "n": n, "t": t, "d": float(d)},
-                        s, i, tol,
-                    ))
+                reports.extend(_row_reports(
+                    "representation_equivalence",
+                    [{"k": k, "n": n, "t": t, "d": float(d)} for d in _EQUIV_DS],
+                    series.value, integral.value, tol,
+                ))
     return reports
 
 
@@ -773,17 +810,11 @@ def _check_jacobi_rep(profile: SuiteProfile):
 def _check_theta2_grid(profile: SuiteProfile):
     # worst point per (n, t) over the union of a 50- and a 20-point x grid
     tol = profile.tol(1e-13)
-    xs = sorted({*np.linspace(0.0, _HALF_PI, 50), *np.linspace(0.0, _HALF_PI, 20)})
-    reports = []
-    for n in (1, 2, 3):
-        for t in (0.1, 0.5, 2.0):
-            worst = None
-            for x in xs:
-                rep = theta2_relation_check(n, t, float(x), tol)
-                if worst is None or rep.abs_err > worst.abs_err:
-                    worst = rep
-            reports.append(worst)
-    return reports
+    xs = [float(x) for x in sorted({*np.linspace(0.0, _HALF_PI, 50),
+                                    *np.linspace(0.0, _HALF_PI, 20)})]
+    return [_worst_report("theta_halfinteger_relation", {"n": n, "t": t}, "x", xs,
+                          *_theta2_sides(n, t, xs), tol)
+            for n in (1, 2, 3) for t in (0.1, 0.5, 2.0)]
 
 
 _GROUPS = {

@@ -4,7 +4,9 @@ Everything here is written from scratch against the defining
 series/operators and never calls the package's own evaluation paths.  The
 exact Jacobi series and the finite-difference ladder are the self-test's
 oracles in ``projheat.verify``, re-exported under the tests' names; they
-share nothing with the production recurrences either.  The reference
+share nothing with the production recurrences either.  The same Jacobi
+series in ``Fraction`` arithmetic is kept here as the reference that the
+self-test's integer form is held to.  The reference
 doubling loop and kernel below run one distance at a time over
 ``integrate_weighted``: they pin the row loop's batching, chunking and
 bookkeeping, not the substitution arithmetic they share with it.
@@ -18,6 +20,27 @@ from projheat.kernels import KernelValue
 from projheat.quadrature import MAX_NODES, START_NODES, gauss_legendre_rule, integrate_weighted
 from projheat.thetapsi import DEFAULT_TOL, psi_sum
 from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
+
+
+def jacobi_series_fraction(l, alpha, beta, x):
+    """Jacobi polynomial by its terminating series in exact rational arithmetic.
+
+    Floats convert to Fractions exactly, so this is an exact evaluation of
+    the polynomial at the given binary-rational point.
+    """
+    a = Fraction(alpha)
+    b = Fraction(beta)
+    z = (1 - Fraction(x)) / 2
+    total = Fraction(0)
+    for s in range(l + 1):
+        term = Fraction(1)
+        for i in range(s):
+            term *= l + a + b + 1 + i
+        for i in range(l - s):
+            term *= a + s + 1 + i
+        term *= (-z) ** s
+        total += term / (math.factorial(s) * math.factorial(l - s))
+    return float(total)
 
 
 def gegenbauer_series_exact(l, lam, x):

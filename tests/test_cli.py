@@ -178,6 +178,19 @@ class TestErrorLines:
         assert captured.err == ("projheat: error: projective index must be <= 85 for k=2, "
                                 "got 200: larger n overflows floating point\n")
 
+    @pytest.mark.parametrize("argv,line", [
+        (["--space", "cpn", "--n", "171"],
+         "spectral series weights overflow floating point at k=1, n=171, t=5.0"),
+        (["--space", "hpn", "--n", "85", "--method", "integral"],
+         "ladder series weights overflow floating point at j=171, t=5.0"),
+    ])
+    def test_overflowing_weights_are_exit_3(self, argv, line):
+        # a fresh process: the whole stderr, so a RuntimeWarning would show
+        res = run("eval", "--t", "5", "--d", "0.3", *argv)
+        assert res.returncode == cli.EXIT_NO_CONVERGENCE
+        assert res.stdout == ""
+        assert res.stderr == f"projheat: no convergence: {line}\n"
+
     def test_no_convergence_is_exit_3(self, capsys):
         argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0"]
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE

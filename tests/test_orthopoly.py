@@ -9,7 +9,12 @@ from numpy.testing import assert_allclose
 from projheat.errors import DomainError
 from projheat.orthopoly import gegenbauer_c, jacobi_endpoint, jacobi_p, ladder_apply
 
-from helpers import gegenbauer_series_exact, jacobi_series_exact, ladder_fd
+from helpers import (
+    gegenbauer_series_exact,
+    jacobi_series_exact,
+    jacobi_series_fraction,
+    ladder_fd,
+)
 
 US = np.linspace(0.2, math.pi / 2 - 0.2, 9)
 
@@ -73,6 +78,43 @@ class TestJacobi:
     def test_roundoff_slack_inside_tolerance(self):
         # values like cos(pi) land at -1 - eps and must be accepted
         jacobi_p(4, 1, 1, -1.0 - 1e-13)
+
+
+class TestExactSeriesOracle:
+    """The self-test's integer-arithmetic series is the Fraction series, bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(cases):
+        for case in cases:
+            # float.hex tells -0.0 from 0.0, which == does not
+            assert jacobi_series_exact(*case).hex() == jacobi_series_fraction(*case).hex(), case
+
+    def test_selftest_samples(self):
+        rng = np.random.default_rng(20240611)  # the orthopoly_recurrence group's draws
+        self.assert_bit_identical([
+            (int(rng.integers(0, 31)), float(rng.uniform(-0.5 + 1e-3, 5.0)),
+             float(rng.uniform(-0.5 + 1e-3, 5.0)), float(rng.uniform(-1.0, 1.0)))
+            for _ in range(40)
+        ])
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(8)
+        self.assert_bit_identical([
+            (int(rng.integers(0, 41)), float(rng.uniform(-0.5, 6.0)),
+             float(rng.uniform(-0.5, 6.0)), float(rng.uniform(-1.0, 1.0)))
+            for _ in range(500)
+        ])
+
+    def test_edge_cases(self):
+        self.assert_bit_identical([
+            (l, alpha, beta, x)
+            for l in (0, 1, 2, 13, 40)
+            for x in (-1.0, -0.0, 0.0, 1.0, 2.0**-60, -0.75)
+            for alpha, beta in ((0.0, 0.0), (0, 0), (5.999, -0.499), (-0.4999, 0.1), (3, 1))
+        ])
+        assert jacobi_series_exact(0, 0.0, 0.0, -1.0) == 1.0
+        assert jacobi_series_exact(40, 0.0, 0.0, 1.0) == 1.0  # Legendre at 1
+        assert jacobi_series_exact(40, 0.0, 0.0, -1.0) == 1.0  # (-1)^40
 
 
 class TestGegenbauer:

@@ -156,6 +156,16 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_sum(0, 4, 0.5, 0.3)
 
+    def test_rejects_ladder_count_whose_scale_overflows(self):
+        with pytest.raises(DomainError, match="ladder count must be <= 171, got 200"):
+            psi_sum(200, 201, 0.5, 0.3)
+
+    def test_overflowing_weights_stop_the_sum(self):
+        # 2^170 170! is inf: the first tail bound is not finite
+        with pytest.raises(TruncationCapError,
+                           match="ladder series weights overflow floating point at j=171"):
+            psi_sum(171, 172, 5.0, 0.3)
+
     def test_rejects_subscript_below_two(self):
         with pytest.raises(DomainError):
             psi_sum(1, 1, 0.5, 0.3)

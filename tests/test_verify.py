@@ -15,6 +15,8 @@ from projheat.verify import (
     group_names,
     jacobi_rep_check,
     lemma_check,
+    _row_reports,
+    _worst_report,
     make_report,
     theta2_relation_check,
 )
@@ -47,6 +49,24 @@ class TestReport:
             assert passed[i] == rep.passed
             np.testing.assert_equal([abs_err[i], rel_err[i]], [rep.abs_err, rep.rel_err])
         assert passed.tolist() == [True, False, True, True, False, False]
+
+    def test_row_reports_are_the_point_reports(self):
+        lhs = np.array([1.0, 1.0, 0.0, 1e6, float("nan"), 3.0])
+        rhs = np.array([1.0 + 1e-12, 2.0, 0.0, 1e6 + 1e-6, 1.0, 3.0 - 2e-10])
+        params = [{"i": i} for i in range(len(lhs))]
+        for scale in (0.0, 5.0):
+            row = _row_reports("x", params, lhs, rhs, 1e-10, scale=scale)
+            points = [make_report("x", p, a, b, 1e-10, scale=scale)
+                      for p, a, b in zip(params, lhs.tolist(), rhs.tolist())]
+            assert [r.to_json() for r in row] == [r.to_json() for r in points]
+
+    def test_worst_report_is_the_first_largest_point_report(self):
+        # points 1 and 2 tie on |lhs - rhs|; point 2 has the larger relative error
+        xs = np.array([0.1, 0.2, 0.3])
+        lhs = np.array([0.1, 100.0, 3.0])
+        rhs = np.array([0.2, 100.5, 3.5])
+        rep = _worst_report("x", {"a": 1}, "x", xs, lhs, rhs, 1e-10, scale=2.0)
+        assert rep == make_report("x", {"a": 1, "x": 0.2}, 100.0, 100.5, 1e-10, scale=2.0)
 
     def test_json_roundtrip(self):
         rep = make_report("name", {"a": 1, "b": 0.5}, 2.0, 2.0, 1e-8)
@@ -134,6 +154,17 @@ class TestThetaRelation:
         assert rep.rel_err < 1e-12
         for x in np.linspace(0.0, math.pi / 2, 50):
             assert theta2_relation_check(2, 2.0, float(x)).rel_err < 1e-12
+
+    def test_group_reports_the_worst_point_check(self):
+        # each (n, t) report is the first largest-error scalar check on the grid
+        xs = sorted({*np.linspace(0.0, math.pi / 2, 50), *np.linspace(0.0, math.pi / 2, 20)})
+        expected = []
+        for n in (1, 2, 3):
+            for t in (0.1, 0.5, 2.0):
+                reps = [theta2_relation_check(n, t, float(x), 1e-13) for x in xs]
+                expected.append(max(reps, key=lambda r: r.abs_err))
+        expected.sort(key=lambda r: r.sort_key())
+        assert full_suite(SuiteProfile(groups=("theta2",))) == expected
 
     def test_both_sides_vanish_at_half_pi(self):
         rep = theta2_relation_check(2, 0.4, math.pi / 2, tol=1e-11)
