@@ -10,13 +10,13 @@ from numpy.testing import assert_allclose
 from projheat.verify import (
     JACOBI_REP_CONVENTIONS,
     SuiteProfile,
+    _row_reports,
+    _worst_report,
     compare_values,
     full_suite,
     group_names,
     jacobi_rep_check,
     lemma_check,
-    _row_reports,
-    _worst_report,
     make_report,
     theta2_relation_check,
 )
