@@ -89,11 +89,21 @@ def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
 
+def _weights_overflow(k: int, n: int, t: float) -> TruncationCapError:
+    return TruncationCapError(f"spectral series weights overflow floating point "
+                              f"at k={k}, n={n}, t={t}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
 def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     """Spectral-series kernel over an array of distances.
 
     Returns (values, terms_used, tail_bound).  The truncation index is
     shared across the array because the term bound is uniform in d.
+
+    Raises TruncationCapError when a weight or a value is not finite: a
+    weight is tested before it enters the sum, and a finite weight whose
+    term or partial sum overflows leaves inf or NaN in the values.
     """
     _check_args(k, n, t, d, tol)
     x = np.cos(2.0 * np.asarray(d, dtype=float))
@@ -108,6 +118,8 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     total = np.zeros_like(x)
     for l in range(SERIES_CAP + 1):
         w = (2 * l + c) * ratio * math.exp(-4.0 * l * (l + c) * t) * inv_pi
+        if not math.isfinite(w):  # (l+c-1)!/(l+k-1)! overflowed: never let it into the sum
+            raise _weights_overflow(k, n, t)
         total += w * p_cur
         # coefficient trackers for l+1
         ratio *= (l + c) / (l + k)
@@ -126,10 +138,11 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
         if rho < 1.0:
             tail = b_next / (1.0 - rho)
             if tail <= tol:
+                if not np.isfinite(total).all():
+                    raise _weights_overflow(k, n, t)
                 return total, l + 1, tail
             if not math.isfinite(tail):  # (l+c-1)!/(l+k-1)! or the endpoint overflowed
-                raise TruncationCapError(f"spectral series weights overflow floating point "
-                                         f"at k={k}, n={n}, t={t}")
+                raise _weights_overflow(k, n, t)
         p_cur, p_prev = jacobi_step(l + 1, alpha, beta, x, p_cur, p_prev), p_cur
     raise TruncationCapError(
         f"spectral series needs more than {SERIES_CAP} terms at t={t} (t too small)"

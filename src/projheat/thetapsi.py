@@ -70,6 +70,11 @@ def theta_sum(m: int, t: float, u, tol: float = DEFAULT_TOL):
     raise TruncationCapError(f"theta series needs more than {TERM_CAP} terms at t={t}")
 
 
+def _weights_overflow(j: int, t: float) -> TruncationCapError:
+    return TruncationCapError(f"ladder series weights overflow floating point at j={j}, t={t}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
 def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: float = 0.0):
     """sin(u) L^j theta_m(t, u), vectorized over u.
 
@@ -81,6 +86,10 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
     term of order j and degree 2l+m-1-j, so the sum is a single rolling
     order-j recurrence.  The tail bound majorizes |C_d^j| by its value at
     the right endpoint, which is where the polynomial growth enters.
+
+    Raises TruncationCapError when a weight or the result is not finite:
+    a weight is tested before it enters the sum, and a finite weight whose
+    term or partial sum overflows leaves inf or NaN in the result.
     """
     if j < 1:
         raise DomainError(f"ladder count must be >= 1, got {j}")
@@ -108,8 +117,10 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
         while deg < target:  # targets only grow, so deg ends equal to target
             deg += 1
             c_cur, c_prev = gegenbauer_step(deg, lam, x, c_cur, c_prev), c_cur
-        a = math.exp((exp_shift - 4.0 * (l + half) ** 2) * t)
-        total += (a * q * base) * c_cur
+        w = math.exp((exp_shift - 4.0 * (l + half) ** 2) * t) * q * base
+        if not math.isfinite(w):  # the ladder scale overflowed: never let it into the sum
+            raise _weights_overflow(j, t)
+        total += w * c_cur
 
         if endpoint is None:
             endpoint = float(math.comb(q + j - 1, 2 * j - 1))
@@ -128,10 +139,11 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
             tail = b_next / (1.0 - rho)
             if tail <= tol:
                 result = np.sin(u_arr) * total
+                if not np.isfinite(result).all():
+                    raise _weights_overflow(j, t)
                 return float(result) if np.ndim(u) == 0 else result
             if not math.isfinite(tail):  # the ladder scale or the endpoint overflowed
-                raise TruncationCapError(f"ladder series weights overflow floating point "
-                                         f"at j={j}, t={t}")
+                raise _weights_overflow(j, t)
     raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
 
 

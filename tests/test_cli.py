@@ -1,7 +1,11 @@
 """Integration tests for the command-line interface (exit codes, formats)."""
 
+import ast
+import importlib
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -123,6 +127,18 @@ class TestBrokenPipe:
         assert proc.stderr.read() == b""
         proc.stderr.close()
 
+    def test_help_to_closed_reader_exits_141_quietly(self):
+        # buffered --help meets the closed pipe on the last flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            res = subprocess.run(CMD + ["--help"], stdout=write_end, stderr=subprocess.PIPE,
+                                 env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (res.returncode, res.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
 
 class TestCompare:
     def test_default_grid_passes(self):
@@ -179,14 +195,24 @@ class TestErrorLines:
                                 "got 200: larger n overflows floating point\n")
 
     @pytest.mark.parametrize("argv,line", [
-        (["--space", "cpn", "--n", "171"],
+        (["--space", "cpn", "--n", "171", "--t", "5"],
          "spectral series weights overflow floating point at k=1, n=171, t=5.0"),
-        (["--space", "hpn", "--n", "85", "--method", "integral"],
+        (["--space", "hpn", "--n", "85", "--method", "integral", "--t", "5"],
          "ladder series weights overflow floating point at j=171, t=5.0"),
+        # small t: the first weights come before any tail bound is tested
+        (["--space", "cpn", "--n", "171", "--t", "0.0001"],
+         "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
+        (["--space", "hpn", "--n", "85", "--method", "integral", "--t", "0.0001"],
+         "ladder series weights overflow floating point at j=171, t=0.0001"),
+        # 2^150 150! is finite, the first weight is not
+        (["--space", "cpn", "--n", "151", "--method", "integral", "--t", "0.5"],
+         "ladder series weights overflow floating point at j=151, t=0.5"),
     ])
     def test_overflowing_weights_are_exit_3(self, argv, line):
-        # a fresh process: the whole stderr, so a RuntimeWarning would show
-        res = run("eval", "--t", "5", "--d", "0.3", *argv)
+        # a fresh process that turns warnings into errors: the whole stderr,
+        # so a RuntimeWarning would show
+        res = subprocess.run([sys.executable, "-W", "error", "-m", "projheat",
+                              "eval", "--d", "0.3", *argv], capture_output=True, text=True)
         assert res.returncode == cli.EXIT_NO_CONVERGENCE
         assert res.stdout == ""
         assert res.stderr == f"projheat: no convergence: {line}\n"
@@ -241,3 +267,41 @@ class TestSelftest:
     def test_bad_flag_is_usage_error(self):
         res = run("eval", "--space", "qpn", "--t", "0.5", "--d", "0.1")
         assert res.returncode == 2
+
+
+class TestProcessEntry:
+    """``python -m projheat`` and the ``projheat`` script end through ``cli.run``.
+
+    ``run`` ends the process it runs in, so these tests only read where it
+    is named and start it in child processes.
+    """
+
+    def test_script_and_module_name_one_function(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as f:
+            script = tomllib.load(f)["project"]["scripts"]["projheat"]
+        module, _, name = script.partition(":")
+        script_entry = getattr(importlib.import_module(module), name)
+
+        tree = ast.parse((root / "src" / "projheat" / "__main__.py").read_text())
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in tree.body if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        [call] = [node.value for node in tree.body if isinstance(node, ast.Expr)]
+        assert call.args == [] and call.keywords == []
+        module, name = imported[call.func.id]
+        module_entry = getattr(importlib.import_module(f"projheat.{module}"), name)
+
+        assert script_entry is module_entry is cli.run
+
+    def test_usage_error_matches_in_process(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        argv = ["eval", "--space", "qpn", "--t", "0.5", "--d", "0.1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        res = run(*argv)
+        assert res.returncode == exc.value.code == cli.EXIT_USAGE
+        assert (res.stdout, res.stderr) == (captured.out, captured.err)
+        assert res.stderr.startswith("usage: projheat eval")

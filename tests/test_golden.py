@@ -3,15 +3,20 @@
 The files under ``tests/golden/`` hold the output of the commands below as
 the CLI printed them when they were frozen.  A refactor that keeps the
 numbers keeps these bytes; any change to a value, a digit or a column
-fails here, and so does a command that exits with another code.  The
-commands run in-process through ``cli.main``.
+fails here, and so does a command that exits with another code.  Every
+command runs in-process through ``cli.main``.  A few also run as a real
+process, ``python -m projheat`` with stdout to a pipe, because that path
+ends without interpreter teardown (``cli.run``): those cases show that no
+byte of block-buffered output is lost and no exit code changes there.
 
 To regenerate the files (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -66,6 +71,45 @@ def test_output_matches_golden(name, tmp_path):
     out = tmp_path / name
     assert cli.main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+#: golden files also compared with the stdout of a real process
+PROCESS_STDOUT = ("selftest.txt", "table_series_hpn_n3.csv", "compare_fail_hpn_n1.csv")
+
+
+def _process(argv):
+    # block-buffered stdout, as a pipe gives it by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "projheat", *argv], capture_output=True,
+                          env=env)
+
+
+@pytest.mark.parametrize("name", PROCESS_STDOUT)
+def test_process_stdout_matches_golden(name):
+    argv, code = COMMANDS[name]
+    proc = _process(argv)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+def test_process_out_file_matches_golden(tmp_path):
+    name = "table_both_hpn_n2.json"
+    argv, code = COMMANDS[name]
+    out = tmp_path / name
+    proc = _process(argv + ["--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_process_help_matches_in_process(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == cli.EXIT_OK
+    proc = _process(["--help"])
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert proc.stdout.startswith(b"usage: projheat")
 
 
 if __name__ == "__main__":

@@ -185,14 +185,25 @@ class TestQueryInterface:
 
     @pytest.mark.parametrize("k,n_max", [(1, 171), (2, 85)])
     def test_largest_index_is_not_rejected(self, k, n_max):
-        # its weights overflow to inf: the first non-finite tail bound stops
-        # each series, before any term turns the sum into inf or NaN
+        # its weights overflow to inf: the first non-finite weight stops each
+        # series, before any term turns the sum into inf or NaN
         for method, name in (("series", "spectral"), ("integral", "ladder")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(TruncationCapError,
                                    match=f"{name} series weights overflow floating point"):
                     unified(n_max, k, 0.5, 0.3, method=method)
+
+    @pytest.mark.parametrize("k,n", [
+        (1, 171), (2, 85),  # the first weight overflows, before any tail bound is tested
+        (1, 120), (2, 60),  # every weight is finite, a weighted term at d = 0 is not
+    ])
+    def test_overflow_at_small_time_is_refused_without_warning(self, k, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationCapError,
+                               match="spectral series weights overflow floating point"):
+                series_values(k, n, 1e-4, np.array([0.0, 0.3]))
 
     def test_kernel_value_is_plain_record(self):
         v = KernelValue(value=1.0, terms_or_nodes=3, est_error=1e-12)

@@ -1,6 +1,7 @@
 """Tests for the theta-type series and their ladder transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,10 +162,22 @@ class TestPsi:
             psi_sum(200, 201, 0.5, 0.3)
 
     def test_overflowing_weights_stop_the_sum(self):
-        # 2^170 170! is inf: the first tail bound is not finite
+        # 2^170 170! is inf: the first weight is not finite
         with pytest.raises(TruncationCapError,
                            match="ladder series weights overflow floating point at j=171"):
             psi_sum(171, 172, 5.0, 0.3)
+
+    @pytest.mark.parametrize("j,t", [
+        (151, 0.5),   # 2^150 150! is finite, the first weight 151 2^150 150! is not
+        (150, 1e-4),  # every weight is finite, a weighted Gegenbauer term is not
+    ])
+    def test_overflowing_term_is_refused_without_warning(self, j, t):
+        u = np.array([0.0, 0.3, 1.2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationCapError,
+                               match=f"ladder series weights overflow floating point at j={j}"):
+                psi_sum(j, j + 1, t, u, exp_shift=float(j * j))
 
     def test_rejects_subscript_below_two(self):
         with pytest.raises(DomainError):
