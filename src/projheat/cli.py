@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--only", default=None,
                         help="restrict to groups whose name starts with this")
     p_self.add_argument("--json", action="store_true", help="line-JSON reports")
-    p_self.add_argument("--tol", type=float, default=None,
-                        help="override every check tolerance")
-    p_self.add_argument("--k", type=int, choices=(1, 2), default=None,
-                        help="restrict to one coordinate field")
     p_self.add_argument("--out", default=None)
 
     return parser
@@ -275,9 +271,9 @@ def cmd_compare(args) -> int:
 
 def cmd_selftest(args) -> int:
     groups = (args.only,) if args.only else None
-    ks = (args.k,) if args.k else (1, 2)
-    profile = verify.SuiteProfile(tol_override=args.tol, ks=ks, groups=groups)
-    reports = verify.full_suite(profile)
+    reports = verify.full_suite(verify.SuiteProfile(groups=groups))
+    if not reports:  # before --out is opened, so no output is written
+        raise UsageError(f"no checks match --only {args.only!r}")
 
     with _output(args) as out:
         if args.json:
@@ -293,8 +289,6 @@ def cmd_selftest(args) -> int:
                 )
             n_fail = sum(1 for r in reports if not r.passed)
             out.write(f"# {len(reports) - n_fail}/{len(reports)} checks passed\n")
-    if not reports:
-        raise UsageError(f"no checks match --only {args.only!r}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY_FAILED
 
 

@@ -93,27 +93,13 @@ def compare_values(lhs, rhs, tol: float, scale: float = 0.0):
     return abs_err, rel_err, (abs_err <= tol) | (rel_err <= tol)
 
 
-def make_report(name: str, parameters: dict, lhs: float, rhs: float, tol: float,
-                scale: float = 0.0) -> VerificationReport:
-    """Build a report by ``compare_values``; ``scale`` optionally widens the relative denominator.
-
-    Passing an explicit scale makes polynomial-magnitude comparisons
-    meaningful near zeros of the polynomial.
-    """
-    abs_err, rel_err, passed = compare_values(lhs, rhs, tol, scale)
-    return VerificationReport(
-        identity_name=name, parameters=parameters, lhs=lhs, rhs=rhs,
-        abs_err=float(abs_err), rel_err=float(rel_err), tol=tol,
-        passed=bool(passed),  # a plain bool, for json
-    )
-
-
-def _row_reports(name: str, parameters: list, lhs, rhs, tol: float,
-                 scale: float = 0.0) -> list:
+def _row_reports(name: str, parameters: list, lhs, rhs, tol: float, scale=0.0) -> list:
     """One report per entry of the rows ``lhs`` and ``rhs``, by one ``compare_values`` call.
 
-    ``parameters`` holds each entry's parameters; the reports equal the
-    ``make_report`` calls of the entries, one at a time.
+    ``parameters`` holds each entry's parameters.  ``scale``, a scalar or
+    one value per entry, optionally widens the relative denominator: an
+    explicit scale makes polynomial-magnitude comparisons meaningful near
+    zeros of the polynomial.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -129,7 +115,8 @@ def _worst_report(name: str, parameters: dict, key: str, xs: np.ndarray,
     """One report at the first point of ``xs`` where |lhs - rhs| is largest.
 
     That point's coordinate is recorded under ``key`` after ``parameters``;
-    the whole row is compared in one ``compare_values`` call.
+    the whole row is compared in one ``compare_values`` call.  ``np.argmax``
+    picks a NaN point first, so a NaN anywhere in the row fails the report.
     """
     abs_err, rel_err, passed = compare_values(lhs, rhs, tol, scale)
     worst = int(np.argmax(abs_err))
@@ -138,27 +125,23 @@ def _worst_report(name: str, parameters: dict, key: str, xs: np.ndarray,
                               float(rel_err[worst]), tol, bool(passed[worst]))
 
 
-def _flag_report(name: str, parameters: dict, passed: bool, lhs: float, rhs: float,
+def _flag_report(name: str, parameters: dict, lhs: float, rhs: float, shortfall: float,
                  tol: float = 0.5) -> VerificationReport:
-    # boolean outcome dressed in the report shape (abs_err 0/1 keeps the
-    # passed <-> error<=tol invariant intact)
-    return VerificationReport(
-        identity_name=name, parameters=parameters, lhs=lhs, rhs=rhs,
-        abs_err=0.0 if passed else 1.0, rel_err=0.0 if passed else 1.0,
-        tol=tol, passed=passed,
-    )
+    """A one-sided or boolean check: it passes when ``shortfall`` is within ``tol``.
+
+    abs_err and rel_err both read the shortfall, which keeps the
+    passed <-> error<=tol invariant intact; a boolean check passes
+    ``float(not ok)`` against the default tol 0.5.  A NaN shortfall fails.
+    """
+    return VerificationReport(name, parameters, lhs, rhs, shortfall, shortfall, tol,
+                              bool(shortfall <= tol))
 
 
 @dataclass(frozen=True)
 class SuiteProfile:
-    """Selects and retunes the checks run by full_suite."""
+    """Selects the groups run by full_suite: those whose names start with one of ``groups``."""
 
-    tol_override: Optional[float] = None
-    ks: tuple = (1, 2)
     groups: Optional[tuple] = None
-
-    def tol(self, default: float) -> float:
-        return default if self.tol_override is None else self.tol_override
 
     def wants_group(self, name: str) -> bool:
         if self.groups is None:
@@ -224,11 +207,6 @@ def _ladder_fd(f: Callable[[float], float], u0: float, m: int,
         return float(vals[0])
 
     return (4.0 * once(0.5 * h) - once(h)) / 3.0
-
-
-def _series_scalar(space: SpaceDescriptor, t: float, r: float, tol: float = 1e-12) -> float:
-    vals, _, _ = kernels.series_values(space.k, space.n, t, np.asarray([r]), tol)
-    return float(vals[0])
 
 
 def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
@@ -329,55 +307,43 @@ def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> Ver
 # suite groups
 
 
-def _check_orthopoly_recurrence(profile: SuiteProfile):
-    tol = profile.tol(1e-10)
+def _check_orthopoly_recurrence():
     rng = np.random.default_rng(20240611)
-    reports = []
+    params, ours, exact, scales = [], [], [], []
     for i in range(40):
         l = int(rng.integers(0, 31))
         alpha = float(rng.uniform(-0.5 + 1e-3, 5.0))
         beta = float(rng.uniform(-0.5 + 1e-3, 5.0))
         x = float(rng.uniform(-1.0, 1.0))
-        ours = orthopoly.jacobi_p(l, alpha, beta, x)
-        exact = _exact_jacobi(l, alpha, beta, x)
-        scale = max(1.0, orthopoly.jacobi_endpoint(l, max(alpha, beta)))
-        reports.append(make_report(
-            "jacobi_recurrence_vs_series",
-            {"sample": i, "l": l, "alpha": alpha, "beta": beta, "x": x},
-            ours, exact, tol, scale=scale,
-        ))
-    return reports
+        params.append({"sample": i, "l": l, "alpha": alpha, "beta": beta, "x": x})
+        ours.append(orthopoly.jacobi_p(l, alpha, beta, x))
+        exact.append(_exact_jacobi(l, alpha, beta, x))
+        scales.append(max(1.0, orthopoly.jacobi_endpoint(l, max(alpha, beta))))
+    return _row_reports("jacobi_recurrence_vs_series", params, ours, exact, 1e-10, scale=scales)
 
 
-def _check_orthopoly_endpoint(profile: SuiteProfile):
-    tol = profile.tol(1e-12)
-    reports = []
-    for alpha in (0, 1, 2, 3, 5):
-        for l in (0, 1, 5, 12, 30):
-            ours = orthopoly.jacobi_p(l, alpha, 1, 1.0)
-            exact = float(math.comb(l + alpha, l))
-            reports.append(make_report(
-                "jacobi_endpoint_binomial", {"l": l, "alpha": alpha},
-                ours, exact, tol, scale=exact,
-            ))
-    return reports
+def _check_orthopoly_endpoint():
+    cases = [(l, alpha) for alpha in (0, 1, 2, 3, 5) for l in (0, 1, 5, 12, 30)]
+    exact = [float(math.comb(l + alpha, l)) for l, alpha in cases]
+    return _row_reports("jacobi_endpoint_binomial", [{"l": l, "alpha": a} for l, a in cases],
+                        [orthopoly.jacobi_p(l, a, 1, 1.0) for l, a in cases], exact, 1e-12,
+                        scale=exact)
 
 
-def _check_orthopoly_trig(profile: SuiteProfile):
-    tol = profile.tol(1e-10)
+def _check_orthopoly_trig():
     thetas = np.linspace(0.01, math.pi - 0.01, 40)
     reports = []
     for l in (1, 2, 5, 20, 50):
         vals = orthopoly.gegenbauer_c(l, 1.0, np.cos(thetas))
         ref = np.sin((l + 1) * thetas) / np.sin(thetas)
         reports.append(_worst_report(
-            "gegenbauer_dirichlet_ratio", {"l": l}, "theta", thetas, vals, ref, tol,
+            "gegenbauer_dirichlet_ratio", {"l": l}, "theta", thetas, vals, ref, 1e-10,
         ))
     return reports
 
 
-def _check_orthopoly_ladder(profile: SuiteProfile):
-    tol = profile.tol(1e-5)
+def _check_orthopoly_ladder():
+    tol = 1e-5
     us = np.linspace(0.2, _HALF_PI - 0.2, 9)
     reports = []
     for m, l, lam in ((1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0), (4, 12, 1.0)):
@@ -406,10 +372,10 @@ def _check_orthopoly_ladder(profile: SuiteProfile):
     return reports
 
 
-def _check_quadrature_exactness(profile: SuiteProfile):
-    tol = profile.tol(1e-13)
-    reports = []
-    for count in range(1, 11):
+def _check_quadrature_exactness():
+    counts = range(1, 11)
+    worst_params, worst_errs, sums = [], [], []
+    for count in counts:
         rule = gauss_legendre_rule(count)
         worst_err = 0.0
         worst_deg = 0
@@ -419,38 +385,28 @@ def _check_quadrature_exactness(profile: SuiteProfile):
             if abs(approx - exact) > worst_err:
                 worst_err = abs(approx - exact)
                 worst_deg = deg
-        reports.append(make_report(
-            "gauss_legendre_exactness", {"count": count, "worst_degree": worst_deg},
-            worst_err, 0.0, tol,
-        ))
-        reports.append(make_report(
-            "gauss_legendre_weight_sum", {"count": count},
-            float(np.sum(rule.weights)), 2.0, profile.tol(1e-13),
-        ))
-    return reports
+        worst_params.append({"count": count, "worst_degree": worst_deg})
+        worst_errs.append(worst_err)
+        sums.append(float(np.sum(rule.weights)))
+    return (_row_reports("gauss_legendre_exactness", worst_params, worst_errs,
+                         [0.0] * len(counts), 1e-13)
+            + _row_reports("gauss_legendre_weight_sum", [{"count": c} for c in counts], sums,
+                           [2.0] * len(counts), 1e-13))
 
 
-def _check_quadrature_substitution(profile: SuiteProfile):
-    tol = profile.tol(1e-12)
-    reports = []
+def _check_quadrature_substitution():
     rule = gauss_legendre_rule(64)
     ds = (0.0, 0.3, 0.7, 1.2, 1.5)
     pluses = quadrature.integrate_weighted(ds, 0.5, np.sin, rule)
     minuses = quadrature.integrate_weighted(ds, -0.5, np.sin, rule)
-    for d, plus, minus in zip(ds, pluses, minuses):
-        reports.append(make_report(
-            "sqrt_weight_closed_form", {"d": d, "sign": "+1/2"},
-            plus, (math.pi / 4.0) * math.cos(d) ** 2, tol,
-        ))
-        reports.append(make_report(
-            "sqrt_weight_closed_form", {"d": d, "sign": "-1/2"},
-            minus, math.pi / 2.0, tol,
-        ))
-    return reports
+    closed_forms = [(math.pi / 4.0) * math.cos(d) ** 2 for d in ds] + [math.pi / 2.0] * len(ds)
+    return _row_reports("sqrt_weight_closed_form",
+                        [{"d": d, "sign": sign} for sign in ("+1/2", "-1/2") for d in ds],
+                        np.concatenate([pluses, minuses]), closed_forms, 1e-12)
 
 
-def _check_quadrature_doubling(profile: SuiteProfile):
-    tol = profile.tol(1e-12)
+def _check_quadrature_doubling():
+    tol = 1e-12
     psi = functools.partial(thetapsi.psi_sum, 3, 4, 0.5)
 
     def gegenbauer(u):
@@ -463,41 +419,34 @@ def _check_quadrature_doubling(profile: SuiteProfile):
         # the row loop as the integral kernel runs it, one report per distance
         ([{"case": "psi_plus_row", "d": d} for d in ds], ds, 0.5, psi),
     ]
-    reports = []
+    params, values, extras = [], [], []
     for row_params, row, sign, g in rows:
         res = quadrature.adaptive_integrate_row(row, sign, g, [tol] * len(row))
         for parameters, d, value, nodes in zip(row_params, row, res.value.tolist(),
                                                res.nodes.tolist()):
             [extra] = quadrature.integrate_weighted([d], sign, g, gauss_legendre_rule(2 * nodes))
-            reports.append(make_report("adaptive_doubling_stability",
-                                       {**parameters, "nodes": nodes}, value, float(extra), tol))
-    return reports
+            params.append({**parameters, "nodes": nodes})
+            values.append(value)
+            extras.append(extra)
+    return _row_reports("adaptive_doubling_stability", params, values, extras, tol)
 
 
-def _check_theta_parity(profile: SuiteProfile):
-    tol = profile.tol(1e-14)
-    reports = []
-    for m, t, u in ((2, 0.3, 0.4), (4, 0.5, 1.1), (6, 0.2, 0.8)):
-        lhs = thetapsi.theta_sum(m, t, u)
-        rhs = thetapsi.theta_sum(m, t, -u)
-        reports.append(make_report("theta_parity", {"m": m, "t": t, "u": u}, lhs, rhs, tol))
-    return reports
+def _check_theta_parity():
+    cases = ((2, 0.3, 0.4), (4, 0.5, 1.1), (6, 0.2, 0.8))
+    return _row_reports("theta_parity", [{"m": m, "t": t, "u": u} for m, t, u in cases],
+                        [thetapsi.theta_sum(m, t, u) for m, t, u in cases],
+                        [thetapsi.theta_sum(m, t, -u) for m, t, u in cases], 1e-14)
 
 
-def _check_theta_truncation(profile: SuiteProfile):
-    tol = profile.tol(thetapsi.DEFAULT_TOL)
-    reports = []
-    for m, t, u in ((2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2)):
-        auto = thetapsi.theta_sum(m, t, u)
-        brute = sum(
-            math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2) * math.cos((2 * l + m - 1) * u)
-            for l in range(3000)
-        )
-        reports.append(make_report(
-            "theta_truncation_soundness", {"m": m, "t": t, "u": u}, auto, brute, tol,
-        ))
-    for j, m, t, u in ((1, 2, 0.3, 0.7), (3, 4, 0.2, 0.9)):
-        auto = thetapsi.psi_sum(j, m, t, u)
+def _check_theta_truncation():
+    tol = thetapsi.DEFAULT_TOL
+    theta_cases = ((2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2))
+    brutes = [sum(math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2) * math.cos((2 * l + m - 1) * u)
+                  for l in range(3000))
+              for m, t, u in theta_cases]
+    psi_cases = ((1, 2, 0.3, 0.7), (3, 4, 0.2, 0.9))
+    psi_brutes = []
+    for j, m, t, u in psi_cases:
         brute = 0.0
         for l in range(2000):
             a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
@@ -505,14 +454,17 @@ def _check_theta_truncation(profile: SuiteProfile):
                 break  # a only falls with l: every later term is +-0.0, a no-op
             q = 2 * l + m - 1  # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
             brute += a * math.sin(u) * (q * orthopoly.ladder_apply(j - 1, q - 1, 1.0, math.cos(u)))
-        reports.append(make_report(
-            "psi_truncation_soundness", {"j": j, "m": m, "t": t, "u": u}, auto, brute, tol,
-        ))
-    return reports
+        psi_brutes.append(brute)
+    return (_row_reports("theta_truncation_soundness",
+                         [{"m": m, "t": t, "u": u} for m, t, u in theta_cases],
+                         [thetapsi.theta_sum(m, t, u) for m, t, u in theta_cases], brutes, tol)
+            + _row_reports("psi_truncation_soundness",
+                           [{"j": j, "m": m, "t": t, "u": u} for j, m, t, u in psi_cases],
+                           [thetapsi.psi_sum(j, m, t, u) for j, m, t, u in psi_cases],
+                           psi_brutes, tol))
 
 
-def _check_theta_ladder(profile: SuiteProfile):
-    tol = profile.tol(1e-5)
+def _check_theta_ladder():
     us = np.linspace(0.2, _HALF_PI - 0.1, 7)
     reports = []
     for j in (1, 2, 3):
@@ -525,7 +477,7 @@ def _check_theta_ladder(profile: SuiteProfile):
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))
             reports.append(_worst_report(
                 "psi_ladder_vs_fd", {"j": j, "m": m, "t": t}, "u", us,
-                exact_vals, fd_vals, tol, scale=scale,
+                exact_vals, fd_vals, 1e-5, scale=scale,
             ))
     return reports
 
@@ -539,11 +491,10 @@ def _random_point(k: int, rng: np.random.Generator) -> geometry.HomogeneousPoint
     return geometry.HomogeneousPoint(field_k=k, coords=tuple(coords))
 
 
-def _check_geometry_invariance(profile: SuiteProfile):
-    tol = profile.tol(1e-12)
+def _check_geometry_invariance():
     rng = np.random.default_rng(7)
-    reports = []
-    for k in profile.ks:
+    worsts = []
+    for k in (1, 2):
         space = SpaceDescriptor(n=2, k=k)
         worst = 0.0
         for _ in range(25):
@@ -556,34 +507,24 @@ def _check_geometry_invariance(profile: SuiteProfile):
                 space, geometry.scale_point(x, q1), geometry.scale_point(y, q2)
             )
             worst = max(worst, abs(moved - base), abs(geometry.distance(space, y, x) - base))
-        reports.append(make_report(
-            "distance_projective_invariance", {"k": k}, worst, 0.0, tol,
-        ))
-    return reports
+        worsts.append(worst)
+    return _row_reports("distance_projective_invariance", [{"k": 1}, {"k": 2}], worsts,
+                        [0.0, 0.0], 1e-12)
 
 
-def _check_geometry_volume(profile: SuiteProfile):
-    tol = profile.tol(1e-10)
-    reports = []
-    for k in profile.ks:
-        for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            integral = _radial_integral(
-                lambda r, s=space: geometry.volume_density(s, r), 1e-12
-            )
-            reports.append(make_report(
-                "volume_density_total", {"k": k, "n": n},
-                integral, geometry.manifold_volume(space), tol,
-                scale=geometry.manifold_volume(space),
-            ))
-    return reports
+def _check_geometry_volume():
+    spaces = [SpaceDescriptor(n=n, k=k) for k in (1, 2) for n in _NS]
+    volumes = [geometry.manifold_volume(s) for s in spaces]
+    integrals = [_radial_integral(lambda r, s=s: geometry.volume_density(s, r), 1e-12)
+                 for s in spaces]
+    return _row_reports("volume_density_total", [{"k": s.k, "n": s.n} for s in spaces],
+                        integrals, volumes, 1e-10, scale=volumes)
 
 
-def _check_geometry_eigenfunction(profile: SuiteProfile):
-    tol = profile.tol(1e-4)
+def _check_geometry_eigenfunction():
     rs = np.linspace(0.2, 1.3, 12)
     reports = []
-    for k in profile.ks:
+    for k in (1, 2):
         for n in _NS:
             space = SpaceDescriptor(n=n, k=k)
             for l in range(0, 7):
@@ -596,17 +537,16 @@ def _check_geometry_eigenfunction(profile: SuiteProfile):
                 scale = max(1.0, abs(lam) * float(np.max(np.abs(vals))))
                 reports.append(_worst_report(
                     "radial_eigenfunction_law", {"k": k, "n": n, "l": l}, "r", rs,
-                    geometry.radial_laplacian_fd(space, f, rs, h=5e-4), lam * vals, tol,
+                    geometry.radial_laplacian_fd(space, f, rs, h=5e-4), lam * vals, 1e-4,
                     scale=scale,
                 ))
     return reports
 
 
-def _check_geometry_density(profile: SuiteProfile):
-    tol = profile.tol(1e-4)
-    reports = []
+def _check_geometry_density():
     h = 1e-3
-    for k in profile.ks:
+    params, coef_forms, div_forms = [], [], []
+    for k in (1, 2):
         for n in (1, 2):
             space = SpaceDescriptor(n=n, k=k)
 
@@ -623,37 +563,33 @@ def _check_geometry_density(profile: SuiteProfile):
                 div_form = (jf_prime(r + h) - jf_prime(r - h)) / (
                     2.0 * h * geometry.volume_density(space, r)
                 )
-                reports.append(make_report(
-                    "laplacian_density_consistency", {"k": k, "n": n, "r": r},
-                    coef_form, div_form, tol,
-                    scale=max(1.0, abs(coef_form)),
-                ))
-    return reports
+                params.append({"k": k, "n": n, "r": r})
+                coef_forms.append(coef_form)
+                div_forms.append(div_form)
+    return _row_reports("laplacian_density_consistency", params, coef_forms, div_forms, 1e-4,
+                        scale=np.maximum(np.abs(coef_forms), 1.0))
 
 
 _EQUIV_TS = (0.05, 0.2, 0.5, 1.0, 5.0)
 _EQUIV_DS = tuple(np.linspace(0.0, 1.5, 11))
 
 
-def _check_kernels_equivalence(profile: SuiteProfile):
-    tol = profile.tol(1e-8)
-    reports = []
-    for k in profile.ks:
+def _check_kernels_equivalence():
+    params, series, integral = [], [], []
+    for k in (1, 2):
         for n in _NS:
             for t in _EQUIV_TS:
-                series, integral = (kernels.unified(n, k, t, _EQUIV_DS, 1e-12, m)
-                                    for m in kernels.METHODS)
-                reports.extend(_row_reports(
-                    "representation_equivalence",
-                    [{"k": k, "n": n, "t": t, "d": float(d)} for d in _EQUIV_DS],
-                    series.value, integral.value, tol,
-                ))
-    return reports
+                rs, ri = (kernels.unified(n, k, t, _EQUIV_DS, 1e-12, m) for m in kernels.METHODS)
+                params.extend({"k": k, "n": n, "t": t, "d": float(d)} for d in _EQUIV_DS)
+                series.append(rs.value)
+                integral.append(ri.value)
+    return _row_reports("representation_equivalence", params, np.concatenate(series),
+                        np.concatenate(integral), 1e-8)
 
 
-def _check_kernels_positivity(profile: SuiteProfile):
+def _check_kernels_positivity():
     reports = []
-    for k in profile.ks:
+    for k in (1, 2):
         for n in _NS:
             min_val = math.inf
             argmin = None
@@ -664,16 +600,15 @@ def _check_kernels_positivity(profile: SuiteProfile):
                     min_val = float(vals[i])
                     argmin = {"t": t, "d": float(_EQUIV_DS[i])}
             reports.append(_flag_report(
-                "kernel_positivity", {"k": k, "n": n, **argmin}, min_val > 0.0,
-                min_val, 0.0,
+                "kernel_positivity", {"k": k, "n": n, **argmin}, min_val, 0.0,
+                float(not min_val > 0.0),
             ))
     return reports
 
 
-def _check_kernels_normalization(profile: SuiteProfile):
-    tol = profile.tol(1e-8)
-    reports = []
-    for k in profile.ks:
+def _check_kernels_normalization():
+    params, integrals = [], []
+    for k in (1, 2):
         for n in _NS:
             space = SpaceDescriptor(n=n, k=k)
             for t in _EQUIV_TS:
@@ -681,18 +616,15 @@ def _check_kernels_normalization(profile: SuiteProfile):
                     vals, _, _ = kernels.series_values(s.k, s.n, tt, r, 1e-12)
                     return vals * geometry.volume_density(s, r)
 
-                integral = _radial_integral(fvec, 1e-10)
-                reports.append(make_report(
-                    "kernel_normalization", {"k": k, "n": n, "t": t}, integral, 1.0, tol,
-                ))
-    return reports
+                params.append({"k": k, "n": n, "t": t})
+                integrals.append(_radial_integral(fvec, 1e-10))
+    return _row_reports("kernel_normalization", params, integrals, [1.0] * len(integrals), 1e-8)
 
 
-def _check_kernels_residual(profile: SuiteProfile):
-    tol = profile.tol(1e-3)
+def _check_kernels_residual():
     rs = np.linspace(0.2, 1.3, 12)
-    reports = []
-    for k in profile.ks:
+    params, dts, laps = [], [], []
+    for k in (1, 2):
         for n in _NS:
             space = SpaceDescriptor(n=n, k=k)
             for t in (0.2, 0.5, 1.0):
@@ -703,17 +635,16 @@ def _check_kernels_residual(profile: SuiteProfile):
                 dt = (e(rs, t + ht) - e(rs, t - ht)) / (2.0 * ht)
                 lap = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
                 i = int(np.argmax(np.abs(dt - lap) / np.maximum(np.abs(dt), 1.0)))
-                reports.append(make_report(
-                    "heat_equation_residual", {"k": k, "n": n, "t": t, "r": float(rs[i])},
-                    float(dt[i]), float(lap[i]), tol, scale=max(abs(float(dt[i])), 1.0),
-                ))
-    return reports
+                params.append({"k": k, "n": n, "t": t, "r": float(rs[i])})
+                dts.append(dt[i])
+                laps.append(lap[i])
+    return _row_reports("heat_equation_residual", params, dts, laps, 1e-3,
+                        scale=np.maximum(np.abs(dts), 1.0))
 
 
-def _check_kernels_semigroup(profile: SuiteProfile):
-    tol = profile.tol(1e-6)
-    reports = []
-    for k in profile.ks:
+def _check_kernels_semigroup():
+    params, lhss, rhss = [], [], []
+    for k in (1, 2):
         for n in _NS:
             space = SpaceDescriptor(n=n, k=k)
             for t, s in ((0.3, 0.3), (0.2, 0.5)):
@@ -722,57 +653,44 @@ def _check_kernels_semigroup(profile: SuiteProfile):
                     b, _, _ = kernels.series_values(sp.k, sp.n, ss, r, 1e-12)
                     return a * b * geometry.volume_density(sp, r)
 
-                lhs = _radial_integral(fvec, 1e-9)
-                rhs = _series_scalar(space, t + s, 0.0)
-                reports.append(make_report(
-                    "kernel_semigroup", {"k": k, "n": n, "t": t, "s": s}, lhs, rhs, tol,
-                ))
-    return reports
+                params.append({"k": k, "n": n, "t": t, "s": s})
+                lhss.append(_radial_integral(fvec, 1e-9))
+                rhss.append(kernels.unified(n, k, t + s, 0.0, 1e-12).value)
+    return _row_reports("kernel_semigroup", params, lhss, rhss, 1e-6)
 
 
-def _check_kernels_monotone(profile: SuiteProfile):
+def _check_kernels_monotone():
     reports = []
     d = 0.4
     ts = np.linspace(1.0, 2.0, 20)
-    for k in profile.ks:
+    for k in (1, 2):
         for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            flat = kernels.stationary_value(space)
-            vals = np.array([_series_scalar(space, float(t), d) for t in ts])
+            flat = kernels.stationary_value(SpaceDescriptor(n=n, k=k))
+            vals = np.array([kernels.unified(n, k, float(t), d, 1e-12).value for t in ts])
             inc = np.diff(vals)
             slack = 1e-13 * max(1.0, abs(flat))
             direction = 1.0 if inc[np.argmax(np.abs(inc))] >= 0 else -1.0
             worst = float(np.min(inc * direction))
-            reports.append(VerificationReport(
-                identity_name="kernel_monotone_relaxation",
-                parameters={"k": k, "n": n, "d": d},
-                lhs=worst, rhs=0.0,
-                abs_err=max(0.0, -worst), rel_err=max(0.0, -worst),
-                tol=slack, passed=worst >= -slack,
+            # np.maximum keeps a NaN worst, which then fails
+            reports.append(_flag_report(
+                "kernel_monotone_relaxation", {"k": k, "n": n, "d": d}, worst, 0.0,
+                float(np.maximum(0.0, -worst)), tol=slack,
             ))
     return reports
 
 
-def _check_kernels_stationary(profile: SuiteProfile):
-    tol = profile.tol(1e-10)
-    reports = []
-    for k in profile.ks:
-        for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            val = _series_scalar(space, 50.0, 0.37, tol=1e-14)
-            reports.append(make_report(
-                "kernel_stationary_limit", {"k": k, "n": n},
-                val, kernels.stationary_value(space), tol,
-            ))
-    return reports
+def _check_kernels_stationary():
+    spaces = [SpaceDescriptor(n=n, k=k) for k in (1, 2) for n in _NS]
+    return _row_reports("kernel_stationary_limit", [{"k": s.k, "n": s.n} for s in spaces],
+                        [kernels.unified(s.n, s.k, 50.0, 0.37, 1e-14).value for s in spaces],
+                        [kernels.stationary_value(s) for s in spaces], 1e-10)
 
 
-def _check_lemma(profile: SuiteProfile):
-    tol = profile.tol(1e-8)
-    return [rep for n in _NS for l in range(9) for rep in lemma_check(n, l, _REP_DS, tol)]
+def _check_lemma():
+    return [rep for n in _NS for l in range(9) for rep in lemma_check(n, l, _REP_DS, 1e-8)]
 
 
-def _check_jacobi_rep(profile: SuiteProfile):
+def _check_jacobi_rep():
     """Decide the open superscript question and certify the winning reading.
 
     Both candidate conventions are evaluated over the full grid; only the
@@ -780,12 +698,11 @@ def _check_jacobi_rep(profile: SuiteProfile):
     pass), while the resolution report names the winner and records how
     badly the rejected reading misses.
     """
-    tol = profile.tol(1e-8)
     by_convention = {}
     worst_rejected = {}
     for convention in JACOBI_REP_CONVENTIONS:
         reps = [rep for n in _NS for l in range(9)
-                for rep in jacobi_rep_check(n, l, _REP_DS, tol, convention)]
+                for rep in jacobi_rep_check(n, l, _REP_DS, 1e-8, convention)]
         by_convention[convention] = reps
         worst_rejected[convention] = max(r.rel_err for r in reps)
     winners = [c for c, reps in by_convention.items() if all(r.passed for r in reps)]
@@ -801,47 +718,45 @@ def _check_jacobi_rep(profile: SuiteProfile):
                 (worst_rejected[c] for c in rejected), default=0.0
             ),
         },
-        len(winners) == 1,
-        float(len(winners)), 1.0,
+        float(len(winners)), 1.0, float(len(winners) != 1),
     ))
     return reports
 
 
-def _check_theta2_grid(profile: SuiteProfile):
+def _check_theta2_grid():
     # worst point per (n, t) over the union of a 50- and a 20-point x grid
-    tol = profile.tol(1e-13)
     xs = [float(x) for x in sorted({*np.linspace(0.0, _HALF_PI, 50),
                                     *np.linspace(0.0, _HALF_PI, 20)})]
     return [_worst_report("theta_halfinteger_relation", {"n": n, "t": t}, "x", xs,
-                          *_theta2_sides(n, t, xs), tol)
+                          *_theta2_sides(n, t, xs), 1e-13)
             for n in (1, 2, 3) for t in (0.1, 0.5, 2.0)]
 
 
 _GROUPS = {
-    "orthopoly_recurrence": (_check_orthopoly_recurrence, None),
-    "orthopoly_endpoint": (_check_orthopoly_endpoint, None),
-    "orthopoly_trig": (_check_orthopoly_trig, None),
-    "orthopoly_ladder": (_check_orthopoly_ladder, None),
-    "quadrature_exactness": (_check_quadrature_exactness, None),
-    "quadrature_substitution": (_check_quadrature_substitution, None),
-    "quadrature_doubling": (_check_quadrature_doubling, None),
-    "theta_parity": (_check_theta_parity, None),
-    "theta_truncation": (_check_theta_truncation, None),
-    "theta_ladder": (_check_theta_ladder, None),
-    "geometry_invariance": (_check_geometry_invariance, None),
-    "geometry_volume": (_check_geometry_volume, None),
-    "geometry_eigenfunction": (_check_geometry_eigenfunction, None),
-    "geometry_density": (_check_geometry_density, None),
-    "kernels_equivalence": (_check_kernels_equivalence, None),
-    "kernels_positivity": (_check_kernels_positivity, None),
-    "kernels_normalization": (_check_kernels_normalization, None),
-    "kernels_residual": (_check_kernels_residual, None),
-    "kernels_semigroup": (_check_kernels_semigroup, None),
-    "kernels_monotone": (_check_kernels_monotone, None),
-    "kernels_stationary": (_check_kernels_stationary, None),
-    "lemma": (_check_lemma, 2),
-    "jacobi_rep": (_check_jacobi_rep, 1),
-    "theta2": (_check_theta2_grid, None),
+    "orthopoly_recurrence": _check_orthopoly_recurrence,
+    "orthopoly_endpoint": _check_orthopoly_endpoint,
+    "orthopoly_trig": _check_orthopoly_trig,
+    "orthopoly_ladder": _check_orthopoly_ladder,
+    "quadrature_exactness": _check_quadrature_exactness,
+    "quadrature_substitution": _check_quadrature_substitution,
+    "quadrature_doubling": _check_quadrature_doubling,
+    "theta_parity": _check_theta_parity,
+    "theta_truncation": _check_theta_truncation,
+    "theta_ladder": _check_theta_ladder,
+    "geometry_invariance": _check_geometry_invariance,
+    "geometry_volume": _check_geometry_volume,
+    "geometry_eigenfunction": _check_geometry_eigenfunction,
+    "geometry_density": _check_geometry_density,
+    "kernels_equivalence": _check_kernels_equivalence,
+    "kernels_positivity": _check_kernels_positivity,
+    "kernels_normalization": _check_kernels_normalization,
+    "kernels_residual": _check_kernels_residual,
+    "kernels_semigroup": _check_kernels_semigroup,
+    "kernels_monotone": _check_kernels_monotone,
+    "kernels_stationary": _check_kernels_stationary,
+    "lemma": _check_lemma,
+    "jacobi_rep": _check_jacobi_rep,
+    "theta2": _check_theta2_grid,
 }
 
 
@@ -852,17 +767,13 @@ def group_names() -> tuple:
 def full_suite(profile: Optional[SuiteProfile] = None) -> list:
     """Run every registered identity check; never raises on a failed identity.
 
-    Groups tied to one coordinate field are skipped when the profile
-    excludes that field.  Reports come back in deterministic order (by
-    identity name, then parameters).
+    Every group checks its identities at fixed tolerances.  Reports come
+    back in deterministic order (by identity name, then parameters).
     """
     profile = profile or SuiteProfile()
     reports = []
-    for name, (fn, required_k) in _GROUPS.items():
-        if not profile.wants_group(name):
-            continue
-        if required_k is not None and required_k not in profile.ks:
-            continue
-        reports.extend(fn(profile))
+    for name, fn in _GROUPS.items():
+        if profile.wants_group(name):
+            reports.extend(fn())
     reports.sort(key=lambda r: r.sort_key())
     return reports

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from projheat import cli
+from projheat import cli, verify
 
 CMD = [sys.executable, "-m", "projheat"]
 
@@ -256,13 +256,31 @@ class TestSelftest:
         assert len(lines) == 5
         assert all(json.loads(line)["passed"] is True for line in lines)
 
-    def test_zero_tolerance_fails(self):
-        res = run("selftest", "--only", "theta2", "--tol", "0")
-        assert res.returncode == 1
+    def test_failed_report_is_exit_1(self, monkeypatch, capsys):
+        [failing] = verify._row_reports("x", [{}], [1.0], [2.0], 1e-10)
+        monkeypatch.setitem(verify._GROUPS, "theta2", lambda: [failing])
+        assert cli.main(["selftest", "--only", "theta2"]) == cli.EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("FAIL x [] ")
+        assert lines[1:] == ["# 0/1 checks passed"]
 
-    def test_unknown_group_is_usage_error(self):
-        res = run("selftest", "--only", "nonexistent_group")
-        assert res.returncode == 2
+    @pytest.mark.parametrize("knob", [["--tol", "0"], ["--k", "1"]], ids=["tol", "k"])
+    def test_removed_knob_is_usage_error(self, knob):
+        # every check's tolerance and field set is fixed
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", *knob])
+        assert exc.value.code == cli.EXIT_USAGE
+
+    def test_unknown_group_is_usage_error(self, capsys, tmp_path):
+        assert cli.main(["selftest", "--only", "nonexistent_group"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "projheat: error: no checks match --only 'nonexistent_group'\n"
+        # the usage error comes before --out is opened
+        target = tmp_path / "selftest.txt"
+        argv = ["selftest", "--only", "nonexistent_group", "--out", str(target)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert not target.exists()
 
     def test_bad_flag_is_usage_error(self):
         res = run("eval", "--space", "qpn", "--t", "0.5", "--d", "0.1")
