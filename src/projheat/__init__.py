@@ -15,8 +15,6 @@ from .errors import (
     TruncationCapError,
 )
 from .geometry import (
-    HomogeneousPoint,
-    Quaternion,
     SpaceDescriptor,
     distance,
     manifold_volume,

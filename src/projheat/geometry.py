@@ -1,7 +1,14 @@
 """Projective-space geometry: distances, volume density, radial Laplacian.
 
-A point of P^n(F) is a homogeneous coordinate vector over F = C (k = 1)
-or F = H (k = 2); the geodesic distance is
+A point of P^n(F), F = C (k = 1) or H (k = 2), is a complex array whose
+last axis holds k(n+1) entries: over C the homogeneous coordinates, over
+H first the n+1 values a_i, then the n+1 values conj(b_i), of the
+coordinates q_i = a_i + b_i j (a_i, b_i complex).  A scalar of F is
+encoded as a point of P^0.  With x' and x'' the two halves of x,
+
+    |sum_i conj(x_i) y_i|^2 = |<x, y>|^2 + |sum_i (x'_i y''_i - x''_i y'_i)|^2,
+
+with <x, y> the inner product of C^(2(n+1)), and the geodesic distance is
 
     cos(dist(x, y)) = |sum_i conj(x_i) y_i| / (|x| |y|),
 
@@ -22,8 +29,9 @@ share code with them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -34,47 +42,6 @@ _COS_CLAMP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class Quaternion:
-    """Quaternion w + x i + y j + z k over the reals."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = other.w, other.x, other.y, other.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    @classmethod
-    def zero(cls) -> "Quaternion":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def unit_j(cls) -> "Quaternion":
-        return cls(0.0, 0.0, 1.0, 0.0)
-
-
-@dataclass(frozen=True)
 class SpaceDescriptor:
     """Projective space P^n(F) with k = half the real dimension of F."""
 
@@ -82,14 +49,14 @@ class SpaceDescriptor:
     k: int
 
     def __post_init__(self):
+        try:  # numpy integers pass, floats do not
+            operator.index(self.n), operator.index(self.k)
+        except TypeError:
+            raise DomainError(f"n and k must be integers, got n={self.n!r}, k={self.k!r}") from None
         if self.n < 1:
             raise DomainError(f"projective index must be >= 1, got {self.n}")
         if self.k not in (1, 2):
             raise DomainError(f"field selector must be 1 (complex) or 2 (quaternionic), got {self.k}")
-
-    @property
-    def real_dimension(self) -> int:
-        return 2 * self.k * self.n
 
     @property
     def jacobi_alpha(self) -> int:
@@ -109,78 +76,41 @@ class SpaceDescriptor:
         return -4.0 * l * (l + self.spectral_offset)
 
 
-@dataclass(frozen=True)
-class HomogeneousPoint:
-    """Nonzero homogeneous coordinate vector over C (field_k=1) or H (field_k=2)."""
-
-    field_k: int
-    coords: tuple
-
-    def __post_init__(self):
-        if self.field_k not in (1, 2):
-            raise DomainError(f"field selector must be 1 or 2, got {self.field_k}")
-        if len(self.coords) == 0:
-            raise DomainError("coordinate vector must be non-empty")
-        if self.field_k == 1:
-            if not all(isinstance(c, (complex, float, int)) for c in self.coords):
-                raise DomainError("complex point requires complex coordinates")
-            if all(abs(complex(c)) == 0.0 for c in self.coords):
-                raise DomainError("coordinate vector must be nonzero")
-        else:
-            if not all(isinstance(c, Quaternion) for c in self.coords):
-                raise DomainError("quaternionic point requires Quaternion coordinates")
-            if all(c.norm_sq() == 0.0 for c in self.coords):
-                raise DomainError("coordinate vector must be nonzero")
-
-    @classmethod
-    def complex_point(cls, *coords: Union[complex, float]) -> "HomogeneousPoint":
-        return cls(field_k=1, coords=tuple(complex(c) for c in coords))
-
-    @classmethod
-    def quaternion_point(cls, *coords: Quaternion) -> "HomogeneousPoint":
-        return cls(field_k=2, coords=tuple(coords))
-
-
-def _point_sort_key(p: HomogeneousPoint):
-    if p.field_k == 1:
-        return tuple(v for c in p.coords for v in (complex(c).real, complex(c).imag))
-    return tuple(v for q in p.coords for v in (q.w, q.x, q.y, q.z))
-
-
-def distance(space: SpaceDescriptor, x: HomogeneousPoint, y: HomogeneousPoint) -> float:
-    """Geodesic distance between two points of the given projective space.
-
-    The arguments are put in a canonical order first: quaternion products
-    evaluate the two inner products sum(conj(x) y) and sum(conj(y) x) with
-    different rounding, and symmetry is required to hold exactly.
-    """
-    if x.field_k != space.k or y.field_k != space.k:
-        raise DomainError("point field does not match the space")
-    if len(x.coords) != space.n + 1 or len(y.coords) != space.n + 1:
-        raise DomainError(
-            f"need {space.n + 1} homogeneous coordinates for n={space.n}"
-        )
-    if _point_sort_key(y) < _point_sort_key(x):
-        x, y = y, x
-    if space.k == 1:
-        inner = sum(complex(a).conjugate() * complex(b)
-                    for a, b in zip(x.coords, y.coords))
-        inner_abs = abs(inner)
-        nx = math.sqrt(sum(abs(complex(a)) ** 2 for a in x.coords))
-        ny = math.sqrt(sum(abs(complex(b)) ** 2 for b in y.coords))
-    else:
-        inner_q = Quaternion.zero()
-        for a, b in zip(x.coords, y.coords):
-            inner_q = inner_q + a.conjugate() * b
-        inner_abs = abs(inner_q)
-        nx = math.sqrt(sum(a.norm_sq() for a in x.coords))
-        ny = math.sqrt(sum(b.norm_sq() for b in y.coords))
-    if nx == 0.0 or ny == 0.0:
+def _scaled_points(space: SpaceDescriptor, x) -> np.ndarray:
+    """Encoded points x, checked and divided by their largest entry modulus."""
+    x = np.asarray(x, dtype=complex)
+    width = space.k * (space.n + 1)
+    if x.shape[-1:] != (width,):
+        raise DomainError(f"need {width} complex entries per point, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("coordinates must be finite")
+    top = np.max(np.abs(x), axis=-1, keepdims=True)
+    if np.any(top == 0.0):
         raise DomainError("coordinate vector must be nonzero")
-    ratio = inner_abs / (nx * ny)
-    if ratio > 1.0 + _COS_CLAMP_SLACK:
-        raise DomainError(f"cosine ratio {ratio} exceeds 1 beyond roundoff")
-    return math.acos(min(ratio, 1.0))
+    return x / top
+
+
+def distance(space: SpaceDescriptor, x, y):
+    """Geodesic distance between encoded points x and y, one per pair.
+
+    x and y broadcast over their leading axes; two single points give a
+    scalar.  Points are divided by their largest entry modulus, so no norm
+    overflows.  Each sum is one ``np.vecdot``, exactly symmetric in x and
+    y, so distance(y, x) == distance(x, y) bit for bit.  Raises DomainError
+    for a last axis of the wrong length, a non-finite coordinate, a zero
+    point, or a cosine ratio above 1 beyond roundoff.
+    """
+    x = _scaled_points(space, x)
+    y = _scaled_points(space, y)
+    inner = np.abs(np.vecdot(x, y))
+    if space.k == 2:
+        h = space.n + 1
+        x1, x2, y1, y2 = x[..., :h], x[..., h:], y[..., :h], y[..., h:]
+        inner = np.hypot(inner, np.abs(np.vecdot(x1.conj(), y2) - np.vecdot(x2.conj(), y1)))
+    ratio = inner / (np.linalg.vector_norm(x, axis=-1) * np.linalg.vector_norm(y, axis=-1))
+    if np.any(ratio > 1.0 + _COS_CLAMP_SLACK):
+        raise DomainError(f"cosine ratio {np.max(ratio)} exceeds 1 beyond roundoff")
+    return np.arccos(np.minimum(ratio, 1.0))
 
 
 def manifold_volume(space: SpaceDescriptor) -> float:
@@ -198,12 +128,11 @@ def density_constant(space: SpaceDescriptor) -> float:
 def volume_density(space: SpaceDescriptor, r):
     """Geodesic-polar volume density J(r) on (0, pi/2), vectorized in r."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0) or np.any(r_arr >= _HALF_PI):
+    if not np.all((0.0 < r_arr) & (r_arr < _HALF_PI)):
         raise DomainError("radius must lie strictly inside (0, pi/2)")
     kn = space.k * space.n
-    vals = density_constant(space) * np.sin(r_arr) ** (2 * kn - 1) * np.cos(r_arr) ** (
-        2 * space.k - 1
-    )
+    vals = (density_constant(space) * np.sin(r_arr) ** (2 * kn - 1)
+            * np.cos(r_arr) ** (2 * space.k - 1))
     return float(vals) if np.ndim(r) == 0 else vals
 
 
@@ -228,17 +157,23 @@ def radial_laplacian_fd(space: SpaceDescriptor, f: Callable, r, h: float = 1e-3)
     return second + coef * first
 
 
-def random_unit_scalar(space_k: int, rng: np.random.Generator):
-    """Unit-modulus scalar of the coordinate field, for invariance tests."""
-    v = rng.normal(size=2 if space_k == 1 else 4)
+def random_unit_scalar(space_k: int, rng: np.random.Generator) -> np.ndarray:
+    """Encoded unit-modulus scalar of the coordinate field, for invariance tests."""
+    v = rng.normal(size=2 * space_k)
     v = v / np.linalg.norm(v)
-    if space_k == 1:
-        return complex(v[0], v[1])
-    return Quaternion(*map(float, v))
+    s = v[0::2] + 1j * v[1::2]
+    return np.concatenate([s[:1], s[1:].conj()])
 
 
-def scale_point(p: HomogeneousPoint, s) -> HomogeneousPoint:
-    """Right-multiply every homogeneous coordinate by the scalar s."""
-    if p.field_k == 1:
-        return HomogeneousPoint(field_k=1, coords=tuple(complex(c) * s for c in p.coords))
-    return HomogeneousPoint(field_k=2, coords=tuple(c * s for c in p.coords))
+def scale_point(p, s) -> np.ndarray:
+    """Right-multiply each coordinate of the encoded point p by the encoded scalar s.
+
+    Over H, (a + b j)(c + d j) = (a c - b conj(d)) + (a d + b conj(c)) j.
+    """
+    p = np.asarray(p, dtype=complex)
+    s = np.asarray(s, dtype=complex)
+    if s.shape[-1] == 1:
+        return p * s
+    h = p.shape[-1] // 2
+    p1, p2, s1, s2 = p[..., :h], p[..., h:], s[..., :1], s[..., 1:]
+    return np.concatenate([p1 * s1 - p2.conj() * s2, p1.conj() * s2 + p2 * s1], axis=-1)

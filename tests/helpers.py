@@ -6,7 +6,9 @@ exact Jacobi series and the finite-difference ladder are the self-test's
 oracles in ``projheat.verify``, re-exported under the tests' names; they
 share nothing with the production recurrences either.  The same Jacobi
 series in ``Fraction`` arithmetic is kept here as the reference that the
-self-test's integer form is held to.  The reference
+self-test's integer form is held to.  The Hamilton product and the
+quaternionic distance below run on plain 4-tuples, as the reference the
+package's complex encoding of P^n(H) is held to.  The reference
 doubling loop and kernel below run one distance at a time over
 ``integrate_weighted``: they pin the row loop's batching, chunking and
 bookkeeping, not the substitution arithmetic they share with it.
@@ -41,6 +43,41 @@ def jacobi_series_fraction(l, alpha, beta, x):
         term *= (-z) ** s
         total += term / (math.factorial(s) * math.factorial(l - s))
     return float(total)
+
+
+def hamilton(p, q):
+    """Hamilton product of quaternions given as 4-tuples (w, x, y, z) = w + x i + y j + z k."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e)
+
+
+def quaternion_conjugate(q):
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def quaternion_distance(x, y):
+    """Fubini-Study distance of two points of P^n(H), each a sequence of 4-tuples."""
+    inner = (0.0, 0.0, 0.0, 0.0)
+    for a, b in zip(x, y):
+        inner = tuple(u + v for u, v in zip(inner, hamilton(quaternion_conjugate(a), b)))
+    norm_x = math.sqrt(sum(v * v for q in x for v in q))
+    norm_y = math.sqrt(sum(v * v for q in y for v in q))
+    return math.acos(min(1.0, math.hypot(*inner) / (norm_x * norm_y)))
+
+
+def encode_quaternions(coords):
+    """The complex encoding of a point of P^n(H) given as 4-tuples (w, x, y, z).
+
+    The entries are w + x i for every coordinate, then y - z i for every
+    coordinate.
+    """
+    return ([complex(w, x) for w, x, _, _ in coords]
+            + [complex(y, -z) for _, _, y, z in coords])
 
 
 def gegenbauer_series_exact(l, lam, x):

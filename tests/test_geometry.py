@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import encode_quaternions, hamilton, quaternion_conjugate, quaternion_distance
 from projheat.errors import DomainError
 from projheat.geometry import (
-    HomogeneousPoint,
-    Quaternion,
     SpaceDescriptor,
     density_constant,
     distance,
@@ -23,50 +22,55 @@ from projheat.orthopoly import jacobi_p
 from projheat.quadrature import gauss_legendre_rule
 
 
+def _quaternions(rng, count):
+    return [tuple(map(float, rng.normal(size=4))) for _ in range(count)]
+
+
+def _points(rng, k, n, shape=()):
+    """Encoded points with normal random entries; any k(n+1) complex entries are a point."""
+    size = (*shape, k * (n + 1))
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
 class TestQuaternion:
+    """The reference Hamilton product the encoded distance is held to."""
+
     def test_multiplication_table(self):
-        i = Quaternion(0, 1, 0, 0)
-        j = Quaternion(0, 0, 1, 0)
-        k = Quaternion(0, 0, 0, 1)
-        assert i * j == k
-        assert j * i == Quaternion(0, 0, 0, -1)
-        assert i * i == Quaternion(-1, 0, 0, 0)
+        i, j, k = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+        assert hamilton(i, j) == k
+        assert hamilton(j, i) == (0, 0, 0, -1)
+        assert hamilton(i, i) == (-1, 0, 0, 0)
 
     def test_norm_is_multiplicative(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            p = Quaternion(*map(float, rng.normal(size=4)))
-            q = Quaternion(*map(float, rng.normal(size=4)))
-            assert abs(abs(p * q) - abs(p) * abs(q)) <= 1e-14 * abs(p) * abs(q)
+        for p, q in zip(_quaternions(rng, 50), _quaternions(rng, 50)):
+            norm_p, norm_q = math.hypot(*p), math.hypot(*q)
+            assert abs(math.hypot(*hamilton(p, q)) - norm_p * norm_q) <= 1e-14 * norm_p * norm_q
 
     def test_conjugation(self):
-        q = Quaternion(1.0, 2.0, -3.0, 0.5)
-        c = q.conjugate()
-        assert (c.w, c.x, c.y, c.z) == (1.0, -2.0, 3.0, -0.5)
-        prod = q * c
-        assert_allclose(prod.w, q.norm_sq(), rtol=1e-15)
-        assert_allclose((prod.x, prod.y, prod.z), (0.0, 0.0, 0.0), atol=1e-15)
+        q = (1.0, 2.0, -3.0, 0.5)
+        assert quaternion_conjugate(q) == (1.0, -2.0, 3.0, -0.5)
+        prod = hamilton(q, quaternion_conjugate(q))
+        assert_allclose(prod[0], sum(v * v for v in q), rtol=1e-15)
+        assert_allclose(prod[1:], (0.0, 0.0, 0.0), atol=1e-15)
 
 
 class TestDistance:
     def test_identical_points(self):
         space = SpaceDescriptor(n=2, k=1)
-        x = HomogeneousPoint.complex_point(1, 0, 0)
+        x = [1, 0, 0]
         assert distance(space, x, x) == 0.0
 
     def test_orthogonal_points(self):
         space = SpaceDescriptor(n=2, k=1)
-        x = HomogeneousPoint.complex_point(1, 0, 0)
-        y = HomogeneousPoint.complex_point(0, 1, 0)
-        assert_allclose(distance(space, x, y), math.pi / 2, rtol=1e-15)
+        assert_allclose(distance(space, [1, 0, 0], [0, 1, 0]), math.pi / 2, rtol=1e-15)
 
     def test_quaternionic_example(self):
         # x = [1, 0], y = [1, j]: |sum| = 1, |x| = 1, |y| = sqrt 2 -> pi/4
         space = SpaceDescriptor(n=1, k=2)
-        one = Quaternion(1, 0, 0, 0)
-        zero = Quaternion.zero()
-        x = HomogeneousPoint.quaternion_point(one, zero)
-        y = HomogeneousPoint.quaternion_point(one, Quaternion.unit_j())
+        x = [1, 0, 0, 0]  # a = (1, 0), conj(b) = (0, 0)
+        y = [1, 0, 0, 1]  # a = (1, 0), conj(b) = (0, 1): the second coordinate is j
+        assert y == encode_quaternions([(1, 0, 0, 0), (0, 0, 1, 0)])
         assert_allclose(distance(space, x, y), math.acos(1.0 / math.sqrt(2.0)), rtol=1e-15)
         assert_allclose(distance(space, x, y), math.pi / 4, rtol=1e-15)
 
@@ -74,34 +78,72 @@ class TestDistance:
     def test_projective_invariance_and_symmetry(self, k):
         rng = np.random.default_rng(11)
         space = SpaceDescriptor(n=2, k=k)
-        for _ in range(30):
-            if k == 1:
-                x = HomogeneousPoint(1, tuple(complex(*rng.normal(size=2)) for _ in range(3)))
-                y = HomogeneousPoint(1, tuple(complex(*rng.normal(size=2)) for _ in range(3)))
-            else:
-                x = HomogeneousPoint(
-                    2, tuple(Quaternion(*map(float, rng.normal(size=4))) for _ in range(3))
-                )
-                y = HomogeneousPoint(
-                    2, tuple(Quaternion(*map(float, rng.normal(size=4))) for _ in range(3))
-                )
-            base = distance(space, x, y)
-            assert distance(space, y, x) == base
-            q1 = random_unit_scalar(k, rng)
-            q2 = random_unit_scalar(k, rng)
-            moved = distance(space, scale_point(x, q1), scale_point(y, q2))
-            assert abs(moved - base) <= 1e-12
+        x, y = _points(rng, k, 2, (30,)), _points(rng, k, 2, (30,))
+        q1 = np.array([random_unit_scalar(k, rng) for _ in range(30)])
+        q2 = np.array([random_unit_scalar(k, rng) for _ in range(30)])
+        base = distance(space, x, y)
+        assert base.shape == (30,)
+        assert distance(space, y, x).tolist() == base.tolist()  # exact, row by row
+        moved = distance(space, scale_point(x, q1), scale_point(y, q2))
+        assert np.max(np.abs(moved - base)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_quaternion_reference(self, n):
+        rng = np.random.default_rng(5 + n)
+        space = SpaceDescriptor(n=n, k=2)
+        xs = [_quaternions(rng, n + 1) for _ in range(2000)]
+        ys = [_quaternions(rng, n + 1) for _ in range(2000)]
+        got = distance(space, [encode_quaternions(x) for x in xs],
+                       [encode_quaternions(y) for y in ys])
+        want = [quaternion_distance(x, y) for x, y in zip(xs, ys)]
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_scale_point_is_the_hamilton_product(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            coords = _quaternions(rng, 3)
+            [raw] = _quaternions(rng, 1)
+            s = tuple(v / math.hypot(*raw) for v in raw)
+            got = scale_point(encode_quaternions(coords), encode_quaternions([s]))
+            want = encode_quaternions([hamilton(q, s) for q in coords])
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_rows_broadcast(self):
+        rng = np.random.default_rng(17)
+        space = SpaceDescriptor(n=1, k=2)
+        x, ys = _points(rng, 2, 1), _points(rng, 2, 1, (4, 5))
+        row = distance(space, x, ys)
+        assert row.shape == (4, 5)
+        assert row[2, 3] == distance(space, x, ys[2, 3])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_scale_free_at_extreme_magnitudes(self, k):
+        rng = np.random.default_rng(19)
+        space = SpaceDescriptor(n=2, k=k)
+        x, y = _points(rng, k, 2), _points(rng, k, 2)
+        base = distance(space, x, y)
+        for factor in (1e-200, 1e200):
+            assert abs(distance(space, factor * x, y) - base) <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coordinate_rejected(self, k, bad):
+        space = SpaceDescriptor(n=2, k=k)
+        good = [1.0] + [0.0] * (3 * k - 1)
+        spoilt = [1.0, 0.0, bad] + [0.0] * (3 * k - 3)
+        for x, y in ((spoilt, good), (good, spoilt), ([good, spoilt], good)):
+            with pytest.raises(DomainError, match="finite"):
+                distance(space, x, y)
 
     def test_validation(self):
         space = SpaceDescriptor(n=2, k=1)
         with pytest.raises(DomainError):
-            distance(space, HomogeneousPoint.complex_point(1, 0),
-                     HomogeneousPoint.complex_point(1, 0, 0))
+            distance(space, [1, 0], [1, 0, 0])
+        with pytest.raises(DomainError, match="nonzero"):
+            distance(space, [0, 0, 0], [1, 0, 0])
         with pytest.raises(DomainError):
-            HomogeneousPoint.complex_point(0, 0, 0)
-        with pytest.raises(DomainError):
-            distance(space, HomogeneousPoint.complex_point(1, 0, 0),
-                     HomogeneousPoint.quaternion_point(Quaternion(1, 0, 0, 0)))
+            # a point of P^2(H) has 6 entries, the space wants 3
+            distance(space, [1, 0, 0], encode_quaternions([(1, 0, 0, 0)] * 3))
         with pytest.raises(DomainError):
             SpaceDescriptor(n=0, k=1)
         with pytest.raises(DomainError):
@@ -148,6 +190,10 @@ class TestVolumeDensity:
             volume_density(space, 0.0)
         with pytest.raises(DomainError):
             volume_density(space, math.pi / 2)
+        with pytest.raises(DomainError):
+            volume_density(space, math.nan)
+        with pytest.raises(DomainError):
+            volume_density(space, np.array([0.3, math.nan]))
 
 
 class TestRadialLaplacian:
@@ -224,7 +270,6 @@ class TestRadialLaplacian:
 
 def test_space_descriptor_properties():
     space = SpaceDescriptor(n=3, k=2)
-    assert space.real_dimension == 12
     assert space.jacobi_alpha == 5
     assert space.jacobi_beta == 1
     assert space.spectral_offset == 7

@@ -64,6 +64,11 @@ class TestStationaryLimits:
         with pytest.raises(DomainError, match=f"must be <= {n_max} for k={k}, got {n_max + 1}"):
             stationary_value(SpaceDescriptor(n=n_max + 1, k=k))
 
+    @pytest.mark.parametrize("n,k", [(1.5, 1), (2.0, 2), (1, 1.0)])
+    def test_non_integer_index_rejected(self, n, k):
+        with pytest.raises(DomainError, match="integers"):
+            stationary_value(SpaceDescriptor(n=n, k=k))
+
 
 class TestRepresentationEquivalence:
     @pytest.mark.parametrize("t", [0.05, 0.5, 5.0])
@@ -164,6 +169,16 @@ class TestQueryInterface:
                 unified(0, 1, 0.5, 0.3, method=method)
         with pytest.raises(DomainError):
             unified(1, 1, 0.5, 0.3, method="magic")
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("n,k", [(2.0, 1), (1.5, 1), (1, 2.0)])
+    def test_non_integer_index_rejected(self, method, n, k):
+        with pytest.raises(DomainError, match="integers"):
+            unified(n, k, 0.5, 0.3, method=method)
+
+    def test_numpy_integer_index_accepted(self):
+        got = unified(np.int64(2), np.int32(1), 0.5, 0.3)
+        assert got.value == unified(2, 1, 0.5, 0.3).value
 
     @pytest.mark.parametrize("method", ["series", "integral"])
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
