@@ -100,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp, with_method=False)
 
     p_self = sub.add_parser("selftest", help="run the identity verification suite")
-    p_self.add_argument("--only", default=None,
-                        help="restrict to groups whose name starts with this")
+    p_self.add_argument("--only", default=None, metavar="PREFIX",
+                        help="restrict to groups whose name starts with PREFIX")
     p_self.add_argument("--json", action="store_true", help="line-JSON reports")
     p_self.add_argument("--out", default=None)
 

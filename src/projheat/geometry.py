@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import DomainError
 
 _HALF_PI = 0.5 * math.pi
-_COS_CLAMP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,11 @@ class SpaceDescriptor:
         return -4.0 * l * (l + self.spectral_offset)
 
 
-def _scaled_points(space: SpaceDescriptor, x) -> np.ndarray:
-    """Encoded points x, checked and divided by their largest entry modulus."""
+def _unit_points(space: SpaceDescriptor, x) -> np.ndarray:
+    """Encoded points x, checked and scaled to unit length.
+
+    Dividing by the largest entry modulus first keeps the norm from overflowing.
+    """
     x = np.asarray(x, dtype=complex)
     width = space.k * (space.n + 1)
     if x.shape[-1:] != (width,):
@@ -87,30 +90,34 @@ def _scaled_points(space: SpaceDescriptor, x) -> np.ndarray:
     top = np.max(np.abs(x), axis=-1, keepdims=True)
     if np.any(top == 0.0):
         raise DomainError("coordinate vector must be nonzero")
-    return x / top
+    x = x / top
+    return x / np.linalg.vector_norm(x, axis=-1, keepdims=True)
 
 
 def distance(space: SpaceDescriptor, x, y):
     """Geodesic distance between encoded points x and y, one per pair.
 
     x and y broadcast over their leading axes; two single points give a
-    scalar.  Points are divided by their largest entry modulus, so no norm
-    overflows.  Each sum is one ``np.vecdot``, exactly symmetric in x and
-    y, so distance(y, x) == distance(x, y) bit for bit.  Raises DomainError
-    for a last axis of the wrong length, a non-finite coordinate, a zero
-    point, or a cosine ratio above 1 beyond roundoff.
+    scalar.  On unit points it is 2 arcsin(|x - y s| / 2), with s the unit
+    scalar of F that brings y s nearest to x: s = conj(<x, y>_F) / |.|,
+    encoded over H as (conj(<x, y>), -w) / |.| with w = sum_i (x'_i y''_i -
+    x''_i y'_i), and s = 1 where <x, y>_F = 0.  Unlike arccos of the cosine,
+    this keeps full relative accuracy near 0.  Both orders of the pair are
+    averaged, so distance(y, x) == distance(x, y) bit for bit.  Raises
+    DomainError for a last axis of the wrong length, a non-finite
+    coordinate or a zero point.
     """
-    x = _scaled_points(space, x)
-    y = _scaled_points(space, y)
-    inner = np.abs(np.vecdot(x, y))
+    x, y = np.broadcast_arrays(_unit_points(space, x), _unit_points(space, y))
+    a, b = np.stack([x, y]), np.stack([y, x])
+    s = np.expand_dims(np.vecdot(a, b).conj(), -1)
     if space.k == 2:
         h = space.n + 1
-        x1, x2, y1, y2 = x[..., :h], x[..., h:], y[..., :h], y[..., h:]
-        inner = np.hypot(inner, np.abs(np.vecdot(x1.conj(), y2) - np.vecdot(x2.conj(), y1)))
-    ratio = inner / (np.linalg.vector_norm(x, axis=-1) * np.linalg.vector_norm(y, axis=-1))
-    if np.any(ratio > 1.0 + _COS_CLAMP_SLACK):
-        raise DomainError(f"cosine ratio {np.max(ratio)} exceeds 1 beyond roundoff")
-    return np.arccos(np.minimum(ratio, 1.0))
+        w = np.vecdot(a[..., :h].conj(), b[..., h:]) - np.vecdot(a[..., h:].conj(), b[..., :h])
+        s = np.concatenate([s, -np.expand_dims(w, -1)], axis=-1)
+    size = np.linalg.vector_norm(s, axis=-1, keepdims=True)
+    s[..., :1] += size == 0.0  # any unit s serves there: take 1
+    gap = np.linalg.vector_norm(a - scale_point(b, s / (size + (size == 0.0))), axis=-1)
+    return np.minimum(2.0 * np.arcsin(0.25 * (gap[0] + gap[1])), _HALF_PI)
 
 
 def manifold_volume(space: SpaceDescriptor) -> float:
@@ -157,12 +164,11 @@ def radial_laplacian_fd(space: SpaceDescriptor, f: Callable, r, h: float = 1e-3)
     return second + coef * first
 
 
-def random_unit_scalar(space_k: int, rng: np.random.Generator) -> np.ndarray:
+def random_unit_scalar(space_k: int, rng: random.Random) -> np.ndarray:
     """Encoded unit-modulus scalar of the coordinate field, for invariance tests."""
-    v = rng.normal(size=2 * space_k)
-    v = v / np.linalg.norm(v)
-    s = v[0::2] + 1j * v[1::2]
-    return np.concatenate([s[:1], s[1:].conj()])
+    v = [rng.gauss(0.0, 1.0) for _ in range(2 * space_k)]
+    # w + x i + y j + z k is encoded as the entries w + x i and y - z i
+    return np.array([complex(v[0], v[1]), complex(*v[2:]).conjugate()][:space_k]) / math.hypot(*v)
 
 
 def scale_point(p, s) -> np.ndarray:

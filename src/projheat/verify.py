@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,6 +44,9 @@ _REP_DS = (0.0, 0.3, 0.7, 1.1, 1.4)
 #: node counts of the radial doubling loop's first rule and of its last
 _RADIAL_START = 64
 _RADIAL_MAX = 8192
+
+#: the encoder of report sort keys, built once: json.dumps builds one per call
+_SORT_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class VerificationReport:
         )
 
     def sort_key(self):
-        return (self.identity_name, json.dumps(self.parameters, sort_keys=True, default=str))
+        return (self.identity_name, _SORT_KEY_ENCODER.encode(self.parameters))
 
 
 def compare_values(lhs, rhs, tol: float, scale: float = 0.0):
@@ -188,25 +192,42 @@ def _exact_jacobi(l: int, alpha: float, beta: float, x: float) -> float:
     return total / (q**l * r**l * math.factorial(l))
 
 
-def _ladder_fd(f: Callable[[float], float], u0: float, m: int,
-               h: Optional[float] = None) -> float:
+def _ladder_fd(f: Callable[[np.ndarray], np.ndarray], u0, m: int,
+               h: Optional[float] = None) -> np.ndarray:
     """Iterated -(1/sin u) d/du by nested central differences, Richardson once.
 
-    The step doubles with each nesting level beyond two: nested
-    differencing amplifies roundoff by (2h)^-m.
+    Row contract: one value per point of the row ``u0``, as one stencil per
+    point gives it; ``f`` acts elementwise, called once per step on the
+    (len(u0), 2m+1) stencil array.  The step doubles with each nesting
+    level beyond two: nested differencing amplifies roundoff by (2h)^-m.
     """
     if h is None:
         h = 1e-3 * (2.0 ** max(0, m - 2))
+    u0 = np.asarray(u0, dtype=float)[..., None]
 
-    def once(step: float) -> float:
+    def once(step: float) -> np.ndarray:
         us = u0 + step * np.arange(-m, m + 1, dtype=float)
-        vals = np.array([f(v) for v in us], dtype=float)
+        vals = f(us)
         for _ in range(m):
-            vals = -(vals[2:] - vals[:-2]) / (2.0 * step * np.sin(us[1:-1]))
-            us = us[1:-1]
-        return float(vals[0])
+            vals = -(vals[..., 2:] - vals[..., :-2]) / (2.0 * step * np.sin(us[..., 1:-1]))
+            us = us[..., 1:-1]
+        return vals[..., 0]
 
     return (4.0 * once(0.5 * h) - once(h)) / 3.0
+
+
+def _brute_sum(m: int, t: float, terms: int, term: Callable[[float, int], float]) -> float:
+    """Sum of term(a, q) over l < ``terms``, a = exp(-4t(l + (m-1)/2)^2), q = 2l + m - 1.
+
+    a only falls with l, so stopping at the first a == 0.0 drops only +-0.0 terms.
+    """
+    total = 0.0
+    for l in range(terms):
+        a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
+        if a == 0.0:
+            break
+        total += term(a, 2 * l + m - 1)
+    return total
 
 
 def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
@@ -240,9 +261,9 @@ def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
         return np.sin(u) * orthopoly.ladder_apply(2 * n, 2 * l + 2 * n, 1.0, np.cos(u))
 
     const = 2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n) / math.factorial(l + 1))
-    rhss = [const * orthopoly.jacobi_p(l, 2 * n - 1, 1, math.cos(2 * d)) for d in ds]
+    rhss = const * orthopoly.jacobi_p(l, 2 * n - 1, 1, np.array([math.cos(2 * d) for d in ds]))
     cos2s = np.array([math.cos(d) ** 2 for d in ds])
-    qtols = [max(1e-13, 1e-11 * abs(rhs)) * cos2 for rhs, cos2 in zip(rhss, cos2s)]
+    qtols = np.maximum(1e-13, 1e-11 * np.abs(rhss)) * cos2s
     values = adaptive_integrate_row(ds, 0.5, g, qtols).value
     return _row_reports("gegenbauer_ladder_to_jacobi",
                         [{"n": n, "l": l, "d": float(d)} for d in ds],
@@ -261,21 +282,33 @@ def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
     """
     if convention not in JACOBI_REP_CONVENTIONS:
         raise DomainError(f"convention must be one of {JACOBI_REP_CONVENTIONS}")
-    alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
+    return _jacobi_rep_rows(n, l, ds, tol, (convention,))[convention]
 
+
+def _jacobi_rep_rows(n: int, l: int, ds, tol: float, conventions) -> dict:
+    """``jacobi_rep_check``'s reports for each of ``conventions``, over one integral.
+
+    The integral does not depend on the reading; it is taken to the tolerance
+    of "2n-2", the tighter one, as P_{l+1}^(2n-2, 0)(1) is the smaller endpoint.
+    """
     def g(u):
         return np.sin(u) * orthopoly.gegenbauer_c(2 * l + 2, 2 * n - 1, np.cos(u))
 
     const = 2.0 * math.factorial(l + 1) * math.factorial(2 * n - 2) / (
         math.pi * math.factorial(l + 2 * n - 1)
     )
-    scale = max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha))
-    qtol = max(1e-13, 1e-11 * scale) / const
-    values = adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value
-    return _row_reports("jacobi_sqrt_integral_rep",
-                        [{"n": n, "l": l, "d": float(d), "convention": convention} for d in ds],
-                        [orthopoly.jacobi_p(l + 1, alpha, 0, math.cos(2 * d)) for d in ds],
-                        const * values, tol, scale=scale)
+    qtol = max(1e-13, 1e-11 * max(1.0, orthopoly.jacobi_endpoint(l + 1, 2 * n - 2))) / const
+    rhs = const * adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value
+    xs = np.array([math.cos(2 * d) for d in ds])
+    rows = {}
+    for convention in conventions:
+        alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
+        rows[convention] = _row_reports(
+            "jacobi_sqrt_integral_rep",
+            [{"n": n, "l": l, "d": float(d), "convention": convention} for d in ds],
+            orthopoly.jacobi_p(l + 1, alpha, 0, xs), rhs, tol,
+            scale=max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha)))
+    return rows
 
 
 def _theta2_sides(n: int, t: float, xs: list):
@@ -308,13 +341,13 @@ def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> Ver
 
 
 def _check_orthopoly_recurrence():
-    rng = np.random.default_rng(20240611)
+    rng = random.Random(20240611)
     params, ours, exact, scales = [], [], [], []
     for i in range(40):
-        l = int(rng.integers(0, 31))
-        alpha = float(rng.uniform(-0.5 + 1e-3, 5.0))
-        beta = float(rng.uniform(-0.5 + 1e-3, 5.0))
-        x = float(rng.uniform(-1.0, 1.0))
+        l = rng.randrange(31)
+        alpha = rng.uniform(-0.5 + 1e-3, 5.0)
+        beta = rng.uniform(-0.5 + 1e-3, 5.0)
+        x = rng.uniform(-1.0, 1.0)
         params.append({"sample": i, "l": l, "alpha": alpha, "beta": beta, "x": x})
         ours.append(orthopoly.jacobi_p(l, alpha, beta, x))
         exact.append(_exact_jacobi(l, alpha, beta, x))
@@ -347,23 +380,17 @@ def _check_orthopoly_ladder():
     us = np.linspace(0.2, _HALF_PI - 0.2, 9)
     reports = []
     for m, l, lam in ((1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0), (4, 12, 1.0)):
-        def f(u, _l=l, _lam=lam):
-            return orthopoly.gegenbauer_c(_l, _lam, math.cos(u))
-
         exact_vals = orthopoly.ladder_apply(m, l, lam, np.cos(us))
-        fd_vals = np.array([_ladder_fd(f, u, m) for u in us])
+        fd_vals = _ladder_fd(lambda u: orthopoly.gegenbauer_c(l, lam, np.cos(u)), us, m)
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
             "gegenbauer_ladder_vs_fd", {"m": m, "l": l, "lam": lam}, "u", us,
             exact_vals, fd_vals, tol, scale=scale,
         ))
     for m, q in ((1, 3), (2, 5), (3, 5), (3, 8)):
-        def f(u, _q=q):
-            return math.cos(_q * u)
-
         # L cos(qu) = q C_{q-1}^1(cos u)
         exact_vals = q * orthopoly.ladder_apply(m - 1, q - 1, 1.0, np.cos(us))
-        fd_vals = np.array([_ladder_fd(f, u, m) for u in us])
+        fd_vals = _ladder_fd(lambda u: np.cos(q * u), us, m)
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
             "cosine_ladder_vs_fd", {"m": m, "q": q}, "u", us,
@@ -441,20 +468,14 @@ def _check_theta_parity():
 def _check_theta_truncation():
     tol = thetapsi.DEFAULT_TOL
     theta_cases = ((2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2))
-    brutes = [sum(math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2) * math.cos((2 * l + m - 1) * u)
-                  for l in range(3000))
+    brutes = [_brute_sum(m, t, 3000, lambda a, q: a * math.cos(q * u))
               for m, t, u in theta_cases]
     psi_cases = ((1, 2, 0.3, 0.7), (3, 4, 0.2, 0.9))
-    psi_brutes = []
-    for j, m, t, u in psi_cases:
-        brute = 0.0
-        for l in range(2000):
-            a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
-            if a == 0.0:
-                break  # a only falls with l: every later term is +-0.0, a no-op
-            q = 2 * l + m - 1  # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
-            brute += a * math.sin(u) * (q * orthopoly.ladder_apply(j - 1, q - 1, 1.0, math.cos(u)))
-        psi_brutes.append(brute)
+    # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
+    psi_brutes = [
+        _brute_sum(m, t, 2000, lambda a, q: a * math.sin(u) * (
+            q * orthopoly.ladder_apply(j - 1, q - 1, 1.0, math.cos(u))))
+        for j, m, t, u in psi_cases]
     return (_row_reports("theta_truncation_soundness",
                          [{"m": m, "t": t, "u": u} for m, t, u in theta_cases],
                          [thetapsi.theta_sum(m, t, u) for m, t, u in theta_cases], brutes, tol)
@@ -469,11 +490,8 @@ def _check_theta_ladder():
     reports = []
     for j in (1, 2, 3):
         for m, t in ((2, 0.5), (4, 0.2), (4, 0.5)):
-            def f(u, _m=m, _t=t):
-                return thetapsi.theta_sum(_m, _t, u)
-
             exact_vals = thetapsi.psi_sum(j, m, t, us)
-            fd_vals = np.array([math.sin(u) * _ladder_fd(f, float(u), j) for u in us])
+            fd_vals = np.sin(us) * _ladder_fd(lambda u: thetapsi.theta_sum(m, t, u), us, j)
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))
             reports.append(_worst_report(
                 "psi_ladder_vs_fd", {"j": j, "m": m, "t": t}, "u", us,
@@ -482,20 +500,19 @@ def _check_theta_ladder():
     return reports
 
 
-def _random_point(k: int, rng: np.random.Generator) -> np.ndarray:
+def _random_point(k: int, rng: random.Random) -> np.ndarray:
     """A point of P^2(C) (k = 1) or P^2(H) (k = 2) with normal random coordinates.
 
     Encoded as ``geometry.distance`` reads it: the quaternion coordinate
     w + x i + y j + z k gives the entries w + x i and y - z i.
     """
-    v = rng.normal(size=(3, 2 * k))
-    z = v[:, 0::2] + 1j * v[:, 1::2]
-    z[:, 1:] = z[:, 1:].conj()
-    return z.T.ravel()
+    coords = [[rng.gauss(0.0, 1.0) for _ in range(2 * k)] for _ in range(3)]
+    return np.array([complex(c[0], c[1]) for c in coords]
+                    + [complex(c[2], -c[3]) for c in coords if k == 2])
 
 
 def _check_geometry_invariance():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     worsts = []
     for k in (1, 2):
         space = SpaceDescriptor(n=2, k=k)
@@ -697,13 +714,12 @@ def _check_jacobi_rep():
     pass), while the resolution report names the winner and records how
     badly the rejected reading misses.
     """
-    by_convention = {}
-    worst_rejected = {}
-    for convention in JACOBI_REP_CONVENTIONS:
-        reps = [rep for n in _NS for l in range(9)
-                for rep in jacobi_rep_check(n, l, _REP_DS, 1e-8, convention)]
-        by_convention[convention] = reps
-        worst_rejected[convention] = max(r.rel_err for r in reps)
+    by_convention = {c: [] for c in JACOBI_REP_CONVENTIONS}
+    for n in _NS:
+        for l in range(9):
+            for c, reps in _jacobi_rep_rows(n, l, _REP_DS, 1e-8, JACOBI_REP_CONVENTIONS).items():
+                by_convention[c].extend(reps)
+    worst_rejected = {c: max(r.rel_err for r in reps) for c, reps in by_convention.items()}
     winners = [c for c, reps in by_convention.items() if all(r.passed for r in reps)]
     resolution = winners[0] if len(winners) == 1 else ("both" if winners else "none")
     reports = list(by_convention[resolution]) if resolution in by_convention else []

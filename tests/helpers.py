@@ -6,16 +6,20 @@ exact Jacobi series and the finite-difference ladder are the self-test's
 oracles in ``projheat.verify``, re-exported under the tests' names; they
 share nothing with the production recurrences either.  The same Jacobi
 series in ``Fraction`` arithmetic is kept here as the reference that the
-self-test's integer form is held to.  The Hamilton product and the
-quaternionic distance below run on plain 4-tuples, as the reference the
-package's complex encoding of P^n(H) is held to.  The reference
-doubling loop and kernel below run one distance at a time over
-``integrate_weighted``: they pin the row loop's batching, chunking and
-bookkeeping, not the substitution arithmetic they share with it.
+self-test's integer form is held to, and the finite-difference ladder at
+one point with a scalar ``f`` as the reference its row form is held to.
+The Hamilton product and the quaternionic distance below run on plain
+4-tuples, as the reference the package's complex encoding of P^n(H) is
+held to.  The reference doubling loop and kernel below run one distance
+at a time over ``integrate_weighted``: they pin the row loop's batching,
+chunking and bookkeeping, not the substitution arithmetic they share
+with it.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from projheat.errors import QuadratureConvergenceError
 from projheat.kernels import KernelValue
@@ -43,6 +47,22 @@ def jacobi_series_fraction(l, alpha, beta, x):
         term *= (-z) ** s
         total += term / (math.factorial(s) * math.factorial(l - s))
     return float(total)
+
+
+def ladder_fd_point(f, u0, m, h=None):
+    """The finite-difference ladder at the single point u0, f called once per stencil point."""
+    if h is None:
+        h = 1e-3 * (2.0 ** max(0, m - 2))
+
+    def once(step):
+        us = u0 + step * np.arange(-m, m + 1, dtype=float)
+        vals = np.array([f(v) for v in us], dtype=float)
+        for _ in range(m):
+            vals = -(vals[2:] - vals[:-2]) / (2.0 * step * np.sin(us[1:-1]))
+            us = us[1:-1]
+        return float(vals[0])
+
+    return (4.0 * once(0.5 * h) - once(h)) / 3.0
 
 
 def hamilton(p, q):

@@ -286,6 +286,23 @@ class TestSelftest:
         res = run("eval", "--space", "qpn", "--t", "0.5", "--d", "0.1")
         assert res.returncode == 2
 
+    def test_help_names_the_prefix(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--help"])
+        assert exc.value.code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "[--only PREFIX]" in out and "--only PREFIX " in out
+        assert "ONLY" not in out
+
+    def test_suite_leaves_numpy_random_unimported(self):
+        # a fresh process: the suite draws its samples from Python's random
+        code = ("import sys; from projheat import cli; assert cli.main(['selftest']) == 0; "
+                "sys.stdout.flush(); print('numpy.random' in sys.modules, file=sys.stderr)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "False\n"
+
 
 class TestProcessEntry:
     """``python -m projheat`` and the ``projheat`` script end through ``cli.run``.

@@ -1,6 +1,7 @@
 """Tests for projective geometry, the volume density and the radial Laplacian."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -79,13 +80,42 @@ class TestDistance:
         rng = np.random.default_rng(11)
         space = SpaceDescriptor(n=2, k=k)
         x, y = _points(rng, k, 2, (30,)), _points(rng, k, 2, (30,))
-        q1 = np.array([random_unit_scalar(k, rng) for _ in range(30)])
-        q2 = np.array([random_unit_scalar(k, rng) for _ in range(30)])
+        scalars = random.Random(11)
+        q1 = np.array([random_unit_scalar(k, scalars) for _ in range(30)])
+        q2 = np.array([random_unit_scalar(k, scalars) for _ in range(30)])
         base = distance(space, x, y)
         assert base.shape == (30,)
         assert distance(space, y, x).tolist() == base.tolist()  # exact, row by row
         moved = distance(space, scale_point(x, q1), scale_point(y, q2))
         assert np.max(np.abs(moved - base)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_point_to_itself_is_zero(self, k):
+        rng = np.random.default_rng(23)
+        space = SpaceDescriptor(n=2, k=k)
+        x = _points(rng, k, 2, (1000,))
+        assert np.max(distance(space, x, x)) <= 1e-15
+        # and to any multiple of itself by a scalar of F
+        scalars = random.Random(23)
+        s = np.array([random_unit_scalar(k, scalars) for _ in range(1000)])
+        assert np.max(distance(space, x, 3.0 * scale_point(x, s))) <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("d", [1e-6, 1e-3])
+    def test_relative_accuracy_at_small_distances(self, k, d):
+        # y = cos(d) x + sin(d) v with v a unit vector F-orthogonal to x, moved by a scalar
+        rng = np.random.default_rng(29)
+        scalars = random.Random(29)
+        space = SpaceDescriptor(n=2, k=k)
+        units = [[1.0], [1j]] if k == 1 else [[1, 0], [1j, 0], [0, 1], [0, 1j]]
+        for x, v in zip(_points(rng, k, 2, (100,)), _points(rng, k, 2, (100,))):
+            x = x / np.linalg.norm(x)
+            for e in units:  # x e over the unit scalars e of F: an orthonormal real basis
+                b = scale_point(x, np.array(e, dtype=complex))
+                v = v - b * np.vdot(b, v).real
+            y = math.cos(d) * x + math.sin(d) * v / np.linalg.norm(v)
+            y = 2.5 * scale_point(y, random_unit_scalar(k, scalars))
+            assert abs(distance(space, x, y) - d) <= 1e-8 * d
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_quaternion_reference(self, n):

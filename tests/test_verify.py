@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import ladder_fd_point
+from projheat import orthopoly, thetapsi
 from projheat.verify import (
     JACOBI_REP_CONVENTIONS,
     SuiteProfile,
+    _brute_sum,
+    _ladder_fd,
     _row_reports,
     _worst_report,
     compare_values,
@@ -78,12 +82,62 @@ class TestReport:
         rep = _worst_report("x", {"a": 1}, "x", xs, lhs, rhs, 1e-10, scale=2.0)
         assert rep == one_entry(100.0, 100.5, 1e-10, {"a": 1, "x": 0.2}, scale=2.0)
 
+    def test_sort_key_is_the_sorted_json_of_the_parameters(self):
+        params = {"n": 2, "d": 0.3, "rejected": ["2n-1"], "a": np.float64(1.5)}
+        [rep] = _row_reports("name", [params], [2.0], [2.0], 1e-8)
+        assert rep.sort_key() == ("name", json.dumps(params, sort_keys=True, default=str))
+
     def test_json_roundtrip(self):
         [rep] = _row_reports("name", [{"a": 1, "b": 0.5}], [2.0], [2.0], 1e-8)
         data = json.loads(rep.to_json())
         assert data["identity"] == "name"
         assert data["parameters"] == {"a": 1, "b": 0.5}
         assert data["passed"] is True
+
+
+class TestOracles:
+    """The suite's row oracles are their point-by-point forms, bit for bit."""
+
+    US = np.linspace(0.2, math.pi / 2 - 0.2, 9)  # the orthopoly_ladder group's points
+    THETA_US = np.linspace(0.2, math.pi / 2 - 0.1, 7)  # the theta_ladder group's points
+
+    @staticmethod
+    def assert_bit_identical(row, points):
+        assert [v.hex() for v in row.tolist()] == [v.hex() for v in points]
+
+    @pytest.mark.parametrize("m,l,lam", [(1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0),
+                                         (4, 12, 1.0)])
+    def test_gegenbauer_ladder_fd_row(self, m, l, lam):
+        row = _ladder_fd(lambda u: orthopoly.gegenbauer_c(l, lam, np.cos(u)), self.US, m)
+        self.assert_bit_identical(row, [
+            ladder_fd_point(lambda u: orthopoly.gegenbauer_c(l, lam, math.cos(u)), u, m)
+            for u in self.US.tolist()])
+
+    @pytest.mark.parametrize("m,q", [(1, 3), (2, 5), (3, 5), (3, 8)])
+    def test_cosine_ladder_fd_row(self, m, q):
+        row = _ladder_fd(lambda u: np.cos(q * u), self.US, m)
+        self.assert_bit_identical(row, [ladder_fd_point(lambda u: math.cos(q * u), u, m)
+                                        for u in self.US.tolist()])
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("m,t", [(2, 0.5), (4, 0.2), (4, 0.5)])
+    def test_theta_ladder_fd_row(self, j, m, t):
+        row = np.sin(self.THETA_US) * _ladder_fd(lambda u: thetapsi.theta_sum(m, t, u),
+                                                 self.THETA_US, j)
+        self.assert_bit_identical(row, [
+            math.sin(u) * ladder_fd_point(lambda v: thetapsi.theta_sum(m, t, v), u, j)
+            for u in self.THETA_US.tolist()])
+
+    @pytest.mark.parametrize("m,t,u", [(2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2)])
+    def test_brute_sum_stops_at_the_full_sum(self, m, t, u):
+        # the theta_truncation group's cases: the early stop drops only +-0.0 terms
+        full = 0.0
+        for l in range(3000):
+            full += math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2) * math.cos((2 * l + m - 1) * u)
+        calls = []
+        brute = _brute_sum(m, t, 3000, lambda a, q: calls.append(q) or a * math.cos(q * u))
+        assert brute == full and brute.hex() == full.hex()
+        assert len(calls) < 3000
 
 
 class TestLemma:
