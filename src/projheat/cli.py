@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import kernels, verify
+from . import kernels
 from .errors import ProjheatError, QuadratureConvergenceError, TruncationCapError
 from .geometry import SpaceDescriptor
 
@@ -234,6 +234,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import verify  # here, not at the top: eval and table need only kernels
     tol = args.tol
     space, ds, rows = _evaluate_grid(args, "0.1:1:4", "0:1.4:6", kernels.METHODS,
                                      min(tol, 1e-10))
@@ -270,6 +271,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import verify
     groups = (args.only,) if args.only else None
     reports = verify.full_suite(verify.SuiteProfile(groups=groups))
     if not reports:  # before --out is opened, so no output is written

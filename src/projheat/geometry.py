@@ -121,9 +121,14 @@ def distance(space: SpaceDescriptor, x, y):
 
 
 def manifold_volume(space: SpaceDescriptor) -> float:
-    """Total Riemannian volume, the reciprocal of the flat long-time kernel value."""
-    c = space.spectral_offset
-    return math.factorial(space.k - 1) * math.pi ** (space.k * space.n) / math.factorial(c)
+    """Total Riemannian volume, the reciprocal of the flat long-time kernel value.
+
+    That is pi^(kn) / (c!/(k-1)!), with c!/(k-1)! divided down by the power
+    of two ``kernels.stationary_value`` uses, so that it converts to a float.
+    """
+    whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
+    shift = max(0, whole.bit_length() - 1000)
+    return math.ldexp(math.pi ** (space.k * space.n) / (whole / (1 << shift)), -shift)
 
 
 def density_constant(space: SpaceDescriptor) -> float:

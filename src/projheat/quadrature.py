@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
+from .orthopoly import gegenbauer_step
 
 _HALF_PI = 0.5 * math.pi
 
@@ -48,10 +49,9 @@ _RULE_CACHE: dict[int, QuadratureRule] = {}
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p, p_prev = ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k, p
+    p, p_prev = np.ones_like(x), np.zeros_like(x)
+    for k in range(1, n + 1):  # P_k = C_k^(1/2)
+        p, p_prev = gegenbauer_step(k, 0.5, x, p, p_prev), p
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry, kernels, orthopoly, quadrature, thetapsi
-from .errors import DomainError, QuadratureConvergenceError
+from .errors import QuadratureConvergenceError
 from .geometry import SpaceDescriptor
 from .quadrature import adaptive_integrate_row, gauss_legendre_rule
 
@@ -192,8 +192,7 @@ def _exact_jacobi(l: int, alpha: float, beta: float, x: float) -> float:
     return total / (q**l * r**l * math.factorial(l))
 
 
-def _ladder_fd(f: Callable[[np.ndarray], np.ndarray], u0, m: int,
-               h: Optional[float] = None) -> np.ndarray:
+def _ladder_fd(f: Callable[[np.ndarray], np.ndarray], u0, m: int) -> np.ndarray:
     """Iterated -(1/sin u) d/du by nested central differences, Richardson once.
 
     Row contract: one value per point of the row ``u0``, as one stencil per
@@ -201,8 +200,7 @@ def _ladder_fd(f: Callable[[np.ndarray], np.ndarray], u0, m: int,
     (len(u0), 2m+1) stencil array.  The step doubles with each nesting
     level beyond two: nested differencing amplifies roundoff by (2h)^-m.
     """
-    if h is None:
-        h = 1e-3 * (2.0 ** max(0, m - 2))
+    h = 1e-3 * (2.0 ** max(0, m - 2))
     u0 = np.asarray(u0, dtype=float)[..., None]
 
     def once(step: float) -> np.ndarray:
@@ -249,13 +247,13 @@ def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> fl
 # named identity checks
 
 
-def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
+def lemma_check(n: int, l: int, ds) -> list:
     """Square-root-weight integral of a laddered Gegenbauer term vs Jacobi form.
 
     LHS: integral over [d, pi/2] of sqrt(cos^2 d - cos^2 u)/cos^2 d times
     L^(2n) C_{2l+2n}^1(cos u) sin(u); RHS: 2^(2n-2) pi (l+2n)!/(l+1)!
     times P_l^(2n-1,1)(cos 2d).  One report per distance d of ``ds``,
-    all integrated in one doubling loop.
+    all integrated in one doubling loop, each checked at tolerance 1e-8.
     """
     def g(u):
         return np.sin(u) * orthopoly.ladder_apply(2 * n, 2 * l + 2 * n, 1.0, np.cos(u))
@@ -267,29 +265,19 @@ def lemma_check(n: int, l: int, ds, tol: float = 1e-8) -> list:
     values = adaptive_integrate_row(ds, 0.5, g, qtols).value
     return _row_reports("gegenbauer_ladder_to_jacobi",
                         [{"n": n, "l": l, "d": float(d)} for d in ds],
-                        values / cos2s, rhss, tol)
+                        values / cos2s, rhss, 1e-8)
 
 
-def jacobi_rep_check(n: int, l: int, ds, tol: float = 1e-8,
-                     convention: str = "2n-2") -> list:
-    """Inverse-square-root integral representation of Jacobi polynomials.
+def _jacobi_rep_rows(n: int, l: int, ds) -> dict:
+    """Inverse-square-root integral representation of Jacobi polynomials, both readings.
 
     RHS: 2 (l+1)! (2n-2)! / (pi (l+2n-1)!) times the integral over
     [d, pi/2] of sin(u) C_{2l+2}^(2n-1)(cos u) / sqrt(cos^2 d - cos^2 u).
-    LHS: P_{l+1}^(a, 0)(cos 2d) with a = 2n-1 or 2n-2 per ``convention``;
-    exactly one choice makes this an identity, and the suite records which.
-    One report per distance d of ``ds``, all integrated in one doubling loop.
-    """
-    if convention not in JACOBI_REP_CONVENTIONS:
-        raise DomainError(f"convention must be one of {JACOBI_REP_CONVENTIONS}")
-    return _jacobi_rep_rows(n, l, ds, tol, (convention,))[convention]
-
-
-def _jacobi_rep_rows(n: int, l: int, ds, tol: float, conventions) -> dict:
-    """``jacobi_rep_check``'s reports for each of ``conventions``, over one integral.
-
-    The integral does not depend on the reading; it is taken to the tolerance
-    of "2n-2", the tighter one, as P_{l+1}^(2n-2, 0)(1) is the smaller endpoint.
+    LHS: P_{l+1}^(a, 0)(cos 2d) with a = 2n-1 or 2n-2 per reading of
+    JACOBI_REP_CONVENTIONS; exactly one makes this an identity.  Returns each
+    reading's reports, one per distance d of ``ds`` at tolerance 1e-8.  One
+    doubling loop serves both, to the tolerance of "2n-2", the tighter one, as
+    P_{l+1}^(2n-2, 0)(1) is the smaller endpoint.
     """
     def g(u):
         return np.sin(u) * orthopoly.gegenbauer_c(2 * l + 2, 2 * n - 1, np.cos(u))
@@ -301,12 +289,12 @@ def _jacobi_rep_rows(n: int, l: int, ds, tol: float, conventions) -> dict:
     rhs = const * adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value
     xs = np.array([math.cos(2 * d) for d in ds])
     rows = {}
-    for convention in conventions:
+    for convention in JACOBI_REP_CONVENTIONS:
         alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
         rows[convention] = _row_reports(
             "jacobi_sqrt_integral_rep",
             [{"n": n, "l": l, "d": float(d), "convention": convention} for d in ds],
-            orthopoly.jacobi_p(l + 1, alpha, 0, xs), rhs, tol,
+            orthopoly.jacobi_p(l + 1, alpha, 0, xs), rhs, 1e-8,
             scale=max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha)))
     return rows
 
@@ -314,8 +302,10 @@ def _jacobi_rep_rows(n: int, l: int, ds, tol: float, conventions) -> dict:
 def _theta2_sides(n: int, t: float, xs: list):
     """Both sides of the theta-2 relation over the angles ``xs``: (lhs, rhs) rows.
 
-    theta_{2n+2} is one row call; the harmonics and the classical theta-2
-    are summed point by point in scalar ``math``, independently of it.
+    lhs is theta_{2n+2} plus the first n harmonics of half the classical
+    theta-2, rhs is that half; neither is a difference that could cancel.
+    theta_{2n+2} is one row call; the harmonics and theta-2 are summed point
+    by point in scalar ``math``, independently of it.
     """
     harmonics = [sum(math.exp(-4.0 * t * (l + 0.5) ** 2) * math.cos((2 * l + 1) * x)
                      for l in range(n)) for x in xs]
@@ -323,17 +313,6 @@ def _theta2_sides(n: int, t: float, xs: list):
     rhs = np.array([0.5 * thetapsi.jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
                     for x in xs])
     return lhs, rhs
-
-
-def theta2_relation_check(n: int, t: float, x: float, tol: float = 1e-10) -> VerificationReport:
-    """theta_{2n+2} plus the first n harmonics of half the classical theta-2 vs that half.
-
-    Neither side is a difference, so no side cancels down to roundoff and
-    the relative error stays meaningful where theta_{2n+2} itself is tiny.
-    """
-    [rep] = _row_reports("theta_halfinteger_relation", [{"n": n, "t": t, "x": x}],
-                         *_theta2_sides(n, t, [x]), tol)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +682,7 @@ def _check_kernels_stationary():
 
 
 def _check_lemma():
-    return [rep for n in _NS for l in range(9) for rep in lemma_check(n, l, _REP_DS, 1e-8)]
+    return [rep for n in _NS for l in range(9) for rep in lemma_check(n, l, _REP_DS)]
 
 
 def _check_jacobi_rep():
@@ -717,7 +696,7 @@ def _check_jacobi_rep():
     by_convention = {c: [] for c in JACOBI_REP_CONVENTIONS}
     for n in _NS:
         for l in range(9):
-            for c, reps in _jacobi_rep_rows(n, l, _REP_DS, 1e-8, JACOBI_REP_CONVENTIONS).items():
+            for c, reps in _jacobi_rep_rows(n, l, _REP_DS).items():
                 by_convention[c].extend(reps)
     worst_rejected = {c: max(r.rel_err for r in reps) for c, reps in by_convention.items()}
     winners = [c for c, reps in by_convention.items() if all(r.passed for r in reps)]

@@ -13,7 +13,11 @@ The Hamilton product and the quaternionic distance below run on plain
 held to.  The reference doubling loop and kernel below run one distance
 at a time over ``integrate_weighted``: they pin the row loop's batching,
 chunking and bookkeeping, not the substitution arithmetic they share
-with it.
+with it.  Two earlier forms of production arithmetic are kept as the
+bit-identity references of their replacements: the Legendre recurrence that
+Gauss-Legendre rules ran before they took the Gegenbauer step, and the
+manifold volume as one float quotient (which overflows at the top of the
+accepted n range).
 """
 
 import math
@@ -49,10 +53,9 @@ def jacobi_series_fraction(l, alpha, beta, x):
     return float(total)
 
 
-def ladder_fd_point(f, u0, m, h=None):
+def ladder_fd_point(f, u0, m):
     """The finite-difference ladder at the single point u0, f called once per stencil point."""
-    if h is None:
-        h = 1e-3 * (2.0 ** max(0, m - 2))
+    h = 1e-3 * (2.0 ** max(0, m - 2))
 
     def once(step):
         us = u0 + step * np.arange(-m, m + 1, dtype=float)
@@ -63,6 +66,22 @@ def ladder_fd_point(f, u0, m, h=None):
         return float(vals[0])
 
     return (4.0 * once(0.5 * h) - once(h)) / 3.0
+
+
+def legendre_and_derivative_reference(n, x):
+    """P_n and P_n' at x by Legendre's own three-term recurrence, n >= 2."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for k in range(2, n + 1):
+        p, p_prev = ((2.0 * k - 1.0) * x * p - (k - 1.0) * p_prev) / k, p
+    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    return p, dp
+
+
+def manifold_volume_reference(space):
+    """(k-1)! pi^(kn) / c! as one float quotient; OverflowError once c! exceeds a float."""
+    c = space.spectral_offset
+    return math.factorial(space.k - 1) * math.pi ** (space.k * space.n) / math.factorial(c)
 
 
 def hamilton(p, q):

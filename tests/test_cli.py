@@ -8,9 +8,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
+import projheat
 from projheat import cli, verify
 
 CMD = [sys.executable, "-m", "projheat"]
@@ -299,6 +301,33 @@ class TestSelftest:
         # a fresh process: the suite draws its samples from Python's random
         code = ("import sys; from projheat import cli; assert cli.main(['selftest']) == 0; "
                 "sys.stdout.flush(); print('numpy.random' in sys.modules, file=sys.stderr)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "False\n"
+
+
+class TestImports:
+    """The package exports its entry point; only ``compare`` and ``selftest`` load ``verify``."""
+
+    def test_package_exports_the_entry_point_and_the_errors(self):
+        public = {name for name, value in vars(projheat).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public == {"unified", "KernelValue", "DomainError", "ProjheatError",
+                          "QuadratureConvergenceError", "TruncationCapError"}
+
+    def test_package_import_leaves_verify_and_json_unloaded(self):
+        # a fresh process: this one has imported both
+        code = ("import sys, projheat; "
+                "print([m for m in ('projheat.verify', 'json') if m in sys.modules])")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv", [["table", "--method", "both"],
+                                      ["eval", "--t", "0.5", "--d", "0.3"]])
+    def test_table_and_eval_leave_verify_unloaded(self, argv):
+        code = (f"import sys; from projheat import cli; assert cli.main({argv!r}) == 0; "
+                "sys.stdout.flush(); print('projheat.verify' in sys.modules, file=sys.stderr)")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stderr == "False\n"

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import encode_quaternions, hamilton, quaternion_conjugate, quaternion_distance
+from helpers import (
+    encode_quaternions,
+    hamilton,
+    manifold_volume_reference,
+    quaternion_conjugate,
+    quaternion_distance,
+)
 from projheat.errors import DomainError
 from projheat.geometry import (
     SpaceDescriptor,
@@ -19,6 +25,7 @@ from projheat.geometry import (
     scale_point,
     volume_density,
 )
+from projheat.kernels import MAX_OFFSET, stationary_value
 from projheat.orthopoly import jacobi_p
 from projheat.quadrature import gauss_legendre_rule
 
@@ -202,6 +209,24 @@ class TestVolumeDensity:
     def test_total_matches_formula(self, k, n):
         space = SpaceDescriptor(n=n, k=k)
         assert_allclose(self._total(space), manifold_volume(space), rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_volume_over_the_accepted_range(self, k):
+        # the one-quotient formula bit for bit wherever it returns, finite where c!
+        # overflows a float (only at the largest n), and 1 / stationary_value throughout
+        overflowed = []
+        for n in range(1, (MAX_OFFSET + 1) // k):
+            space = SpaceDescriptor(n=n, k=k)
+            volume = manifold_volume(space)
+            assert math.isfinite(volume) and volume > 0.0, n
+            assert abs(volume * stationary_value(space) - 1.0) <= 2.3e-16, n
+            try:
+                reference = manifold_volume_reference(space)
+            except OverflowError:
+                overflowed.append(n)
+                continue
+            assert volume.hex() == reference.hex(), n
+        assert overflowed == [(MAX_OFFSET + 1) // k - 1]
 
     def test_endpoint_decay(self):
         space = SpaceDescriptor(n=1, k=2)

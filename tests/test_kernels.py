@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,7 +50,6 @@ class TestStationaryLimits:
     def test_formula_where_c_factorial_overflows(self, k, n_max):
         # c! overflows a float at n_max, the value ~1e224 does not; held to
         # the formula at the float pi, whose own error grows to ~1e-14 here
-        mpmath = pytest.importorskip("mpmath")
         space = SpaceDescriptor(n=n_max, k=k)
         c = space.spectral_offset
         got = stationary_value(space)

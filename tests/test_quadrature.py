@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import adaptive_reference
+from helpers import adaptive_reference, legendre_and_derivative_reference
 from projheat import quadrature
 from projheat.errors import DomainError, QuadratureConvergenceError
 from projheat.quadrature import (
@@ -57,6 +57,19 @@ class TestRuleGeneration:
         rule = gauss_legendre_rule(count)
         assert_allclose(rule.nodes, nodes, atol=1e-14)
         assert_allclose(rule.weights, weights, atol=1e-14)
+
+    @pytest.mark.parametrize("count", [*range(1, 11), *(16 << i for i in range(10))])
+    def test_rule_is_the_legendre_recurrence_rule(self, count, monkeypatch):
+        # the Gegenbauer step at order 1/2 is Legendre's step, operation for operation,
+        # so every rule (the doubling loops run 16 to 8192) is the same bit for bit
+        rule = gauss_legendre_rule(count)
+        monkeypatch.setattr(quadrature, "_RULE_CACHE", {})
+        monkeypatch.setattr(quadrature, "_legendre_and_derivative",
+                            legendre_and_derivative_reference)
+        reference = gauss_legendre_rule(count)
+        assert reference is not rule
+        assert rule.nodes.tobytes() == reference.nodes.tobytes()
+        assert rule.weights.tobytes() == reference.weights.tobytes()
 
     def test_rejects_bad_count(self):
         with pytest.raises(DomainError):
