@@ -21,9 +21,12 @@ the radial part of the Laplace-Beltrami operator are
 With this normalization the functions r -> P_l^(kn-1, k-1)(cos 2r) are
 eigenfunctions with eigenvalue -4 l (l + kn + k - 1), matching the decay
 rates of the spectral kernels, and integral of J over [0, pi/2] is the
-manifold volume.  The Laplacian here is evaluated by central differences:
-it serves as an independent check on closed-form results, so it must not
-share code with them.
+manifold volume, pi^(kn) (k-1)!/c! with c = k(n+1) - 1; its reciprocal is the
+kernel's long-time limit.  ``SpaceDescriptor`` owns the accepted range of
+(k, n): c <= MAX_OFFSET, so that every factorial the kernels and the volume
+read converts to a float.  The Laplacian here is evaluated by central
+differences: it serves as an independent check on closed-form results, so
+it must not share code with them.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ import numpy as np
 from .errors import DomainError
 
 _HALF_PI = 0.5 * math.pi
+
+#: largest c = k(n+1) - 1 accepted: (c-1)! in the series weights and in
+#: the integral's ladder scale must convert to a float
+MAX_OFFSET = 171
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,9 @@ class SpaceDescriptor:
             raise DomainError(f"projective index must be >= 1, got {self.n}")
         if self.k not in (1, 2):
             raise DomainError(f"field selector must be 1 (complex) or 2 (quaternionic), got {self.k}")
+        if self.spectral_offset > MAX_OFFSET:
+            raise DomainError(f"projective index must be <= {(MAX_OFFSET + 1) // self.k - 1} "
+                              f"for k={self.k}, got {self.n}: larger n overflows floating point")
 
     @property
     def jacobi_alpha(self) -> int:
@@ -120,15 +130,29 @@ def distance(space: SpaceDescriptor, x, y):
     return np.minimum(2.0 * np.arcsin(0.25 * (gap[0] + gap[1])), _HALF_PI)
 
 
-def manifold_volume(space: SpaceDescriptor) -> float:
-    """Total Riemannian volume, the reciprocal of the flat long-time kernel value.
+def _offset_factorial(space: SpaceDescriptor) -> tuple:
+    """(c!/(k-1)! / 2^shift, shift), the quotient as a float.
 
-    That is pi^(kn) / (c!/(k-1)!), with c!/(k-1)! divided down by the power
-    of two ``kernels.stationary_value`` uses, so that it converts to a float.
+    c! overflows a float at the top of the accepted n range, so the exact
+    integer quotient is divided down by a power of two (shift > 0 only
+    above 2^1000).  That step and the caller's ldexp by 2^shift are exact,
+    so results equal the plain float quotient wherever that one fits.
     """
     whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
     shift = max(0, whole.bit_length() - 1000)
-    return math.ldexp(math.pi ** (space.k * space.n) / (whole / (1 << shift)), -shift)
+    return whole / (1 << shift), shift
+
+
+def manifold_volume(space: SpaceDescriptor) -> float:
+    """Total Riemannian volume, pi^(kn) / (c!/(k-1)!)."""
+    scaled, shift = _offset_factorial(space)
+    return math.ldexp(math.pi ** (space.k * space.n) / scaled, -shift)
+
+
+def stationary_value(space: SpaceDescriptor) -> float:
+    """Long-time limit of the kernel, 1 / volume of the space: c!/(k-1)! / pi^(kn)."""
+    scaled, shift = _offset_factorial(space)
+    return math.ldexp(scaled / math.pi ** (space.k * space.n), shift)
 
 
 def density_constant(space: SpaceDescriptor) -> float:

@@ -22,6 +22,10 @@ Series truncation bounds |P_l| on [-1, 1] by its value at 1 and stops
 when a geometric majorant of the tail drops below the tolerance; the
 integral form uses doubling Gauss-Legendre quadrature on the
 endpoint-regularized substitution from the quadrature module.
+
+Both methods check their arguments once, in ``_check_args``: building the
+``geometry.SpaceDescriptor`` decides whether (k, n) is accepted, and the
+time, the distances and the tolerance are checked here.
 """
 
 from __future__ import annotations
@@ -48,10 +52,6 @@ SERIES_CAP = 2000
 
 METHODS = ("series", "integral")
 
-#: largest c = k(n+1) - 1 accepted: (c-1)! in the series weights and in
-#: the integral's ladder scale must convert to a float
-MAX_OFFSET = 171
-
 
 @dataclass(frozen=True)
 class KernelValue:
@@ -69,22 +69,16 @@ class KernelValue:
     est_error: float | np.ndarray
 
 
-def _check_index(k: int, n: int) -> None:
-    if k * (n + 1) - 1 > MAX_OFFSET:
-        raise DomainError(f"projective index must be <= {(MAX_OFFSET + 1) // k - 1} for "
-                          f"k={k}, got {n}: larger n overflows floating point")
-
-
 def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
-    SpaceDescriptor(n=n, k=k)  # validates index and field selector
-    _check_index(k, n)
+    SpaceDescriptor(n=n, k=k)  # validates the index, its range and the field selector
     if not 0.0 < t < math.inf:
         raise DomainError(f"diffusion time must be positive and finite, got {t}")
     d_arr = np.asarray(d, dtype=float)
     if d_arr.ndim > 1:
         raise DomainError(f"distance must be a scalar or a row, got {d_arr.ndim} dimensions")
-    if not np.all((d_arr >= 0.0) & (d_arr < _HALF_PI)):
-        raise DomainError("distance must lie in [0, pi/2)")
+    outside = ~((d_arr >= 0.0) & (d_arr < _HALF_PI))
+    if outside.any():
+        raise DomainError(f"distance must lie in [0, pi/2), got {d_arr[outside].flat[0]}")
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
 
@@ -193,19 +187,4 @@ def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
         return row
     return KernelValue(value=float(row.value[0]), terms_or_nodes=int(row.terms_or_nodes[0]),
                        est_error=float(row.est_error[0]))
-
-
-def stationary_value(space: SpaceDescriptor) -> float:
-    """Long-time limit of the kernel, 1 / volume of the space.
-
-    That is c!/(k-1)! / pi^(kn).  c! alone overflows a float at the top of
-    the accepted n range, so it is divided down by a power of two first
-    and the quotient scaled back up: exact steps that leave the result
-    unchanged wherever c! itself fits.  Raises DomainError beyond that
-    range, as ``unified`` does.
-    """
-    _check_index(space.k, space.n)
-    whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
-    shift = max(0, whole.bit_length() - 1000)
-    return math.ldexp(whole / (1 << shift) / math.pi ** (space.k * space.n), shift)
 

@@ -12,9 +12,9 @@ assembled termwise through the cosine ladder, so Psi carries no actual
 differentiation and is finite at u = 0 and u = pi.  Truncation is
 controlled by an analytic tail bound: successive term bounds shrink by a
 factor that is itself decreasing, so the tail is dominated by a geometric
-series and summation stops as soon as that majorant drops below the
-tolerance ``tol`` (``DEFAULT_TOL`` unless given); a series that would need
-more than ``TERM_CAP`` terms raises TruncationCapError instead.
+series and summation stops as soon as that majorant drops below
+``DEFAULT_TOL`` (``psi_sum`` takes its own ``tol``); a series that would
+need more than ``TERM_CAP`` terms raises TruncationCapError instead.
 
 For m = 2 the series coincides with half the classical second Jacobi
 theta function at purely imaginary lattice parameter;
@@ -32,20 +32,14 @@ from .errors import DomainError, TruncationCapError
 from .orthopoly import gegenbauer_step
 
 
-#: absolute tail tolerance of every series here unless the caller gives one
+#: absolute tail tolerance of every series here, unless psi_sum's caller gives one
 DEFAULT_TOL = 1e-12
 
 #: hard cap on the terms of one series, which TruncationCapError reports
 TERM_CAP = 20000
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-
-
-def _check_series_args(m: int, t: float, u: np.ndarray, tol: float) -> None:
-    _check_tol(tol)
+def _check_series_args(m: int, t: float, u: np.ndarray) -> None:
     if m < 2:
         raise DomainError(f"series subscript must be >= 2, got {m}")
     if not t > 0:
@@ -54,10 +48,10 @@ def _check_series_args(m: int, t: float, u: np.ndarray, tol: float) -> None:
         raise DomainError("angle must be finite")
 
 
-def theta_sum(m: int, t: float, u, tol: float = DEFAULT_TOL):
+def theta_sum(m: int, t: float, u):
     """Truncated theta_m(t; u), vectorized over u."""
     u_arr = np.asarray(u, dtype=float)
-    _check_series_args(m, t, u_arr, tol)
+    _check_series_args(m, t, u_arr)
     half = 0.5 * (m - 1)
     total = np.zeros_like(u_arr)
     for l in range(TERM_CAP + 1):
@@ -65,7 +59,7 @@ def theta_sum(m: int, t: float, u, tol: float = DEFAULT_TOL):
         total += a * np.cos((2 * l + m - 1) * u_arr)
         b_next = math.exp(-4.0 * (l + 1 + half) ** 2 * t)
         rho = math.exp(-4.0 * t * (2 * l + 2 + m))
-        if rho < 1.0 and b_next / (1.0 - rho) <= tol:
+        if rho < 1.0 and b_next / (1.0 - rho) <= DEFAULT_TOL:
             return float(total) if np.ndim(u) == 0 else total
     raise TruncationCapError(f"theta series needs more than {TERM_CAP} terms at t={t}")
 
@@ -93,8 +87,10 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
     """
     if j < 1:
         raise DomainError(f"ladder count must be >= 1, got {j}")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
     u_arr = np.asarray(u, dtype=float)
-    _check_series_args(m, t, u_arr, tol)
+    _check_series_args(m, t, u_arr)
     x = np.cos(u_arr)
     lam = float(j)
     try:
@@ -147,14 +143,13 @@ def psi_sum(j: int, m: int, t: float, u, tol: float = DEFAULT_TOL, exp_shift: fl
     raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
 
 
-def jacobi_theta2_reference(z: float, tau_imag: float, tol: float = DEFAULT_TOL) -> float:
+def jacobi_theta2_reference(z: float, tau_imag: float) -> float:
     """Second Jacobi theta function at purely imaginary lattice parameter.
 
     Sums 2 sum_{l>=0} exp(-pi tau_imag (l + 1/2)^2) cos((2l+1) pi z)
     directly; real-valued here.  Kept independent of ``theta_sum`` so the two
     summations can certify each other.
     """
-    _check_tol(tol)
     if not tau_imag > 0:
         raise DomainError(f"imaginary part of tau must be positive, got {tau_imag}")
     total = 0.0
@@ -164,6 +159,6 @@ def jacobi_theta2_reference(z: float, tau_imag: float, tol: float = DEFAULT_TOL)
         )
         b_next = 2.0 * math.exp(-math.pi * tau_imag * (l + 1.5) ** 2)
         rho = math.exp(-math.pi * tau_imag * (2 * l + 4))
-        if rho < 1.0 and b_next / (1.0 - rho) <= tol:
+        if rho < 1.0 and b_next / (1.0 - rho) <= DEFAULT_TOL:
             return total
     raise TruncationCapError(f"theta2 series needs more than {TERM_CAP} terms at tau={tau_imag}j")

@@ -35,8 +35,9 @@ _HALF_PI = 0.5 * math.pi
 #: the two candidate first exponents of the integral-representation identity
 JACOBI_REP_CONVENTIONS = ("2n-1", "2n-2")
 
-#: projective indices every per-space group covers
+#: projective indices every per-space group covers, and those spaces over both fields
 _NS = (1, 2, 3)
+_SPACES = tuple(SpaceDescriptor(n=n, k=k) for k in (1, 2) for n in _NS)
 
 #: lower limits at which the lemma and jacobi_rep groups integrate
 _REP_DS = (0.0, 0.3, 0.7, 1.1, 1.4)
@@ -508,33 +509,30 @@ def _check_geometry_invariance():
 
 
 def _check_geometry_volume():
-    spaces = [SpaceDescriptor(n=n, k=k) for k in (1, 2) for n in _NS]
-    volumes = [geometry.manifold_volume(s) for s in spaces]
+    volumes = [geometry.manifold_volume(s) for s in _SPACES]
     integrals = [_radial_integral(lambda r, s=s: geometry.volume_density(s, r), 1e-12)
-                 for s in spaces]
-    return _row_reports("volume_density_total", [{"k": s.k, "n": s.n} for s in spaces],
+                 for s in _SPACES]
+    return _row_reports("volume_density_total", [{"k": s.k, "n": s.n} for s in _SPACES],
                         integrals, volumes, 1e-10, scale=volumes)
 
 
 def _check_geometry_eigenfunction():
     rs = np.linspace(0.2, 1.3, 12)
     reports = []
-    for k in (1, 2):
-        for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            for l in range(0, 7):
-                def f(r, _l=l):
-                    return orthopoly.jacobi_p(_l, space.jacobi_alpha, space.jacobi_beta,
-                                              np.cos(2.0 * r))
+    for space in _SPACES:
+        for l in range(0, 7):
+            def f(r, _l=l):
+                return orthopoly.jacobi_p(_l, space.jacobi_alpha, space.jacobi_beta,
+                                          np.cos(2.0 * r))
 
-                lam = space.eigenvalue(l)
-                vals = f(rs)
-                scale = max(1.0, abs(lam) * float(np.max(np.abs(vals))))
-                reports.append(_worst_report(
-                    "radial_eigenfunction_law", {"k": k, "n": n, "l": l}, "r", rs,
-                    geometry.radial_laplacian_fd(space, f, rs, h=5e-4), lam * vals, 1e-4,
-                    scale=scale,
-                ))
+            lam = space.eigenvalue(l)
+            vals = f(rs)
+            scale = max(1.0, abs(lam) * float(np.max(np.abs(vals))))
+            reports.append(_worst_report(
+                "radial_eigenfunction_law", {"k": space.k, "n": space.n, "l": l}, "r", rs,
+                geometry.radial_laplacian_fd(space, f, rs, h=5e-4), lam * vals, 1e-4,
+                scale=scale,
+            ))
     return reports
 
 
@@ -571,86 +569,78 @@ _EQUIV_DS = tuple(np.linspace(0.0, 1.5, 11))
 
 def _check_kernels_equivalence():
     params, series, integral = [], [], []
-    for k in (1, 2):
-        for n in _NS:
-            for t in _EQUIV_TS:
-                rs, ri = (kernels.unified(n, k, t, _EQUIV_DS, 1e-12, m) for m in kernels.METHODS)
-                params.extend({"k": k, "n": n, "t": t, "d": float(d)} for d in _EQUIV_DS)
-                series.append(rs.value)
-                integral.append(ri.value)
+    for s in _SPACES:
+        for t in _EQUIV_TS:
+            rs, ri = (kernels.unified(s.n, s.k, t, _EQUIV_DS, 1e-12, m) for m in kernels.METHODS)
+            params.extend({"k": s.k, "n": s.n, "t": t, "d": float(d)} for d in _EQUIV_DS)
+            series.append(rs.value)
+            integral.append(ri.value)
     return _row_reports("representation_equivalence", params, np.concatenate(series),
                         np.concatenate(integral), 1e-8)
 
 
 def _check_kernels_positivity():
     reports = []
-    for k in (1, 2):
-        for n in _NS:
-            min_val = math.inf
-            argmin = None
-            for t in _EQUIV_TS:
-                vals, _, _ = kernels.series_values(k, n, t, np.asarray(_EQUIV_DS), 1e-12)
-                i = int(np.argmin(vals))
-                if vals[i] < min_val:
-                    min_val = float(vals[i])
-                    argmin = {"t": t, "d": float(_EQUIV_DS[i])}
-            reports.append(_flag_report(
-                "kernel_positivity", {"k": k, "n": n, **argmin}, min_val, 0.0,
-                float(not min_val > 0.0),
-            ))
+    for s in _SPACES:
+        min_val = math.inf
+        argmin = None
+        for t in _EQUIV_TS:
+            vals, _, _ = kernels.series_values(s.k, s.n, t, np.asarray(_EQUIV_DS), 1e-12)
+            i = int(np.argmin(vals))
+            if vals[i] < min_val:
+                min_val = float(vals[i])
+                argmin = {"t": t, "d": float(_EQUIV_DS[i])}
+        reports.append(_flag_report(
+            "kernel_positivity", {"k": s.k, "n": s.n, **argmin}, min_val, 0.0,
+            float(not min_val > 0.0),
+        ))
     return reports
 
 
 def _check_kernels_normalization():
     params, integrals = [], []
-    for k in (1, 2):
-        for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            for t in _EQUIV_TS:
-                def fvec(r, s=space, tt=t):
-                    vals, _, _ = kernels.series_values(s.k, s.n, tt, r, 1e-12)
-                    return vals * geometry.volume_density(s, r)
+    for s in _SPACES:
+        for t in _EQUIV_TS:
+            def fvec(r, s=s, tt=t):
+                vals, _, _ = kernels.series_values(s.k, s.n, tt, r, 1e-12)
+                return vals * geometry.volume_density(s, r)
 
-                params.append({"k": k, "n": n, "t": t})
-                integrals.append(_radial_integral(fvec, 1e-10))
+            params.append({"k": s.k, "n": s.n, "t": t})
+            integrals.append(_radial_integral(fvec, 1e-10))
     return _row_reports("kernel_normalization", params, integrals, [1.0] * len(integrals), 1e-8)
 
 
 def _check_kernels_residual():
     rs = np.linspace(0.2, 1.3, 12)
     params, dts, laps = [], [], []
-    for k in (1, 2):
-        for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            for t in (0.2, 0.5, 1.0):
-                def e(r, tt=t):
-                    return kernels.series_values(k, n, tt, r, 1e-12)[0]
+    for space in _SPACES:
+        for t in (0.2, 0.5, 1.0):
+            def e(r, tt=t):
+                return kernels.series_values(space.k, space.n, tt, r, 1e-12)[0]
 
-                ht = 1e-4 * t
-                dt = (e(rs, t + ht) - e(rs, t - ht)) / (2.0 * ht)
-                lap = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
-                i = int(np.argmax(np.abs(dt - lap) / np.maximum(np.abs(dt), 1.0)))
-                params.append({"k": k, "n": n, "t": t, "r": float(rs[i])})
-                dts.append(dt[i])
-                laps.append(lap[i])
+            ht = 1e-4 * t
+            dt = (e(rs, t + ht) - e(rs, t - ht)) / (2.0 * ht)
+            lap = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
+            i = int(np.argmax(np.abs(dt - lap) / np.maximum(np.abs(dt), 1.0)))
+            params.append({"k": space.k, "n": space.n, "t": t, "r": float(rs[i])})
+            dts.append(dt[i])
+            laps.append(lap[i])
     return _row_reports("heat_equation_residual", params, dts, laps, 1e-3,
                         scale=np.maximum(np.abs(dts), 1.0))
 
 
 def _check_kernels_semigroup():
     params, lhss, rhss = [], [], []
-    for k in (1, 2):
-        for n in _NS:
-            space = SpaceDescriptor(n=n, k=k)
-            for t, s in ((0.3, 0.3), (0.2, 0.5)):
-                def fvec(r, sp=space, tt=t, ss=s):
-                    a, _, _ = kernels.series_values(sp.k, sp.n, tt, r, 1e-12)
-                    b, _, _ = kernels.series_values(sp.k, sp.n, ss, r, 1e-12)
-                    return a * b * geometry.volume_density(sp, r)
+    for sp in _SPACES:
+        for t, s in ((0.3, 0.3), (0.2, 0.5)):
+            def fvec(r, sp=sp, tt=t, ss=s):
+                a, _, _ = kernels.series_values(sp.k, sp.n, tt, r, 1e-12)
+                b, _, _ = kernels.series_values(sp.k, sp.n, ss, r, 1e-12)
+                return a * b * geometry.volume_density(sp, r)
 
-                params.append({"k": k, "n": n, "t": t, "s": s})
-                lhss.append(_radial_integral(fvec, 1e-9))
-                rhss.append(kernels.unified(n, k, t + s, 0.0, 1e-12).value)
+            params.append({"k": sp.k, "n": sp.n, "t": t, "s": s})
+            lhss.append(_radial_integral(fvec, 1e-9))
+            rhss.append(kernels.unified(sp.n, sp.k, t + s, 0.0, 1e-12).value)
     return _row_reports("kernel_semigroup", params, lhss, rhss, 1e-6)
 
 
@@ -658,27 +648,25 @@ def _check_kernels_monotone():
     reports = []
     d = 0.4
     ts = np.linspace(1.0, 2.0, 20)
-    for k in (1, 2):
-        for n in _NS:
-            flat = kernels.stationary_value(SpaceDescriptor(n=n, k=k))
-            vals = np.array([kernels.unified(n, k, float(t), d, 1e-12).value for t in ts])
-            inc = np.diff(vals)
-            slack = 1e-13 * max(1.0, abs(flat))
-            direction = 1.0 if inc[np.argmax(np.abs(inc))] >= 0 else -1.0
-            worst = float(np.min(inc * direction))
-            # np.maximum keeps a NaN worst, which then fails
-            reports.append(_flag_report(
-                "kernel_monotone_relaxation", {"k": k, "n": n, "d": d}, worst, 0.0,
-                float(np.maximum(0.0, -worst)), tol=slack,
-            ))
+    for s in _SPACES:
+        flat = geometry.stationary_value(s)
+        vals = np.array([kernels.unified(s.n, s.k, float(t), d, 1e-12).value for t in ts])
+        inc = np.diff(vals)
+        slack = 1e-13 * max(1.0, abs(flat))
+        direction = 1.0 if inc[np.argmax(np.abs(inc))] >= 0 else -1.0
+        worst = float(np.min(inc * direction))
+        # np.maximum keeps a NaN worst, which then fails
+        reports.append(_flag_report(
+            "kernel_monotone_relaxation", {"k": s.k, "n": s.n, "d": d}, worst, 0.0,
+            float(np.maximum(0.0, -worst)), tol=slack,
+        ))
     return reports
 
 
 def _check_kernels_stationary():
-    spaces = [SpaceDescriptor(n=n, k=k) for k in (1, 2) for n in _NS]
-    return _row_reports("kernel_stationary_limit", [{"k": s.k, "n": s.n} for s in spaces],
-                        [kernels.unified(s.n, s.k, 50.0, 0.37, 1e-14).value for s in spaces],
-                        [kernels.stationary_value(s) for s in spaces], 1e-10)
+    return _row_reports("kernel_stationary_limit", [{"k": s.k, "n": s.n} for s in _SPACES],
+                        [kernels.unified(s.n, s.k, 50.0, 0.37, 1e-14).value for s in _SPACES],
+                        [geometry.stationary_value(s) for s in _SPACES], 1e-10)
 
 
 def _check_lemma():

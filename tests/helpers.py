@@ -84,6 +84,13 @@ def manifold_volume_reference(space):
     return math.factorial(space.k - 1) * math.pi ** (space.k * space.n) / math.factorial(c)
 
 
+def stationary_value_reference(space):
+    """c!/(k-1)! / pi^(kn), with c!/(k-1)! divided down by 2^shift to fit a float first."""
+    whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
+    shift = max(0, whole.bit_length() - 1000)
+    return math.ldexp(whole / (1 << shift) / math.pi ** (space.k * space.n), shift)
+
+
 def hamilton(p, q):
     """Hamilton product of quaternions given as 4-tuples (w, x, y, z) = w + x i + y j + z k."""
     a, b, c, d = p

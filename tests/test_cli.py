@@ -187,6 +187,21 @@ class TestErrorLines:
         assert captured.err == (f"projheat: error: t={t} out of range: diffusion time "
                                 "must be finite and >= 0.0001\n")
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["eval", "--t", "0.5", "--d", "1.6"], "1.6"),
+        (["eval", "--t", "0.5", "--d", "-0.1", "--method", "integral"], "-0.1"),
+        # the first distance of the grid past pi/2 is named
+        (["table", "--t-grid", "0.2:1:3", "--d-grid", "1:2:5", "--format", "csv"], "1.75"),
+    ])
+    def test_distance_out_of_range_is_usage_error(self, capsys, tmp_path, argv, bad):
+        target = tmp_path / "out.txt"
+        assert cli.main(argv + ["--out", str(target)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"projheat: error: distance must lie in [0, pi/2), got {bad}\n"
+        # every row is computed before --out is opened
+        assert not target.exists()
+
     @pytest.mark.parametrize("method", ["series", "integral"])
     def test_index_whose_weights_overflow_is_usage_error(self, capsys, method):
         argv = ["eval", "--n", "200", "--t", "0.5", "--d", "0.3", "--method", method]
@@ -269,9 +284,7 @@ class TestSelftest:
     @pytest.mark.parametrize("knob", [["--tol", "0"], ["--k", "1"]], ids=["tol", "k"])
     def test_removed_knob_is_usage_error(self, knob):
         # every check's tolerance and field set is fixed
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["selftest", *knob])
-        assert exc.value.code == cli.EXIT_USAGE
+        assert cli.main(["selftest", *knob]) == cli.EXIT_USAGE
 
     def test_unknown_group_is_usage_error(self, capsys, tmp_path):
         assert cli.main(["selftest", "--only", "nonexistent_group"]) == cli.EXIT_USAGE
@@ -290,9 +303,7 @@ class TestSelftest:
 
     def test_help_names_the_prefix(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["selftest", "--help"])
-        assert exc.value.code == cli.EXIT_OK
+        assert cli.main(["selftest", "--help"]) == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "[--only PREFIX]" in out and "--only PREFIX " in out
         assert "ONLY" not in out
@@ -362,10 +373,9 @@ class TestProcessEntry:
     def test_usage_error_matches_in_process(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
         argv = ["eval", "--space", "qpn", "--t", "0.5", "--d", "0.1"]
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
+        code = cli.main(argv)
         captured = capsys.readouterr()
         res = run(*argv)
-        assert res.returncode == exc.value.code == cli.EXIT_USAGE
+        assert res.returncode == code == cli.EXIT_USAGE
         assert (res.stdout, res.stderr) == (captured.out, captured.err)
         assert res.stderr.startswith("usage: projheat eval")

@@ -13,9 +13,11 @@ from helpers import (
     manifold_volume_reference,
     quaternion_conjugate,
     quaternion_distance,
+    stationary_value_reference,
 )
 from projheat.errors import DomainError
 from projheat.geometry import (
+    MAX_OFFSET,
     SpaceDescriptor,
     density_constant,
     distance,
@@ -23,9 +25,9 @@ from projheat.geometry import (
     radial_laplacian_fd,
     random_unit_scalar,
     scale_point,
+    stationary_value,
     volume_density,
 )
-from projheat.kernels import MAX_OFFSET, stationary_value
 from projheat.orthopoly import jacobi_p
 from projheat.quadrature import gauss_legendre_rule
 
@@ -185,6 +187,34 @@ class TestDistance:
             SpaceDescriptor(n=0, k=1)
         with pytest.raises(DomainError):
             SpaceDescriptor(n=1, k=3)
+
+
+class TestAcceptedRange:
+    """SpaceDescriptor owns the accepted (k, n): c = k(n+1) - 1 at most MAX_OFFSET."""
+
+    @pytest.mark.parametrize("k,n_max", [(1, 171), (2, 85)])
+    def test_largest_index_is_accepted(self, k, n_max):
+        space = SpaceDescriptor(n=n_max, k=k)
+        assert space.spectral_offset == MAX_OFFSET
+        for value in (manifold_volume(space), density_constant(space),
+                      volume_density(space, 1.2), stationary_value(space)):
+            assert math.isfinite(value) and value > 0.0
+
+    @pytest.mark.parametrize("k,n_max", [(1, 171), (2, 85)])
+    def test_larger_index_is_refused(self, k, n_max):
+        # no space past the range is built, so no volume or density can be asked of one
+        for n in (n_max + 1, 200):
+            with pytest.raises(DomainError) as exc:
+                SpaceDescriptor(n=n, k=k)
+            assert str(exc.value) == (f"projective index must be <= {n_max} for k={k}, "
+                                      f"got {n}: larger n overflows floating point")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stationary_value_over_the_accepted_range(self, k):
+        # bit for bit the c!/(k-1)! / pi^(kn) quotient scaled by a power of two
+        for n in range(1, (MAX_OFFSET + 1) // k):
+            space = SpaceDescriptor(n=n, k=k)
+            assert stationary_value(space).hex() == stationary_value_reference(space).hex(), n
 
 
 class TestVolumeDensity:

@@ -103,9 +103,7 @@ def test_process_out_file_matches_golden(tmp_path):
 
 def test_process_help_matches_in_process(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--help"])
-    assert exc.value.code == cli.EXIT_OK
+    assert cli.main(["--help"]) == cli.EXIT_OK
     proc = _process(["--help"])
     assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
     assert proc.stdout == capsys.readouterr().out.encode()

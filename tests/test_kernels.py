@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from helpers import integral_kernel_reference
 from projheat import quadrature
 from projheat.errors import DomainError, TruncationCapError
-from projheat.geometry import SpaceDescriptor
-from projheat.kernels import KernelValue, series_values, stationary_value, unified
+from projheat.geometry import SpaceDescriptor, stationary_value
+from projheat.kernels import KernelValue, series_values, unified
 
 
 class TestStationaryLimits:
