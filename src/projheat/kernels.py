@@ -1,7 +1,7 @@
 """Heat kernels on P^n(C) and P^n(H) in two independent closed forms.
 
-With k = 1 (complex) or k = 2 (quaternionic), c = k(n+1) - 1 and
-m = k(n+1), the kernel at time t and geodesic distance d is
+With k = 1 (complex) or k = 2 (quaternionic) and c = k(n+1) - 1, the
+kernel at time t and geodesic distance d is
 
   series form:
       E(t; d) = pi^(-kn) sum_{l>=0} (2l + c) (l + c - 1)!/(l + k - 1)!
@@ -12,11 +12,16 @@ m = k(n+1), the kernel at time t and geodesic distance d is
                 * integral_d^(pi/2) (cos^2 d - cos^2 u)^(k - 3/2)
                   Psi_c(t, u) du,
 
-where Psi_c = sin(u) L^c theta_m is assembled termwise in thetapsi.  The
-exp(c^2 t) prefactor is folded into the theta exponentials (giving decay
-rates exp(-4 t l (l + c)) termwise), so neither factor can overflow at
-large t.  The two forms share no evaluation path beyond the quadrature
-rule, which is what makes their agreement a meaningful check.
+where Psi_c = sin(u) L^c theta_{c+1}; ``thetapsi.psi_sum`` returns
+exp(c^2 t) Psi_c, the prefactor folded into the theta exponentials
+(giving decay rates exp(-4 t l (l + c)) termwise), so neither factor can
+overflow at large t.
+
+The two forms share no evaluation code, which is what makes their
+agreement a meaningful check: the series never integrates, and what
+``series_values`` and ``_integral_kernel`` reach meets only in ``_check_args``,
+``SpaceDescriptor`` (with what its construction runs) and the error
+classes, as tests/test_boundaries.py pins by walking both call graphs.
 
 Series truncation bounds |P_l| on [-1, 1] by its value at 1 and stops
 when a geometric majorant of the tail drops below the tolerance; the
@@ -144,13 +149,11 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
 
 
 def _integral_kernel(k: int, n: int, t: float, ds: np.ndarray, tol: float) -> KernelValue:
-    m = k * (n + 1)
-    j = m - 1  # = c, the number of ladder applications
+    c = k * (n + 1) - 1  # the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
-    shift = float(j * j)  # folded exp(c^2 t), termwise
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
-    g = functools.partial(psi_sum, j, m, t, tol=theta_tol, exp_shift=shift)
+    g = functools.partial(psi_sum, c, t, tol=theta_tol)  # exp(c^2 t) folded in, termwise
     row = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, g, 0.5 * tol / outers)
     # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
     return KernelValue(value=outers * row.value, terms_or_nodes=row.nodes,

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import geometry, kernels, orthopoly, quadrature, thetapsi
-from .errors import QuadratureConvergenceError
+from .errors import DomainError, QuadratureConvergenceError, TruncationCapError
 from .geometry import SpaceDescriptor
 from .quadrature import adaptive_integrate_row, gauss_legendre_rule
 
@@ -229,6 +229,53 @@ def _brute_sum(m: int, t: float, terms: int, term: Callable[[float, int], float]
     return total
 
 
+def _theta_sum(m: int, t: float, u):
+    """theta_m(t; u) = sum_{l>=0} exp(-4t(l + (m-1)/2)^2) cos((2l+m-1)u), vectorized over u.
+
+    Summed to ``thetapsi.DEFAULT_TOL`` under a geometric tail majorant, with no ladder.
+    """
+    u_arr = np.asarray(u, dtype=float)
+    if m < 2:
+        raise DomainError(f"series subscript must be >= 2, got {m}")
+    if not t > 0:
+        raise DomainError(f"diffusion time must be positive, got {t}")
+    if not np.all(np.isfinite(u_arr)):
+        raise DomainError("angle must be finite")
+    half = 0.5 * (m - 1)
+    total = np.zeros_like(u_arr)
+    for l in range(thetapsi.TERM_CAP + 1):
+        a = math.exp(-4.0 * (l + half) ** 2 * t)
+        total += a * np.cos((2 * l + m - 1) * u_arr)
+        b_next = math.exp(-4.0 * (l + 1 + half) ** 2 * t)
+        rho = math.exp(-4.0 * t * (2 * l + 2 + m))
+        if rho < 1.0 and b_next / (1.0 - rho) <= thetapsi.DEFAULT_TOL:
+            return float(total) if np.ndim(u) == 0 else total
+    raise TruncationCapError(f"theta series needs more than {thetapsi.TERM_CAP} terms at t={t}")
+
+
+def _jacobi_theta2_reference(z: float, tau_imag: float) -> float:
+    """Second Jacobi theta function at purely imaginary lattice parameter.
+
+    Sums 2 sum_{l>=0} exp(-pi tau_imag (l + 1/2)^2) cos((2l+1) pi z)
+    directly; real-valued here.  For m = 2 the theta series is half of it
+    at z = u/pi, tau_imag = 4t/pi.  Kept independent of ``_theta_sum`` so
+    the two summations can certify each other.
+    """
+    if not tau_imag > 0:
+        raise DomainError(f"imaginary part of tau must be positive, got {tau_imag}")
+    total = 0.0
+    for l in range(thetapsi.TERM_CAP + 1):
+        total += 2.0 * math.exp(-math.pi * tau_imag * (l + 0.5) ** 2) * math.cos(
+            (2 * l + 1) * math.pi * z
+        )
+        b_next = 2.0 * math.exp(-math.pi * tau_imag * (l + 1.5) ** 2)
+        rho = math.exp(-math.pi * tau_imag * (2 * l + 4))
+        if rho < 1.0 and b_next / (1.0 - rho) <= thetapsi.DEFAULT_TOL:
+            return total
+    raise TruncationCapError(
+        f"theta2 series needs more than {thetapsi.TERM_CAP} terms at tau={tau_imag}j")
+
+
 def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
     """Doubling Gauss-Legendre integral over (0, pi/2)."""
     prev = None
@@ -310,8 +357,8 @@ def _theta2_sides(n: int, t: float, xs: list):
     """
     harmonics = [sum(math.exp(-4.0 * t * (l + 0.5) ** 2) * math.cos((2 * l + 1) * x)
                      for l in range(n)) for x in xs]
-    lhs = thetapsi.theta_sum(2 * n + 2, t, np.asarray(xs, dtype=float)) + harmonics
-    rhs = np.array([0.5 * thetapsi.jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
+    lhs = _theta_sum(2 * n + 2, t, np.asarray(xs, dtype=float)) + harmonics
+    rhs = np.array([0.5 * _jacobi_theta2_reference(x / math.pi, 4.0 * t / math.pi)
                     for x in xs])
     return lhs, rhs
 
@@ -414,7 +461,7 @@ def _check_quadrature_substitution():
 
 def _check_quadrature_doubling():
     tol = 1e-12
-    psi = functools.partial(thetapsi.psi_sum, 3, 4, 0.5)
+    psi = functools.partial(thetapsi.psi_sum, 3, 0.5)
 
     def gegenbauer(u):
         return np.sin(u) * orthopoly.gegenbauer_c(4, 1.0, np.cos(u))
@@ -438,30 +485,23 @@ def _check_quadrature_doubling():
     return _row_reports("adaptive_doubling_stability", params, values, extras, tol)
 
 
-def _check_theta_parity():
-    cases = ((2, 0.3, 0.4), (4, 0.5, 1.1), (6, 0.2, 0.8))
-    return _row_reports("theta_parity", [{"m": m, "t": t, "u": u} for m, t, u in cases],
-                        [thetapsi.theta_sum(m, t, u) for m, t, u in cases],
-                        [thetapsi.theta_sum(m, t, -u) for m, t, u in cases], 1e-14)
-
-
 def _check_theta_truncation():
     tol = thetapsi.DEFAULT_TOL
     theta_cases = ((2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2))
     brutes = [_brute_sum(m, t, 3000, lambda a, q: a * math.cos(q * u))
               for m, t, u in theta_cases]
-    psi_cases = ((1, 2, 0.3, 0.7), (3, 4, 0.2, 0.9))
-    # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
+    psi_cases = ((1, 0.3, 0.7), (3, 0.2, 0.9))
+    # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u), on theta_{j+1} times the folded exp(j^2 t)
     psi_brutes = [
-        _brute_sum(m, t, 2000, lambda a, q: a * math.sin(u) * (
+        math.exp(j * j * t) * _brute_sum(j + 1, t, 2000, lambda a, q: a * math.sin(u) * (
             q * orthopoly.ladder_apply(j - 1, q - 1, 1.0, math.cos(u))))
-        for j, m, t, u in psi_cases]
+        for j, t, u in psi_cases]
     return (_row_reports("theta_truncation_soundness",
                          [{"m": m, "t": t, "u": u} for m, t, u in theta_cases],
-                         [thetapsi.theta_sum(m, t, u) for m, t, u in theta_cases], brutes, tol)
+                         [_theta_sum(m, t, u) for m, t, u in theta_cases], brutes, tol)
             + _row_reports("psi_truncation_soundness",
-                           [{"j": j, "m": m, "t": t, "u": u} for j, m, t, u in psi_cases],
-                           [thetapsi.psi_sum(j, m, t, u) for j, m, t, u in psi_cases],
+                           [{"j": j, "t": t, "u": u} for j, t, u in psi_cases],
+                           [thetapsi.psi_sum(j, t, u) for j, t, u in psi_cases],
                            psi_brutes, tol))
 
 
@@ -469,12 +509,13 @@ def _check_theta_ladder():
     us = np.linspace(0.2, _HALF_PI - 0.1, 7)
     reports = []
     for j in (1, 2, 3):
-        for m, t in ((2, 0.5), (4, 0.2), (4, 0.5)):
-            exact_vals = thetapsi.psi_sum(j, m, t, us)
-            fd_vals = np.sin(us) * _ladder_fd(lambda u: thetapsi.theta_sum(m, t, u), us, j)
+        for t in (0.2, 0.5, 1.0):
+            exact_vals = thetapsi.psi_sum(j, t, us)
+            fd_vals = math.exp(j * j * t) * np.sin(us) * _ladder_fd(
+                lambda u: _theta_sum(j + 1, t, u), us, j)
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))
             reports.append(_worst_report(
-                "psi_ladder_vs_fd", {"j": j, "m": m, "t": t}, "u", us,
+                "psi_ladder_vs_fd", {"j": j, "t": t}, "u", us,
                 exact_vals, fd_vals, 1e-5, scale=scale,
             ))
     return reports
@@ -722,7 +763,6 @@ _GROUPS = {
     "quadrature_exactness": _check_quadrature_exactness,
     "quadrature_substitution": _check_quadrature_substitution,
     "quadrature_doubling": _check_quadrature_doubling,
-    "theta_parity": _check_theta_parity,
     "theta_truncation": _check_theta_truncation,
     "theta_ladder": _check_theta_ladder,
     "geometry_invariance": _check_geometry_invariance,

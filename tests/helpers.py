@@ -13,11 +13,14 @@ The Hamilton product and the quaternionic distance below run on plain
 held to.  The reference doubling loop and kernel below run one distance
 at a time over ``integrate_weighted``: they pin the row loop's batching,
 chunking and bookkeeping, not the substitution arithmetic they share
-with it.  Two earlier forms of production arithmetic are kept as the
+with it.  Earlier forms of production arithmetic are kept as the
 bit-identity references of their replacements: the Legendre recurrence that
-Gauss-Legendre rules ran before they took the Gegenbauer step, and the
+Gauss-Legendre rules ran before they took the Gegenbauer step, the
 manifold volume as one float quotient (which overflows at the top of the
-accepted n range).
+accepted n range), the stationary value before the space owned its scaled
+factorial, and the general ladder sum psi_sum(j, m, t, u, tol, exp_shift)
+before it was cut down to the one case the integral form runs (it steps
+the package's own Gegenbauer recurrence, as that sum did).
 """
 
 import math
@@ -25,10 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from projheat.errors import QuadratureConvergenceError
+from projheat.errors import DomainError, QuadratureConvergenceError, TruncationCapError
 from projheat.kernels import KernelValue
+from projheat.orthopoly import gegenbauer_step
 from projheat.quadrature import MAX_NODES, START_NODES, gauss_legendre_rule, integrate_weighted
-from projheat.thetapsi import DEFAULT_TOL, psi_sum
+from projheat.thetapsi import DEFAULT_TOL, TERM_CAP, psi_sum
 from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
 
 
@@ -89,6 +93,74 @@ def stationary_value_reference(space):
     whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
     shift = max(0, whole.bit_length() - 1000)
     return math.ldexp(whole / (1 << shift) / math.pi ** (space.k * space.n), shift)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def psi_sum_reference(j, m, t, u, tol=DEFAULT_TOL, exp_shift=0.0):
+    """sin(u) L^j theta_m(t, u) exp(exp_shift t), the general ladder sum, vectorized over u.
+
+    Any subscript m >= 2 and any shift: harmonics below the ladder count
+    are skipped, the Gegenbauer degree catches up to each term's in a
+    loop, and the endpoint bound starts from its binomial.  Raises as the
+    general form always did.
+    """
+    if j < 1:
+        raise DomainError(f"ladder count must be >= 1, got {j}")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    u_arr = np.asarray(u, dtype=float)
+    if m < 2:
+        raise DomainError(f"series subscript must be >= 2, got {m}")
+    if not t > 0:
+        raise DomainError(f"diffusion time must be positive, got {t}")
+    if not np.all(np.isfinite(u_arr)):
+        raise DomainError("angle must be finite")
+    overflow = TruncationCapError(f"ladder series weights overflow floating point at j={j}, t={t}")
+    x = np.cos(u_arr)
+    lam = float(j)
+    try:
+        base = (2.0 ** (j - 1)) * math.factorial(j - 1)
+    except OverflowError:
+        raise DomainError(f"ladder count must be <= 171, got {j}: "
+                          "(j-1)! overflows floating point") from None
+    half = 0.5 * (m - 1)
+    total = np.zeros_like(u_arr)
+    c_cur, c_prev = np.ones_like(u_arr), np.zeros_like(u_arr)
+    deg = 0
+    endpoint = None
+    for l in range(TERM_CAP + 1):
+        q = 2 * l + m - 1
+        if q < j:
+            continue
+        while deg < q - j:
+            deg += 1
+            c_cur, c_prev = gegenbauer_step(deg, lam, x, c_cur, c_prev), c_cur
+        w = math.exp((exp_shift - 4.0 * (l + half) ** 2) * t) * q * base
+        if not math.isfinite(w):
+            raise overflow
+        total += w * c_cur
+        if endpoint is None:
+            endpoint = float(math.comb(q + j - 1, 2 * j - 1))
+        endpoint *= ((q + j) * (q + j + 1)) / ((q - j + 1) * (q - j + 2))
+        qn = q + 2
+        b_next = (
+            math.exp((exp_shift - 4.0 * (l + 1 + half) ** 2) * t) * qn * base * endpoint
+        )
+        rho = (
+            math.exp(-4.0 * t * (qn + 1))
+            * ((qn + 2) / qn)
+            * (((qn + j) * (qn + j + 1)) / ((qn - j + 1) * (qn - j + 2)))
+        )
+        if rho < 1.0:
+            tail = b_next / (1.0 - rho)
+            if tail <= tol:
+                result = np.sin(u_arr) * total
+                if not np.isfinite(result).all():
+                    raise overflow
+                return float(result) if np.ndim(u) == 0 else result
+            if not math.isfinite(tail):
+                raise overflow
+    raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
 
 
 def hamilton(p, q):
@@ -193,14 +265,12 @@ def adaptive_reference(d, exponent_sign, g, tol):
 
 def integral_kernel_reference(n, k, t, d, tol):
     """The integral-form kernel at one distance, over ``adaptive_reference``."""
-    m = k * (n + 1)
+    c = k * (n + 1) - 1
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outer = cnk / math.cos(d) ** (2 * (k - 1))
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
     value, nodes, err = adaptive_reference(
-        d, 0.5 if k == 2 else -0.5,
-        lambda u: psi_sum(m - 1, m, t, u, theta_tol, exp_shift=float((m - 1) ** 2)),
-        0.5 * tol / outer,
+        d, 0.5 if k == 2 else -0.5, lambda u: psi_sum(c, t, u, theta_tol), 0.5 * tol / outer,
     )
     return KernelValue(value=outer * value, terms_or_nodes=nodes,
                        est_error=outer * err + cnk * 0.5 * math.pi * theta_tol)

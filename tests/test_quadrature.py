@@ -185,8 +185,8 @@ class TestAdaptive:
     def test_psi_integrand_doubling_invariant(self):
         from projheat.thetapsi import psi_sum
 
-        def g(u):
-            return psi_sum(3, 4, 0.5, u)
+        def g(u):  # the folded exp(9 t) divided out, for the absolute tolerance
+            return psi_sum(3, 0.5, u) / math.exp(9 * 0.5)
 
         [value], [nodes], _ = adaptive_integrate_row([0.3], 0.5, g, [1e-12])
         [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * int(nodes)))
@@ -210,7 +210,7 @@ class TestAdaptiveRow:
         tols = [1e-8, 1e-9, 1e-6, 1e-9, 1e-8, 1e-9]
 
         def g(u):
-            return psi_sum(3, 4, 0.02, u)
+            return psi_sum(3, 0.02, u)
 
         for sign in (0.5, -0.5):
             row = adaptive_integrate_row(ds, sign, g, tols)

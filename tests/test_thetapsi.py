@@ -1,4 +1,10 @@
-"""Tests for the theta-type series and their ladder transforms."""
+"""Tests for the ladder sum psi_sum and for the theta oracles in verify that certify it.
+
+The oracles, ``verify._theta_sum`` and ``verify._jacobi_theta2_reference``,
+are tested here beside the function they certify.  psi_sum folds
+exp(c^2 t) into every term; where a test compares it at an absolute
+tolerance with an unshifted sum, the test divides that factor out.
+"""
 
 import math
 import warnings
@@ -8,16 +14,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projheat import thetapsi
-from projheat.errors import DomainError, TruncationCapError
+from projheat.errors import DomainError, ProjheatError, TruncationCapError
 from projheat.orthopoly import ladder_apply
-from projheat.thetapsi import (
-    DEFAULT_TOL,
-    jacobi_theta2_reference,
-    psi_sum,
-    theta_sum,
-)
+from projheat.thetapsi import DEFAULT_TOL, psi_sum
+from projheat.verify import _jacobi_theta2_reference as jacobi_theta2_reference
+from projheat.verify import _theta_sum as theta_sum
 
-from helpers import theta2_brute, theta_brute
+from helpers import psi_sum_reference, theta2_brute, theta_brute
 
 
 class TestTheta:
@@ -65,7 +68,7 @@ class TestTheta:
         # only psi_sum takes a tolerance; theta_sum always sums to DEFAULT_TOL
         for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError, match="tolerance must be positive"):
-                psi_sum(3, 4, 0.5, 0.3, tol)
+                psi_sum(3, 0.5, 0.3, tol)
 
     def test_rejects_subscript_below_two(self):
         with pytest.raises(DomainError):
@@ -85,7 +88,7 @@ class TestPsi:
     def test_single_ladder_is_sine_series(self):
         # one application turns cos((2l+1)u) into (2l+1) sin((2l+1)u)
         t, u = 0.5, 0.9
-        lhs = psi_sum(1, 2, t, u)
+        lhs = psi_sum(1, t, u) / math.exp(t)
         rhs = sum(
             (2 * l + 1) * math.exp(-4.0 * t * (l + 0.5) ** 2) * math.sin((2 * l + 1) * u)
             for l in range(200)
@@ -93,37 +96,39 @@ class TestPsi:
         assert_allclose(lhs, rhs, atol=1e-13)
 
     def test_large_t_single_term(self):
-        # (j=3, m=4, t=5): the leading term is 24 sin(u) exp(-45); the next
-        # one is exp(-80) smaller, so the closed form is exact to roundoff
+        # (c=3, t=5): the leading term is 24 sin(u) exp(-45) exp(9 t) = 24 sin(u);
+        # the next one is exp(-80) smaller, so the closed form is exact to roundoff
         u = 0.8
-        val = psi_sum(3, 4, 5.0, u)
-        assert_allclose(val, 24.0 * math.sin(u) * math.exp(-45.0), rtol=1e-12)
+        val = psi_sum(3, 5.0, u)
+        assert_allclose(val, 24.0 * math.sin(u), rtol=1e-12)
 
     def test_finite_at_u_zero_and_pi(self):
-        assert psi_sum(3, 4, 0.5, 0.0) == 0.0
-        assert abs(psi_sum(3, 4, 0.5, math.pi)) < 1e-12
+        assert psi_sum(3, 0.5, 0.0) == 0.0
+        assert abs(psi_sum(3, 0.5, math.pi) / math.exp(9 * 0.5)) < 1e-12
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_finite_at_half_pi_and_matches_fd(self, j):
         # no division by sin(u) happens anywhere near u = pi/2
         from helpers import ladder_fd
 
-        m, t, u = 4, 0.5, math.pi / 2
-        val = psi_sum(j, m, t, u)
+        t, u = 0.5, math.pi / 2
+        val = psi_sum(j, t, u)
         assert math.isfinite(val)
-        fd = math.sin(u) * ladder_fd(lambda v: theta_sum(m, t, v), u, j)
+        val /= math.exp(j * j * t)
+        fd = math.sin(u) * ladder_fd(lambda v: theta_sum(j + 1, t, v), u, j)
         assert abs(val - fd) <= 1e-5 * max(1.0, abs(val))
 
     def test_vectorized_matches_scalar(self):
         us = np.linspace(0.1, 1.4, 6)
-        vec = psi_sum(3, 4, 0.5, us)
+        vec = psi_sum(3, 0.5, us)
         for u, v in zip(us, vec):
-            assert_allclose(v, psi_sum(3, 4, 0.5, float(u)), rtol=1e-14)
+            assert_allclose(v, psi_sum(3, 0.5, float(u)), rtol=1e-14)
 
     def test_truncation_soundness(self):
         # doubling the brute-force term count changes nothing beyond tol
-        for j, m, t, u in ((1, 2, 0.3, 0.7), (3, 4, 0.2, 0.9), (5, 6, 0.1, 1.2)):
-            auto = psi_sum(j, m, t, u)
+        for j, t, u in ((1, 0.3, 0.7), (3, 0.2, 0.9), (5, 0.1, 1.2)):
+            m = j + 1
+            auto = psi_sum(j, t, u) / math.exp(j * j * t)
             brute = 0.0
             for l in range(3000):
                 a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
@@ -133,30 +138,38 @@ class TestPsi:
                 brute += a * math.sin(u) * (q * ladder_apply(j - 1, q - 1, 1.0, math.cos(u)))
             assert abs(auto - brute) <= DEFAULT_TOL
 
-    def test_exp_shift_fold(self):
-        j, m, t, u = 3, 4, 0.8, 0.6
-        shifted = psi_sum(j, m, t, u, exp_shift=float(j * j))
-        plain = psi_sum(j, m, t, u, tol=1e-16)
-        assert_allclose(shifted, math.exp(j * j * t) * plain, rtol=1e-12)
+    @pytest.mark.parametrize("t", [1e-4, 0.05, 0.5, 5.0])
+    @pytest.mark.parametrize("c", [1, 2, 3, 5, 11, 150, 151, 171])
+    def test_matches_general_sum_with_folded_shift(self, c, t):
+        # bit for bit on a row, or the same error class where the general sum raised
+        u = np.array([0.0, 0.3, 0.9, math.pi / 2, 2.5, math.pi])
+        try:
+            expected = psi_sum_reference(c, c + 1, t, u, DEFAULT_TOL, exp_shift=float(c * c))
+        except ProjheatError as exc:
+            with pytest.raises(type(exc)):
+                psi_sum(c, t, u, DEFAULT_TOL)
+            return
+        got = psi_sum(c, t, u, DEFAULT_TOL)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_cap_error(self, monkeypatch):
         monkeypatch.setattr(thetapsi, "TERM_CAP", 4)
         with pytest.raises(TruncationCapError, match="more than 4 terms"):
-            psi_sum(3, 4, 1e-4, 0.5)
+            psi_sum(3, 1e-4, 0.5)
 
     def test_rejects_bad_ladder_count(self):
         with pytest.raises(DomainError):
-            psi_sum(0, 4, 0.5, 0.3)
+            psi_sum(0, 0.5, 0.3)
 
     def test_rejects_ladder_count_whose_scale_overflows(self):
         with pytest.raises(DomainError, match="ladder count must be <= 171, got 200"):
-            psi_sum(200, 201, 0.5, 0.3)
+            psi_sum(200, 0.5, 0.3)
 
     def test_overflowing_weights_stop_the_sum(self):
         # 2^170 170! is inf: the first weight is not finite
         with pytest.raises(TruncationCapError,
                            match="ladder series weights overflow floating point at j=171"):
-            psi_sum(171, 172, 5.0, 0.3)
+            psi_sum(171, 5.0, 0.3)
 
     @pytest.mark.parametrize("j,t", [
         (151, 0.5),   # 2^150 150! is finite, the first weight 151 2^150 150! is not
@@ -168,20 +181,16 @@ class TestPsi:
             warnings.simplefilter("error")
             with pytest.raises(TruncationCapError,
                                match=f"ladder series weights overflow floating point at j={j}"):
-                psi_sum(j, j + 1, t, u, exp_shift=float(j * j))
-
-    def test_rejects_subscript_below_two(self):
-        with pytest.raises(DomainError):
-            psi_sum(1, 1, 0.5, 0.3)
+                psi_sum(j, t, u)
 
     @pytest.mark.parametrize("t", [0.0, -0.5, float("nan")])
     def test_rejects_nonpositive_time(self, t):
         with pytest.raises(DomainError):
-            psi_sum(3, 4, t, 0.5)
+            psi_sum(3, t, 0.5)
 
     def test_rejects_nonfinite_angle(self):
         with pytest.raises(DomainError):
-            psi_sum(3, 4, 0.5, float("nan"))
+            psi_sum(3, 0.5, float("nan"))
 
 
 class TestTheta2Reference:

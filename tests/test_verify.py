@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import ladder_fd_point
-from projheat import orthopoly, thetapsi
+from projheat import orthopoly
 from projheat.verify import (
     JACOBI_REP_CONVENTIONS,
     SuiteProfile,
@@ -17,6 +17,7 @@ from projheat.verify import (
     _ladder_fd,
     _row_reports,
     _theta2_sides,
+    _theta_sum,
     _worst_report,
     compare_values,
     full_suite,
@@ -126,13 +127,14 @@ class TestOracles:
         self.assert_bit_identical(row, [ladder_fd_point(lambda u: math.cos(q * u), u, m)
                                         for u in self.US.tolist()])
 
-    @pytest.mark.parametrize("j", [1, 2, 3])
-    @pytest.mark.parametrize("m,t", [(2, 0.5), (4, 0.2), (4, 0.5)])
-    def test_theta_ladder_fd_row(self, j, m, t):
-        row = np.sin(self.THETA_US) * _ladder_fd(lambda u: thetapsi.theta_sum(m, t, u),
+    # the theta_ladder group's cases: theta_{j+1}, the series psi_sum ladders j times
+    @pytest.mark.parametrize("m,t,j", [(j + 1, t, j) for j in (1, 2, 3)
+                                       for t in (0.2, 0.5, 1.0)])
+    def test_theta_ladder_fd_row(self, m, t, j):
+        row = np.sin(self.THETA_US) * _ladder_fd(lambda u: _theta_sum(m, t, u),
                                                  self.THETA_US, j)
         self.assert_bit_identical(row, [
-            math.sin(u) * ladder_fd_point(lambda v: thetapsi.theta_sum(m, t, v), u, j)
+            math.sin(u) * ladder_fd_point(lambda v: _theta_sum(m, t, v), u, j)
             for u in self.THETA_US.tolist()])
 
     @pytest.mark.parametrize("m,t,u", [(2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2)])
