@@ -11,9 +11,12 @@ reproducible byte for byte.
 ``atexit`` handlers and finalizers of that process do not run.  Code that
 embeds the CLI calls ``main(argv)``, which returns the exit code.
 
-``table`` and ``compare`` evaluate the grid one t-row at a time: each row
-is one ``kernels.unified`` call per method over every distance, and is
-written as one block of lines, formatted from the row's arrays.
+``table`` and ``compare`` evaluate the whole (t, d) grid with one
+``kernels.unified`` call per method, and write it one t-row at a time,
+each row one block of lines formatted from that row of the grid's arrays.
+A grid that fails exits with the error of the first failing t, and at
+one t with the series' error before the integral's, as a row-by-row
+evaluation would.
 """
 
 from __future__ import annotations
@@ -145,20 +148,25 @@ def _methods(args) -> tuple:
 
 
 def _evaluate_grid(args, t_default, d_default, methods, tol):
-    """Kernel rows over the requested grid: (space, ds, rows).
+    """Kernel records over the requested grid: (space, ts, ds, records).
 
-    ``rows`` holds one (t, records) pair per t, in grid order.  ``records``
-    holds one row record per method, in the order of ``methods``: the
-    KernelValue of arrays that one ``unified`` call gives over every
-    distance of ``ds``.
+    ``records`` holds one grid record per method, in the order of
+    ``methods``: the KernelValue of (t, d) arrays that one ``unified``
+    call gives over every time of ``ts`` and distance of ``ds``.
     """
     space = _space_from_args(args)
     ts = _values_from_args(args, "t", t_default)
     ds = _values_from_args(args, "d", d_default)
     _validate_times(ts)  # distances are checked by ``unified``, before any output opens
-    rows = [(t, [kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods])
-            for t in ts]
-    return space, ds, rows
+    records, errors = [], []
+    for i, m in enumerate(methods):
+        try:
+            records.append(kernels.unified(space.n, space.k, ts, ds, tol, m))
+        except (TruncationCapError, QuadratureConvergenceError) as err:
+            errors.append((err.time_index, i, err))
+    if errors:  # the first failing t, and at one t the first method, as row by row
+        raise min(errors, key=lambda e: e[:2])[2]
+    return space, ts, ds, records
 
 
 def _block(line: str, *columns) -> str:
@@ -174,25 +182,26 @@ def cmd_eval(args) -> int:
             raise UsageError(f"eval needs a single --{name}")
     if args.fmt != "pretty":
         return cmd_table(args)
-    _, _, [(_, results)] = _evaluate_grid(args, None, None, _methods(args), args.tol)
+    *_, records = _evaluate_grid(args, None, None, _methods(args), args.tol)
 
     with _output(args) as out:
         if args.method == "both":
-            vs, vi = (float(r.value[0]) for r in results)
+            vs, vi = (float(r.value[0, 0]) for r in records)
             out.write(f"value_series   {_fmt(vs)}\n")
             out.write(f"value_integral {_fmt(vi)}\n")
             out.write(f"abs_diff       {_fmt(abs(vs - vi))}\n")
         else:
-            [res] = results
-            out.write(f"value          {_fmt(res.value[0])}\n")
+            [res] = records
+            out.write(f"value          {_fmt(res.value[0, 0])}\n")
             out.write(f"method         {args.method}\n")
-            out.write(f"terms_or_nodes {res.terms_or_nodes[0]}\n")
-            out.write(f"est_error      {_fmt(res.est_error[0])}\n")
+            out.write(f"terms_or_nodes {res.terms_or_nodes[0, 0]}\n")
+            out.write(f"est_error      {_fmt(res.est_error[0, 0])}\n")
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    space, ds, rows = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", _methods(args), args.tol)
+    space, ts, ds, records = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", _methods(args),
+                                            args.tol)
     both = args.method == "both"
     names = ("value_series", "value_integral", "abs_diff") if both else (
         "value", "est_error", "terms_or_nodes")
@@ -201,13 +210,13 @@ def cmd_table(args) -> int:
     with _output(args) as out:
         if args.fmt != "json":
             out.write(f"k,n,t,d,method,{','.join(names)}\n")
-        for t, results in rows:
+        for i, t in enumerate(ts):
             if both:
-                a, b = results
-                columns = [a.value, b.value, np.abs(a.value - b.value)]
+                a, b = (r.value[i] for r in records)
+                columns = [a, b, np.abs(a - b)]
             else:
-                [a] = results
-                columns = [a.value, a.est_error, a.terms_or_nodes]
+                [a] = records
+                columns = [a.value[i], a.est_error[i], a.terms_or_nodes[i]]
             if args.fmt == "json":
                 head = {"k": space.k, "n": space.n, "t": t}
                 method = {} if both else {"method": args.method}
@@ -216,8 +225,8 @@ def cmd_table(args) -> int:
                     for d, *entries in zip(ds, *(c.tolist() for c in columns))))
             elif args.method == "series":  # one tail bound and term count per row
                 out.write(_block(f"{space.k},{space.n},{_fmt(t)},%s,series,%.17g,"
-                                 f"{_fmt(a.est_error[0])},{a.terms_or_nodes[0]}\n",
-                                 d_strs, a.value.tolist()))
+                                 f"{_fmt(a.est_error[i, 0])},{a.terms_or_nodes[i, 0]}\n",
+                                 d_strs, columns[0].tolist()))
             else:  # %.17g prints a node count as %d does
                 out.write(_block(f"{space.k},{space.n},{_fmt(t)},%s,{args.method},"
                                  "%.17g,%.17g,%.17g\n", d_strs, *(c.tolist() for c in columns)))
@@ -227,15 +236,15 @@ def cmd_table(args) -> int:
 def cmd_compare(args) -> int:
     from . import verify  # here, not at the top: eval and table need only kernels
     tol = args.tol
-    space, ds, rows = _evaluate_grid(args, "0.1:1:4", "0:1.4:6", kernels.METHODS,
-                                     min(tol, 1e-10))
+    space, ts, ds, (series, integral) = _evaluate_grid(args, "0.1:1:4", "0:1.4:6",
+                                                       kernels.METHODS, min(tol, 1e-10))
     all_ok = True
     d_strs = [_fmt(d) for d in ds]
     with _output(args) as out:
         if args.fmt == "csv":
             out.write("k,n,t,d,value_series,value_integral,abs_err,rel_err,status\n")
-        for t, (rs, ri) in rows:
-            abs_err, rel_err, passed = verify.compare_values(rs.value, ri.value, tol)
+        for t, rs, ri in zip(ts, series.value, integral.value):
+            abs_err, rel_err, passed = verify.compare_values(rs, ri, tol)
             all_ok = all_ok and bool(passed.all())
             if args.fmt == "json":
                 out.write("".join(
@@ -244,20 +253,20 @@ def cmd_compare(args) -> int:
                         {"k": space.k, "n": space.n, "t": t, "d": d},
                         *entries, tol=tol, passed=ok,
                     ).to_json() + "\n"
-                    for d, ok, *entries in zip(ds, passed.tolist(), rs.value.tolist(),
-                                               ri.value.tolist(), abs_err.tolist(),
+                    for d, ok, *entries in zip(ds, passed.tolist(), rs.tolist(),
+                                               ri.tolist(), abs_err.tolist(),
                                                rel_err.tolist())))
             elif args.fmt == "csv":
                 out.write(_block(
                     f"{space.k},{space.n},{_fmt(t)},%s,%.17g,%.17g,%.17g,%.17g,%s\n",
-                    d_strs, rs.value.tolist(), ri.value.tolist(), abs_err.tolist(),
+                    d_strs, rs.tolist(), ri.tolist(), abs_err.tolist(),
                     rel_err.tolist(), np.where(passed, "pass", "fail").tolist()))
             else:
                 out.write(_block(
                     f"%s k={space.k} n={space.n} t={_fmt(t)} d=%s "
                     "series=%.17g integral=%.17g rel_err=%.3e\n",
-                    np.where(passed, "PASS", "FAIL").tolist(), d_strs, rs.value.tolist(),
-                    ri.value.tolist(), rel_err.tolist()))
+                    np.where(passed, "PASS", "FAIL").tolist(), d_strs, rs.tolist(),
+                    ri.tolist(), rel_err.tolist()))
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 

@@ -28,24 +28,32 @@ when a geometric majorant of the tail drops below the tolerance; the
 integral form uses doubling Gauss-Legendre quadrature on the
 endpoint-regularized substitution from the quadrature module.
 
-Both methods check their arguments once, in ``_check_args``: building the
+Both methods check their arguments in ``_check_args``: building the
 ``geometry.SpaceDescriptor`` decides whether (k, n) is accepted, and the
-time, the distances and the tolerance are checked here.
+times, the distances and the tolerance are checked here.
+
+``unified`` takes a column of times by a row of distances.  The series
+sums each time's row on its own.  The integral evaluates the grid in one
+pass: time enters Psi_c only through the scalar weights
+exp(-4 l (l + c) t), so each time's weights are summed once, to its own
+truncation index, and the t-independent work (the substitution nodes and
+the Gegenbauer recurrence over them) runs once per doubling round for
+all the times; the weights are the same scalar ``math.exp`` expressions
+a single time uses, so every entry is bit for bit the single-time one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationCapError
+from .errors import DomainError, QuadratureConvergenceError, TruncationCapError
 from .geometry import SpaceDescriptor
 from .orthopoly import jacobi_step
 from .quadrature import adaptive_integrate_row
-from .thetapsi import DEFAULT_TOL, psi_sum
+from .thetapsi import DEFAULT_TOL, PsiSeries
 
 _HALF_PI = 0.5 * math.pi
 
@@ -62,11 +70,11 @@ METHODS = ("series", "integral")
 class KernelValue:
     """Kernel value with the work done and an error estimate.
 
-    A scalar distance gives a float, an int and a float; a row of
-    distances gives one array of each, with one entry per distance.
-    Row records do not hash, and ``==`` between two of them is not
-    defined (it raises for rows of two or more distances, as ``bool`` of
-    an array does); compare their arrays instead.
+    A scalar time and distance give a float, an int and a float; otherwise
+    each is an array shaped like the times followed by the distances, with
+    one entry per (t, d).  Array records do not hash, and ``==`` between
+    two of them is not defined (it raises for two or more entries, as
+    ``bool`` of an array does); compare their arrays instead.
     """
 
     value: float | np.ndarray
@@ -74,10 +82,11 @@ class KernelValue:
     est_error: float | np.ndarray
 
 
-def _check_args(k: int, n: int, t: float, d, tol: float) -> None:
+def _check_args(k: int, n: int, ts, d, tol: float) -> None:
     SpaceDescriptor(n=n, k=k)  # validates the index, its range and the field selector
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"diffusion time must be positive and finite, got {t}")
+    for t in ts:
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"diffusion time must be positive and finite, got {t}")
     d_arr = np.asarray(d, dtype=float)
     if d_arr.ndim > 1:
         raise DomainError(f"distance must be a scalar or a row, got {d_arr.ndim} dimensions")
@@ -104,7 +113,7 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     weight is tested before it enters the sum, and a finite weight whose
     term or partial sum overflows leaves inf or NaN in the values.
     """
-    _check_args(k, n, t, d, tol)
+    _check_args(k, n, (t,), d, tol)
     x = np.cos(2.0 * np.asarray(d, dtype=float))
     alpha = float(k * n - 1)
     beta = float(k - 1)
@@ -148,46 +157,81 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     )
 
 
-def _integral_kernel(k: int, n: int, t: float, ds: np.ndarray, tol: float) -> KernelValue:
+def _series_kernel(k: int, n: int, ts: np.ndarray, ds: np.ndarray, tol: float) -> KernelValue:
+    values, tails = np.empty((ts.size, ds.size)), np.empty((ts.size, ds.size))
+    terms = np.empty((ts.size, ds.size), dtype=int)
+    for i, t in enumerate(ts.tolist()):
+        values[i], terms[i], tails[i] = series_values(k, n, t, ds, tol)
+    return KernelValue(value=values, terms_or_nodes=terms, est_error=tails)
+
+
+def _integral_kernel(k: int, n: int, ts: np.ndarray, ds: np.ndarray, tol: float) -> KernelValue:
+    _check_args(k, n, ts.tolist(), ds, tol)
     c = k * (n + 1) - 1  # the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
-    g = functools.partial(psi_sum, c, t, tol=theta_tol)  # exp(c^2 t) folded in, termwise
-    row = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, g, 0.5 * tol / outers)
+    psi = PsiSeries(c, ts, theta_tol)  # exp(c^2 t) folded in, termwise
+    grid = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, psi,
+                                  (0.5 * tol / outers)[None].repeat(ts.size, axis=0))
     # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
-    return KernelValue(value=outers * row.value, terms_or_nodes=row.nodes,
-                       est_error=outers * row.est_error + cnk * _HALF_PI * theta_tol)
+    return KernelValue(value=outers * grid.value, terms_or_nodes=grid.nodes,
+                       est_error=outers * grid.est_error + cnk * _HALF_PI * theta_tol)
 
 
-def unified(n: int, k: int, t: float, d, tol: float = 1e-10,
-            method: str = "series") -> KernelValue:
-    """Kernel on P^n(F) at time t, by the selected representation.
+def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") -> KernelValue:
+    """Kernel on P^n(F) at time t and distance d, by the selected representation.
 
-    A scalar distance ``d`` gives one KernelValue of scalars.  A sequence
-    of distances gives one KernelValue of arrays, the row record, whose
-    entries equal the scalar calls: the series evaluates the whole row in
-    one ``series_values`` call (its truncation index and tail bound do not
-    depend on d, so every entry of ``terms_or_nodes`` and ``est_error`` is
-    the same), the integral runs one doubling loop over the row, with one
-    ``psi_sum`` call per round for every distance not yet converged.
+    Scalars give one KernelValue of scalars.  A sequence of times, of
+    distances or of both gives one KernelValue of arrays shaped like the
+    times followed by the distances: ``unified(1, 2, [0.1, 0.5], [0.0,
+    0.4, 0.8])`` gives 2 x 3 arrays, and a scalar time the row record.
+    Each entry is bit for bit its scalar call's.  The series evaluates each
+    time's row in one ``series_values`` call (its truncation index and tail
+    bound do not depend on d, so ``terms_or_nodes`` and ``est_error`` are
+    constant along a row); the integral is one pass over the grid (see the
+    module docstring).
 
     Raises DomainError for an index, field, time, distance (anywhere in
-    the row), tolerance or method outside its domain, whichever method is
-    chosen.
+    the grid), tolerance or method outside its domain, whichever method
+    is chosen.  Otherwise it raises the error of the first failing time,
+    which carries that time's index (0 for a scalar time) as
+    ``time_index``.
     """
-    ds = np.atleast_1d(np.asarray(d, dtype=float))
-    if method == "series":
-        values, terms, tail = series_values(k, n, t, ds, tol)
-        row = KernelValue(value=values, terms_or_nodes=np.full(ds.shape, terms),
-                          est_error=np.full(ds.shape, tail))
-    elif method == "integral":
-        _check_args(k, n, t, ds, tol)
-        row = _integral_kernel(k, n, t, ds, tol)
-    else:
+    t_arr, d_arr = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
+    if method not in METHODS:
         raise DomainError(f"method must be one of {METHODS}, got {method!r}")
-    if np.ndim(d):
-        return row
-    return KernelValue(value=float(row.value[0]), terms_or_nodes=int(row.terms_or_nodes[0]),
-                       est_error=float(row.est_error[0]))
-
+    if t_arr.ndim > 1:
+        raise DomainError(f"diffusion time must be a scalar or a column, "
+                          f"got {t_arr.ndim} dimensions")
+    ts = t_arr if t_arr.ndim else t_arr[None]  # a scalar is a column of one
+    ds = d_arr if d_arr.ndim else d_arr[None]
+    for time in ts.tolist():  # every time, before any is evaluated
+        if not 0.0 < time < math.inf:
+            raise DomainError(f"diffusion time must be positive and finite, got {time}")
+    kernel = _series_kernel if method == "series" else _integral_kernel
+    try:
+        grid = kernel(k, n, ts, ds, tol)
+    except (TruncationCapError, QuadratureConvergenceError) as err:
+        if ts.size < 2:
+            err.time_index = 0
+            raise
+        # a grid stops at the first error it meets, in its own order, and the
+        # integral may meet one in a pair that no time alone evaluates: time by
+        # time, the first failing time raises its own error
+        rows = []
+        for i in range(ts.size):
+            try:
+                rows.append(kernel(k, n, ts[i:i + 1], ds, tol))
+            except (TruncationCapError, QuadratureConvergenceError) as row_err:
+                row_err.time_index = i
+                raise
+        grid = KernelValue(np.concatenate([row.value for row in rows]),
+                           np.concatenate([row.terms_or_nodes for row in rows]),
+                           np.concatenate([row.est_error for row in rows]))
+    shape = t_arr.shape + d_arr.shape
+    if shape:
+        return KernelValue(grid.value.reshape(shape), grid.terms_or_nodes.reshape(shape),
+                           grid.est_error.reshape(shape))
+    return KernelValue(float(grid.value[0, 0]), int(grid.terms_or_nodes[0, 0]),
+                       float(grid.est_error[0, 0]))

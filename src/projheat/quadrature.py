@@ -101,6 +101,45 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
     return rule
 
 
+def _check_limits(ds, exponent_sign: float) -> np.ndarray:
+    """cos d for each lower limit d of ``ds``, once the limits and the exponent are checked."""
+    ds = np.asarray(ds, dtype=float).tolist()
+    for d in ds:
+        if not (0.0 <= d < _HALF_PI):
+            raise DomainError(f"lower limit must lie in [0, pi/2), got {d}")
+    if exponent_sign not in (0.5, -0.5):
+        raise DomainError(f"weight exponent must be +0.5 or -0.5, got {exponent_sign}")
+    return np.array([math.cos(d) for d in ds])
+
+
+def _weighted_sums(cos_ds: np.ndarray, exponent_sign: float, g, rows: np.ndarray,
+                   rule: QuadratureRule) -> np.ndarray:
+    """The substituted rule's sums, one per (row of ``rows``, d of ``cos_ds``).
+
+    ``g(rows, u)`` gives each row's integrand at the angles u.  Each call
+    of ``g`` gets at most ``_CALL_NODES`` (row, node) pairs, but at least
+    one row at one distance's nodes.  Each distance's substitution nodes
+    are built once, however many calls its rows take.
+    """
+    phi = (rule.nodes + 1.0) * (0.25 * math.pi)
+    block = max(1, _CALL_NODES // rule.count)  # rows per call
+    step = max(1, block // max(1, min(rows.size, block)))  # distances per call
+    sums = np.empty((rows.size, cos_ds.size))
+    for lo in range(0, cos_ds.size, step):
+        c = cos_ds[lo:lo + step, None]
+        c_sin_phi = c * np.sin(phi)
+        sin_u = np.sqrt(1.0 - c_sin_phi ** 2)
+        u = np.arccos(c_sin_phi).ravel()
+        weight = (c * c) * np.cos(phi) ** 2 if exponent_sign > 0 else 1.0  # 1.0 * gv is exact
+        for r in range(0, rows.size, block):
+            sel = rows[r:r + block]
+            gv = np.asarray(g(sel, u), dtype=float).reshape(sel.shape + sin_u.shape)
+            # one dot product per (row, distance): the same sums as ``rule.weights @ row``
+            sums[r:r + block, lo:lo + step] = np.vecdot(weight * gv / sin_u, rule.weights)
+            del gv  # not kept alive across the next call of g
+    return (0.25 * math.pi) * sums
+
+
 def integrate_weighted(ds, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
                        rule: QuadratureRule) -> np.ndarray:
     """Integral of (cos^2 d - cos^2 u)^exponent_sign * g(u) over [d, pi/2], each d of ``ds``.
@@ -111,59 +150,69 @@ def integrate_weighted(ds, exponent_sign: float, g: Callable[[np.ndarray], np.nd
     with d = 0 the transformed integrand is smooth provided g carries a
     sin(u) factor, which every caller in this package does.
     """
-    ds = np.asarray(ds, dtype=float).tolist()
-    for d in ds:
-        if not (0.0 <= d < _HALF_PI):
-            raise DomainError(f"lower limit must lie in [0, pi/2), got {d}")
-    if exponent_sign not in (0.5, -0.5):
-        raise DomainError(f"weight exponent must be +0.5 or -0.5, got {exponent_sign}")
-    cos_ds = np.array([math.cos(d) for d in ds])
-    phi = (rule.nodes + 1.0) * (0.25 * math.pi)
-    step = max(1, _CALL_NODES // rule.count)
-    sums = np.empty(cos_ds.size)
-    for lo in range(0, cos_ds.size, step):
-        c = cos_ds[lo:lo + step, None]
-        c_sin_phi = c * np.sin(phi)
-        sin_u = np.sqrt(1.0 - c_sin_phi ** 2)
-        gv = np.asarray(g(np.arccos(c_sin_phi).ravel()), dtype=float).reshape(sin_u.shape)
-        weight = (c * c) * np.cos(phi) ** 2 if exponent_sign > 0 else 1.0  # 1.0 * gv is exact
-        # one dot product per distance: the same sums as ``rule.weights @ row``
-        sums[lo:lo + step] = np.vecdot(weight * gv / sin_u, rule.weights)
-    return (0.25 * math.pi) * sums
+    cos_ds = _check_limits(ds, exponent_sign)
+    return _weighted_sums(cos_ds, exponent_sign, lambda rows, u: g(u), np.arange(1), rule)[0]
 
 
 class AdaptiveResult(NamedTuple):
-    """A row of doubling results, one entry per distance."""
+    """A grid of doubling results, one entry per (row, distance)."""
 
     value: np.ndarray
     nodes: np.ndarray
     est_error: np.ndarray
 
 
-def adaptive_integrate_row(ds, exponent_sign: float, g: Callable[[np.ndarray], np.ndarray],
+def adaptive_integrate_row(ds, exponent_sign: float,
+                           g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                            tols) -> AdaptiveResult:
-    """``integrate_weighted`` for each d of ``ds`` to its tolerance in ``tols``.
+    """``integrate_weighted`` for a grid of integrands by distances, each pair to its tolerance.
 
-    Doubles the node count from START_NODES until two successive estimates
-    of a distance agree within its tolerance; each round evaluates every
-    unconverged distance on one rule.  Each distance's entries are its
-    last estimate, that rule's node count and the difference between its
-    last two estimates.  Raises QuadratureConvergenceError for the first
-    distance, in row order, left unconverged at MAX_NODES.  A bad limit,
-    exponent or tolerance raises DomainError before ``g`` runs.
+    ``tols`` has one row per integrand and one column per distance, and
+    ``g(rows, u)`` gives the integrands of the indices ``rows`` at the
+    angles ``u``, one row each: the integral kernel's rows are its times,
+    and ``g`` a ``thetapsi.PsiSeries``.  Doubles the node count from
+    START_NODES until two successive estimates of a (row, distance) pair
+    agree within its tolerance.  Each round builds the nodes of every
+    distance with an unconverged pair once and evaluates every row with
+    one there, at most ``_CALL_NODES`` (row, node) pairs per call of
+    ``g``; a pair that has converged keeps its entries, so each pair's
+    entries are its last estimate, that rule's node count and the
+    difference between its last two estimates, as if it were integrated
+    alone.  Raises QuadratureConvergenceError for the first pair, in
+    row-major order, left unconverged at MAX_NODES.  A bad limit, exponent
+    or tolerance raises DomainError before ``g`` runs.
     """
-    ds, tols = np.asarray(ds, dtype=float), np.asarray(tols, dtype=float)
+    tols = np.asarray(tols, dtype=float)
     bad = ~(tols > 0)
     if bad.any():
         raise DomainError(f"tolerance must be positive, got {float(tols[bad][0])}")
+    cos_ds = _check_limits(ds, exponent_sign)
+    if tols.ndim != 2 or tols.shape[1] != cos_ds.size:
+        raise DomainError(f"tolerances must have one column per distance, got shape {tols.shape}")
+    shape, width = tols.shape, cos_ds.size
+    tols = tols.ravel()
     count = START_NODES
-    values = integrate_weighted(ds, exponent_sign, g, gauss_legendre_rule(count))
-    nodes = np.zeros(ds.size, dtype=int)
-    diffs = np.zeros(ds.size)
-    todo = np.arange(ds.size)  # unconverged distances, in row order
+    values = _weighted_sums(cos_ds, exponent_sign, g, np.arange(shape[0]),
+                            gauss_legendre_rule(count)).ravel()
+    nodes = np.zeros(tols.size, dtype=int)
+    diffs = np.zeros(tols.size)
+    estimates = np.empty(shape)  # the round's sums; entries of converged pairs go unread
+    todo = np.arange(tols.size)  # unconverged pairs, as flat indices in row-major order
     while todo.size and count < MAX_NODES:
         count *= 2
-        new = integrate_weighted(ds[todo], exponent_sign, g, gauss_legendre_rule(count))
+        # the round's grid: every row and distance with an unconverged pair
+        if shape[0] == 1:
+            rows, cols = np.zeros(1, dtype=int), todo
+        else:
+            r = todo // width
+            rows = np.bincount(r, minlength=shape[0]).nonzero()[0]
+            cols = np.bincount(todo - r * width, minlength=width).nonzero()[0]
+        sums = _weighted_sums(cos_ds[cols], exponent_sign, g, rows, gauss_legendre_rule(count))
+        if sums.size == todo.size:  # every pair of the round's grid is unconverged, in order
+            new = sums.ravel()
+        else:
+            estimates[rows[:, None], cols] = sums
+            new = estimates.ravel()[todo]
         diff = np.abs(new - values[todo])
         values[todo] = new
         done = diff <= tols[todo]
@@ -173,4 +222,5 @@ def adaptive_integrate_row(ds, exponent_sign: float, g: Callable[[np.ndarray], n
     if todo.size:
         raise QuadratureConvergenceError(
             f"no convergence to tol={float(tols[todo[0]])} within {MAX_NODES} nodes")
-    return AdaptiveResult(value=values, nodes=nodes, est_error=diffs)
+    return AdaptiveResult(value=values.reshape(shape), nodes=nodes.reshape(shape),
+                          est_error=diffs.reshape(shape))

@@ -20,7 +20,9 @@ series of S^(2c+1), the sphere that fibres over P^n(F) when
 c = k(n+1) - 1.  It is assembled termwise by one rolling Gegenbauer
 recurrence of order c, with no actual differentiation, so it is finite
 at u = 0 and u = pi, and the folded exponents keep the large-t prefactor
-from overflowing.
+from overflowing.  Time enters only through the scalar weights, so
+``PsiSeries`` sums each time's weights once and runs one recurrence for
+a whole column of times; ``psi_sum`` is its one-time form.
 
 Truncation is controlled by an analytic tail bound: successive term
 bounds shrink by a factor that is itself decreasing, so the tail is
@@ -53,49 +55,25 @@ def _weights_overflow(c: int, t: float) -> TruncationCapError:
     return TruncationCapError(f"ladder series weights overflow floating point at j={c}, t={t}")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
-def psi_sum(c: int, t: float, u, tol: float = DEFAULT_TOL):
-    """exp(c^2 t) Psi_c(t, u) = exp(c^2 t) sin(u) L^c theta_{c+1}(t, u), vectorized over u.
+def _weights(c: int, t: float, tol: float, base: float) -> list:
+    """psi_sum's term weights at time t, up to the first whose tail bound meets tol.
 
-    Term l is the Gegenbauer term of order c and degree 2l, so the sum is
-    a single rolling order-c recurrence, two steps per term.  The tail
-    bound majorizes |C_{2l}^c| by its value at the right endpoint,
+    Term l is the Gegenbauer term of order c and degree 2l.  The tail bound
+    majorizes |C_{2l}^c| by its value at the right endpoint,
     binom(2l + 2c - 1, 2c - 1), which is where the polynomial growth
-    enters.
-
-    Raises TruncationCapError when a weight or the result is not finite:
-    a weight is tested before it enters the sum, and a finite weight whose
-    term or partial sum overflows leaves inf or NaN in the result.
+    enters.  A weight is tested before it is kept: one that is not finite
+    raises TruncationCapError.
     """
-    if c < 1:
-        raise DomainError(f"ladder count must be >= 1, got {c}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    u_arr = np.asarray(u, dtype=float)
-    if not t > 0:
-        raise DomainError(f"diffusion time must be positive, got {t}")
-    if not np.all(np.isfinite(u_arr)):
-        raise DomainError("angle must be finite")
-    x = np.cos(u_arr)
-    lam = float(c)
-    try:
-        base = (2.0 ** (c - 1)) * math.factorial(c - 1)  # q-independent ladder scale
-    except OverflowError:
-        raise DomainError(f"ladder count must be <= 171, got {c}: "
-                          "(j-1)! overflows floating point") from None
     half = 0.5 * c
     shift = float(c * c)  # the folded exp(c^2 t)
-
-    total = np.zeros_like(u_arr)
-    # rolling Gegenbauer pair (C_2l, C_{2l-1}) of order c
-    c_cur, c_prev = np.ones_like(u_arr), np.zeros_like(u_arr)
+    weights = []
     endpoint = 1.0  # binom(q + c - 1, 2c - 1) for the current l
     for l in range(TERM_CAP + 1):
         q = 2 * l + c
         w = math.exp((shift - 4.0 * (l + half) ** 2) * t) * q * base
         if not math.isfinite(w):  # the ladder scale overflowed: never let it into the sum
             raise _weights_overflow(c, t)
-        total += w * c_cur
+        weights.append(w)
 
         # advance the endpoint bound to l+1 and test the geometric majorant
         endpoint *= ((q + c) * (q + c + 1)) / ((q - c + 1) * (q - c + 2))
@@ -109,12 +87,98 @@ def psi_sum(c: int, t: float, u, tol: float = DEFAULT_TOL):
         if rho < 1.0:
             tail = b_next / (1.0 - rho)
             if tail <= tol:
-                result = np.sin(u_arr) * total
-                if not np.isfinite(result).all():
-                    raise _weights_overflow(c, t)
-                return float(result) if np.ndim(u) == 0 else result
+                return weights
             if not math.isfinite(tail):  # the ladder scale or the endpoint overflowed
                 raise _weights_overflow(c, t)
-        c_cur, c_prev = gegenbauer_step(2 * l + 1, lam, x, c_cur, c_prev), c_cur
-        c_cur, c_prev = gegenbauer_step(2 * l + 2, lam, x, c_cur, c_prev), c_cur
     raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
+
+
+class PsiSeries:
+    """exp(c^2 t) Psi_c(t, u) for a column of times ``ts``, as a function of (rows, u).
+
+    Construction sums each time's weights once, up to that time's own
+    truncation index, and raises for the first time, in column order, that
+    is not positive or whose weights overflow or need more than TERM_CAP
+    terms.  A call ``series(rows, u)`` gives one row of values per index
+    in ``rows`` (into ``ts``), over the angles ``u``: it runs one rolling
+    order-c Gegenbauer recurrence over the angles, two steps per term, and
+    adds each time's weighted term into that time's row while the time
+    still has terms.  Row i is bit for bit ``psi_sum(c, ts[rows[i]], u,
+    tol)``.  A call raises TruncationCapError for the first row whose
+    values are not finite: a finite weight whose term or partial sum
+    overflows leaves inf or NaN in them.
+    """
+
+    def __init__(self, c: int, ts, tol: float = DEFAULT_TOL):
+        if c < 1:
+            raise DomainError(f"ladder count must be >= 1, got {c}")
+        if not tol > 0:
+            raise DomainError(f"tolerance must be positive, got {tol}")
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise DomainError(f"times must form a column, got {ts.ndim} dimensions")
+        times = ts.tolist()
+        for t in times:
+            if not t > 0:
+                raise DomainError(f"diffusion time must be positive, got {t}")
+        try:
+            base = (2.0 ** (c - 1)) * math.factorial(c - 1)  # q-independent ladder scale
+        except OverflowError:
+            raise DomainError(f"ladder count must be <= 171, got {c}: "
+                              "(j-1)! overflows floating point") from None
+        self.c, self.ts = c, ts
+        self.weights = [_weights(c, t, tol, base) for t in times]
+        self.terms = [len(w) for w in self.weights]
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
+    def __call__(self, rows, u) -> np.ndarray:
+        rows = np.asarray(rows, dtype=int).tolist()
+        u_arr = np.asarray(u, dtype=float)
+        if not np.isfinite(u_arr).all():
+            raise DomainError("angle must be finite")
+        x = np.cos(u_arr)
+        # longest series first: the rows still summing at term l are a leading block
+        order = sorted(range(len(rows)), key=lambda j: -self.terms[rows[j]])
+        times = [rows[j] for j in order]
+        totals = np.zeros((len(rows),) + x.shape)
+        lam = float(self.c)
+        # rolling Gegenbauer pair (C_2l, C_{2l-1}) of order c
+        c_cur, c_prev = np.ones_like(x), np.zeros_like(x)
+        l = 0
+        for m in range(len(times), 0, -1):  # the block shrinks as series end
+            end = self.terms[times[m - 1]]
+            if end == l:  # rows m - 1 and m end at the same term
+                continue
+            if m == 1:  # one row adds Python floats, as a single time does
+                block, column = totals[0, ...], self.weights[times[0]][l:end]
+            else:  # term by term, the first m rows' weights
+                block = totals[:m]
+                column = np.array([self.weights[i][l:end] for i in times[:m]]).T.reshape(
+                    (end - l, m) + (1,) * x.ndim)
+            for w in column:
+                if l:
+                    c_cur, c_prev = gegenbauer_step(2 * l - 1, lam, x, c_cur, c_prev), c_cur
+                    c_cur, c_prev = gegenbauer_step(2 * l, lam, x, c_cur, c_prev), c_cur
+                block += w * c_cur
+                l += 1
+        if order != sorted(order):
+            totals = totals[np.argsort(order)]
+        totals *= np.sin(u_arr)
+        if not np.isfinite(totals).all():
+            bad = ~np.isfinite(totals.reshape(len(rows), -1)).all(axis=1)
+            raise _weights_overflow(self.c, float(self.ts[rows[np.argmax(bad)]]))
+        return totals
+
+
+def psi_sum(c: int, t: float, u, tol: float = DEFAULT_TOL):
+    """exp(c^2 t) Psi_c(t, u) = exp(c^2 t) sin(u) L^c theta_{c+1}(t, u), vectorized over u.
+
+    ``PsiSeries`` at the one time t, called once: values shaped like ``u``,
+    a float for a scalar angle.
+
+    Raises DomainError for a ladder count, tolerance, time or angle outside
+    its domain, and TruncationCapError when a weight or a value is not
+    finite or the series needs more than TERM_CAP terms.
+    """
+    values = PsiSeries(c, (t,), tol)((0,), u)[0]
+    return float(values) if np.ndim(u) == 0 else values

@@ -310,7 +310,7 @@ def lemma_check(n: int, l: int, ds) -> list:
     rhss = const * orthopoly.jacobi_p(l, 2 * n - 1, 1, np.array([math.cos(2 * d) for d in ds]))
     cos2s = np.array([math.cos(d) ** 2 for d in ds])
     qtols = np.maximum(1e-13, 1e-11 * np.abs(rhss)) * cos2s
-    values = adaptive_integrate_row(ds, 0.5, g, qtols).value
+    values = adaptive_integrate_row(ds, 0.5, lambda _, u: g(u), [qtols]).value[0]
     return _row_reports("gegenbauer_ladder_to_jacobi",
                         [{"n": n, "l": l, "d": float(d)} for d in ds],
                         values / cos2s, rhss, 1e-8)
@@ -334,7 +334,8 @@ def _jacobi_rep_rows(n: int, l: int, ds) -> dict:
         math.pi * math.factorial(l + 2 * n - 1)
     )
     qtol = max(1e-13, 1e-11 * max(1.0, orthopoly.jacobi_endpoint(l + 1, 2 * n - 2))) / const
-    rhs = const * adaptive_integrate_row(ds, -0.5, g, [qtol] * len(ds)).value
+    rhs = const * adaptive_integrate_row(ds, -0.5, lambda _, u: g(u),
+                                         [[qtol] * len(ds)]).value[0]
     xs = np.array([math.cos(2 * d) for d in ds])
     rows = {}
     for convention in JACOBI_REP_CONVENTIONS:
@@ -475,9 +476,10 @@ def _check_quadrature_doubling():
     ]
     params, values, extras = [], [], []
     for row_params, row, sign, g in rows:
-        res = quadrature.adaptive_integrate_row(row, sign, g, [tol] * len(row))
-        for parameters, d, value, nodes in zip(row_params, row, res.value.tolist(),
-                                               res.nodes.tolist()):
+        res = quadrature.adaptive_integrate_row(row, sign, lambda _, u: g(u),
+                                                [[tol] * len(row)])
+        for parameters, d, value, nodes in zip(row_params, row, res.value[0].tolist(),
+                                               res.nodes[0].tolist()):
             [extra] = quadrature.integrate_weighted([d], sign, g, gauss_legendre_rule(2 * nodes))
             params.append({**parameters, "nodes": nodes})
             values.append(value)
@@ -611,11 +613,12 @@ _EQUIV_DS = tuple(np.linspace(0.0, 1.5, 11))
 def _check_kernels_equivalence():
     params, series, integral = [], [], []
     for s in _SPACES:
-        for t in _EQUIV_TS:
-            rs, ri = (kernels.unified(s.n, s.k, t, _EQUIV_DS, 1e-12, m) for m in kernels.METHODS)
-            params.extend({"k": s.k, "n": s.n, "t": t, "d": float(d)} for d in _EQUIV_DS)
-            series.append(rs.value)
-            integral.append(ri.value)
+        rs, ri = (kernels.unified(s.n, s.k, _EQUIV_TS, _EQUIV_DS, 1e-12, m)
+                  for m in kernels.METHODS)
+        params.extend({"k": s.k, "n": s.n, "t": t, "d": float(d)}
+                      for t in _EQUIV_TS for d in _EQUIV_DS)
+        series.append(rs.value.ravel())
+        integral.append(ri.value.ravel())
     return _row_reports("representation_equivalence", params, np.concatenate(series),
                         np.concatenate(integral), 1e-8)
 
@@ -623,17 +626,12 @@ def _check_kernels_equivalence():
 def _check_kernels_positivity():
     reports = []
     for s in _SPACES:
-        min_val = math.inf
-        argmin = None
-        for t in _EQUIV_TS:
-            vals, _, _ = kernels.series_values(s.k, s.n, t, np.asarray(_EQUIV_DS), 1e-12)
-            i = int(np.argmin(vals))
-            if vals[i] < min_val:
-                min_val = float(vals[i])
-                argmin = {"t": t, "d": float(_EQUIV_DS[i])}
+        vals = kernels.unified(s.n, s.k, _EQUIV_TS, _EQUIV_DS, 1e-12).value
+        i, j = np.unravel_index(np.argmin(vals), vals.shape)  # the first (t, d) at the minimum
+        min_val = float(vals[i, j])
         reports.append(_flag_report(
-            "kernel_positivity", {"k": s.k, "n": s.n, **argmin}, min_val, 0.0,
-            float(not min_val > 0.0),
+            "kernel_positivity", {"k": s.k, "n": s.n, "t": _EQUIV_TS[i], "d": float(_EQUIV_DS[j])},
+            min_val, 0.0, float(not min_val > 0.0),
         ))
     return reports
 
@@ -660,7 +658,8 @@ def _check_kernels_residual():
                 return kernels.series_values(space.k, space.n, tt, r, 1e-12)[0]
 
             ht = 1e-4 * t
-            dt = (e(rs, t + ht) - e(rs, t - ht)) / (2.0 * ht)
+            later, earlier = kernels.unified(space.n, space.k, [t + ht, t - ht], rs, 1e-12).value
+            dt = (later - earlier) / (2.0 * ht)
             lap = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
             i = int(np.argmax(np.abs(dt - lap) / np.maximum(np.abs(dt), 1.0)))
             params.append({"k": space.k, "n": space.n, "t": t, "r": float(rs[i])})
@@ -691,7 +690,7 @@ def _check_kernels_monotone():
     ts = np.linspace(1.0, 2.0, 20)
     for s in _SPACES:
         flat = geometry.stationary_value(s)
-        vals = np.array([kernels.unified(s.n, s.k, float(t), d, 1e-12).value for t in ts])
+        vals = kernels.unified(s.n, s.k, ts, d, 1e-12).value
         inc = np.diff(vals)
         slack = 1e-13 * max(1.0, abs(flat))
         direction = 1.0 if inc[np.argmax(np.abs(inc))] >= 0 else -1.0

@@ -6,10 +6,11 @@ make an agreement that the suite reports prove nothing.  ``reach`` reads a
 function's source and follows every global name and every ``module.attr``
 chain in it (nested functions and lambdas included), transitively through
 the package's own functions and classes.  A class is followed through what
-its construction runs, ``__post_init__`` and the properties that reads on
-``self``.  Attributes of local values (``row.value``) and callables passed
-in as arguments are not followed; the positive controls below show that
-the walk does see what each path is known to call.
+its construction and its call run, ``__post_init__`` and the methods and
+properties they read on ``self``.  Attributes of local values
+(``row.value``) and callables passed in as arguments are not followed; the
+positive controls below show that the walk does see what each path is
+known to call.
 """
 
 import ast
@@ -67,7 +68,8 @@ def reach(root) -> set:
             continue
         seen.add(_key(obj))
         if inspect.isclass(obj):
-            stack.extend((vars(obj)[name], obj) for name in ("__init__", "__post_init__")
+            stack.extend((vars(obj)[name], obj)
+                         for name in ("__init__", "__post_init__", "__call__")
                          if name in vars(obj))
         else:
             stack.extend(_named(obj, owner))
@@ -80,7 +82,9 @@ INTEGRAL = reach(kernels._integral_kernel)
 
 class TestPositiveControls:
     def test_integral_path_reaches_psi_sum(self):
-        assert _key(thetapsi.psi_sum) in INTEGRAL
+        # the kernel builds psi_sum's series itself, once per grid, and calls it
+        assert _key(thetapsi.PsiSeries.__call__) in INTEGRAL
+        assert _key(thetapsi._weights) in INTEGRAL
         assert _key(orthopoly.gegenbauer_step) in INTEGRAL
 
     def test_series_path_reaches_jacobi_step(self):
@@ -110,6 +114,9 @@ def test_series_and_integral_paths_meet_only_in_checks_and_errors():
     (verify._theta_sum, thetapsi.psi_sum),
     (verify._brute_sum, thetapsi.psi_sum),
     (verify._ladder_fd, thetapsi.psi_sum),
+    (verify._theta_sum, thetapsi.PsiSeries),
+    (verify._brute_sum, thetapsi.PsiSeries),
+    (verify._ladder_fd, thetapsi.PsiSeries),
     (verify._exact_jacobi, orthopoly.jacobi_step),
     (verify._jacobi_theta2_reference, verify._theta_sum),
 ], ids=lambda f: f.__name__)

@@ -13,7 +13,8 @@ import types
 import pytest
 
 import projheat
-from projheat import cli, verify
+from projheat import cli, kernels, verify
+from projheat.errors import TruncationCapError
 
 CMD = [sys.executable, "-m", "projheat"]
 
@@ -241,6 +242,40 @@ class TestErrorLines:
         assert captured.out == ""
         assert captured.err.startswith("projheat: no convergence: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,line", [
+        # only t = 0.001 fails, in the integral
+        ("compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0",
+         "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
+        # both methods fail at every t: the series at the first t
+        ("table --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3 --method both",
+         "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
+        # the first t fails, at the first distance that fails there
+        ("table --space hpn --n 8 --t-grid 0.5:5:3 --d-grid 0:1.2:3 --method integral",
+         "no convergence to tol=30.42376086438599 within 4096 nodes"),
+        ("compare --space cpn --n 15 --t-grid 0.1:0.5:3 --d-grid 0:1.5:4",
+         "no convergence to tol=36.87719765726545 within 4096 nodes"),
+    ])
+    def test_failing_grid_names_the_first_failing_row(self, capsys, argv, line):
+        assert cli.main(argv.split()) == cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"projheat: no convergence: {line}\n"
+
+    def test_integral_at_an_earlier_t_fails_before_the_series(self, capsys, monkeypatch):
+        # the series grid fails first, at the last t, but the integral fails at the first
+        series_values = kernels.series_values
+
+        def failing_last(k, n, t, d, tol):
+            if t == 0.05:
+                raise TruncationCapError("series fails at the last t")
+            return series_values(k, n, t, d, tol)
+
+        monkeypatch.setattr(kernels, "series_values", failing_last)
+        argv = "compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0".split()
+        assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == ("projheat: no convergence: no convergence to "
+                                           "tol=2.416234582221433e-06 within 4096 nodes\n")
 
     def test_failed_compare_writes_no_out_file(self, tmp_path):
         # the whole grid is evaluated before --out is opened

@@ -1,6 +1,7 @@
 """Tests for the kernel assembly in both representations."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -9,8 +10,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import integral_kernel_reference
-from projheat import quadrature
-from projheat.errors import DomainError, TruncationCapError
+from projheat import quadrature, thetapsi
+from projheat.errors import DomainError, QuadratureConvergenceError, TruncationCapError
 from projheat.geometry import SpaceDescriptor, stationary_value
 from projheat.kernels import KernelValue, series_values, unified
 
@@ -302,3 +303,140 @@ class TestIntegralRow:
         row = unified(2, 1, 2e-4, self.DS, 1e-6, "integral")
         for d, got in zip(self.DS, _entries(row)):
             assert got == integral_kernel_reference(2, 1, 2e-4, d, 1e-6)
+
+        # a grid: each psi call gets at most _CALL_NODES (time, node) pairs,
+        # the 3 times' rows sharing one call while they fit, split when they do not
+        calls = _spy_psi_calls(monkeypatch)
+        ts = [2e-4, 0.002, 0.02]
+        grid = unified(2, 1, ts, self.DS, 1e-6, "integral")
+        assert max(rows * nodes for rows, nodes in calls) <= 1000
+        assert (3, 320) in calls  # 20 distances of 16 nodes, for all three times
+        assert len(set(grid.terms_or_nodes.ravel().tolist())) >= 4
+        for t, row in zip(ts, _rows(grid)):
+            _assert_same(row, unified(2, 1, t, self.DS, 1e-6, "integral"))
+
+    def test_large_grid_calls_stay_under_the_cap(self, monkeypatch):
+        # 120 x 300: one round asks for 576 000 (time, node) pairs at 16 nodes
+        calls = _spy_psi_calls(monkeypatch)
+        ts = np.linspace(0.05, 2.0, 120)
+        ds = np.linspace(0.0, 1.5, 300)
+        grid = unified(1, 2, ts, ds, 1e-10, "integral")
+        assert grid.value.shape == (120, 300)
+        assert max(rows * nodes for rows, nodes in calls) <= quadrature._CALL_NODES
+        assert len(calls) > 2 * 576_000 // quadrature._CALL_NODES  # every round is split
+        for i in (0, 57, 119):
+            _assert_same(_rows(grid)[i], unified(1, 2, float(ts[i]), ds, 1e-10, "integral"))
+
+
+def _spy_psi_calls(monkeypatch) -> list:
+    """(times, nodes) of every PsiSeries call from now on."""
+    calls = []
+    call = thetapsi.PsiSeries.__call__
+
+    def spy(self, rows, u):
+        calls.append((np.size(rows), np.size(u)))
+        return call(self, rows, u)
+
+    monkeypatch.setattr(thetapsi.PsiSeries, "__call__", spy)
+    return calls
+
+
+def _rows(grid):
+    """The row records of a grid record, one per time."""
+    return [KernelValue(*columns) for columns in zip(grid.value, grid.terms_or_nodes,
+                                                      grid.est_error)]
+
+
+def _assert_same(got, want):
+    for name in ("value", "terms_or_nodes", "est_error"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.shape(a) == np.shape(b) and np.asarray(a).tolist() == np.asarray(b).tolist()
+
+
+class TestGridCall:
+    """A sequence of times adds a leading axis: one row per time, each the time's own call."""
+
+    DS = [float(d) for d in np.linspace(0.0, 1.565, 24)]
+
+    # the integral's times need 32 to 512 nodes and the series' from 2 to 305 terms
+    @pytest.mark.parametrize("k,n,ts", [
+        (1, 1, (2e-4, 0.002, 0.02)), (1, 2, (2e-4, 0.002, 0.02)), (2, 1, (2e-4, 0.002, 0.02)),
+        (1, 3, (0.002, 0.02, 0.2)), (2, 2, (0.002, 0.02, 0.2)), (2, 3, (0.004, 0.02, 0.2)),
+    ])
+    @pytest.mark.parametrize("method,tol", [("series", 1e-10), ("integral", 1e-6)])
+    def test_grid_equals_per_time_calls(self, k, n, ts, method, tol):
+        # out of order, one time twice: the rows' series end in another order than they start
+        ts = (ts[1], 0.5, ts[0], ts[2], 0.5)
+        want = [unified(n, k, t, self.DS, tol, method) for t in ts]
+        grid = unified(n, k, list(ts), self.DS, tol, method)
+        assert grid.value.shape == grid.terms_or_nodes.shape == grid.est_error.shape == (
+            len(ts), len(self.DS))
+        assert grid.terms_or_nodes.dtype.kind == "i"
+        for got, row in zip(_rows(grid), want):
+            _assert_same(got, row)
+        assert len(set(grid.terms_or_nodes.ravel().tolist())) >= 3
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_scalar_time_gives_the_row_record(self, method):
+        row = unified(1, 2, 0.5, [0.1, 0.4], method=method)
+        assert row.value.shape == row.terms_or_nodes.shape == row.est_error.shape == (2,)
+        one = unified(1, 2, [0.5], [0.1, 0.4], method=method)
+        assert one.value.shape == (1, 2)
+        _assert_same(_rows(one)[0], row)
+        column = unified(1, 2, [0.5, 1.0], 0.4, method=method)
+        assert column.value.shape == column.terms_or_nodes.shape == (2,)
+        point = unified(1, 2, 1.0, 0.4, method=method)
+        assert isinstance(point.value, float) and isinstance(point.terms_or_nodes, int)
+        assert (column.value[1], column.terms_or_nodes[1], column.est_error[1]) == (
+            point.value, point.terms_or_nodes, point.est_error)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_empty_times(self, method):
+        grid = unified(1, 2, [], [0.1, 0.4], method=method)
+        assert [a.shape for a in (grid.value, grid.terms_or_nodes, grid.est_error)] == [(0, 2)] * 3
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_bad_time_anywhere_rejects_the_grid(self, method):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"got {bad}"):
+                unified(1, 2, [0.5, bad, 0.1], [0.1, 0.4], method=method)
+        with pytest.raises(DomainError, match="2 dimensions"):
+            unified(1, 2, [[0.5]], [0.1, 0.4], method=method)
+
+    @pytest.mark.parametrize("n,k,ts,method,error,match", [
+        # both times' weights overflow
+        (120, 1, [1e-4, 1e-7], "series", TruncationCapError, "at k=1, n=120, t=0.0001$"),
+        # t = 1e-9 needs more than TERM_CAP terms, before the doubling loop that
+        # t = 0.001 fails in starts
+        (3, 2, [0.001, 1e-9], "integral", QuadratureConvergenceError,
+         "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
+    ])
+    def test_first_failing_time_raises(self, n, k, ts, method, error, match):
+        with pytest.raises((TruncationCapError, QuadratureConvergenceError)) as later:
+            unified(n, k, ts[1:], [0.0, 0.3], 1e-10, method)
+        assert not re.search(match, str(later.value))  # the later time fails otherwise
+        assert later.value.time_index == 0
+        with pytest.raises(error, match=match) as first:
+            unified(n, k, ts, [0.0, 0.3], 1e-10, method)
+        assert first.value.time_index == 0
+        # behind a time that does not fail, the error names its place in the column
+        with pytest.raises(error, match=match) as second:
+            unified(n, k, [0.5] + ts, [0.0, 0.3], 1e-10, method)
+        assert second.value.time_index == 1
+
+    def test_error_no_time_meets_alone_is_not_raised(self, monkeypatch):
+        # a grid evaluates pairs that no time needs alone; an error there must not
+        # surface: here any call on more than one time fails
+        call = thetapsi.PsiSeries.__call__
+
+        def single_time_only(self, rows, u):
+            if np.size(rows) > 1:
+                raise TruncationCapError("a pair no time needs alone")
+            return call(self, rows, u)
+
+        ts = [0.05, 0.5]
+        want = [unified(2, 1, t, self.DS, 1e-10, "integral") for t in ts]
+        monkeypatch.setattr(thetapsi.PsiSeries, "__call__", single_time_only)
+        grid = unified(2, 1, ts, self.DS, 1e-10, "integral")
+        for got, row in zip(_rows(grid), want):
+            _assert_same(got, row)

@@ -169,14 +169,20 @@ class TestRowSumsBitwise:
         assert got.tolist() == _reference_sums(self.DS, sign, _hard, rule)
 
 
+def _one_row(g):
+    """``g`` of the angles alone, as the integrand of a grid of one row."""
+    return lambda rows, u: g(u)
+
+
 class TestAdaptive:
-    """Rows of one distance."""
+    """Grids of one row and one distance."""
 
     def test_polynomial_converges_immediately(self):
         def g(u):
             return np.sin(u) * np.cos(u) ** 6
 
-        [value], [nodes], [err] = adaptive_integrate_row([0.4], 0.5, g, [1e-13])
+        [[value]], [[nodes]], [[err]] = adaptive_integrate_row([0.4], 0.5, _one_row(g),
+                                                               [[1e-13]])
         [direct] = integrate_weighted([0.4], 0.5, g, gauss_legendre_rule(32))
         assert nodes == 32
         assert_allclose(value, direct, rtol=1e-14)
@@ -188,18 +194,18 @@ class TestAdaptive:
         def g(u):  # the folded exp(9 t) divided out, for the absolute tolerance
             return psi_sum(3, 0.5, u) / math.exp(9 * 0.5)
 
-        [value], [nodes], _ = adaptive_integrate_row([0.3], 0.5, g, [1e-12])
+        [[value]], [[nodes]], _ = adaptive_integrate_row([0.3], 0.5, _one_row(g), [[1e-12]])
         [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * int(nodes)))
         assert abs(value - bigger) <= 1e-12
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureConvergenceError):
-            adaptive_integrate_row([0.2], 0.5, _hard, [1e-30])
+            adaptive_integrate_row([0.2], 0.5, _one_row(_hard), [[1e-30]])
 
     def test_rejects_bad_tolerance(self):
         for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError):
-                adaptive_integrate_row([0.2], 0.5, np.sin, [tol])
+                adaptive_integrate_row([0.2], 0.5, _one_row(np.sin), [[tol]])
 
 
 class TestAdaptiveRow:
@@ -213,8 +219,8 @@ class TestAdaptiveRow:
             return psi_sum(3, 0.02, u)
 
         for sign in (0.5, -0.5):
-            row = adaptive_integrate_row(ds, sign, g, tols)
-            for d, tol, *got in zip(ds, tols, *row):
+            row = adaptive_integrate_row(ds, sign, _one_row(g), [tols])
+            for d, tol, *got in zip(ds, tols, *(column[0] for column in row)):
                 assert tuple(got) == adaptive_reference(d, sign, g, tol)
 
     def test_long_row_is_split_into_chunks(self):
@@ -225,25 +231,57 @@ class TestAdaptiveRow:
             sizes.append(u.size)
             return np.sin(u) * np.cos(u) ** 6
 
-        row = adaptive_integrate_row(ds, 0.5, g, [1e-13] * len(ds))
+        row = adaptive_integrate_row(ds, 0.5, _one_row(g), [[1e-13] * len(ds)])
         assert max(sizes) <= quadrature._CALL_NODES
         assert len(sizes) > 2  # more than one call per round
-        for d, *got in list(zip(ds, *row))[::97]:
+        for d, *got in list(zip(ds, *(column[0] for column in row)))[::97]:
             assert tuple(got) == adaptive_reference(d, 0.5, g, 1e-13)
+
+    # (rows, nodes) of the first call: all five distances for all three rows, or
+    # at a cap of 40 (row, node) pairs one distance for two rows, and one row at 32 nodes
+    @pytest.mark.parametrize("cap,first", [(1 << 16, (3, 80)), (40, (2, 16))])
+    def test_grid_rows_equal_rows_alone(self, cap, first, monkeypatch):
+        # three times of one PsiSeries: 2e-4 needs up to 512 nodes, 0.5 only 32
+        from projheat.thetapsi import PsiSeries, psi_sum
+
+        monkeypatch.setattr(quadrature, "_CALL_NODES", cap)
+        ts = [0.02, 2e-4, 0.5]
+        ds = [0.0, 0.3, 0.7, 1.2, 1.5]
+        tols = [[1e-6, 1e-8, 1e-6, 1e-7, 1e-6], [1e-6] * 5, [1e-9, 1e-6, 1e-8, 1e-6, 1e-9]]
+        calls = []
+        series = PsiSeries(3, ts)
+
+        def g(rows, u):
+            calls.append((rows.size, u.size))
+            return series(rows, u)
+
+        grid = adaptive_integrate_row(ds, 0.5, g, tols)
+        assert len(set(grid.nodes.ravel().tolist())) >= 3
+        for t, row_tols, *row in zip(ts, tols, *grid):
+            for d, tol, *got in zip(ds, row_tols, *row):
+                assert tuple(got) == adaptive_reference(d, 0.5, lambda u: psi_sum(3, t, u), tol)
+        assert all(rows * nodes <= cap or rows == 1 for rows, nodes in calls)
+        assert calls[0] == first
 
     def test_cap_names_first_failing_distance(self):
         with pytest.raises(QuadratureConvergenceError, match=rf"tol=1e-30 within {MAX_NODES} nodes"):
-            adaptive_integrate_row([0.2, 0.5, 0.9], 0.5, _hard, [1.0, 1e-30, 2e-30])
+            adaptive_integrate_row([0.2, 0.5, 0.9], 0.5, _one_row(_hard),
+                                   [[1.0, 1e-30, 2e-30]])
+        # in a grid, the first failing pair in row-major order
+        with pytest.raises(QuadratureConvergenceError, match=rf"tol=3e-30 within {MAX_NODES}"):
+            adaptive_integrate_row([0.2, 0.5], 0.5, lambda rows, u: np.outer(rows + 1.0, _hard(u)),
+                                   [[1.0, 1.0], [3e-30, 1.0], [1e-30, 2e-30]])
 
     def test_empty_row(self):
-        def g(u):
-            raise AssertionError("the integrand of an empty row is never called")
+        def g(rows, u):
+            raise AssertionError("the integrand of an empty grid is never called")
 
-        row = adaptive_integrate_row([], 0.5, g, [])
-        assert [column.size for column in row] == [0, 0, 0]
+        for tols in ([[]], np.empty((0, 2))):
+            grid = adaptive_integrate_row([0.1, 0.2][:np.shape(tols)[1]], 0.5, g, tols)
+            assert [column.shape for column in grid] == [np.shape(tols)] * 3
 
     def test_rejects_bad_row(self):
-        def g(u):
+        def g(rows, u):
             raise AssertionError("a rejected row never calls its integrand")
 
         for where in (0, 2):
@@ -251,9 +289,11 @@ class TestAdaptiveRow:
                 ds = [0.2, 0.4, 0.6]
                 ds[where] = bad
                 with pytest.raises(DomainError, match="lower limit"):
-                    adaptive_integrate_row(ds, 0.5, g, [1e-10] * 3)
+                    adaptive_integrate_row(ds, 0.5, g, [[1e-10] * 3])
         for sign in (1.0, 0.0, -1.0):
             with pytest.raises(DomainError, match="weight exponent"):
-                adaptive_integrate_row([0.2], sign, g, [1e-10])
+                adaptive_integrate_row([0.2], sign, g, [[1e-10]])
         with pytest.raises(DomainError):
-            adaptive_integrate_row([0.2, 0.4], 0.5, g, [1e-10, 0.0])
+            adaptive_integrate_row([0.2, 0.4], 0.5, g, [[1e-10, 1e-10], [1e-10, 0.0]])
+        with pytest.raises(DomainError, match="one column per distance"):
+            adaptive_integrate_row([0.2, 0.4], 0.5, g, [1e-10, 1e-10])
