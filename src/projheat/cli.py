@@ -15,8 +15,9 @@ embeds the CLI calls ``main(argv)``, which returns the exit code.
 ``kernels.unified`` call per method, and write it one t-row at a time,
 each row one block of lines formatted from that row of the grid's arrays.
 A grid that fails exits with the error of the first failing t, and at
-one t with the series' error before the integral's, as a row-by-row
-evaluation would.
+one t with the series' error before the integral's: this module alone
+owns that rule, and applies it by evaluating a failing grid again row by
+row (see ``_evaluate_grid``).
 """
 
 from __future__ import annotations
@@ -153,19 +154,24 @@ def _evaluate_grid(args, t_default, d_default, methods, tol):
     ``records`` holds one grid record per method, in the order of
     ``methods``: the KernelValue of (t, d) arrays that one ``unified``
     call gives over every time of ``ts`` and distance of ``ds``.
+
+    A grid call raises the first error its own evaluation meets, which
+    need not be the first failing row's.  So when one fails, the grid is
+    evaluated again row by row, in (t, method) order, and the first row
+    that fails raises its error.  If no row fails alone, the records are
+    built from the rows, each bit for bit its part of the grid.
     """
     space = _space_from_args(args)
     ts = _values_from_args(args, "t", t_default)
     ds = _values_from_args(args, "d", d_default)
     _validate_times(ts)  # distances are checked by ``unified``, before any output opens
-    records, errors = [], []
-    for i, m in enumerate(methods):
-        try:
-            records.append(kernels.unified(space.n, space.k, ts, ds, tol, m))
-        except (TruncationCapError, QuadratureConvergenceError) as err:
-            errors.append((err.time_index, i, err))
-    if errors:  # the first failing t, and at one t the first method, as row by row
-        raise min(errors, key=lambda e: e[:2])[2]
+    try:
+        records = [kernels.unified(space.n, space.k, ts, ds, tol, m) for m in methods]
+    except (TruncationCapError, QuadratureConvergenceError):
+        rows = [[kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods] for t in ts]
+        records = [kernels.KernelValue(*(np.stack([getattr(row, name) for row in column])
+                                         for name in ("value", "terms_or_nodes", "est_error")))
+                   for column in zip(*rows)]
     return space, ts, ds, records
 
 

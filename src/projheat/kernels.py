@@ -28,18 +28,23 @@ when a geometric majorant of the tail drops below the tolerance; the
 integral form uses doubling Gauss-Legendre quadrature on the
 endpoint-regularized substitution from the quadrature module.
 
-Both methods check their arguments in ``_check_args``: building the
-``geometry.SpaceDescriptor`` decides whether (k, n) is accepted, and the
-times, the distances and the tolerance are checked here.
+``unified`` checks every argument once, in ``_check_args``, before
+either method runs (``series_values``, a public entry of its own, checks
+its row there too): building the ``geometry.SpaceDescriptor`` decides
+whether (k, n) is accepted, and the times, the distances and the
+tolerance are checked here.
 
 ``unified`` takes a column of times by a row of distances.  The series
 sums each time's row on its own.  The integral evaluates the grid in one
 pass: time enters Psi_c only through the scalar weights
 exp(-4 l (l + c) t), so each time's weights are summed once, to its own
-truncation index, and the t-independent work (the substitution nodes and
-the Gegenbauer recurrence over them) runs once per doubling round for
-all the times; the weights are the same scalar ``math.exp`` expressions
-a single time uses, so every entry is bit for bit the single-time one.
+truncation index, into one row of a weight table, and the t-independent
+work (the substitution nodes and the Gegenbauer recurrence over them)
+runs once per doubling round for all the times; the weights are the same
+scalar ``math.exp`` expressions a single time uses, so every entry is
+bit for bit the single-time one.  A failing grid raises the first error
+its evaluation meets; which time fails first is the CLI's question, and
+it answers it row by row.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError, TruncationCapError
+from .errors import DomainError, TruncationCapError
 from .geometry import SpaceDescriptor
 from .orthopoly import jacobi_step
 from .quadrature import adaptive_integrate_row
@@ -166,7 +171,6 @@ def _series_kernel(k: int, n: int, ts: np.ndarray, ds: np.ndarray, tol: float) -
 
 
 def _integral_kernel(k: int, n: int, ts: np.ndarray, ds: np.ndarray, tol: float) -> KernelValue:
-    _check_args(k, n, ts.tolist(), ds, tol)
     c = k * (n + 1) - 1  # the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
@@ -194,9 +198,12 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
 
     Raises DomainError for an index, field, time, distance (anywhere in
     the grid), tolerance or method outside its domain, whichever method
-    is chosen.  Otherwise it raises the error of the first failing time,
-    which carries that time's index (0 for a scalar time) as
-    ``time_index``.
+    is chosen and however many times there are, before either method
+    runs.  A grid that fails raises the first TruncationCapError or
+    QuadratureConvergenceError its evaluation meets, in its own order:
+    that may be a later time's error, or one the integral meets at a
+    (t, d) pair that the time alone would not evaluate again.  Evaluate
+    time by time to learn which time fails first, as the CLI does.
     """
     t_arr, d_arr = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
     if method not in METHODS:
@@ -206,29 +213,8 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
                           f"got {t_arr.ndim} dimensions")
     ts = t_arr if t_arr.ndim else t_arr[None]  # a scalar is a column of one
     ds = d_arr if d_arr.ndim else d_arr[None]
-    for time in ts.tolist():  # every time, before any is evaluated
-        if not 0.0 < time < math.inf:
-            raise DomainError(f"diffusion time must be positive and finite, got {time}")
-    kernel = _series_kernel if method == "series" else _integral_kernel
-    try:
-        grid = kernel(k, n, ts, ds, tol)
-    except (TruncationCapError, QuadratureConvergenceError) as err:
-        if ts.size < 2:
-            err.time_index = 0
-            raise
-        # a grid stops at the first error it meets, in its own order, and the
-        # integral may meet one in a pair that no time alone evaluates: time by
-        # time, the first failing time raises its own error
-        rows = []
-        for i in range(ts.size):
-            try:
-                rows.append(kernel(k, n, ts[i:i + 1], ds, tol))
-            except (TruncationCapError, QuadratureConvergenceError) as row_err:
-                row_err.time_index = i
-                raise
-        grid = KernelValue(np.concatenate([row.value for row in rows]),
-                           np.concatenate([row.terms_or_nodes for row in rows]),
-                           np.concatenate([row.est_error for row in rows]))
+    _check_args(k, n, ts.tolist(), ds, tol)  # every argument, before either method runs
+    grid = (_series_kernel if method == "series" else _integral_kernel)(k, n, ts, ds, tol)
     shape = t_arr.shape + d_arr.shape
     if shape:
         return KernelValue(grid.value.reshape(shape), grid.terms_or_nodes.reshape(shape),

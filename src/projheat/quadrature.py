@@ -172,15 +172,16 @@ def adaptive_integrate_row(ds, exponent_sign: float,
     angles ``u``, one row each: the integral kernel's rows are its times,
     and ``g`` a ``thetapsi.PsiSeries``.  Doubles the node count from
     START_NODES until two successive estimates of a (row, distance) pair
-    agree within its tolerance.  Each round builds the nodes of every
-    distance with an unconverged pair once and evaluates every row with
-    one there, at most ``_CALL_NODES`` (row, node) pairs per call of
-    ``g``; a pair that has converged keeps its entries, so each pair's
-    entries are its last estimate, that rule's node count and the
-    difference between its last two estimates, as if it were integrated
-    alone.  Raises QuadratureConvergenceError for the first pair, in
-    row-major order, left unconverged at MAX_NODES.  A bad limit, exponent
-    or tolerance raises DomainError before ``g`` runs.
+    agree within its tolerance.  Each round evaluates one grid, the rows
+    and the distances that still have an unconverged pair, building each
+    distance's nodes once, at most ``_CALL_NODES`` (row, node) pairs per
+    call of ``g``, and scatters its sums into a table of estimates that
+    only the unconverged pairs read.  A pair that has converged keeps its
+    entries, so each pair's entries are its last estimate, that rule's
+    node count and the difference between its last two estimates, as if
+    it were integrated alone.  Raises QuadratureConvergenceError for the
+    first pair, in row-major order, left unconverged at MAX_NODES.  A bad
+    limit, exponent or tolerance raises DomainError before ``g`` runs.
     """
     tols = np.asarray(tols, dtype=float)
     bad = ~(tols > 0)
@@ -201,18 +202,12 @@ def adaptive_integrate_row(ds, exponent_sign: float,
     while todo.size and count < MAX_NODES:
         count *= 2
         # the round's grid: every row and distance with an unconverged pair
-        if shape[0] == 1:
-            rows, cols = np.zeros(1, dtype=int), todo
-        else:
-            r = todo // width
-            rows = np.bincount(r, minlength=shape[0]).nonzero()[0]
-            cols = np.bincount(todo - r * width, minlength=width).nonzero()[0]
+        r = todo // width
+        rows = np.bincount(r, minlength=shape[0]).nonzero()[0]
+        cols = np.bincount(todo - r * width, minlength=width).nonzero()[0]
         sums = _weighted_sums(cos_ds[cols], exponent_sign, g, rows, gauss_legendre_rule(count))
-        if sums.size == todo.size:  # every pair of the round's grid is unconverged, in order
-            new = sums.ravel()
-        else:
-            estimates[rows[:, None], cols] = sums
-            new = estimates.ravel()[todo]
+        estimates[rows[:, None], cols] = sums
+        new = estimates.ravel()[todo]
         diff = np.abs(new - values[todo])
         values[todo] = new
         done = diff <= tols[todo]

@@ -97,16 +97,18 @@ class PsiSeries:
     """exp(c^2 t) Psi_c(t, u) for a column of times ``ts``, as a function of (rows, u).
 
     Construction sums each time's weights once, up to that time's own
-    truncation index, and raises for the first time, in column order, that
-    is not positive or whose weights overflow or need more than TERM_CAP
-    terms.  A call ``series(rows, u)`` gives one row of values per index
-    in ``rows`` (into ``ts``), over the angles ``u``: it runs one rolling
-    order-c Gegenbauer recurrence over the angles, two steps per term, and
-    adds each time's weighted term into that time's row while the time
-    still has terms.  Row i is bit for bit ``psi_sum(c, ts[rows[i]], u,
-    tol)``.  A call raises TruncationCapError for the first row whose
-    values are not finite: a finite weight whose term or partial sum
-    overflows leaves inf or NaN in them.
+    truncation index, into one zero-padded row of a weight table, and
+    raises for the first time, in column order, that is not positive or
+    whose weights overflow or need more than TERM_CAP terms.  A call
+    ``series(rows, u)`` gives one row of values per index in ``rows``
+    (into ``ts``), over the angles ``u``.  It takes those rows of the
+    table, longest series first, and runs one rolling order-c Gegenbauer
+    recurrence over the angles, two steps per term; term l adds
+    ``table[:m, l] * C_2l`` into the leading block of the m rows whose
+    series still have a term l.  Row i is bit for bit ``psi_sum(c,
+    ts[rows[i]], u, tol)``.  A call raises TruncationCapError for the
+    first row whose values are not finite: a finite weight whose term or
+    partial sum overflows leaves inf or NaN in them.
     """
 
     def __init__(self, c: int, ts, tol: float = DEFAULT_TOL):
@@ -127,45 +129,43 @@ class PsiSeries:
             raise DomainError(f"ladder count must be <= 171, got {c}: "
                               "(j-1)! overflows floating point") from None
         self.c, self.ts = c, ts
-        self.weights = [_weights(c, t, tol, base) for t in times]
-        self.terms = [len(w) for w in self.weights]
+        weights = [_weights(c, t, tol, base) for t in times]
+        self.terms = np.array([len(w) for w in weights], dtype=int)
+        self.table = np.zeros((ts.size, self.terms.max(initial=0)))
+        for row, w in zip(self.table, weights):
+            row[:len(w)] = w
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
     def __call__(self, rows, u) -> np.ndarray:
-        rows = np.asarray(rows, dtype=int).tolist()
+        rows = np.asarray(rows, dtype=int)
         u_arr = np.asarray(u, dtype=float)
         if not np.isfinite(u_arr).all():
             raise DomainError("angle must be finite")
         x = np.cos(u_arr)
         # longest series first: the rows still summing at term l are a leading block
-        order = sorted(range(len(rows)), key=lambda j: -self.terms[rows[j]])
-        times = [rows[j] for j in order]
-        totals = np.zeros((len(rows),) + x.shape)
+        order = np.argsort(-self.terms[rows])
+        ends = self.terms[rows[order]]
+        length = int(ends.max(initial=0))
+        # term by term, the sorted rows' weights, shaped to broadcast over the angles
+        weights = self.table[rows[order], :length].T.reshape(
+            (length, rows.size) + (1,) * x.ndim)
+        # the block at term l: how many rows have a term l
+        blocks = np.searchsorted(-ends, -np.arange(length), side="left").tolist()
+        totals = np.zeros((rows.size,) + x.shape)
         lam = float(self.c)
         # rolling Gegenbauer pair (C_2l, C_{2l-1}) of order c
         c_cur, c_prev = np.ones_like(x), np.zeros_like(x)
-        l = 0
-        for m in range(len(times), 0, -1):  # the block shrinks as series end
-            end = self.terms[times[m - 1]]
-            if end == l:  # rows m - 1 and m end at the same term
-                continue
-            if m == 1:  # one row adds Python floats, as a single time does
-                block, column = totals[0, ...], self.weights[times[0]][l:end]
-            else:  # term by term, the first m rows' weights
-                block = totals[:m]
-                column = np.array([self.weights[i][l:end] for i in times[:m]]).T.reshape(
-                    (end - l, m) + (1,) * x.ndim)
-            for w in column:
-                if l:
-                    c_cur, c_prev = gegenbauer_step(2 * l - 1, lam, x, c_cur, c_prev), c_cur
-                    c_cur, c_prev = gegenbauer_step(2 * l, lam, x, c_cur, c_prev), c_cur
-                block += w * c_cur
-                l += 1
-        if order != sorted(order):
-            totals = totals[np.argsort(order)]
+        for l, (m, w) in enumerate(zip(blocks, weights)):
+            if l:
+                c_cur, c_prev = gegenbauer_step(2 * l - 1, lam, x, c_cur, c_prev), c_cur
+                c_cur, c_prev = gegenbauer_step(2 * l, lam, x, c_cur, c_prev), c_cur
+            totals[:m] += w[:m] * c_cur
+        # back to the order of ``rows``, in the same buffer: returning the gathered
+        # copy faults in fresh pages on every call, ~10% of a 50 x 100 grid's time
+        totals[:] = totals[np.argsort(order)]
         totals *= np.sin(u_arr)
         if not np.isfinite(totals).all():
-            bad = ~np.isfinite(totals.reshape(len(rows), -1)).all(axis=1)
+            bad = ~np.isfinite(totals.reshape(rows.size, -1)).all(axis=1)
             raise _weights_overflow(self.c, float(self.ts[rows[np.argmax(bad)]]))
         return totals
 

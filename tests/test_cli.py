@@ -10,10 +10,11 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import projheat
-from projheat import cli, kernels, verify
+from projheat import cli, kernels, thetapsi, verify
 from projheat.errors import TruncationCapError
 
 CMD = [sys.executable, "-m", "projheat"]
@@ -277,6 +278,22 @@ class TestErrorLines:
         assert capsys.readouterr().err == ("projheat: no convergence: no convergence to "
                                            "tol=2.416234582221433e-06 within 4096 nodes\n")
 
+    def test_error_no_row_meets_alone_is_not_raised(self, capsys, monkeypatch):
+        # a grid call may fail where no row fails alone; the rows then give the output
+        argv = ["table", "--method", "both"]
+        assert cli.main(argv) == cli.EXIT_OK
+        want = capsys.readouterr()
+        call = thetapsi.PsiSeries.__call__
+
+        def single_row_only(self, rows, u):
+            if np.size(rows) > 1:
+                raise TruncationCapError("a grid call no row makes alone")
+            return call(self, rows, u)
+
+        monkeypatch.setattr(thetapsi.PsiSeries, "__call__", single_row_only)
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr() == want
+
     def test_failed_compare_writes_no_out_file(self, tmp_path):
         # the whole grid is evaluated before --out is opened
         target = tmp_path / "compare.csv"
@@ -347,6 +364,16 @@ class TestSelftest:
         # a fresh process: the suite draws its samples from Python's random
         code = ("import sys; from projheat import cli; assert cli.main(['selftest']) == 0; "
                 "sys.stdout.flush(); print('numpy.random' in sys.modules, file=sys.stderr)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "False\n"
+
+    def test_grid_commands_and_suite_leave_numpy_ma_unimported(self):
+        # a fresh process: numpy imports numpy.ma lazily, e.g. on a first np.unique
+        code = ("import sys; from projheat import cli; "
+                "assert [cli.main(argv) for argv in (['table', '--method', 'both'], "
+                "['compare'], ['selftest'])] == [0, 0, 0]; "
+                "sys.stdout.flush(); print('numpy.ma' in sys.modules, file=sys.stderr)")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stderr == "False\n"

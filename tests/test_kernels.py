@@ -396,6 +396,15 @@ class TestGridCall:
         assert [a.shape for a in (grid.value, grid.terms_or_nodes, grid.est_error)] == [(0, 2)] * 3
 
     @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("n,k,d,tol", [(0, 2, 0.4, 1e-10), (1, 3, 0.4, 1e-10),
+                                           (1, 2, 2.0, 1e-10), (1, 2, 0.4, -1.0)],
+                             ids=["n", "k", "d", "tol"])
+    def test_empty_times_check_the_other_arguments(self, method, n, k, d, tol):
+        # no time to evaluate, but the index, field, distances and tolerance are refused
+        with pytest.raises(DomainError):
+            unified(n, k, [], [0.1, d], tol, method)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
     def test_bad_time_anywhere_rejects_the_grid(self, method):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match=f"got {bad}"):
@@ -412,31 +421,18 @@ class TestGridCall:
          "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
     ])
     def test_first_failing_time_raises(self, n, k, ts, method, error, match):
-        with pytest.raises((TruncationCapError, QuadratureConvergenceError)) as later:
-            unified(n, k, ts[1:], [0.0, 0.3], 1e-10, method)
-        assert not re.search(match, str(later.value))  # the later time fails otherwise
-        assert later.value.time_index == 0
-        with pytest.raises(error, match=match) as first:
-            unified(n, k, ts, [0.0, 0.3], 1e-10, method)
-        assert first.value.time_index == 0
-        # behind a time that does not fail, the error names its place in the column
-        with pytest.raises(error, match=match) as second:
-            unified(n, k, [0.5] + ts, [0.0, 0.3], 1e-10, method)
-        assert second.value.time_index == 1
-
-    def test_error_no_time_meets_alone_is_not_raised(self, monkeypatch):
-        # a grid evaluates pairs that no time needs alone; an error there must not
-        # surface: here any call on more than one time fails
-        call = thetapsi.PsiSeries.__call__
-
-        def single_time_only(self, rows, u):
-            if np.size(rows) > 1:
-                raise TruncationCapError("a pair no time needs alone")
-            return call(self, rows, u)
-
-        ts = [0.05, 0.5]
-        want = [unified(2, 1, t, self.DS, 1e-10, "integral") for t in ts]
-        monkeypatch.setattr(thetapsi.PsiSeries, "__call__", single_time_only)
-        grid = unified(2, 1, ts, self.DS, 1e-10, "integral")
-        for got, row in zip(_rows(grid), want):
-            _assert_same(got, row)
+        failures = (TruncationCapError, QuadratureConvergenceError)
+        alone = []  # (class, message) of each time's own call
+        for t in ts:
+            with pytest.raises(failures) as err:
+                unified(n, k, t, [0.0, 0.3], 1e-10, method)
+            alone.append((type(err.value), str(err.value)))
+        assert alone[0][0] is error and re.search(match, alone[0][1])
+        assert not re.search(match, alone[1][1])  # the later time fails otherwise
+        for grid in (ts, [0.5] + ts):  # behind a time that does not fail, too
+            with pytest.raises(failures) as err:
+                unified(n, k, grid, [0.0, 0.3], 1e-10, method)
+            if method == "series":  # time by time: the first failing time's error
+                assert (type(err.value), str(err.value)) == alone[0]
+            else:  # every time's weights are summed before the doubling loop
+                assert (type(err.value), str(err.value)) in alone
