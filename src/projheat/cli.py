@@ -35,6 +35,9 @@ from . import kernels
 from .errors import ProjheatError, QuadratureConvergenceError, TruncationCapError
 from .geometry import SpaceDescriptor
 
+#: below this diffusion time the CLI refuses to evaluate
+MIN_TIME = 1e-4
+
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -128,9 +131,9 @@ def _values_from_args(args, name: str, grid_default: str) -> list:
 
 def _validate_times(ts) -> None:
     for t in ts:
-        if not kernels.MIN_TIME <= t < math.inf:
+        if not MIN_TIME <= t < math.inf:
             raise UsageError(
-                f"t={t} out of range: diffusion time must be finite and >= {kernels.MIN_TIME}"
+                f"t={t} out of range: diffusion time must be finite and >= {MIN_TIME}"
             )
 
 

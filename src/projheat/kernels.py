@@ -32,7 +32,9 @@ endpoint-regularized substitution from the quadrature module.
 either method runs (``series_values``, a public entry of its own, checks
 its row there too): building the ``geometry.SpaceDescriptor`` decides
 whether (k, n) is accepted, and the times, the distances and the
-tolerance are checked here.
+tolerance are checked here.  The space it returns supplies the series'
+alpha, beta, c and decay rates 4 l (l + c), as the suite certifies them
+on the space, and the integral's c and weight exponent k - 3/2.
 
 ``unified`` takes a column of times by a row of distances.  The series
 sums each time's row on its own.  The integral evaluates the grid in one
@@ -62,10 +64,7 @@ from .thetapsi import DEFAULT_TOL, PsiSeries
 
 _HALF_PI = 0.5 * math.pi
 
-#: below this diffusion time the CLI refuses to evaluate
-MIN_TIME = 1e-4
-
-#: hard cap on spectral series terms; ~320 suffice at t = MIN_TIME
+#: hard cap on spectral series terms; ~320 suffice at t = 1e-4, the CLI's floor
 SERIES_CAP = 2000
 
 METHODS = ("series", "integral")
@@ -87,8 +86,8 @@ class KernelValue:
     est_error: float | np.ndarray
 
 
-def _check_args(k: int, n: int, ts, d, tol: float) -> None:
-    SpaceDescriptor(n=n, k=k)  # validates the index, its range and the field selector
+def _check_args(k: int, n: int, ts, d, tol: float) -> SpaceDescriptor:
+    space = SpaceDescriptor(n=n, k=k)  # validates the index, its range and the field selector
     for t in ts:
         if not 0.0 < t < math.inf:
             raise DomainError(f"diffusion time must be positive and finite, got {t}")
@@ -100,6 +99,7 @@ def _check_args(k: int, n: int, ts, d, tol: float) -> None:
         raise DomainError(f"distance must lie in [0, pi/2), got {d_arr[outside].flat[0]}")
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
+    return space
 
 
 def _weights_overflow(k: int, n: int, t: float) -> TruncationCapError:
@@ -118,11 +118,11 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     weight is tested before it enters the sum, and a finite weight whose
     term or partial sum overflows leaves inf or NaN in the values.
     """
-    _check_args(k, n, (t,), d, tol)
+    space = _check_args(k, n, (t,), d, tol)
     x = np.cos(2.0 * np.asarray(d, dtype=float))
-    alpha = float(k * n - 1)
-    beta = float(k - 1)
-    c = k * (n + 1) - 1
+    alpha = float(space.jacobi_alpha)
+    beta = float(space.jacobi_beta)
+    c = space.spectral_offset
     inv_pi = math.pi ** (-(k * n))
     ratio = math.factorial(c - 1) / math.factorial(k - 1)  # (l+c-1)!/(l+k-1)!
     endpoint = 1.0  # binom(l + alpha, l)
@@ -130,7 +130,7 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     p_cur = np.ones_like(x)
     total = np.zeros_like(x)
     for l in range(SERIES_CAP + 1):
-        w = (2 * l + c) * ratio * math.exp(-4.0 * l * (l + c) * t) * inv_pi
+        w = (2 * l + c) * ratio * math.exp(space.eigenvalue(l) * t) * inv_pi
         if not math.isfinite(w):  # (l+c-1)!/(l+k-1)! overflowed: never let it into the sum
             raise _weights_overflow(k, n, t)
         total += w * p_cur
@@ -139,7 +139,7 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
         endpoint *= (l + 1 + alpha) / (l + 1)
         b_next = (
             (2 * (l + 1) + c) * ratio * endpoint
-            * math.exp(-4.0 * (l + 1) * (l + 1 + c) * t) * inv_pi
+            * math.exp(space.eigenvalue(l + 1) * t) * inv_pi
         )
         # decreasing bound on the ratio of successive term bounds
         rho = (
@@ -162,21 +162,23 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     )
 
 
-def _series_kernel(k: int, n: int, ts: np.ndarray, ds: np.ndarray, tol: float) -> KernelValue:
+def _series_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
+                   tol: float) -> KernelValue:
     values, tails = np.empty((ts.size, ds.size)), np.empty((ts.size, ds.size))
     terms = np.empty((ts.size, ds.size), dtype=int)
     for i, t in enumerate(ts.tolist()):
-        values[i], terms[i], tails[i] = series_values(k, n, t, ds, tol)
+        values[i], terms[i], tails[i] = series_values(space.k, space.n, t, ds, tol)
     return KernelValue(value=values, terms_or_nodes=terms, est_error=tails)
 
 
-def _integral_kernel(k: int, n: int, ts: np.ndarray, ds: np.ndarray, tol: float) -> KernelValue:
-    c = k * (n + 1) - 1  # the number of ladder applications
+def _integral_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
+                     tol: float) -> KernelValue:
+    k, n, c = space.k, space.n, space.spectral_offset  # c: the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
     psi = PsiSeries(c, ts, theta_tol)  # exp(c^2 t) folded in, termwise
-    grid = adaptive_integrate_row(ds, 0.5 if k == 2 else -0.5, psi,
+    grid = adaptive_integrate_row(ds, k - 1.5, psi,
                                   (0.5 * tol / outers)[None].repeat(ts.size, axis=0))
     # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
     return KernelValue(value=outers * grid.value, terms_or_nodes=grid.nodes,
@@ -213,8 +215,8 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
                           f"got {t_arr.ndim} dimensions")
     ts = t_arr if t_arr.ndim else t_arr[None]  # a scalar is a column of one
     ds = d_arr if d_arr.ndim else d_arr[None]
-    _check_args(k, n, ts.tolist(), ds, tol)  # every argument, before either method runs
-    grid = (_series_kernel if method == "series" else _integral_kernel)(k, n, ts, ds, tol)
+    space = _check_args(k, n, ts.tolist(), ds, tol)  # every argument, before either method runs
+    grid = (_series_kernel if method == "series" else _integral_kernel)(space, ts, ds, tol)
     shape = t_arr.shape + d_arr.shape
     if shape:
         return KernelValue(grid.value.reshape(shape), grid.terms_or_nodes.reshape(shape),

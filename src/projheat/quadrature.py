@@ -68,35 +68,29 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
     cached = _RULE_CACHE.get(count)
     if cached is not None:
         return cached
-    if count == 1:
-        nodes = np.array([0.0])
-        weights = np.array([2.0])
+    k = np.arange(1, count + 1, dtype=float)
+    x = np.cos(math.pi * (k - 0.25) / (count + 0.5))
+    for _ in range(100):
+        p, dp = _legendre_and_derivative(count, x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
     else:
-        n = count
-        k = np.arange(1, n + 1, dtype=float)
-        x = np.cos(math.pi * (k - 0.25) / (n + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_and_derivative(n, x)
-            dx = p / dp
-            x -= dx
-            if np.max(np.abs(dx)) < 1e-15:
-                break
-        else:
-            raise QuadratureConvergenceError(f"Newton iteration stalled for count={count}")
-        _, dp = _legendre_and_derivative(n, x)
-        weights = 2.0 / ((1.0 - x * x) * dp * dp)
-        # enforce exact symmetry about the origin
-        order = np.argsort(x)
-        x = x[order]
-        weights = weights[order]
-        x = 0.5 * (x - x[::-1])
-        weights = 0.5 * (weights + weights[::-1])
-        if n % 2 == 1:
-            x[n // 2] = 0.0
-        nodes = x
-    nodes.setflags(write=False)
+        raise QuadratureConvergenceError(f"Newton iteration stalled for count={count}")
+    _, dp = _legendre_and_derivative(count, x)
+    weights = 2.0 / ((1.0 - x * x) * dp * dp)
+    # enforce exact symmetry about the origin
+    order = np.argsort(x)
+    x = x[order]
+    weights = weights[order]
+    x = 0.5 * (x - x[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    if count % 2 == 1:
+        x[count // 2] = 0.0
+    x.setflags(write=False)
     weights.setflags(write=False)
-    rule = QuadratureRule(nodes=nodes, weights=weights)
+    rule = QuadratureRule(nodes=x, weights=weights)
     _RULE_CACHE[count] = rule
     return rule
 

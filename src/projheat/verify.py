@@ -42,6 +42,9 @@ _SPACES = tuple(SpaceDescriptor(n=n, k=k) for k in (1, 2) for n in _NS)
 #: lower limits at which the lemma and jacobi_rep groups integrate
 _REP_DS = (0.0, 0.3, 0.7, 1.1, 1.4)
 
+#: term cap of the theta oracles, which sum to a fixed 1e-12
+_THETA_CAP = 20000
+
 #: node counts of the radial doubling loop's first rule and of its last
 _RADIAL_START = 64
 _RADIAL_MAX = 8192
@@ -232,7 +235,7 @@ def _brute_sum(m: int, t: float, terms: int, term: Callable[[float, int], float]
 def _theta_sum(m: int, t: float, u):
     """theta_m(t; u) = sum_{l>=0} exp(-4t(l + (m-1)/2)^2) cos((2l+m-1)u), vectorized over u.
 
-    Summed to ``thetapsi.DEFAULT_TOL`` under a geometric tail majorant, with no ladder.
+    Summed to 1e-12 under a geometric tail majorant, with no ladder.
     """
     u_arr = np.asarray(u, dtype=float)
     if m < 2:
@@ -243,14 +246,14 @@ def _theta_sum(m: int, t: float, u):
         raise DomainError("angle must be finite")
     half = 0.5 * (m - 1)
     total = np.zeros_like(u_arr)
-    for l in range(thetapsi.TERM_CAP + 1):
+    for l in range(_THETA_CAP + 1):
         a = math.exp(-4.0 * (l + half) ** 2 * t)
         total += a * np.cos((2 * l + m - 1) * u_arr)
         b_next = math.exp(-4.0 * (l + 1 + half) ** 2 * t)
         rho = math.exp(-4.0 * t * (2 * l + 2 + m))
-        if rho < 1.0 and b_next / (1.0 - rho) <= thetapsi.DEFAULT_TOL:
+        if rho < 1.0 and b_next / (1.0 - rho) <= 1e-12:
             return float(total) if np.ndim(u) == 0 else total
-    raise TruncationCapError(f"theta series needs more than {thetapsi.TERM_CAP} terms at t={t}")
+    raise TruncationCapError(f"theta series needs more than {_THETA_CAP} terms at t={t}")
 
 
 def _jacobi_theta2_reference(z: float, tau_imag: float) -> float:
@@ -264,16 +267,15 @@ def _jacobi_theta2_reference(z: float, tau_imag: float) -> float:
     if not tau_imag > 0:
         raise DomainError(f"imaginary part of tau must be positive, got {tau_imag}")
     total = 0.0
-    for l in range(thetapsi.TERM_CAP + 1):
+    for l in range(_THETA_CAP + 1):
         total += 2.0 * math.exp(-math.pi * tau_imag * (l + 0.5) ** 2) * math.cos(
             (2 * l + 1) * math.pi * z
         )
         b_next = 2.0 * math.exp(-math.pi * tau_imag * (l + 1.5) ** 2)
         rho = math.exp(-math.pi * tau_imag * (2 * l + 4))
-        if rho < 1.0 and b_next / (1.0 - rho) <= thetapsi.DEFAULT_TOL:
+        if rho < 1.0 and b_next / (1.0 - rho) <= 1e-12:
             return total
-    raise TruncationCapError(
-        f"theta2 series needs more than {thetapsi.TERM_CAP} terms at tau={tau_imag}j")
+    raise TruncationCapError(f"theta2 series needs more than {_THETA_CAP} terms at tau={tau_imag}j")
 
 
 def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
@@ -488,7 +490,7 @@ def _check_quadrature_doubling():
 
 
 def _check_theta_truncation():
-    tol = thetapsi.DEFAULT_TOL
+    tol = 1e-12
     theta_cases = ((2, 0.3, 0.4), (4, 0.05, 1.0), (6, 0.5, 0.2))
     brutes = [_brute_sum(m, t, 3000, lambda a, q: a * math.cos(q * u))
               for m, t, u in theta_cases]
@@ -560,6 +562,7 @@ def _check_geometry_volume():
 
 
 def _check_geometry_eigenfunction():
+    """The radial law on the space's alpha, beta and lambda_l, the very ones the series sums."""
     rs = np.linspace(0.2, 1.3, 12)
     reports = []
     for space in _SPACES:
@@ -641,8 +644,7 @@ def _check_kernels_normalization():
     for s in _SPACES:
         for t in _EQUIV_TS:
             def fvec(r, s=s, tt=t):
-                vals, _, _ = kernels.series_values(s.k, s.n, tt, r, 1e-12)
-                return vals * geometry.volume_density(s, r)
+                return kernels.unified(s.n, s.k, tt, r, 1e-12).value * geometry.volume_density(s, r)
 
             params.append({"k": s.k, "n": s.n, "t": t})
             integrals.append(_radial_integral(fvec, 1e-10))
@@ -655,7 +657,7 @@ def _check_kernels_residual():
     for space in _SPACES:
         for t in (0.2, 0.5, 1.0):
             def e(r, tt=t):
-                return kernels.series_values(space.k, space.n, tt, r, 1e-12)[0]
+                return kernels.unified(space.n, space.k, tt, r, 1e-12).value
 
             ht = 1e-4 * t
             later, earlier = kernels.unified(space.n, space.k, [t + ht, t - ht], rs, 1e-12).value
@@ -674,8 +676,7 @@ def _check_kernels_semigroup():
     for sp in _SPACES:
         for t, s in ((0.3, 0.3), (0.2, 0.5)):
             def fvec(r, sp=sp, tt=t, ss=s):
-                a, _, _ = kernels.series_values(sp.k, sp.n, tt, r, 1e-12)
-                b, _, _ = kernels.series_values(sp.k, sp.n, ss, r, 1e-12)
+                a, b = kernels.unified(sp.n, sp.k, [tt, ss], r, 1e-12).value
                 return a * b * geometry.volume_density(sp, r)
 
             params.append({"k": sp.k, "n": sp.n, "t": t, "s": s})

@@ -436,3 +436,30 @@ class TestGridCall:
                 assert (type(err.value), str(err.value)) == alone[0]
             else:  # every time's weights are summed before the doubling loop
                 assert (type(err.value), str(err.value)) in alone
+
+
+class TestSpaceOwnsTheNumbers:
+    """Both forms read alpha, beta, c and lambda_l from the space ``_check_args`` returns.
+
+    So what the suite's radial eigenfunction check certifies on
+    ``SpaceDescriptor`` is what the series sums: a wrong value there shows
+    in the kernel.
+    """
+
+    @pytest.mark.parametrize("name,wrong", [
+        ("jacobi_alpha", property(lambda self: self.k * self.n)),
+        ("jacobi_beta", property(lambda self: self.k)),
+        ("eigenvalue", lambda self, l: -4.0 * l * (l + self.spectral_offset + 1)),
+    ], ids=["jacobi_alpha", "jacobi_beta", "eigenvalue"])
+    def test_series_reads_the_space(self, monkeypatch, name, wrong):
+        ds = np.array([0.0, 0.4, 1.1])
+        before = series_values(2, 2, 0.3, ds, 1e-12)[0]
+        monkeypatch.setattr(SpaceDescriptor, name, wrong)
+        assert not np.array_equal(series_values(2, 2, 0.3, ds, 1e-12)[0], before)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_offset_is_read_from_the_space(self, monkeypatch, method):
+        before = unified(1, 2, 0.3, [0.0, 0.4], 1e-10, method).value
+        monkeypatch.setattr(SpaceDescriptor, "spectral_offset",
+                            property(lambda self: self.k * (self.n + 1)))
+        assert not np.array_equal(unified(1, 2, 0.3, [0.0, 0.4], 1e-10, method).value, before)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from projheat import thetapsi
+from projheat import thetapsi, verify
 from projheat.errors import DomainError, ProjheatError, TruncationCapError
 from projheat.orthopoly import ladder_apply
 from projheat.thetapsi import DEFAULT_TOL, psi_sum
@@ -60,12 +60,12 @@ class TestTheta:
             assert abs(auto - brute) < DEFAULT_TOL
 
     def test_cap_error_signals_small_t(self, monkeypatch):
-        monkeypatch.setattr(thetapsi, "TERM_CAP", 5)
+        monkeypatch.setattr(verify, "_THETA_CAP", 5)
         with pytest.raises(TruncationCapError, match="more than 5 terms"):
             theta_sum(2, 1e-4, 0.3)
 
     def test_query_validation(self):
-        # only psi_sum takes a tolerance; theta_sum always sums to DEFAULT_TOL
+        # only psi_sum takes a tolerance; theta_sum always sums to 1e-12
         for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError, match="tolerance must be positive"):
                 psi_sum(3, 0.5, 0.3, tol)
@@ -216,7 +216,7 @@ class TestTheta2Reference:
             jacobi_theta2_reference(0.3, 0.0)
 
     def test_cap_error(self, monkeypatch):
-        monkeypatch.setattr(thetapsi, "TERM_CAP", 3)
+        monkeypatch.setattr(verify, "_THETA_CAP", 3)
         with pytest.raises(TruncationCapError, match="more than 3 terms"):
             jacobi_theta2_reference(0.3, 1e-3)
 

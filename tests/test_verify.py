@@ -1,5 +1,7 @@
 """Tests for the verification reports and the identity suite."""
 
+import ast
+import inspect
 import json
 import math
 
@@ -8,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import ladder_fd_point
-from projheat import orthopoly
+from projheat import orthopoly, verify
 from projheat.verify import (
     JACOBI_REP_CONVENTIONS,
     SuiteProfile,
@@ -257,3 +259,29 @@ class TestSuite:
         names = group_names()
         for expected in ("lemma", "jacobi_rep", "theta2", "kernels_equivalence"):
             assert expected in names
+
+
+def _source_names(fn) -> set:
+    """Every bare name and every attribute name in the source of the module-level ``fn``."""
+    tree = ast.parse(inspect.getsource(fn))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+class TestOwners:
+    """The suite reaches the kernels through ``unified`` alone, and its oracles own their limits."""
+
+    def test_kernels_only_through_unified(self):
+        tree = ast.parse(inspect.getsource(verify))
+        named = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "kernels"}
+        assert named == {"unified", "METHODS"}
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "kernels"]
+
+    @pytest.mark.parametrize("fn", [verify._theta_sum, verify._jacobi_theta2_reference,
+                                    verify._check_theta_truncation], ids=lambda f: f.__name__)
+    def test_theta_oracles_own_tolerance_and_cap(self, fn):
+        # the production series' limits may change without moving the oracles'
+        assert not _source_names(fn) & {"DEFAULT_TOL", "TERM_CAP"}
