@@ -13,7 +13,9 @@ embeds the CLI calls ``main(argv)``, which returns the exit code.
 
 ``table`` and ``compare`` evaluate the whole (t, d) grid with one
 ``kernels.unified`` call per method, and write it one t-row at a time,
-each row one block of lines formatted from that row of the grid's arrays.
+each row one block of lines formatted from that row of the records'
+arrays, by one path whatever the method: the CLI writes what the record
+holds and assumes nothing about how a method truncates.
 A grid that fails exits with the error of the first failing t, and at
 one t with the series' error before the integral's: this module alone
 owns that rule, and applies it by evaluating a failing grid again row by
@@ -88,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-grid", default=None, metavar="A:B:STEPS",
                        help="inclusive distance grid")
         if with_method:
-            p.add_argument("--method", choices=("series", "integral", "both"),
-                           default="series")
+            p.add_argument("--method", choices=(*kernels.METHODS, "both"), default="series")
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty",
                        dest="fmt")
@@ -137,14 +138,14 @@ def _validate_times(ts) -> None:
             )
 
 
-@contextlib.contextmanager
 def _output(args):
-    """The --out file, or stdout when none is given."""
+    """The --out file, or stdout when none is given; an --out that cannot open is a UsageError."""
     if args.out is None:
-        yield sys.stdout
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as out:
-            yield out
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _methods(args) -> tuple:
@@ -172,9 +173,7 @@ def _evaluate_grid(args, t_default, d_default, methods, tol):
         records = [kernels.unified(space.n, space.k, ts, ds, tol, m) for m in methods]
     except (TruncationCapError, QuadratureConvergenceError):
         rows = [[kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods] for t in ts]
-        records = [kernels.KernelValue(*(np.stack([getattr(row, name) for row in column])
-                                         for name in ("value", "terms_or_nodes", "est_error")))
-                   for column in zip(*rows)]
+        records = [kernels.KernelValue._make(map(np.stack, zip(*column))) for column in zip(*rows)]
     return space, ts, ds, records
 
 
@@ -232,13 +231,14 @@ def cmd_table(args) -> int:
                 out.write("".join(
                     json.dumps({**head, "d": d, **method, **dict(zip(names, entries))}) + "\n"
                     for d, *entries in zip(ds, *(c.tolist() for c in columns))))
-            elif args.method == "series":  # one tail bound and term count per row
-                out.write(_block(f"{space.k},{space.n},{_fmt(t)},%s,series,%.17g,"
-                                 f"{_fmt(a.est_error[i, 0])},{a.terms_or_nodes[i, 0]}\n",
-                                 d_strs, columns[0].tolist()))
-            else:  # %.17g prints a node count as %d does
-                out.write(_block(f"{space.k},{space.n},{_fmt(t)},%s,{args.method},"
-                                 "%.17g,%.17g,%.17g\n", d_strs, *(c.tolist() for c in columns)))
+            else:  # one row path for every method: each column is the record's own
+                line, varying = f"{space.k},{space.n},{_fmt(t)},%s,{args.method}", [d_strs]
+                for c in columns:  # bit for bit the same along the row: formatted once
+                    if c.tobytes() == c[:1].tobytes() * c.size:
+                        line += "," + _fmt(c[0])
+                    else:  # %.17g prints a node or term count as %d does
+                        line, varying = line + ",%.17g", [*varying, c.tolist()]
+                out.write(_block(line + "\n", *varying))
     return EXIT_OK
 
 
@@ -247,14 +247,13 @@ def cmd_compare(args) -> int:
     tol = args.tol
     space, ts, ds, (series, integral) = _evaluate_grid(args, "0.1:1:4", "0:1.4:6",
                                                        kernels.METHODS, min(tol, 1e-10))
-    all_ok = True
+    grid_abs, grid_rel, grid_passed = verify.compare_values(series.value, integral.value, tol)
     d_strs = [_fmt(d) for d in ds]
     with _output(args) as out:
         if args.fmt == "csv":
             out.write("k,n,t,d,value_series,value_integral,abs_err,rel_err,status\n")
-        for t, rs, ri in zip(ts, series.value, integral.value):
-            abs_err, rel_err, passed = verify.compare_values(rs, ri, tol)
-            all_ok = all_ok and bool(passed.all())
+        for t, rs, ri, abs_err, rel_err, passed in zip(ts, series.value, integral.value,
+                                                        grid_abs, grid_rel, grid_passed):
             if args.fmt == "json":
                 out.write("".join(
                     verify.VerificationReport(
@@ -276,7 +275,7 @@ def cmd_compare(args) -> int:
                     "series=%.17g integral=%.17g rel_err=%.3e\n",
                     np.where(passed, "PASS", "FAIL").tolist(), d_strs, rs.tolist(),
                     ri.tolist(), rel_err.tolist()))
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if grid_passed.all() else EXIT_VERIFY_FAILED
 
 
 def cmd_selftest(args) -> int:

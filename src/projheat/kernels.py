@@ -52,7 +52,7 @@ it answers it row by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,15 +70,16 @@ SERIES_CAP = 2000
 METHODS = ("series", "integral")
 
 
-@dataclass(frozen=True)
-class KernelValue:
+class KernelValue(NamedTuple):
     """Kernel value with the work done and an error estimate.
 
     A scalar time and distance give a float, an int and a float; otherwise
     each is an array shaped like the times followed by the distances, with
-    one entry per (t, d).  Array records do not hash, and ``==`` between
-    two of them is not defined (it raises for two or more entries, as
-    ``bool`` of an array does); compare their arrays instead.
+    one entry per (t, d).  The record is a NamedTuple: it unpacks into its
+    three fields, which only this class lists.  Array records do not hash,
+    and ``==`` between two of them is not defined (it raises for two or
+    more entries, as ``bool`` of an array does); compare their arrays
+    instead.
     """
 
     value: float | np.ndarray
@@ -218,8 +219,4 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
     space = _check_args(k, n, ts.tolist(), ds, tol)  # every argument, before either method runs
     grid = (_series_kernel if method == "series" else _integral_kernel)(space, ts, ds, tol)
     shape = t_arr.shape + d_arr.shape
-    if shape:
-        return KernelValue(grid.value.reshape(shape), grid.terms_or_nodes.reshape(shape),
-                           grid.est_error.reshape(shape))
-    return KernelValue(float(grid.value[0, 0]), int(grid.terms_or_nodes[0, 0]),
-                       float(grid.est_error[0, 0]))
+    return KernelValue._make(a.reshape(shape) if shape else a[0, 0].item() for a in grid)

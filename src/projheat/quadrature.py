@@ -15,7 +15,6 @@ converges geometrically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -33,8 +32,7 @@ START_NODES = 16
 MAX_NODES = 4096
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Nodes and weights of a Gauss-Legendre rule on [-1, 1]."""
 
     nodes: np.ndarray
@@ -186,15 +184,13 @@ def adaptive_integrate_row(ds, exponent_sign: float,
         raise DomainError(f"tolerances must have one column per distance, got shape {tols.shape}")
     shape, width = tols.shape, cos_ds.size
     tols = tols.ravel()
-    count = START_NODES
-    values = _weighted_sums(cos_ds, exponent_sign, g, np.arange(shape[0]),
-                            gauss_legendre_rule(count)).ravel()
+    values = np.full(tols.size, np.nan)  # no pair converges on the first round
     nodes = np.zeros(tols.size, dtype=int)
     diffs = np.zeros(tols.size)
     estimates = np.empty(shape)  # the round's sums; entries of converged pairs go unread
     todo = np.arange(tols.size)  # unconverged pairs, as flat indices in row-major order
-    while todo.size and count < MAX_NODES:
-        count *= 2
+    count = START_NODES
+    while todo.size and count <= MAX_NODES:
         # the round's grid: every row and distance with an unconverged pair
         r = todo // width
         rows = np.bincount(r, minlength=shape[0]).nonzero()[0]
@@ -208,6 +204,7 @@ def adaptive_integrate_row(ds, exponent_sign: float,
         nodes[todo[done]] = count
         diffs[todo[done]] = diff[done]
         todo = todo[~done]
+        count *= 2
     if todo.size:
         raise QuadratureConvergenceError(
             f"no convergence to tol={float(tols[todo[0]])} within {MAX_NODES} nodes")

@@ -40,6 +40,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, TruncationCapError
+from .geometry import MAX_OFFSET
 from .orthopoly import gegenbauer_step
 
 
@@ -98,8 +99,8 @@ class PsiSeries:
 
     Construction sums each time's weights once, up to that time's own
     truncation index, into one zero-padded row of a weight table, and
-    raises for the first time, in column order, that is not positive or
-    whose weights overflow or need more than TERM_CAP terms.  A call
+    raises for the first time, in column order, that is not positive and
+    finite or whose weights overflow or need more than TERM_CAP terms.  A call
     ``series(rows, u)`` gives one row of values per index in ``rows``
     (into ``ts``), over the angles ``u``.  It takes those rows of the
     table, longest series first, and runs one rolling order-c Gegenbauer
@@ -121,13 +122,12 @@ class PsiSeries:
             raise DomainError(f"times must form a column, got {ts.ndim} dimensions")
         times = ts.tolist()
         for t in times:
-            if not t > 0:
-                raise DomainError(f"diffusion time must be positive, got {t}")
-        try:
-            base = (2.0 ** (c - 1)) * math.factorial(c - 1)  # q-independent ladder scale
-        except OverflowError:
-            raise DomainError(f"ladder count must be <= 171, got {c}: "
-                              "(j-1)! overflows floating point") from None
+            if not 0.0 < t < math.inf:
+                raise DomainError(f"diffusion time must be positive and finite, got {t}")
+        if c > MAX_OFFSET:
+            raise DomainError(f"ladder count must be <= {MAX_OFFSET}, got {c}: "
+                              "(j-1)! overflows floating point")
+        base = (2.0 ** (c - 1)) * math.factorial(c - 1)  # q-independent ladder scale
         self.c, self.ts = c, ts
         weights = [_weights(c, t, tol, base) for t in times]
         self.terms = np.array([len(w) for w in weights], dtype=int)

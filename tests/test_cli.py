@@ -118,6 +118,28 @@ class TestTable:
         assert res.returncode == 0
         assert target.read_text().startswith("k,n,t,d,method")
 
+    def test_series_csv_prints_each_entry_of_the_record(self, capsys, monkeypatch):
+        # a series record whose tail bound and term count vary along a row:
+        # every line prints its own entries, not those of the row's first distance
+        unified = kernels.unified
+
+        def varying(n, k, t, d, tol, method):
+            record = unified(n, k, t, d, tol, method)
+            steps = np.arange(len(d))
+            return kernels.KernelValue(record.value, record.terms_or_nodes + steps,
+                                       record.est_error * (1.0 + steps))
+
+        monkeypatch.setattr(kernels, "unified", varying)
+        argv = ["table", "--space", "hpn", "--n", "1", "--t-grid", "0.2:1:2",
+                "--d-grid", "0:1.2:3", "--method", "series", "--format", "csv"]
+        assert cli.main(argv) == cli.EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        want = varying(1, 2, [0.2, 1.0], [0.0, 0.6, 1.2], 1e-10, "series")
+        assert [float(r[5]) for r in rows] == want.value.ravel().tolist()
+        assert [float(r[6]) for r in rows] == want.est_error.ravel().tolist()
+        assert [int(r[7]) for r in rows] == want.terms_or_nodes.ravel().tolist()
+        assert len(set(r[7] for r in rows[:3])) == 3
+
 
 class TestBrokenPipe:
     def test_closed_reader_exits_141_quietly(self):
@@ -293,6 +315,22 @@ class TestErrorLines:
         monkeypatch.setattr(thetapsi.PsiSeries, "__call__", single_row_only)
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("argv", [
+        ["table"],
+        ["eval", "--t", "0.5", "--d", "0.3"],
+        ["compare", "--t", "0.5", "--d", "0.3"],
+    ])
+    @pytest.mark.parametrize("target,reason", [
+        ("", "Is a directory"),  # the directory itself
+        ("missing/x", "No such file or directory"),
+    ])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, target, reason):
+        out = tmp_path / target
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"projheat: error: cannot write --out {out}: {reason}\n"
 
     def test_failed_compare_writes_no_out_file(self, tmp_path):
         # the whole grid is evaluated before --out is opened

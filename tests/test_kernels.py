@@ -225,6 +225,19 @@ class TestQueryInterface:
         v = KernelValue(value=1.0, terms_or_nodes=3, est_error=1e-12)
         assert v.value == 1.0 and v.terms_or_nodes == 3
 
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_scalar_record_unpacks_into_float_int_float(self, method):
+        value, terms, err = unified(1, 2, 0.5, 0.4, method=method)
+        assert (type(value), type(terms), type(err)) == (float, int, float)
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_grid_record_unpacks_into_its_arrays(self, method):
+        record = unified(1, 2, [0.1, 0.5], [0.0, 0.4, 0.8], method=method)
+        value, terms, err = record
+        assert value is record.value and terms is record.terms_or_nodes
+        assert err is record.est_error
+        assert value.shape == terms.shape == err.shape == (2, 3)
+
 
 def _entries(row):
     """The per-distance KernelValues of a row record."""

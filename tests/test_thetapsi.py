@@ -192,6 +192,16 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_sum(3, 0.5, float("nan"))
 
+    def test_rejects_infinite_time(self):
+        # the kernels' rule: a time must be finite, not an overflow of the weights
+        with pytest.raises(DomainError, match="diffusion time must be positive and finite"):
+            psi_sum(3, math.inf, 0.3)
+
+    def test_rejects_infinite_time_in_a_column(self):
+        with pytest.raises(DomainError, match="diffusion time must be positive and finite, "
+                                              "got inf"):
+            thetapsi.PsiSeries(3, [0.5, math.inf])
+
 
 class TestTheta2Reference:
     def test_zero_at_half(self):
