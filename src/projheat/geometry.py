@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,12 +47,23 @@ _HALF_PI = 0.5 * math.pi
 MAX_OFFSET = 171
 
 
-@dataclass(frozen=True)
-class SpaceDescriptor:
-    """Projective space P^n(F) with k = half the real dimension of F."""
-
+class _Index(NamedTuple):
     n: int
     k: int
+
+
+class SpaceDescriptor(_Index):
+    """Projective space P^n(F) with k = half the real dimension of F.
+
+    A named pair (n, k), checked when it is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int):
+        space = tuple.__new__(cls, (n, k))
+        space.__post_init__()
+        return space
 
     def __post_init__(self):
         try:  # numpy integers pass, floats do not
@@ -178,7 +188,9 @@ def radial_laplacian_fd(space: SpaceDescriptor, f: Callable, r, h: float = 1e-3)
     Evaluates f'' + ((2kn-1) cot r - (2k-1) tan r) f' from three samples;
     deliberately numerical so it can certify closed-form eigenvalue and
     heat-equation claims independently.  Given a row, f is called on the
-    whole row (shifted by -h, 0 and +h) and must return one value per radius.
+    whole row (shifted by -h, 0 and +h) and must return one value per
+    radius, or rows of them with the radius as the last axis: several
+    functions at once, each row its own Laplacian.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((h < r) & (r < _HALF_PI - h)):

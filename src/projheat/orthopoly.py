@@ -4,7 +4,9 @@ Evaluation is by forward three-term recurrence in the degree, which is
 stable for the weight exponents used here (all > -1/2) and exact to
 roundoff at degrees 0 and 1.  The kernels run only the single steps
 ``jacobi_step`` and ``gegenbauer_step``; the whole-polynomial functions
-serve the identity checks.  The operator
+serve the identity checks.  Those take one degree or a row of degrees:
+a row gives one row of values per degree, from one recurrence up to the
+largest, each bit for bit its one-degree call.  The operator
 
     L = -(1/sin u) d/du,
 
@@ -30,9 +32,16 @@ from .errors import DomainError
 _X_SLACK = 1e-12
 
 
-def _check_degree(l: int) -> None:
-    if l < 0:
-        raise DomainError(f"degree must be >= 0, got {l}")
+def _check_degrees(l) -> list:
+    """The degrees of ``l``, one degree or a row of them, as a list, each checked."""
+    arr = np.asarray(l)
+    if arr.ndim > 1:
+        raise DomainError(f"degrees must be one degree or a row, got {arr.ndim} dimensions")
+    degrees = arr.tolist() if arr.ndim else [l]
+    for degree in degrees:
+        if degree < 0:
+            raise DomainError(f"degree must be >= 0, got {degree}")
+    return degrees
 
 
 def _check_order(lam: float) -> None:
@@ -47,8 +56,27 @@ def _check_x(x):
     return np.clip(arr, -1.0, 1.0)
 
 
-def _scalar_or_array(values, x):
-    return float(values) if np.ndim(x) == 0 else values
+def _rows(step, degrees: list, shape: tuple) -> np.ndarray:
+    """One row of the given shape per degree of ``degrees``, by the recurrence ``step``.
+
+    ``step(k, P_{k-1}, P_{k-2})`` gives P_k.  One recurrence runs up to
+    the largest degree, from (P_0, P_{-1}) = (1, 0), and each degree's row
+    is taken as the recurrence passes it.
+    """
+    rows = np.empty((len(degrees),) + shape)
+    p, p_prev, k = 1.0, 0.0, 0  # broadcast over the points
+    for i in sorted(range(len(degrees)), key=degrees.__getitem__):
+        for k in range(k + 1, degrees[i] + 1):
+            p, p_prev = step(k, p, p_prev), p
+        rows[i] = p
+    return rows
+
+
+def _one_or_rows(rows: np.ndarray, l, x):
+    """``rows`` for a row of degrees ``l``; for one degree its values, a float at a scalar x."""
+    if np.ndim(l):
+        return rows
+    return float(rows[0]) if np.ndim(x) == 0 else rows[0]
 
 
 def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):
@@ -57,8 +85,8 @@ def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):
     At l = 1 the closed form is returned and both inputs are ignored, so a
     loop may start from (P_0, P_{-1}) = (1, 0).
     """
-    if l == 1:
-        return (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    if l == 1:  # halving the scalar first rounds as halving the product does, one step fewer
+        return (a + 1.0) + 0.5 * (a + b + 2.0) * (x - 1.0)
     c1 = 2.0 * l * (l + a + b) * (2.0 * l + a + b - 2.0)
     c2 = (2.0 * l + a + b - 1.0) * (a * a - b * b)
     c3 = (2.0 * l + a + b - 2.0) * (2.0 * l + a + b - 1.0) * (2.0 * l + a + b)
@@ -66,16 +94,14 @@ def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):
     return ((c2 + c3 * x) * p_cur - c4 * p_prev) / c1
 
 
-def jacobi_p(l: int, a: float, b: float, x):
-    """P_l^(a,b)(x) for x in [-1, 1] by three-term recurrence."""
-    _check_degree(l)
+def jacobi_p(l, a: float, b: float, x):
+    """P_l^(a,b)(x) for x in [-1, 1] by three-term recurrence; l is a degree or a row."""
+    degrees = _check_degrees(l)
     if not (a > -0.5 and b > -0.5):
         raise DomainError(f"weight exponents must exceed -1/2, got alpha={a}, beta={b}")
     xv = _check_x(x)
-    p, p_prev = np.ones_like(xv), np.zeros_like(xv)
-    for k in range(1, l + 1):
-        p, p_prev = jacobi_step(k, a, b, xv, p, p_prev), p
-    return _scalar_or_array(p, x)
+    return _one_or_rows(_rows(lambda k, p, q: jacobi_step(k, a, b, xv, p, q), degrees, xv.shape),
+                        l, x)
 
 
 def jacobi_endpoint(l: int, alpha: float) -> float:
@@ -97,34 +123,36 @@ def gegenbauer_step(l: int, lam: float, x, c_cur, c_prev):
     return (2.0 * (l + lam - 1.0) * x * c_cur - (l + 2.0 * lam - 2.0) * c_prev) / l
 
 
-def gegenbauer_c(l: int, lam: float, x):
-    """C_l^lam(x) for x in [-1, 1] by three-term recurrence.
+def gegenbauer_c(l, lam: float, x):
+    """C_l^lam(x) for x in [-1, 1] by three-term recurrence; l is a degree or a row.
 
     For lam = 1 this is the Dirichlet-type ratio sin((l+1)u)/sin(u) at
     x = cos(u).
     """
-    _check_degree(l)
+    degrees = _check_degrees(l)
     _check_order(lam)
     xv = _check_x(x)
-    c, c_prev = np.ones_like(xv), np.zeros_like(xv)
-    for k in range(1, l + 1):
-        c, c_prev = gegenbauer_step(k, lam, xv, c, c_prev), c
-    return _scalar_or_array(c, x)
+    return _one_or_rows(_rows(lambda k, p, q: gegenbauer_step(k, lam, xv, p, q), degrees,
+                              xv.shape), l, x)
 
 
-def ladder_apply(m: int, l: int, lam: float, x):
-    """L^m C_l^lam(cos u) at x = cos u, in closed form.
+def ladder_apply(m: int, l, lam: float, x):
+    """L^m C_l^lam(cos u) at x = cos u, in closed form; l is a degree or a row.
 
     That is 2^m (lam)_m C_{l-m}^{lam+m}(x), and zero when m > l (the
     operator has differentiated the polynomial away).
     """
     if m < 0:
         raise DomainError(f"ladder count must be >= 0, got {m}")
-    _check_degree(l)
+    degrees = _check_degrees(l)
     _check_order(lam)
-    if m > l:
-        return _scalar_or_array(np.zeros_like(_check_x(x)), x)
     rising = 1.0  # (lam)_m
     for i in range(m):
         rising *= lam + i
-    return (2.0**m) * rising * gegenbauer_c(l - m, lam + m, x)
+    xv, order = _check_x(x), lam + m
+    rows = (2.0**m) * rising * _rows(lambda k, p, q: gegenbauer_step(k, order, xv, p, q),
+                                     [max(0, d - m) for d in degrees], xv.shape)
+    for i, degree in enumerate(degrees):
+        if degree < m:
+            rows[i] = 0.0
+    return _one_or_rows(rows, l, x)

@@ -20,8 +20,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +52,7 @@ _RADIAL_MAX = 8192
 _SORT_KEY_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Structured record of one identity check."""
 
     identity_name: str
@@ -145,8 +143,7 @@ def _flag_report(name: str, parameters: dict, lhs: float, rhs: float, shortfall:
                               bool(shortfall <= tol))
 
 
-@dataclass(frozen=True)
-class SuiteProfile:
+class SuiteProfile(NamedTuple):
     """Selects the groups run by full_suite: those whose names start with one of ``groups``."""
 
     groups: Optional[tuple] = None
@@ -278,75 +275,99 @@ def _jacobi_theta2_reference(z: float, tau_imag: float) -> float:
     raise TruncationCapError(f"theta2 series needs more than {_THETA_CAP} terms at tau={tau_imag}j")
 
 
-def _radial_integral(fvec: Callable[[np.ndarray], np.ndarray], tol: float) -> float:
-    """Doubling Gauss-Legendre integral over (0, pi/2)."""
-    prev = None
+def _radial_integrals(fvec: Callable[[list, np.ndarray], np.ndarray], tols: list) -> list:
+    """Doubling Gauss-Legendre integrals over (0, pi/2), one per integrand, each to its tolerance.
+
+    ``fvec(rows, r)`` gives the integrands of the indices ``rows`` (into
+    ``tols``) at the radii ``r``, one row each.  A round evaluates the rows
+    still unconverged, and sums each row by its own dot product; a row
+    stops at the first round whose estimate is within its tolerance of the
+    previous one, so it keeps exactly the rounds it takes alone.
+    """
+    values = [math.nan] * len(tols)  # no row converges on the first round
+    todo = list(range(len(tols)))
     count = _RADIAL_START
-    while count <= _RADIAL_MAX:
+    while todo and count <= _RADIAL_MAX:
         rule = gauss_legendre_rule(count)
         r = (rule.nodes + 1.0) * (0.25 * math.pi)
-        est = (0.25 * math.pi) * float(rule.weights @ np.asarray(fvec(r), dtype=float))
-        if prev is not None and abs(est - prev) <= tol:
-            return est
-        prev = est
+        ests = (0.25 * math.pi) * np.vecdot(np.asarray(fvec(todo, r), dtype=float), rule.weights)
+        left = []
+        for i, est in zip(todo, ests.tolist()):
+            if not abs(est - values[i]) <= tols[i]:
+                left.append(i)
+            values[i] = est
+        todo = left
         count *= 2
-    raise QuadratureConvergenceError(f"radial integral did not converge to {tol}")
+    if todo:
+        raise QuadratureConvergenceError(f"radial integral did not converge to {tols[todo[0]]}")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # named identity checks
 
 
-def lemma_check(n: int, l: int, ds) -> list:
+def lemma_check(n: int, ls, ds) -> list:
     """Square-root-weight integral of a laddered Gegenbauer term vs Jacobi form.
 
     LHS: integral over [d, pi/2] of sqrt(cos^2 d - cos^2 u)/cos^2 d times
     L^(2n) C_{2l+2n}^1(cos u) sin(u); RHS: 2^(2n-2) pi (l+2n)!/(l+1)!
-    times P_l^(2n-1,1)(cos 2d).  One report per distance d of ``ds``,
-    all integrated in one doubling loop, each checked at tolerance 1e-8.
+    times P_l^(2n-1,1)(cos 2d).  One report per degree l of ``ls`` and
+    distance d of ``ds``, in that order, each checked at tolerance 1e-8.
+    The degrees are the rows of one doubling loop, and each side's
+    polynomials come from one recurrence over the degrees.
     """
-    def g(u):
-        return np.sin(u) * orthopoly.ladder_apply(2 * n, 2 * l + 2 * n, 1.0, np.cos(u))
+    ls = list(ls)
 
-    const = 2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n) / math.factorial(l + 1))
-    rhss = const * orthopoly.jacobi_p(l, 2 * n - 1, 1, np.array([math.cos(2 * d) for d in ds]))
+    def g(rows, u):
+        return np.sin(u) * orthopoly.ladder_apply(2 * n, [2 * ls[i] + 2 * n for i in rows], 1.0,
+                                                  np.cos(u))
+
+    consts = np.array([2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n)
+                                                        / math.factorial(l + 1)) for l in ls])
+    rhss = consts[:, None] * orthopoly.jacobi_p(ls, 2 * n - 1, 1,
+                                                np.array([math.cos(2 * d) for d in ds]))
     cos2s = np.array([math.cos(d) ** 2 for d in ds])
     qtols = np.maximum(1e-13, 1e-11 * np.abs(rhss)) * cos2s
-    values = adaptive_integrate_row(ds, 0.5, lambda _, u: g(u), [qtols]).value[0]
+    values = adaptive_integrate_row(ds, 0.5, g, qtols).value
     return _row_reports("gegenbauer_ladder_to_jacobi",
-                        [{"n": n, "l": l, "d": float(d)} for d in ds],
-                        values / cos2s, rhss, 1e-8)
+                        [{"n": n, "l": l, "d": float(d)} for l in ls for d in ds],
+                        (values / cos2s).ravel(), rhss.ravel(), 1e-8)
 
 
-def _jacobi_rep_rows(n: int, l: int, ds) -> dict:
+def _jacobi_rep_rows(n: int, ls, ds) -> dict:
     """Inverse-square-root integral representation of Jacobi polynomials, both readings.
 
     RHS: 2 (l+1)! (2n-2)! / (pi (l+2n-1)!) times the integral over
     [d, pi/2] of sin(u) C_{2l+2}^(2n-1)(cos u) / sqrt(cos^2 d - cos^2 u).
     LHS: P_{l+1}^(a, 0)(cos 2d) with a = 2n-1 or 2n-2 per reading of
     JACOBI_REP_CONVENTIONS; exactly one makes this an identity.  Returns each
-    reading's reports, one per distance d of ``ds`` at tolerance 1e-8.  One
-    doubling loop serves both, to the tolerance of "2n-2", the tighter one, as
-    P_{l+1}^(2n-2, 0)(1) is the smaller endpoint.
+    reading's reports, one per degree l of ``ls`` and distance d of ``ds``,
+    in that order, at tolerance 1e-8.  The degrees are the rows of one
+    doubling loop, which serves both readings, each degree to the tolerance
+    of "2n-2", the tighter one, as P_{l+1}^(2n-2, 0)(1) is the smaller
+    endpoint.
     """
-    def g(u):
-        return np.sin(u) * orthopoly.gegenbauer_c(2 * l + 2, 2 * n - 1, np.cos(u))
+    ls = list(ls)
 
-    const = 2.0 * math.factorial(l + 1) * math.factorial(2 * n - 2) / (
-        math.pi * math.factorial(l + 2 * n - 1)
-    )
-    qtol = max(1e-13, 1e-11 * max(1.0, orthopoly.jacobi_endpoint(l + 1, 2 * n - 2))) / const
-    rhs = const * adaptive_integrate_row(ds, -0.5, lambda _, u: g(u),
-                                         [[qtol] * len(ds)]).value[0]
+    def g(rows, u):
+        return np.sin(u) * orthopoly.gegenbauer_c([2 * ls[i] + 2 for i in rows], 2 * n - 1,
+                                                  np.cos(u))
+
+    consts = [2.0 * math.factorial(l + 1) * math.factorial(2 * n - 2) / (
+        math.pi * math.factorial(l + 2 * n - 1)) for l in ls]
+    qtols = [[max(1e-13, 1e-11 * max(1.0, orthopoly.jacobi_endpoint(l + 1, 2 * n - 2))) / const]
+             * len(ds) for l, const in zip(ls, consts)]
+    rhs = np.array(consts)[:, None] * adaptive_integrate_row(ds, -0.5, g, qtols).value
     xs = np.array([math.cos(2 * d) for d in ds])
     rows = {}
     for convention in JACOBI_REP_CONVENTIONS:
         alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
         rows[convention] = _row_reports(
             "jacobi_sqrt_integral_rep",
-            [{"n": n, "l": l, "d": float(d), "convention": convention} for d in ds],
-            orthopoly.jacobi_p(l + 1, alpha, 0, xs), rhs, 1e-8,
-            scale=max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha)))
+            [{"n": n, "l": l, "d": float(d), "convention": convention} for l in ls for d in ds],
+            orthopoly.jacobi_p([l + 1 for l in ls], alpha, 0, xs).ravel(), rhs.ravel(), 1e-8,
+            scale=[max(1.0, orthopoly.jacobi_endpoint(l + 1, alpha)) for l in ls for _ in ds])
     return rows
 
 
@@ -552,8 +573,9 @@ def _check_geometry_invariance():
 
 def _check_geometry_volume():
     volumes = [geometry.manifold_volume(s) for s in _SPACES]
-    integrals = [_radial_integral(lambda r, s=s: geometry.volume_density(s, r), 1e-12)
-                 for s in _SPACES]
+    integrals = _radial_integrals(
+        lambda rows, r: [geometry.volume_density(_SPACES[i], r) for i in rows],
+        [1e-12] * len(_SPACES))
     return _row_reports("volume_density_total", [{"k": s.k, "n": s.n} for s in _SPACES],
                         integrals, volumes, 1e-10, scale=volumes)
 
@@ -563,18 +585,17 @@ def _check_geometry_eigenfunction():
     rs = np.linspace(0.2, 1.3, 12)
     reports = []
     for space in _SPACES:
-        for l in range(0, 7):
-            def f(r, _l=l):
-                return orthopoly.jacobi_p(_l, space.jacobi_alpha, space.jacobi_beta,
-                                          np.cos(2.0 * r))
+        def f(r, space=space):  # one row per degree l = 0..6, from one recurrence
+            return orthopoly.jacobi_p(range(7), space.jacobi_alpha, space.jacobi_beta,
+                                      np.cos(2.0 * r))
 
+        rows, laplacians = f(rs), geometry.radial_laplacian_fd(space, f, rs, h=5e-4)
+        for l, (vals, laplacian) in enumerate(zip(rows, laplacians)):
             lam = space.eigenvalue(l)
-            vals = f(rs)
             scale = max(1.0, abs(lam) * float(np.max(np.abs(vals))))
             reports.append(_worst_report(
                 "radial_eigenfunction_law", {"k": space.k, "n": space.n, "l": l}, "r", rs,
-                geometry.radial_laplacian_fd(space, f, rs, h=5e-4), lam * vals, 1e-4,
-                scale=scale,
+                laplacian, lam * vals, 1e-4, scale=scale,
             ))
     return reports
 
@@ -639,27 +660,31 @@ def _check_kernels_positivity():
 def _check_kernels_normalization():
     params, integrals = [], []
     for s in _SPACES:
-        for t in _EQUIV_TS:
-            def fvec(r, s=s, tt=t):
-                return kernels.unified(s.n, s.k, tt, r, 1e-12).value * geometry.volume_density(s, r)
+        def fvec(rows, r, s=s):  # one row per time, from one kernel grid
+            return (kernels.unified(s.n, s.k, [_EQUIV_TS[i] for i in rows], r, 1e-12).value
+                    * geometry.volume_density(s, r))
 
-            params.append({"k": s.k, "n": s.n, "t": t})
-            integrals.append(_radial_integral(fvec, 1e-10))
+        params.extend({"k": s.k, "n": s.n, "t": t} for t in _EQUIV_TS)
+        integrals.extend(_radial_integrals(fvec, [1e-10] * len(_EQUIV_TS)))
     return _row_reports("kernel_normalization", params, integrals, [1.0] * len(integrals), 1e-8)
 
 
 def _check_kernels_residual():
     rs = np.linspace(0.2, 1.3, 12)
+    ts = (0.2, 0.5, 1.0)
+    hts = [1e-4 * t for t in ts]
     params, dts, laps = [], [], []
     for space in _SPACES:
-        for t in (0.2, 0.5, 1.0):
-            def e(r, tt=t):
-                return kernels.unified(space.n, space.k, tt, r, 1e-12).value
+        def e(r, space=space):  # one row per time
+            return kernels.unified(space.n, space.k, ts, r, 1e-12).value
 
-            ht = 1e-4 * t
-            later, earlier = kernels.unified(space.n, space.k, [t + ht, t - ht], rs, 1e-12).value
+        # each time's later and earlier neighbour, in one grid
+        shifted = kernels.unified(space.n, space.k,
+                                  [s for t, ht in zip(ts, hts) for s in (t + ht, t - ht)],
+                                  rs, 1e-12).value
+        lap_rows = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
+        for t, ht, later, earlier, lap in zip(ts, hts, shifted[0::2], shifted[1::2], lap_rows):
             dt = (later - earlier) / (2.0 * ht)
-            lap = geometry.radial_laplacian_fd(space, e, rs, h=1e-3)
             i = int(np.argmax(np.abs(dt - lap) / np.maximum(np.abs(dt), 1.0)))
             params.append({"k": space.k, "n": space.n, "t": t, "r": float(rs[i])})
             dts.append(dt[i])
@@ -669,16 +694,18 @@ def _check_kernels_residual():
 
 
 def _check_kernels_semigroup():
+    pairs = ((0.3, 0.3), (0.2, 0.5))
     params, lhss, rhss = [], [], []
     for sp in _SPACES:
-        for t, s in ((0.3, 0.3), (0.2, 0.5)):
-            def fvec(r, sp=sp, tt=t, ss=s):
-                a, b = kernels.unified(sp.n, sp.k, [tt, ss], r, 1e-12).value
-                return a * b * geometry.volume_density(sp, r)
+        def fvec(rows, r, sp=sp):  # one row per pair (t, s), from one kernel grid
+            values = kernels.unified(sp.n, sp.k, [x for i in rows for x in pairs[i]], r,
+                                     1e-12).value
+            return values[0::2] * values[1::2] * geometry.volume_density(sp, r)
 
-            params.append({"k": sp.k, "n": sp.n, "t": t, "s": s})
-            lhss.append(_radial_integral(fvec, 1e-9))
-            rhss.append(kernels.unified(sp.n, sp.k, t + s, 0.0, 1e-12).value)
+        params.extend({"k": sp.k, "n": sp.n, "t": t, "s": s} for t, s in pairs)
+        lhss.extend(_radial_integrals(fvec, [1e-9] * len(pairs)))
+        rhss.extend(kernels.unified(sp.n, sp.k, [t + s for t, s in pairs], 0.0,
+                                    1e-12).value.tolist())
     return _row_reports("kernel_semigroup", params, lhss, rhss, 1e-6)
 
 
@@ -708,7 +735,7 @@ def _check_kernels_stationary():
 
 
 def _check_lemma():
-    return [rep for n in _NS for l in range(9) for rep in lemma_check(n, l, _REP_DS)]
+    return [rep for n in _NS for rep in lemma_check(n, range(9), _REP_DS)]
 
 
 def _check_jacobi_rep():
@@ -721,9 +748,8 @@ def _check_jacobi_rep():
     """
     by_convention = {c: [] for c in JACOBI_REP_CONVENTIONS}
     for n in _NS:
-        for l in range(9):
-            for c, reps in _jacobi_rep_rows(n, l, _REP_DS).items():
-                by_convention[c].extend(reps)
+        for c, reps in _jacobi_rep_rows(n, range(9), _REP_DS).items():
+            by_convention[c].extend(reps)
     worst_rejected = {c: max(r.rel_err for r in reps) for c, reps in by_convention.items()}
     winners = [c for c, reps in by_convention.items() if all(r.passed for r in reps)]
     resolution = winners[0] if len(winners) == 1 else ("both" if winners else "none")

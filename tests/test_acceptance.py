@@ -114,7 +114,7 @@ def test_criterion_5_semigroup(suite):
 def test_criterion_6_lemma_certification(suite):
     reports = _identity(suite, "gegenbauer_ladder_to_jacobi")
     analytic_ok = all(abs(rep.lhs - 2.0 * math.pi) <= 1e-12
-                      for rep in verify.lemma_check(1, 0, (0.0, 0.3, 0.7, 1.1, 1.4)))
+                      for rep in verify.lemma_check(1, [0], (0.0, 0.3, 0.7, 1.1, 1.4)))
     worst = max(min(r.abs_err, r.rel_err) for r in reports)
     _report(
         "6 lemma_certification",

@@ -287,14 +287,14 @@ class TestErrorLines:
 
     def test_integral_at_an_earlier_t_fails_before_the_series(self, capsys, monkeypatch):
         # the series grid fails first, at the last t, but the integral fails at the first
-        series_values = kernels.series_values
+        series_kernel = kernels._series_kernel
 
-        def failing_last(k, n, t, d, tol):
-            if t == 0.05:
+        def failing_last(space, ts, ds, tol):
+            if 0.05 in ts:
                 raise TruncationCapError("series fails at the last t")
-            return series_values(k, n, t, d, tol)
+            return series_kernel(space, ts, ds, tol)
 
-        monkeypatch.setattr(kernels, "series_values", failing_last)
+        monkeypatch.setattr(kernels, "_series_kernel", failing_last)
         argv = "compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0".split()
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == ("projheat: no convergence: no convergence to "
@@ -405,6 +405,14 @@ class TestSelftest:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stderr == "False\n"
+
+    def test_cli_and_suite_leave_dataclasses_unimported(self):
+        # a fresh process: the records are NamedTuples, so no command pays for dataclasses
+        code = ("import sys, projheat.cli, projheat.verify; "
+                "print('dataclasses' in sys.modules)")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
 
     def test_grid_commands_and_suite_leave_numpy_ma_unimported(self):
         # a fresh process: numpy imports numpy.ma lazily, e.g. on a first np.unique

@@ -346,6 +346,18 @@ class TestRadialLaplacian:
         assert row.shape == rs.shape
         assert row.tolist() == [radial_laplacian_fd(space, f, float(r), h=5e-4) for r in rs]
 
+    def test_rows_of_values_give_each_rows_laplacian(self):
+        # f may give one row of values per function: the radius is the last axis
+        space = SpaceDescriptor(n=2, k=2)
+        rs = np.linspace(0.2, 1.3, 12)
+        degrees = [0, 3, 6]
+        rows = radial_laplacian_fd(space, lambda rr: jacobi_p(degrees, 3, 1, np.cos(2.0 * rr)),
+                                   rs, h=5e-4)
+        assert rows.shape == (len(degrees), rs.size)
+        for row, l in zip(rows, degrees):
+            assert np.all(row == radial_laplacian_fd(
+                space, lambda rr: jacobi_p(l, 3, 1, np.cos(2.0 * rr)), rs, h=5e-4))
+
     @pytest.mark.parametrize("bad", [5e-4, math.pi / 2 - 1e-4])
     def test_row_with_one_radius_near_an_endpoint_rejected(self, bad):
         space = SpaceDescriptor(n=1, k=1)

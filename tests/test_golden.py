@@ -62,6 +62,8 @@ COMMANDS = {
                                     "--tol", "1e-6", "--method", "integral", "--format", "json"],
                                    cli.EXIT_OK),
     "selftest.txt": (["selftest"], cli.EXIT_OK),
+    # every report's lhs, rhs, abs_err and rel_err in full: the suite's numbers bit for bit
+    "selftest.json": (["selftest", "--json"], cli.EXIT_OK),
 }
 
 

@@ -451,6 +451,33 @@ class TestGridCall:
                 assert (type(err.value), str(err.value)) in alone
 
 
+class TestSeriesGrid:
+    """The series grid is ``series_values`` at each of its times: values, terms and tail bounds."""
+
+    DS = [float(d) for d in np.linspace(0.0, 1.5, 9)]
+
+    @pytest.mark.parametrize("ts", [
+        [0.3],  # a grid of one time
+        [0.002, 0.05, 0.5, 5.0],  # series that shorten along the times
+        [0.5, 0.002, 5.0, 0.05, 0.002],  # out of order, one time twice
+    ], ids=["one", "in_order", "out_of_order"])
+    @pytest.mark.parametrize("k,n", [(1, 2), (2, 3)])
+    def test_grid_rows_are_one_time_calls(self, k, n, ts):
+        grid = unified(n, k, ts, self.DS, 1e-12)
+        for i, t in enumerate(ts):
+            values, terms, tail = series_values(k, n, t, self.DS, 1e-12)
+            assert np.all(grid.value[i] == values)
+            assert np.all(grid.terms_or_nodes[i] == terms)
+            assert np.all(grid.est_error[i] == tail)
+        assert len(set(grid.terms_or_nodes[:, 0].tolist())) == len(set(ts))
+
+    def test_one_time_shapes(self):
+        values, terms, tail = series_values(2, 1, 0.5, 0.4)
+        assert np.shape(values) == () and type(terms) is int and type(tail) is float
+        row, _, _ = series_values(2, 1, 0.5, [0.4])
+        assert row.shape == (1,) and row[0] == values
+
+
 class TestSpaceOwnsTheNumbers:
     """Both forms read alpha, beta, c and lambda_l from the space ``_check_args`` returns.
 

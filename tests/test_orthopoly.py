@@ -234,3 +234,44 @@ class TestCosineLadder:
             3 * ladder_apply(0 - 1, 3 - 1, 1.0, 0.3)
         with pytest.raises(DomainError):
             0 * ladder_apply(1 - 1, 0 - 1, 1.0, 0.3)
+
+
+class TestRowsOfDegrees:
+    """A row of degrees gives one row per degree, each its one-degree call, from one recurrence."""
+
+    DEGREES = [5, 0, 3, 3, 9, 1]  # out of order, repeated, and degree 0
+
+    @staticmethod
+    def assert_rows(rows, singles, x):
+        assert rows.shape == (len(singles),) + np.shape(x)
+        for row, single in zip(rows, singles):
+            assert np.all(row == single)
+
+    @pytest.mark.parametrize("x", [0.3, np.cos(US)], ids=["scalar", "array"])
+    def test_jacobi(self, x):
+        self.assert_rows(jacobi_p(self.DEGREES, 2.5, 1.0, x),
+                         [jacobi_p(l, 2.5, 1.0, x) for l in self.DEGREES], x)
+
+    @pytest.mark.parametrize("x", [0.3, np.cos(US)], ids=["scalar", "array"])
+    def test_gegenbauer(self, x):
+        self.assert_rows(gegenbauer_c(np.array(self.DEGREES), 1.5, x),
+                         [gegenbauer_c(l, 1.5, x) for l in self.DEGREES], x)
+
+    @pytest.mark.parametrize("x", [0.3, np.cos(US)], ids=["scalar", "array"])
+    def test_ladder(self, x):
+        # m = 3 differentiates the degrees 0, 1 and 2 away, wherever they stand in the row
+        degrees = [5, 0, 3, 2, 9, 1, 5]
+        rows = ladder_apply(3, degrees, 1.0, x)
+        self.assert_rows(rows, [ladder_apply(3, l, 1.0, x) for l in degrees], x)
+        assert np.all(rows[[1, 3, 5]] == 0.0)
+
+    def test_empty_row(self):
+        assert jacobi_p([], 1, 1, np.cos(US)).shape == (0, US.size)
+
+    def test_row_domain_errors(self):
+        with pytest.raises(DomainError, match="got -1"):
+            jacobi_p([2, -1], 1, 1, 0.3)
+        with pytest.raises(DomainError, match="2 dimensions"):
+            gegenbauer_c([[1, 2]], 1.0, 0.3)
+        with pytest.raises(DomainError):
+            ladder_apply(1, [1, 2], 1.0, 1.5)

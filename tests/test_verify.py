@@ -11,12 +11,14 @@ from numpy.testing import assert_allclose
 
 from helpers import ladder_fd_point
 from projheat import orthopoly, verify
+from projheat.errors import QuadratureConvergenceError
 from projheat.verify import (
     JACOBI_REP_CONVENTIONS,
     SuiteProfile,
     _brute_sum,
     _jacobi_rep_rows,
     _ladder_fd,
+    _radial_integrals,
     _row_reports,
     _theta2_sides,
     _theta_sum,
@@ -156,34 +158,43 @@ class TestLemma:
     def test_analytic_case_is_two_pi(self, d):
         # n=1, l=0: the laddered term is the constant 8, so the integral
         # collapses to 8 * (pi/4) = 2 pi, matching the closed form exactly
-        [rep] = lemma_check(1, 0, [d])
+        [rep] = lemma_check(1, [0], [d])
         assert_allclose(rep.rhs, 2.0 * math.pi, rtol=1e-15)
         assert_allclose(rep.lhs, 2.0 * math.pi, rtol=1e-12)
         assert rep.passed
 
     @pytest.mark.parametrize("n,l,d", [(1, 1, 0.5), (2, 3, 0.2), (3, 8, 1.4), (2, 0, 0.0)])
     def test_general_cases(self, n, l, d):
-        [rep] = lemma_check(n, l, [d])
+        [rep] = lemma_check(n, [l], [d])
         assert rep.abs_err <= 1e-9 or rep.rel_err <= 1e-9, (rep.abs_err, rep.rel_err)
 
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 3), (3, 8)])
     def test_row_equals_one_distance_rows(self, n, l):
         ds = [0.0, 0.3, 0.7, 1.1, 1.4]
-        row = lemma_check(n, l, ds)
+        row = lemma_check(n, [l], ds)
         assert [r.parameters["d"] for r in row] == ds
-        assert row == [lemma_check(n, l, [d])[0] for d in ds]
+        assert row == [lemma_check(n, [l], [d])[0] for d in ds]
+
+    def test_degrees_as_rows_are_one_degree_calls(self):
+        # the higher degrees take more doubling rounds than the lower ones
+        ds = [0.0, 0.3, 0.7, 1.1, 1.4]
+        for n in (1, 3):
+            rows = lemma_check(n, range(9), ds)
+            assert [(r.parameters["l"], r.parameters["d"]) for r in rows] == [
+                (l, d) for l in range(9) for d in ds]
+            assert rows == [rep for l in range(9) for rep in lemma_check(n, [l], ds)]
 
 
 class TestJacobiRep:
     def test_shifted_convention_passes(self):
         for n, l, d in ((1, 0, 0.0), (1, 2, 0.7), (2, 1, 0.4), (3, 5, 1.1)):
-            [rep] = _jacobi_rep_rows(n, l, [d])["2n-2"]
+            [rep] = _jacobi_rep_rows(n, [l], [d])["2n-2"]
             assert rep.abs_err <= 1e-9 or rep.rel_err <= 1e-9, rep.parameters
 
     def test_displayed_convention_fails(self):
         # at n=1, l=0, d=0 the displayed reading compares P_1^(1,0)(1) = 2
         # against an integral worth 1: off by a factor two, not a roundoff
-        [rep] = _jacobi_rep_rows(1, 0, [0.0])["2n-1"]
+        [rep] = _jacobi_rep_rows(1, [0], [0.0])["2n-1"]
         assert not rep.passed
         assert_allclose(rep.lhs, 2.0, rtol=1e-12)
         assert_allclose(rep.rhs, 1.0, rtol=1e-9)
@@ -192,9 +203,17 @@ class TestJacobiRep:
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 3), (3, 8)])
     def test_row_equals_one_distance_rows(self, n, l, convention):
         ds = [0.0, 0.3, 0.7, 1.1, 1.4]
-        row = _jacobi_rep_rows(n, l, ds)[convention]
+        row = _jacobi_rep_rows(n, [l], ds)[convention]
         assert [r.parameters["d"] for r in row] == ds
-        assert row == [_jacobi_rep_rows(n, l, [d])[convention][0] for d in ds]
+        assert row == [_jacobi_rep_rows(n, [l], [d])[convention][0] for d in ds]
+
+    @pytest.mark.parametrize("convention", ["2n-1", "2n-2"])
+    def test_degrees_as_rows_are_one_degree_calls(self, convention):
+        ds = [0.0, 0.3, 0.7, 1.1, 1.4]
+        for n in (1, 3):
+            rows = _jacobi_rep_rows(n, range(9), ds)[convention]
+            assert rows == [rep for l in range(9)
+                            for rep in _jacobi_rep_rows(n, [l], ds)[convention]]
 
     def test_suite_resolution_names_winner(self):
         reports = full_suite(SuiteProfile(groups=("jacobi_rep",)))
@@ -208,6 +227,35 @@ class TestJacobiRep:
         points = [r for r in reports if r.identity_name == "jacobi_sqrt_integral_rep"]
         assert points and all(r.parameters["convention"] == "2n-2" for r in points)
         assert all(r.passed for r in points)
+
+
+class TestRadialIntegrals:
+    """The radial row loop gives each integrand what it gives alone."""
+
+    FS = (lambda r: np.sin(r) ** 2,  # smooth: converges on the second round
+          lambda r: np.exp(-400.0 * (r - 0.7) ** 2),  # sharp: needs more rounds
+          lambda r: np.cos(30.0 * r) ** 2)
+    TOLS = (1e-12, 1e-12, 1e-10)
+
+    def test_rows_are_single_rows(self):
+        calls = []
+
+        def fvec(rows, r):
+            calls.extend(rows)
+            return [self.FS[i](r) for i in rows]
+
+        rows = _radial_integrals(fvec, list(self.TOLS))
+        singles = [_radial_integrals(lambda rows, r, f=f: [f(r)], [tol])[0]
+                   for f, tol in zip(self.FS, self.TOLS)]
+        assert rows == singles
+        rounds = [calls.count(i) for i in range(len(self.FS))]
+        assert len(set(rounds)) > 1, rounds  # the rows converge on different rounds
+
+    def test_a_row_that_never_converges_raises(self):
+        # the second integrand grows with the node count, so its estimates never settle
+        fs = (np.sin, lambda r: np.full(r.size, float(r.size)))
+        with pytest.raises(QuadratureConvergenceError, match="converge to 1e-09"):
+            _radial_integrals(lambda rows, r: [fs[i](r) for i in rows], [1e-12, 1e-9])
 
 
 class TestThetaRelation:
