@@ -55,17 +55,23 @@ class _Index(NamedTuple):
 class SpaceDescriptor(_Index):
     """Projective space P^n(F) with k = half the real dimension of F.
 
-    A named pair (n, k), checked when it is built.
+    A named pair (n, k), checked however it is built, by ``_make`` and
+    ``_replace`` too.  It is a tuple: it unpacks into (n, k), and equals
+    and orders as that plain pair does.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, k: int):
-        space = tuple.__new__(cls, (n, k))
+        space = super().__new__(cls, n, k)
         space.__post_init__()
         return space
 
-    def __post_init__(self):
+    @classmethod
+    def _make(cls, iterable):  # the tuple's own _make, which _replace calls, would skip the checks
+        return cls(*iterable)
+
+    def __post_init__(self):  # run by __new__; the boundary walk follows a class by this name
         try:  # numpy integers pass, floats do not
             operator.index(self.n), operator.index(self.k)
         except TypeError:

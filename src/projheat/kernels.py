@@ -29,25 +29,24 @@ integral form uses doubling Gauss-Legendre quadrature on the
 endpoint-regularized substitution from the quadrature module.
 
 ``unified`` checks every argument once, in ``_check_args``, before
-either method runs (``series_values``, the series' public one-time
-entry, checks its arguments there, once too): building the
-``geometry.SpaceDescriptor`` decides whether (k, n) is accepted, and the
-times, the distances and the tolerance are checked here.  The space it returns supplies the series'
+either method runs (``series_values``, a public entry of its own, checks
+its row there too): building the ``geometry.SpaceDescriptor`` decides
+whether (k, n) is accepted, and the times, the distances and the
+tolerance are checked here.  The space it returns supplies the series'
 alpha, beta, c and decay rates 4 l (l + c), as the suite certifies them
 on the space, and the integral's c and weight exponent k - 3/2.
 
-``unified`` takes a column of times by a row of distances, and each
-method evaluates the grid in one pass.  Time enters either form only
-through scalar weights, exp(-4 l (l + c) t), so each time's weights are
-summed once, to its own truncation index, into one row of a weight
-table, and the t-independent work runs once for all the times: the
-series' Jacobi recurrence over the distances once per grid, the
-integral's substitution nodes and Gegenbauer recurrence over them once
-per doubling round.  The weights are the same scalar ``math.exp``
-expressions a single time uses, and each time's terms are added in the
-same order, so every entry is bit for bit the single-time one.  A
-failing grid raises the first error its evaluation meets; which time
-fails first is the CLI's question, and it answers it row by row.
+``unified`` takes a column of times by a row of distances.  The series
+sums each time's row on its own.  The integral evaluates the grid in one
+pass: time enters Psi_c only through the scalar weights
+exp(-4 l (l + c) t), so each time's weights are summed once, to its own
+truncation index, into one row of a weight table, and the t-independent
+work (the substitution nodes and the Gegenbauer recurrence over them)
+runs once per doubling round for all the times; the weights are the same
+scalar ``math.exp`` expressions a single time uses, so every entry is
+bit for bit the single-time one.  A failing grid raises the first error
+its evaluation meets; which time fails first is the CLI's question, and
+it answers it row by row.
 """
 
 from __future__ import annotations
@@ -109,28 +108,37 @@ def _weights_overflow(k: int, n: int, t: float) -> TruncationCapError:
                               f"at k={k}, n={n}, t={t}")
 
 
-def _series_weights(space: SpaceDescriptor, t: float, tol: float) -> tuple:
-    """(weights, tail): the series' weights at time t, to its truncation index, and its tail bound.
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
+def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
+    """Spectral-series kernel at the one time t over a distance or an array of distances.
 
-    The truncation index is shared by every distance, because the term
-    bound |P_l| <= P_l(1) is uniform in d.  Raises TruncationCapError when
-    a weight or the tail bound is not finite (a weight is tested before it
-    is kept) or more than SERIES_CAP terms are needed.
+    Returns (values, terms_used, tail_bound), the values shaped like d.
+    The truncation index is shared across the array because the term
+    bound is uniform in d.
+
+    Raises DomainError for an argument outside its domain, and
+    TruncationCapError when a weight or a value is not finite: a weight is
+    tested before it enters the sum, and a finite weight whose term or
+    partial sum overflows leaves inf or NaN in the values.
     """
-    k, n = space.k, space.n
+    d_arr = np.asarray(d, dtype=float)
+    space = _check_args(k, n, (t,), d_arr, tol)
+    x = np.cos(2.0 * d_arr)
     alpha = float(space.jacobi_alpha)
+    beta = float(space.jacobi_beta)
     c = space.spectral_offset
     inv_pi = math.pi ** (-(k * n))
     ratio = math.factorial(c - 1) / math.factorial(k - 1)  # (l+c-1)!/(l+k-1)!
     endpoint = 1.0  # binom(l + alpha, l)
     eigenvalue = space.eigenvalue
     decay = 1.0  # exp(lambda_l t), and lambda_0 = 0
-    weights = []
+    p_cur, p_prev = 1.0, 0.0  # (P_0, P_-1), broadcast over the distances
+    total = np.zeros_like(x)
     for l in range(SERIES_CAP + 1):
         w = (2 * l + c) * ratio * decay * inv_pi
         if not math.isfinite(w):  # (l+c-1)!/(l+k-1)! overflowed: never let it into the sum
             raise _weights_overflow(k, n, t)
-        weights.append(w)
+        total += w * p_cur
         # coefficient trackers for l+1
         ratio *= (l + c) / (l + k)
         endpoint *= (l + 1 + alpha) / (l + 1)
@@ -146,97 +154,28 @@ def _series_weights(space: SpaceDescriptor, t: float, tol: float) -> tuple:
         if rho < 1.0:
             tail = b_next / (1.0 - rho)
             if tail <= tol:
-                return weights, tail
+                if not np.isfinite(total).all():
+                    raise _weights_overflow(k, n, t)
+                return total, l + 1, tail
             if not math.isfinite(tail):  # (l+c-1)!/(l+k-1)! or the endpoint overflowed
                 raise _weights_overflow(k, n, t)
+        p_cur, p_prev = jacobi_step(l + 1, alpha, beta, x, p_cur, p_prev), p_cur
     raise TruncationCapError(
         f"spectral series needs more than {SERIES_CAP} terms at t={t} (t too small)"
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
-def _series_kernel(space: SpaceDescriptor, ts: list, ds: np.ndarray, tol: float) -> tuple:
-    """The series over the times ``ts`` by the distances ``ds``: (values, terms, tails).
-
-    ``values`` has one entry per time and distance, shaped like the times
-    followed by ``ds``; ``terms`` and ``tails`` are lists with one entry
-    per time, its truncation index and tail bound.  Each time's weights
-    are summed once, to its own truncation index, into a zero-padded
-    table, and one ``jacobi_step`` recurrence over the distances serves
-    every time: term l adds its weights times P_l into the leading block
-    of the rows, longest series first, that still have a term l.  Each
-    row sums its terms in the order a time alone does, so every entry is
-    bit for bit the one-time value.
-
-    Raises the first failing time's TruncationCapError, as the times one
-    by one would: a weight that fails stops the weights there, and a
-    finite weight whose term or partial sum overflows leaves inf or NaN
-    in that time's values, which an earlier time's failure precedes.
-    """
-    weights, tails, failure = [], [], None
-    for t in ts:
-        try:
-            w, tail = _series_weights(space, t, tol)
-        except TruncationCapError as exc:
-            failure = exc
-            break
-        weights.append(w)
-        tails.append(tail)
-    terms = [len(w) for w in weights]
-    # longest series first: the rows still summing at term l are a leading block
-    order = sorted(range(len(terms)), key=terms.__getitem__, reverse=True)
-    x = np.cos(2.0 * ds)
-    table = np.zeros((max(terms, default=0), len(terms)))  # term by term, the sorted weights
-    for j, i in enumerate(order):
-        table[:terms[i], j] = weights[i]
-    table = table.reshape(table.shape + (1,) * x.ndim)  # to broadcast over the distances
-    alpha, beta = float(space.jacobi_alpha), float(space.jacobi_beta)
-    totals = np.zeros((len(terms),) + x.shape)
-    p_cur, p_prev = 1.0, 0.0  # (P_0, P_-1), broadcast over the distances
-    l = 0
-    for m in range(len(terms), 0, -1):  # all m rows have a term l until the m-th longest ends
-        block = totals[:m]
-        for w in table[l:terms[order[m - 1]], :m]:
-            if l:  # term 0 is its weight: w * P_0 = w
-                p_cur, p_prev = jacobi_step(l, alpha, beta, x, p_cur, p_prev), p_cur
-                w = w * p_cur
-            block += w
-            l += 1
-    if order != sorted(order):  # back to the times' order, unless the series shorten along it
-        totals = totals.take(sorted(range(len(order)), key=order.__getitem__), axis=0)
-    if not np.isfinite(totals).all():
-        bad = ~np.isfinite(totals.reshape(len(terms), -1)).all(axis=1)
-        raise _weights_overflow(space.k, space.n, ts[int(np.argmax(bad))])
-    if failure is not None:
-        raise failure
-    return totals, terms, tails
-
-
-def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
-    """Spectral-series kernel at the one time t over a distance or an array of distances.
-
-    Returns (values, terms_used, tail_bound), the values shaped like d.
-    The truncation index is shared across the array because the term
-    bound is uniform in d.  The one-time form of the series grid that
-    ``unified`` runs; its arguments are checked once, as there.
-
-    Raises DomainError for an argument outside its domain, and
-    TruncationCapError when a weight or a value is not finite: a weight is
-    tested before it enters the sum, and a finite weight whose term or
-    partial sum overflows leaves inf or NaN in the values.
-    """
-    d_arr = np.asarray(d, dtype=float)
-    space = _check_args(k, n, (t,), d_arr, tol)
-    values, terms, tails = _series_kernel(space, [t], d_arr, tol)
-    return values[0], terms[0], tails[0]
+def _series_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
+                   tol: float) -> KernelValue:
+    values, tails = np.empty((ts.size, ds.size)), np.empty((ts.size, ds.size))
+    terms = np.empty((ts.size, ds.size), dtype=int)
+    for i, t in enumerate(ts.tolist()):
+        values[i], terms[i], tails[i] = series_values(space.k, space.n, t, ds, tol)
+    return KernelValue(value=values, terms_or_nodes=terms, est_error=tails)
 
 
 def _integral_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
-                     tol: float) -> tuple:
-    """The integral over the column of times ``ts`` by the row of distances ``ds``.
-
-    Returns (values, nodes, est_errors), one entry per (t, d).
-    """
+                     tol: float) -> KernelValue:
     k, n, c = space.k, space.n, space.spectral_offset  # c: the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
@@ -245,8 +184,8 @@ def _integral_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
     grid = adaptive_integrate_row(ds, k - 1.5, psi,
                                   (0.5 * tol / outers)[None].repeat(ts.size, axis=0))
     # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
-    return (outers * grid.value, grid.nodes,
-            outers * grid.est_error + cnk * _HALF_PI * theta_tol)
+    return KernelValue(value=outers * grid.value, terms_or_nodes=grid.nodes,
+                       est_error=outers * grid.est_error + cnk * _HALF_PI * theta_tol)
 
 
 def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") -> KernelValue:
@@ -256,20 +195,20 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
     distances or of both gives one KernelValue of arrays shaped like the
     times followed by the distances: ``unified(1, 2, [0.1, 0.5], [0.0,
     0.4, 0.8])`` gives 2 x 3 arrays, and a scalar time the row record.
-    Each entry is bit for bit its scalar call's.  Either method is one
-    pass over the grid (see the module docstring).  The series' truncation
-    index and tail bound do not depend on d, so ``terms_or_nodes`` and
-    ``est_error`` are constant along its rows.
+    Each entry is bit for bit its scalar call's.  The series evaluates each
+    time's row in one ``series_values`` call (its truncation index and tail
+    bound do not depend on d, so ``terms_or_nodes`` and ``est_error`` are
+    constant along a row); the integral is one pass over the grid (see the
+    module docstring).
 
     Raises DomainError for an index, field, time, distance (anywhere in
     the grid), tolerance or method outside its domain, whichever method
     is chosen and however many times there are, before either method
     runs.  A grid that fails raises the first TruncationCapError or
     QuadratureConvergenceError its evaluation meets, in its own order:
-    the series' is the first failing time's, but the integral's may be a
-    later time's error, or one it meets at a (t, d) pair that the time
-    alone would not evaluate again.  Evaluate time by time to learn which
-    time fails first, as the CLI does.
+    that may be a later time's error, or one the integral meets at a
+    (t, d) pair that the time alone would not evaluate again.  Evaluate
+    time by time to learn which time fails first, as the CLI does.
     """
     t_arr, d_arr = np.asarray(t, dtype=float), np.asarray(d, dtype=float)
     if method not in METHODS:
@@ -279,13 +218,7 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
                           f"got {t_arr.ndim} dimensions")
     ts = t_arr if t_arr.ndim else t_arr[None]  # a scalar is a column of one
     ds = d_arr if d_arr.ndim else d_arr[None]
-    times = ts.tolist()
-    space = _check_args(k, n, times, ds, tol)  # every argument, before either method runs
-    if method == "series":
-        values, terms, tails = _series_kernel(space, times, ds, tol)
-        grid = (values, np.array(terms, dtype=int)[:, None].repeat(ds.size, axis=1),
-                np.array(tails, dtype=float)[:, None].repeat(ds.size, axis=1))
-    else:
-        grid = _integral_kernel(space, ts, ds, tol)
+    space = _check_args(k, n, ts.tolist(), ds, tol)  # every argument, before either method runs
+    grid = (_series_kernel if method == "series" else _integral_kernel)(space, ts, ds, tol)
     shape = t_arr.shape + d_arr.shape
     return KernelValue._make(a.reshape(shape) if shape else a[0, 0].item() for a in grid)

@@ -287,14 +287,14 @@ class TestErrorLines:
 
     def test_integral_at_an_earlier_t_fails_before_the_series(self, capsys, monkeypatch):
         # the series grid fails first, at the last t, but the integral fails at the first
-        series_kernel = kernels._series_kernel
+        series_values = kernels.series_values
 
-        def failing_last(space, ts, ds, tol):
-            if 0.05 in ts:
+        def failing_last(k, n, t, d, tol):
+            if t == 0.05:
                 raise TruncationCapError("series fails at the last t")
-            return series_kernel(space, ts, ds, tol)
+            return series_values(k, n, t, d, tol)
 
-        monkeypatch.setattr(kernels, "_series_kernel", failing_last)
+        monkeypatch.setattr(kernels, "series_values", failing_last)
         argv = "compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0".split()
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == ("projheat: no convergence: no convergence to "

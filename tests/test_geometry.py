@@ -209,6 +209,26 @@ class TestAcceptedRange:
             assert str(exc.value) == (f"projective index must be <= {n_max} for k={k}, "
                                       f"got {n}: larger n overflows floating point")
 
+    @pytest.mark.parametrize("build", [
+        lambda: SpaceDescriptor._make((0, 1)),
+        lambda: SpaceDescriptor._make((2, 3)),
+        lambda: SpaceDescriptor(n=2, k=1)._replace(n=0),
+        lambda: SpaceDescriptor(n=2, k=1)._replace(k=3),
+        lambda: SpaceDescriptor(n=2, k=2)._replace(n=86),
+    ], ids=["make_n", "make_k", "replace_n", "replace_k", "replace_range"])
+    def test_every_way_of_building_checks(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_is_the_pair_n_k(self):
+        # a NamedTuple: it unpacks, equals and orders as the plain pair (n, k)
+        space = SpaceDescriptor(n=3, k=2)
+        assert tuple(space) == (3, 2) and space == (3, 2) and hash(space) == hash((3, 2))
+        assert SpaceDescriptor._make([3, 2]) == space == space._replace()
+        assert SpaceDescriptor(n=1, k=2) < space
+        with pytest.raises(AttributeError):
+            space.n = 4
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_stationary_value_over_the_accepted_range(self, k):
         # bit for bit the c!/(k-1)! / pi^(kn) quotient scaled by a power of two
