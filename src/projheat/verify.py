@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import pickle
 import random
 from typing import Callable, NamedTuple, Optional
 
@@ -143,10 +145,20 @@ def _flag_report(name: str, parameters: dict, lhs: float, rhs: float, shortfall:
                               bool(shortfall <= tol))
 
 
-class SuiteProfile(NamedTuple):
-    """Selects the groups run by full_suite: those whose names start with one of ``groups``."""
+class SuiteProfile:
+    """Selects the groups run by full_suite: those whose names start with one of ``groups``.
 
-    groups: Optional[tuple] = None
+    ``groups`` is None (every group) or a sequence of prefixes.  A bare
+    string is refused: each of its characters would be a prefix.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: Optional[tuple] = None):
+        if isinstance(groups, str):
+            raise TypeError(f"groups must be a sequence of name prefixes, not a string: "
+                            f"write groups=({groups!r},)")
+        self.groups = None if groups is None else tuple(groups)
 
     def wants_group(self, name: str) -> bool:
         if self.groups is None:
@@ -809,16 +821,95 @@ def group_names() -> tuple:
     return tuple(_GROUPS)
 
 
+def _run_share(share: list) -> tuple:
+    """Run ``share``, (position, group) pairs, in order: (keyed reports, failure).
+
+    The keyed reports are (sort key, position, report) triples in run
+    order.  The failure is None, or (position, exception) of the first
+    group that raised; no group after it runs.
+    """
+    keyed = []
+    for pos, fn in share:
+        try:
+            reports = fn()
+        except BaseException as exc:  # SystemExit too: the caller decides what to raise
+            return keyed, (pos, exc)
+        keyed.extend((r.sort_key(), pos, r) for r in reports)
+    return keyed, None
+
+
+def _run_forked(ours: list, theirs: list) -> tuple:
+    """``_run_share`` of ``ours`` here and of ``theirs`` in one forked child, over a pipe.
+
+    The child pickles its outcome into the pipe and ends with ``os._exit``,
+    so it never returns into the caller.  The parent always closes its end
+    and reaps the child.  A child that dies or sends a short pickle raises
+    a RuntimeError naming its exit status.  The failure returned is the
+    first of both shares in registration order.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run both shares here, in registration order
+        os.close(read_fd)
+        os.close(write_fd)
+        return _run_share(sorted(ours + theirs, key=lambda entry: entry[0]))
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_run_share(theirs), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    status = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            keyed, failure = _run_share(ours)
+            data = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        if status is None:
+            os.waitpid(pid, 0)
+    try:
+        their_keyed, their_failure = pickle.loads(data)
+    except Exception:  # empty or cut short: the child died before it finished sending
+        their_keyed = None
+    if their_keyed is None:
+        raise RuntimeError(f"the self-test worker process exited with status {status} "
+                           "without sending its reports back")
+    failures = [f for f in (failure, their_failure) if f is not None]
+    return keyed + their_keyed, min(failures, key=lambda f: f[0], default=None)
+
+
 def full_suite(profile: Optional[SuiteProfile] = None) -> list:
     """Run every registered identity check; never raises on a failed identity.
 
     Every group checks its identities at fixed tolerances.  Reports come
-    back in deterministic order (by identity name, then parameters).
+    back in deterministic order (by identity name, then parameters, then
+    group registration order, then each group's own order).
+
+    When more than one CPU is usable (``os.sched_getaffinity``, so on
+    Linux) and more than one group is selected, the groups run in two
+    processes: one forked child takes every second group in registration
+    order.  The reports, their order and the error raised are those of
+    running the groups one after another here: a group that raises makes
+    the suite raise the error of the first failing group in registration
+    order (from the child, without its traceback).  On Python 3.12 and
+    later ``os.fork`` warns (DeprecationWarning) in a multi-threaded
+    process, as one with numpy's OpenBLAS pool is; that case is untested.
     """
     profile = profile or SuiteProfile()
-    reports = []
-    for name, fn in _GROUPS.items():
-        if profile.wants_group(name):
-            reports.extend(fn())
-    reports.sort(key=lambda r: r.sort_key())
-    return reports
+    share = [(pos, fn) for pos, (name, fn) in enumerate(_GROUPS.items())
+             if profile.wants_group(name)]
+    # os.sched_getaffinity is Linux's; elsewhere (macOS, Windows) the suite runs in one process
+    if len(share) > 1 and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        keyed, failure = _run_forked(share[0::2], share[1::2])
+    else:
+        keyed, failure = _run_share(share)
+    if failure is not None:
+        raise failure[1]
+    keyed.sort(key=lambda entry: entry[:2])
+    return [report for _, _, report in keyed]

@@ -406,13 +406,16 @@ class TestSelftest:
         assert res.returncode == 0, res.stderr
         assert res.stderr == "False\n"
 
-    def test_cli_and_suite_leave_dataclasses_unimported(self):
-        # a fresh process: the records are NamedTuples, so no command pays for dataclasses
-        code = ("import sys, projheat.cli, projheat.verify; "
-                "print('dataclasses' in sys.modules)")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    def test_selftest_loads_no_dataclasses_or_multiprocessing(self):
+        # a fresh process, its forked worker included: the records are NamedTuples,
+        # and the worker is started with os.fork and reports over a pipe
+        res = subprocess.run([sys.executable, "-X", "importtime", *CMD[1:], "selftest"],
+                             capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout == "False\n"
+        loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "projheat.verify" in loaded
+        assert not loaded & {"dataclasses", "multiprocessing", "concurrent.futures"}
 
     def test_grid_commands_and_suite_leave_numpy_ma_unimported(self):
         # a fresh process: numpy imports numpy.ma lazily, e.g. on a first np.unique

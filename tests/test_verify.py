@@ -4,6 +4,8 @@ import ast
 import inspect
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -307,6 +309,131 @@ class TestSuite:
         names = group_names()
         for expected in ("lemma", "jacobi_rep", "theta2", "kernels_equivalence"):
             assert expected in names
+
+    def test_profile_refuses_a_bare_string(self):
+        # each character of "kernels" would be a prefix, and "l" selects lemma
+        with pytest.raises(TypeError, match=r"write groups=\('kernels',\)"):
+            SuiteProfile(groups="kernels")
+        reports = full_suite(SuiteProfile(groups=["kernels_stationary"]))
+        assert reports and {r.identity_name for r in reports} == {"kernel_stationary_limit"}
+
+
+def _cpus(monkeypatch, count):
+    """Make full_suite see ``count`` usable CPUs, so the one- or two-process run is forced."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _suite_lines(monkeypatch, cpus, profile=None):
+    _cpus(monkeypatch, cpus)
+    return [r.to_json() for r in full_suite(profile)]
+
+
+def _outcome(monkeypatch, cpus, profile):
+    """(class, message) of what full_suite raises with ``cpus`` usable CPUs."""
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(BaseException) as info:
+        full_suite(profile)
+    return type(info.value), str(info.value)
+
+
+#: the first four groups: positions 0 and 2 run in the caller, 1 and 3 in the child
+_ORTHOPOLY = SuiteProfile(groups=("orthopoly",))
+
+
+class TestTwoProcesses:
+    """The suite's groups split over a forked child give the one-process reports and errors."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("profile", [None, SuiteProfile(groups=("kernels",))],
+                             ids=["all", "kernels"])
+    def test_same_reports_in_the_same_order(self, monkeypatch, profile):
+        one = _suite_lines(monkeypatch, 1, profile)
+        assert one and _suite_lines(monkeypatch, 2, profile) == one
+
+    def test_equal_keys_keep_the_one_process_order(self, monkeypatch):
+        # positions 1 (child) and 2 (caller) emit reports that sort equal
+        def group(tag):
+            return lambda: _row_reports("tie", [{}, {}], [tag, tag + 1], [tag, tag + 1], 0.0)
+
+        monkeypatch.setitem(verify._GROUPS, "orthopoly_endpoint", group(10.0))
+        monkeypatch.setitem(verify._GROUPS, "orthopoly_trig", group(20.0))
+        one = _suite_lines(monkeypatch, 1, _ORTHOPOLY)
+        ties = [json.loads(line)["lhs"] for line in one if '"identity":"tie"' in line]
+        assert ties == [10.0, 11.0, 20.0, 21.0]
+        assert _suite_lines(monkeypatch, 2, _ORTHOPOLY) == one
+
+    @pytest.mark.parametrize("raising", [("orthopoly_endpoint",), ("orthopoly_trig",),
+                                         ("orthopoly_endpoint", "orthopoly_trig"),
+                                         ("orthopoly_trig", "orthopoly_ladder")],
+                             ids=["child", "caller", "child-first", "caller-first"])
+    def test_first_failing_group_raises(self, monkeypatch, raising):
+        for i, name in enumerate(raising):
+            error = (ValueError, KeyError)[i]
+
+            def fail(name=name, error=error):
+                raise error(f"{name} failed")
+
+            monkeypatch.setitem(verify._GROUPS, name, fail)
+        expected = (ValueError, f"{raising[0]} failed")
+        assert _outcome(monkeypatch, 1, _ORTHOPOLY) == expected
+        assert _outcome(monkeypatch, 2, _ORTHOPOLY) == expected
+
+    def test_system_exit_in_the_child_share_returns_once(self, monkeypatch, tmp_path):
+        # the child ends in os._exit: the caller's code after full_suite runs in one process
+        log = tmp_path / "pids"
+        monkeypatch.setitem(verify._GROUPS, "orthopoly_endpoint", lambda: sys.exit(3))
+        _cpus(monkeypatch, 2)
+        try:
+            full_suite(_ORTHOPOLY)
+        except SystemExit as exc:
+            code = exc.code
+        finally:  # each process that returns or raises out of full_suite adds a line
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+        assert code == 3
+        assert log.read_text() == f"{os.getpid()}\n"
+
+    @pytest.mark.parametrize("status", [7, 1], ids=["dies", "unpicklable-error"])
+    def test_child_that_sends_no_reports_names_its_status(self, monkeypatch, status):
+        class Unpicklable(Exception):
+            def __init__(self):
+                super().__init__()
+                self.hook = lambda: None  # pickling the child's outcome fails part way
+
+        def fail():
+            if status == 1:
+                raise Unpicklable()
+            os._exit(status)
+
+        monkeypatch.setitem(verify._GROUPS, "orthopoly_ladder", fail)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"exited with status {status} without sending"):
+            full_suite(_ORTHOPOLY)
+
+    def test_failed_fork_runs_every_group_here(self, monkeypatch):
+        one = _suite_lines(monkeypatch, 1, _ORTHOPOLY)
+
+        def no_process():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        assert _suite_lines(monkeypatch, 2, _ORTHOPOLY) == one
+
+    def test_one_group_never_forks(self, monkeypatch, capsys):
+        from projheat import cli
+
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _cpus(monkeypatch, 2)
+        assert cli.main(["selftest", "--only", "lemma"]) == cli.EXIT_OK
+        assert "gegenbauer_ladder_to_jacobi" in capsys.readouterr().out
 
 
 def _source_names(fn) -> set:
