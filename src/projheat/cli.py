@@ -11,15 +11,17 @@ reproducible byte for byte.
 ``atexit`` handlers and finalizers of that process do not run.  Code that
 embeds the CLI calls ``main(argv)``, which returns the exit code.
 
-``table`` and ``compare`` evaluate the whole (t, d) grid with one
-``kernels.unified`` call per method, and write it one t-row at a time,
-each row one block of lines formatted from that row of the records'
-arrays, by one path whatever the method: the CLI writes what the record
-holds and assumes nothing about how a method truncates.
-A grid that fails exits with the error of the first failing t, and at
-one t with the series' error before the integral's: this module alone
-owns that rule, and applies it by evaluating a failing grid again row by
-row (see ``_evaluate_grid``).
+``eval`` and ``table`` evaluate the method that ``--method`` names, and
+``compare`` alone evaluates both.  ``table`` and ``compare`` evaluate the
+whole (t, d) grid with one ``kernels.unified`` call per method, and write
+it one t-row at a time, each row one block of lines formatted from that
+row of the records' arrays, by one path whatever the method: the CLI
+writes what the record holds and assumes nothing about how a method
+truncates.
+A grid that fails exits with the error of the first failing t, and in
+``compare`` at one t with the series' error before the integral's: this
+module alone owns that rule, and applies it by evaluating a failing grid
+again row by row (see ``_evaluate_grid``).
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-grid", default=None, metavar="A:B:STEPS",
                        help="inclusive distance grid")
         if with_method:
-            p.add_argument("--method", choices=(*kernels.METHODS, "both"), default="series")
+            p.add_argument("--method", choices=kernels.METHODS, default="series",
+                           help="representation to evaluate (default series); "
+                                "compare evaluates both")
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty",
                        dest="fmt")
@@ -148,10 +152,6 @@ def _output(args):
         raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
-def _methods(args) -> tuple:
-    return kernels.METHODS if args.method == "both" else (args.method,)
-
-
 def _evaluate_grid(args, t_default, d_default, methods, tol):
     """Kernel records over the requested grid: (space, ts, ds, records).
 
@@ -190,46 +190,31 @@ def cmd_eval(args) -> int:
             raise UsageError(f"eval needs a single --{name}")
     if args.fmt != "pretty":
         return cmd_table(args)
-    *_, records = _evaluate_grid(args, None, None, _methods(args), args.tol)
+    *_, [res] = _evaluate_grid(args, None, None, (args.method,), args.tol)
 
     with _output(args) as out:
-        if args.method == "both":
-            vs, vi = (float(r.value[0, 0]) for r in records)
-            out.write(f"value_series   {_fmt(vs)}\n")
-            out.write(f"value_integral {_fmt(vi)}\n")
-            out.write(f"abs_diff       {_fmt(abs(vs - vi))}\n")
-        else:
-            [res] = records
-            out.write(f"value          {_fmt(res.value[0, 0])}\n")
-            out.write(f"method         {args.method}\n")
-            out.write(f"terms_or_nodes {res.terms_or_nodes[0, 0]}\n")
-            out.write(f"est_error      {_fmt(res.est_error[0, 0])}\n")
+        out.write(f"value          {_fmt(res.value[0, 0])}\n")
+        out.write(f"method         {args.method}\n")
+        out.write(f"terms_or_nodes {res.terms_or_nodes[0, 0]}\n")
+        out.write(f"est_error      {_fmt(res.est_error[0, 0])}\n")
     return EXIT_OK
 
 
 def cmd_table(args) -> int:
-    space, ts, ds, records = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", _methods(args),
-                                            args.tol)
-    both = args.method == "both"
-    names = ("value_series", "value_integral", "abs_diff") if both else (
-        "value", "est_error", "terms_or_nodes")
+    space, ts, ds, [res] = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", (args.method,),
+                                          args.tol)
+    names = ("value", "est_error", "terms_or_nodes")
     d_strs = [_fmt(d) for d in ds]
 
     with _output(args) as out:
         if args.fmt != "json":
             out.write(f"k,n,t,d,method,{','.join(names)}\n")
-        for i, t in enumerate(ts):
-            if both:
-                a, b = (r.value[i] for r in records)
-                columns = [a, b, np.abs(a - b)]
-            else:
-                [a] = records
-                columns = [a.value[i], a.est_error[i], a.terms_or_nodes[i]]
+        for t, *columns in zip(ts, res.value, res.est_error, res.terms_or_nodes):
             if args.fmt == "json":
                 head = {"k": space.k, "n": space.n, "t": t}
-                method = {} if both else {"method": args.method}
                 out.write("".join(
-                    json.dumps({**head, "d": d, **method, **dict(zip(names, entries))}) + "\n"
+                    json.dumps({**head, "d": d, "method": args.method,
+                                **dict(zip(names, entries))}) + "\n"
                     for d, *entries in zip(ds, *(c.tolist() for c in columns))))
             else:  # one row path for every method: each column is the record's own
                 line, varying = f"{space.k},{space.n},{_fmt(t)},%s,{args.method}", [d_strs]

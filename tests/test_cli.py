@@ -67,13 +67,6 @@ class TestEval:
         rec = json.loads(res.stdout)
         assert rec["method"] == "series" and rec["value"] > 0
 
-    def test_both_methods(self):
-        res = run("eval", "--t", "0.5", "--d", "0.3", "--method", "both",
-                  "--format", "json")
-        rec = json.loads(res.stdout)
-        assert abs(rec["value_series"] - rec["value_integral"]) == rec["abs_diff"]
-        assert rec["abs_diff"] <= 1e-8
-
 
 class TestTable:
     def test_grid_cardinality_and_header(self):
@@ -101,15 +94,15 @@ class TestTable:
         assert ts == sorted(ts)
         assert ds[0] < ds[1] and ds[2] < ds[3]
 
-    def test_both_adds_diff_column(self):
-        res = run("table", "--space", "cpn", "--t-grid", "0.3:0.6:2",
-                  "--d-grid", "0.2:0.9:2", "--method", "both", "--format", "csv")
-        lines = res.stdout.strip().splitlines()
-        assert lines[0] == "k,n,t,d,method,value_series,value_integral,abs_diff"
-        for line in lines[1:]:
-            parts = line.split(",")
-            vs, vi, diff = float(parts[5]), float(parts[6]), float(parts[7])
-            assert diff == abs(vs - vi)
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    def test_pretty_is_the_csv(self, capsys, method):
+        # --format pretty, the default, writes the csv bytes
+        argv = ["table", "--space", "cpn", "--n", "2", "--t-grid", "0.3:0.6:2",
+                "--d-grid", "0.2:0.9:3", "--method", method]
+        assert cli.main(argv) == cli.EXIT_OK
+        pretty = capsys.readouterr().out
+        assert cli.main(argv + ["--format", "csv"]) == cli.EXIT_OK
+        assert pretty == capsys.readouterr().out
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -187,6 +180,18 @@ class TestCompare:
             rec = json.loads(line)
             assert rec["identity"] == "representation_equivalence"
             assert rec["passed"]
+
+    def test_values_are_the_tables(self, capsys):
+        # at the default --tol, compare's two value columns are table's value column
+        # of each method, bit for bit
+        grid = ["--space", "hpn", "--n", "2", "--t-grid", "0.2:1:3", "--d-grid", "0:1.4:4",
+                "--format", "csv"]
+        assert cli.main(["compare", *grid]) == cli.EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        for column, method in ((4, "series"), (5, "integral")):
+            assert cli.main(["table", *grid, "--method", method]) == cli.EXIT_OK
+            table = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert [r[:4] + [r[column]] for r in rows] == [r[:4] + [r[5]] for r in table]
 
     def test_largest_quaternionic_space(self):
         res = run("compare", "--space", "hpn", "--n", "3", "--t-grid", "0.1:0.5:2",
@@ -271,7 +276,10 @@ class TestErrorLines:
         ("compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0",
          "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
         # both methods fail at every t: the series at the first t
-        ("table --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3 --method both",
+        ("compare --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3",
+         "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
+        # the series alone fails the same way, at the first t
+        ("table --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3 --method series",
          "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
         # the first t fails, at the first distance that fails there
         ("table --space hpn --n 8 --t-grid 0.5:5:3 --d-grid 0:1.2:3 --method integral",
@@ -302,7 +310,7 @@ class TestErrorLines:
 
     def test_error_no_row_meets_alone_is_not_raised(self, capsys, monkeypatch):
         # a grid call may fail where no row fails alone; the rows then give the output
-        argv = ["table", "--method", "both"]
+        argv = ["compare"]
         assert cli.main(argv) == cli.EXIT_OK
         want = capsys.readouterr()
         call = thetapsi.PsiSeries.__call__
@@ -315,6 +323,16 @@ class TestErrorLines:
         monkeypatch.setattr(thetapsi.PsiSeries, "__call__", single_row_only)
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("command", ["eval", "table"])
+    def test_method_both_is_usage_error(self, capsys, command):
+        # compare is the one command that evaluates both methods
+        argv = [command, "--t", "0.5", "--d", "0.3", "--method", "both"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: projheat {command} ")
+        assert "argument --method: invalid choice: 'both'" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["table"],
@@ -420,8 +438,8 @@ class TestSelftest:
     def test_grid_commands_and_suite_leave_numpy_ma_unimported(self):
         # a fresh process: numpy imports numpy.ma lazily, e.g. on a first np.unique
         code = ("import sys; from projheat import cli; "
-                "assert [cli.main(argv) for argv in (['table', '--method', 'both'], "
-                "['compare'], ['selftest'])] == [0, 0, 0]; "
+                "assert [cli.main(argv) for argv in (['table'], "
+                "['table', '--method', 'integral'], ['compare'], ['selftest'])] == [0, 0, 0, 0]; "
                 "sys.stdout.flush(); print('numpy.ma' in sys.modules, file=sys.stderr)")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
@@ -445,7 +463,7 @@ class TestImports:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
 
-    @pytest.mark.parametrize("argv", [["table", "--method", "both"],
+    @pytest.mark.parametrize("argv", [["table", "--method", "integral"],
                                       ["eval", "--t", "0.5", "--d", "0.3"]])
     def test_table_and_eval_leave_verify_unloaded(self, argv):
         code = (f"import sys; from projheat import cli; assert cli.main({argv!r}) == 0; "

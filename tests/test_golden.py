@@ -36,13 +36,10 @@ COMMANDS = {
                                             "--format", "csv"], cli.EXIT_OK)
         for space in ("cpn", "hpn") for n in (1, 2, 3)
     },
-    "table_both_hpn_n2.json": (["table", "--space", "hpn", "--n", "2",
-                                "--t-grid", "0.2:1:2", "--d-grid", "0:1.2:3",
-                                "--method", "both", "--format", "json"], cli.EXIT_OK),
     **{
         f"eval_{method}.{fmt}": (["eval", *POINT, "--method", method, "--format", fmt],
                                  cli.EXIT_OK)
-        for method in ("series", "integral", "both")
+        for method in ("series", "integral")
         for fmt in ("pretty", "csv", "json")
     },
     "compare_cpn_n2.csv": (["compare", "--space", "cpn", "--n", "2",
@@ -95,7 +92,7 @@ def test_process_stdout_matches_golden(name):
 
 
 def test_process_out_file_matches_golden(tmp_path):
-    name = "table_both_hpn_n2.json"
+    name = "table_integral_cpn_n2.json"
     argv, code = COMMANDS[name]
     out = tmp_path / name
     proc = _process(argv + ["--out", str(out)])
