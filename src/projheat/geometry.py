@@ -22,18 +22,17 @@ With this normalization the functions r -> P_l^(kn-1, k-1)(cos 2r) are
 eigenfunctions with eigenvalue -4 l (l + kn + k - 1), matching the decay
 rates of the spectral kernels, and integral of J over [0, pi/2] is the
 manifold volume, pi^(kn) (k-1)!/c! with c = k(n+1) - 1; its reciprocal is the
-kernel's long-time limit.  ``SpaceDescriptor`` owns the accepted range of
-(k, n): c <= MAX_OFFSET, so that every factorial the kernels and the volume
-read converts to a float.  The Laplacian here is evaluated by central
-differences: it serves as an independent check on closed-form results, so
-it must not share code with them.
+kernel's long-time limit (``verify`` computes both).  ``SpaceDescriptor`` owns
+the accepted range of (k, n): c <= MAX_OFFSET, so that every factorial the
+kernels and the suite read converts to a float.  The Laplacian here is
+evaluated by central differences: it serves as an independent check on
+closed-form results, so it must not share code with them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -146,44 +145,13 @@ def distance(space: SpaceDescriptor, x, y):
     return np.minimum(2.0 * np.arcsin(0.25 * (gap[0] + gap[1])), _HALF_PI)
 
 
-def _offset_factorial(space: SpaceDescriptor) -> tuple:
-    """(c!/(k-1)! / 2^shift, shift), the quotient as a float.
-
-    c! overflows a float at the top of the accepted n range, so the exact
-    integer quotient is divided down by a power of two (shift > 0 only
-    above 2^1000).  That step and the caller's ldexp by 2^shift are exact,
-    so results equal the plain float quotient wherever that one fits.
-    """
-    whole = math.factorial(space.spectral_offset) // math.factorial(space.k - 1)
-    shift = max(0, whole.bit_length() - 1000)
-    return whole / (1 << shift), shift
-
-
-def manifold_volume(space: SpaceDescriptor) -> float:
-    """Total Riemannian volume, pi^(kn) / (c!/(k-1)!)."""
-    scaled, shift = _offset_factorial(space)
-    return math.ldexp(math.pi ** (space.k * space.n) / scaled, -shift)
-
-
-def stationary_value(space: SpaceDescriptor) -> float:
-    """Long-time limit of the kernel, 1 / volume of the space: c!/(k-1)! / pi^(kn)."""
-    scaled, shift = _offset_factorial(space)
-    return math.ldexp(scaled / math.pi ** (space.k * space.n), shift)
-
-
-def density_constant(space: SpaceDescriptor) -> float:
-    """Prefactor of the radial volume density, 2 pi^(kn) / (kn-1)!."""
-    kn = space.k * space.n
-    return 2.0 * math.pi**kn / math.factorial(kn - 1)
-
-
 def volume_density(space: SpaceDescriptor, r):
     """Geodesic-polar volume density J(r) on (0, pi/2), vectorized in r."""
     r_arr = np.asarray(r, dtype=float)
     if not np.all((0.0 < r_arr) & (r_arr < _HALF_PI)):
         raise DomainError("radius must lie strictly inside (0, pi/2)")
     kn = space.k * space.n
-    vals = (density_constant(space) * np.sin(r_arr) ** (2 * kn - 1)
+    vals = (2.0 * math.pi**kn / math.factorial(kn - 1) * np.sin(r_arr) ** (2 * kn - 1)
             * np.cos(r_arr) ** (2 * space.k - 1))
     return float(vals) if np.ndim(r) == 0 else vals
 
@@ -209,13 +177,6 @@ def radial_laplacian_fd(space: SpaceDescriptor, f: Callable, r, h: float = 1e-3)
     kn = space.k * space.n
     coef = (2 * kn - 1) / np.tan(r) - (2 * space.k - 1) * np.tan(r)
     return second + coef * first
-
-
-def random_unit_scalar(space_k: int, rng: random.Random) -> np.ndarray:
-    """Encoded unit-modulus scalar of the coordinate field, for invariance tests."""
-    v = [rng.gauss(0.0, 1.0) for _ in range(2 * space_k)]
-    # w + x i + y j + z k is encoded as the entries w + x i and y - z i
-    return np.array([complex(v[0], v[1]), complex(*v[2:]).conjugate()][:space_k]) / math.hypot(*v)
 
 
 def scale_point(p, s) -> np.ndarray:

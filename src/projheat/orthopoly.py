@@ -24,12 +24,23 @@ evaluation point outside its domain.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DomainError
 
 # cos() roundoff can land arguments marginally outside [-1, 1]
 _X_SLACK = 1e-12
+
+
+def _check_count(value, what: str, least: int = 0) -> None:
+    try:  # numpy integers pass, floats do not
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value}")
 
 
 def _check_degrees(l) -> list:
@@ -39,8 +50,7 @@ def _check_degrees(l) -> list:
         raise DomainError(f"degrees must be one degree or a row, got {arr.ndim} dimensions")
     degrees = arr.tolist() if arr.ndim else [l]
     for degree in degrees:
-        if degree < 0:
-            raise DomainError(f"degree must be >= 0, got {degree}")
+        _check_count(degree, "degree")
     return degrees
 
 
@@ -104,14 +114,6 @@ def jacobi_p(l, a: float, b: float, x):
                         l, x)
 
 
-def jacobi_endpoint(l: int, alpha: float) -> float:
-    """P_l^(alpha,beta)(1) = binom(l + alpha, l), independent of beta."""
-    out = 1.0
-    for i in range(1, l + 1):
-        out *= (alpha + i) / i
-    return out
-
-
 def gegenbauer_step(l: int, lam: float, x, c_cur, c_prev):
     """C_l^lam(x) from (C_{l-1}, C_{l-2}) by the three-term recurrence.
 
@@ -142,8 +144,7 @@ def ladder_apply(m: int, l, lam: float, x):
     That is 2^m (lam)_m C_{l-m}^{lam+m}(x), and zero when m > l (the
     operator has differentiated the polynomial away).
     """
-    if m < 0:
-        raise DomainError(f"ladder count must be >= 0, got {m}")
+    _check_count(m, "ladder count")
     degrees = _check_degrees(l)
     _check_order(lam)
     rising = 1.0  # (lam)_m

@@ -41,10 +41,10 @@ import numpy as np
 
 from .errors import DomainError, TruncationCapError
 from .geometry import MAX_OFFSET
-from .orthopoly import gegenbauer_step
+from .orthopoly import _check_count, gegenbauer_step
 
 
-#: absolute tail tolerance of psi_sum and of the theta oracles, unless psi_sum's caller gives one
+#: absolute tail tolerance of psi_sum, unless its caller gives one
 DEFAULT_TOL = 1e-12
 
 #: hard cap on the terms of one series, which TruncationCapError reports
@@ -65,13 +65,12 @@ def _weights(c: int, t: float, tol: float, base: float) -> list:
     enters.  A weight is tested before it is kept: one that is not finite
     raises TruncationCapError.
     """
-    half = 0.5 * c
     shift = float(c * c)  # the folded exp(c^2 t)
     weights = []
-    endpoint = 1.0  # binom(q + c - 1, 2c - 1) for the current l
+    endpoint = decay = 1.0  # binom(q + c - 1, 2c - 1) and exp((c^2 - 4 (l + c/2)^2) t) at l
     for l in range(TERM_CAP + 1):
         q = 2 * l + c
-        w = math.exp((shift - 4.0 * (l + half) ** 2) * t) * q * base
+        w = decay * q * base
         if not math.isfinite(w):  # the ladder scale overflowed: never let it into the sum
             raise _weights_overflow(c, t)
         weights.append(w)
@@ -79,7 +78,8 @@ def _weights(c: int, t: float, tol: float, base: float) -> list:
         # advance the endpoint bound to l+1 and test the geometric majorant
         endpoint *= ((q + c) * (q + c + 1)) / ((q - c + 1) * (q - c + 2))
         qn = q + 2
-        b_next = math.exp((shift - 4.0 * (l + 1 + half) ** 2) * t) * qn * base * endpoint
+        decay = math.exp((shift - 4.0 * (l + 1 + 0.5 * c) ** 2) * t)  # term l+1's, carried
+        b_next = decay * qn * base * endpoint
         rho = (
             math.exp(-4.0 * t * (qn + 1))
             * ((qn + 2) / qn)
@@ -113,8 +113,7 @@ class PsiSeries:
     """
 
     def __init__(self, c: int, ts, tol: float = DEFAULT_TOL):
-        if c < 1:
-            raise DomainError(f"ladder count must be >= 1, got {c}")
+        _check_count(c, "ladder count", 1)
         if not tol > 0:
             raise DomainError(f"tolerance must be positive, got {tol}")
         ts = np.asarray(ts, dtype=float)

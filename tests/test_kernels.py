@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose
 from helpers import integral_kernel_reference
 from projheat import quadrature, thetapsi
 from projheat.errors import DomainError, QuadratureConvergenceError, TruncationCapError
-from projheat.geometry import SpaceDescriptor, stationary_value
+from projheat.geometry import SpaceDescriptor
 from projheat.kernels import KernelValue, series_values, unified
+from projheat.verify import _stationary_value as stationary_value
 
 
 class TestStationaryLimits:

@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projheat.errors import DomainError
-from projheat.orthopoly import gegenbauer_c, jacobi_endpoint, jacobi_p, ladder_apply
+from projheat.orthopoly import gegenbauer_c, jacobi_p, ladder_apply
+from projheat.verify import _jacobi_endpoint as jacobi_endpoint
 
 from helpers import (
     gegenbauer_series_exact,
@@ -69,6 +70,17 @@ class TestJacobi:
             jacobi_p(2, -0.6, 0, 0.3)
         with pytest.raises(DomainError):
             jacobi_p(2, 0, -0.5, 0.3)
+
+    @pytest.mark.parametrize("l", [2.5, 2.0, [1, 2.5], np.float64(3.0), np.array([1.0, 2.0])],
+                             ids=["half", "whole_float", "row", "numpy_float", "float_row"])
+    def test_non_integer_degree_rejected(self, l):
+        with pytest.raises(DomainError, match="degree must be an integer"):
+            jacobi_p(l, 1.0, 1.0, 0.3)
+
+    def test_numpy_integer_degrees_pass(self):
+        assert jacobi_p(np.int64(3), 1.0, 1.0, 0.3) == jacobi_p(3, 1.0, 1.0, 0.3)
+        assert jacobi_p(np.arange(4), 1.0, 1.0, 0.3).tolist() == [
+            jacobi_p(l, 1.0, 1.0, 0.3) for l in range(4)]
 
     def test_nan_point_rejected(self):
         with pytest.raises(DomainError):
@@ -187,6 +199,19 @@ class TestLadder:
         fd = ladder_fd(lambda u: gegenbauer_c(l, lam, np.cos(u)), US, m)
         scale = max(1.0, float(np.max(np.abs(exact))))
         assert np.max(np.abs(exact - fd)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("m,l,match", [
+        (1.5, 3, "ladder count must be an integer"),
+        (2.0, 3, "ladder count must be an integer"),
+        (np.float64(1.0), 3, "ladder count must be an integer"),
+        (1, 3.5, "degree must be an integer"),
+    ], ids=["half", "whole_float", "numpy_float", "degree"])
+    def test_non_integer_count_rejected(self, m, l, match):
+        with pytest.raises(DomainError, match=match):
+            ladder_apply(m, l, 1.0, 0.3)
+
+    def test_numpy_integer_count_passes(self):
+        assert ladder_apply(np.int64(2), np.int64(4), 1.0, 0.3) == ladder_apply(2, 4, 1.0, 0.3)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

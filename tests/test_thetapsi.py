@@ -161,6 +161,19 @@ class TestPsi:
         with pytest.raises(DomainError):
             psi_sum(0, 0.5, 0.3)
 
+    @pytest.mark.parametrize("build", [
+        lambda: thetapsi.PsiSeries(2.5, [0.5]),
+        lambda: thetapsi.PsiSeries(2.0, [0.5]),
+        lambda: thetapsi.PsiSeries(np.float64(3.0), [0.5]),
+        lambda: psi_sum(2.0, 0.5, 0.3),
+    ], ids=["half", "whole_float", "numpy_float", "psi_sum"])
+    def test_rejects_non_integer_ladder_count(self, build):
+        with pytest.raises(DomainError, match="ladder count must be an integer"):
+            build()
+
+    def test_numpy_integer_ladder_count_passes(self):
+        assert psi_sum(np.int64(3), 0.5, 0.3) == psi_sum(3, 0.5, 0.3)
+
     def test_rejects_ladder_count_whose_scale_overflows(self):
         with pytest.raises(DomainError, match="ladder count must be <= 171, got 200"):
             psi_sum(200, 0.5, 0.3)
