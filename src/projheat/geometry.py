@@ -166,6 +166,8 @@ def radial_laplacian_fd(space: SpaceDescriptor, f: Callable, r, h: float = 1e-3)
     radius, or rows of them with the radius as the last axis: several
     functions at once, each row its own Laplacian.
     """
+    if not h > 0:  # NaN fails too
+        raise DomainError(f"step must be positive, got {h}")
     r = np.asarray(r, dtype=float)
     if not np.all((h < r) & (r < _HALF_PI - h)):
         raise DomainError(f"radius {r} too close to the coordinate endpoints for step {h}")

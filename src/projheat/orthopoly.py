@@ -55,7 +55,7 @@ def _check_degrees(l) -> list:
 
 
 def _check_order(lam: float) -> None:
-    if not lam > 0:
+    if not 0 < lam < np.inf:  # NaN fails too
         raise DomainError(f"order must be positive, got {lam}")
 
 
@@ -107,7 +107,7 @@ def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):
 def jacobi_p(l, a: float, b: float, x):
     """P_l^(a,b)(x) for x in [-1, 1] by three-term recurrence; l is a degree or a row."""
     degrees = _check_degrees(l)
-    if not (a > -0.5 and b > -0.5):
+    if not (-0.5 < a < np.inf and -0.5 < b < np.inf):
         raise DomainError(f"weight exponents must exceed -1/2, got alpha={a}, beta={b}")
     xv = _check_x(x)
     return _one_or_rows(_rows(lambda k, p, q: jacobi_step(k, a, b, xv, p, q), degrees, xv.shape),

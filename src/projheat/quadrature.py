@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
-from .orthopoly import gegenbauer_step
+from .orthopoly import _check_count, gegenbauer_step
 
 _HALF_PI = 0.5 * math.pi
 
@@ -61,8 +61,7 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
     standard cosine initial guesses; weights are 2 / ((1 - x^2) P_n'^2).
     Results are cached and the returned arrays are read-only.
     """
-    if count < 1:
-        raise DomainError(f"node count must be >= 1, got {count}")
+    _check_count(count, "node count", 1)
     cached = _RULE_CACHE.get(count)
     if cached is not None:
         return cached

@@ -8,9 +8,9 @@ within tolerance, which amounts to relative comparison for large values
 and absolute comparison near zero.
 
 The first weight exponent of the square-root integral representation of
-Jacobi polynomials is settled as "2n-2".  The suite still evaluates both
-readings and reports which one is numerically true, because the
-benchmark's check of the selftest output reads that resolution report.
+Jacobi polynomials, displayed in the source as "2n-1", is a typo for
+"2n-2".  The suite certifies "2n-2" point by point and keeps one
+resolution report, which passes only while the displayed reading misses.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from .geometry import SpaceDescriptor
 from .quadrature import adaptive_integrate_row, gauss_legendre_rule
 
 _HALF_PI = 0.5 * math.pi
-
-#: the two candidate first exponents of the integral-representation identity
-JACOBI_REP_CONVENTIONS = ("2n-1", "2n-2")
 
 #: projective indices every per-space group covers, and those spaces over both fields
 _NS = (1, 2, 3)
@@ -379,18 +376,16 @@ def lemma_check(n: int, ls, ds) -> list:
                         (values / cos2s).ravel(), rhss.ravel(), 1e-8)
 
 
-def _jacobi_rep_rows(n: int, ls, ds) -> dict:
-    """Inverse-square-root integral representation of Jacobi polynomials, both readings.
+def _jacobi_rep_rows(n: int, ls, ds) -> tuple:
+    """Inverse-square-root integral representation of Jacobi polynomials.
 
     RHS: 2 (l+1)! (2n-2)! / (pi (l+2n-1)!) times the integral over
     [d, pi/2] of sin(u) C_{2l+2}^(2n-1)(cos u) / sqrt(cos^2 d - cos^2 u).
-    LHS: P_{l+1}^(a, 0)(cos 2d) with a = 2n-1 or 2n-2 per reading of
-    JACOBI_REP_CONVENTIONS; exactly one makes this an identity.  Returns each
-    reading's reports, one per degree l of ``ls`` and distance d of ``ds``,
-    in that order, at tolerance 1e-8.  The degrees are the rows of one
-    doubling loop, which serves both readings, each degree to the tolerance
-    of "2n-2", the tighter one, as P_{l+1}^(2n-2, 0)(1) is the smaller
-    endpoint.
+    LHS: P_{l+1}^(2n-2, 0)(cos 2d).  Returns one report per degree l of
+    ``ls`` and distance d of ``ds``, in that order, at tolerance 1e-8, and
+    the verdict on the displayed reading P_{l+1}^(2n-1, 0) under the same
+    rule: (holds at every point, largest relative error).  The degrees are
+    the rows of one doubling loop.
     """
     ls = list(ls)
 
@@ -402,17 +397,18 @@ def _jacobi_rep_rows(n: int, ls, ds) -> dict:
         math.pi * math.factorial(l + 2 * n - 1)) for l in ls]
     qtols = [[max(1e-13, 1e-11 * max(1.0, _jacobi_endpoint(l + 1, 2 * n - 2))) / const]
              * len(ds) for l, const in zip(ls, consts)]
-    rhs = np.array(consts)[:, None] * adaptive_integrate_row(ds, -0.5, g, qtols).value
+    rhs = (np.array(consts)[:, None] * adaptive_integrate_row(ds, -0.5, g, qtols).value).ravel()
     xs = np.array([math.cos(2 * d) for d in ds])
-    rows = {}
-    for convention in JACOBI_REP_CONVENTIONS:
-        alpha = 2 * n - 1 if convention == "2n-1" else 2 * n - 2
-        rows[convention] = _row_reports(
-            "jacobi_sqrt_integral_rep",
-            [{"n": n, "l": l, "d": float(d), "convention": convention} for l in ls for d in ds],
-            orthopoly.jacobi_p([l + 1 for l in ls], alpha, 0, xs).ravel(), rhs.ravel(), 1e-8,
-            scale=[max(1.0, _jacobi_endpoint(l + 1, alpha)) for l in ls for _ in ds])
-    return rows
+
+    def sides(alpha):  # one reading's left side against rhs, with its endpoint scale
+        return (orthopoly.jacobi_p([l + 1 for l in ls], alpha, 0, xs).ravel(), rhs, 1e-8,
+                [max(1.0, _jacobi_endpoint(l + 1, alpha)) for l in ls for _ in ds])
+
+    reports = _row_reports("jacobi_sqrt_integral_rep",
+                           [{"n": n, "l": l, "d": float(d)} for l in ls for d in ds],
+                           *sides(2 * n - 2))
+    _, rel_err, passed = compare_values(*sides(2 * n - 1))
+    return reports, (bool(passed.all()), float(rel_err.max()))
 
 
 def _theta2_sides(n: int, t: float, xs: list):
@@ -790,33 +786,23 @@ def _check_lemma():
 
 
 def _check_jacobi_rep():
-    """Decide the open superscript question and certify the winning reading.
+    """Certify the "2n-2" reading point by point and refute the displayed "2n-1".
 
-    Both candidate conventions are evaluated over the full grid; only the
-    numerically true one is emitted point by point (those reports must all
-    pass), while the resolution report names the winner and records how
-    badly the rejected reading misses.
+    The resolution report passes only if the displayed reading misses
+    somewhere, and records its largest relative error.  Its lhs counts the
+    readings that hold, "2n-2" by its own reports.
     """
-    by_convention = {c: [] for c in JACOBI_REP_CONVENTIONS}
+    reports, verdicts = [], []
     for n in _NS:
-        for c, reps in _jacobi_rep_rows(n, range(9), _REP_DS).items():
-            by_convention[c].extend(reps)
-    worst_rejected = {c: max(r.rel_err for r in reps) for c, reps in by_convention.items()}
-    winners = [c for c, reps in by_convention.items() if all(r.passed for r in reps)]
-    resolution = winners[0] if len(winners) == 1 else ("both" if winners else "none")
-    reports = list(by_convention[resolution]) if resolution in by_convention else []
-    rejected = [c for c in JACOBI_REP_CONVENTIONS if c != resolution]
+        reps, verdict = _jacobi_rep_rows(n, range(9), _REP_DS)
+        reports.extend(reps)
+        verdicts.append(verdict)
+    displayed_holds = all(holds for holds, _ in verdicts)
     reports.append(_flag_report(
         "jacobi_sqrt_integral_rep_resolution",
-        {
-            "passing_convention": resolution,
-            "rejected": rejected,
-            "rejected_max_rel_err": max(
-                (worst_rejected[c] for c in rejected), default=0.0
-            ),
-        },
-        float(len(winners)), 1.0, float(len(winners) != 1),
-    ))
+        {"passing_convention": "2n-2", "rejected": ["2n-1"],
+         "rejected_max_rel_err": max(worst for _, worst in verdicts)},
+        1.0 + displayed_holds, 1.0, float(displayed_holds)))
     return reports
 
 

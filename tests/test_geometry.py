@@ -357,6 +357,15 @@ class TestRadialLaplacian:
         with pytest.raises(DomainError):
             radial_laplacian_fd(space, lambda r: r, 1e-5, h=1e-3)
 
+    @pytest.mark.parametrize("h", [-1.0, 0.0, math.nan])
+    def test_non_positive_step_rejected(self, h):
+        # a negative step widened the accepted range and sampled f outside (0, pi/2)
+        def f(rr):
+            raise AssertionError(f"f sampled at {rr}")
+
+        with pytest.raises(DomainError, match="step must be positive"):
+            radial_laplacian_fd(SpaceDescriptor(n=2, k=1), f, 0.5, h=h)
+
     def test_row_equals_scalar_calls(self):
         space = SpaceDescriptor(n=2, k=2)
         f = lambda rr: jacobi_p(3, 3, 1, np.cos(2.0 * rr))

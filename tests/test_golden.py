@@ -14,6 +14,7 @@ To regenerate the files (only when an output change is intended):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -98,6 +99,17 @@ def test_process_out_file_matches_golden(tmp_path):
     proc = _process(argv + ["--out", str(out)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b"")
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_selftest_golden_passes_the_benchmark_check(monkeypatch):
+    # perfbench/checks.py reads the selftest workload's output; pin its verdict on the golden
+    bench = pathlib.Path(__file__).parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # checks.py imports its siblings by bare name
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no cache in perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_checks", bench / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.check_selftest((GOLDEN / "selftest.txt").read_text()) == []
 
 
 def test_process_help_matches_in_process(monkeypatch, capsys):

@@ -71,6 +71,11 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi_p(2, 0, -0.5, 0.3)
 
+    @pytest.mark.parametrize("a,b", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_infinite_exponent_rejected(self, a, b):
+        with pytest.raises(DomainError, match="weight exponents must exceed -1/2"):
+            jacobi_p(2, a, b, 0.3)
+
     @pytest.mark.parametrize("l", [2.5, 2.0, [1, 2.5], np.float64(3.0), np.array([1.0, 2.0])],
                              ids=["half", "whole_float", "row", "numpy_float", "float_row"])
     def test_non_integer_degree_rejected(self, l):
@@ -170,6 +175,10 @@ class TestGegenbauer:
         with pytest.raises(DomainError):
             gegenbauer_c(2, 1.0, float("nan"))
 
+    def test_infinite_order_rejected(self):
+        with pytest.raises(DomainError, match="order must be positive"):
+            gegenbauer_c(2, math.inf, 0.3)
+
 
 class TestLadder:
     def test_identity_operator(self):
@@ -209,6 +218,10 @@ class TestLadder:
     def test_non_integer_count_rejected(self, m, l, match):
         with pytest.raises(DomainError, match=match):
             ladder_apply(m, l, 1.0, 0.3)
+
+    def test_infinite_order_rejected(self):
+        with pytest.raises(DomainError, match="order must be positive"):
+            ladder_apply(1, 2, math.inf, 0.3)
 
     def test_numpy_integer_count_passes(self):
         assert ladder_apply(np.int64(2), np.int64(4), 1.0, 0.3) == ladder_apply(2, 4, 1.0, 0.3)

@@ -72,8 +72,13 @@ class TestRuleGeneration:
         assert rule.weights.tobytes() == reference.weights.tobytes()
 
     def test_rejects_bad_count(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="node count must be >= 1, got 0"):
             gauss_legendre_rule(0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0)])
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(DomainError, match="node count must be an integer"):
+            gauss_legendre_rule(count)
 
 
 def _hard(u):

@@ -15,7 +15,6 @@ from helpers import ladder_fd_point
 from projheat import orthopoly, verify
 from projheat.errors import QuadratureConvergenceError
 from projheat.verify import (
-    JACOBI_REP_CONVENTIONS,
     SuiteProfile,
     _brute_sum,
     _jacobi_rep_rows,
@@ -190,32 +189,42 @@ class TestLemma:
 class TestJacobiRep:
     def test_shifted_convention_passes(self):
         for n, l, d in ((1, 0, 0.0), (1, 2, 0.7), (2, 1, 0.4), (3, 5, 1.1)):
-            [rep] = _jacobi_rep_rows(n, [l], [d])["2n-2"]
+            [rep], _ = _jacobi_rep_rows(n, [l], [d])
             assert rep.abs_err <= 1e-9 or rep.rel_err <= 1e-9, rep.parameters
 
     def test_displayed_convention_fails(self):
         # at n=1, l=0, d=0 the displayed reading compares P_1^(1,0)(1) = 2
         # against an integral worth 1: off by a factor two, not a roundoff
-        [rep] = _jacobi_rep_rows(1, [0], [0.0])["2n-1"]
-        assert not rep.passed
-        assert_allclose(rep.lhs, 2.0, rtol=1e-12)
+        [rep], (holds, worst) = _jacobi_rep_rows(1, [0], [0.0])
         assert_allclose(rep.rhs, 1.0, rtol=1e-9)
+        assert not holds
+        assert worst >= 0.5
 
+    # 2n-2 is checked on its reports, the displayed 2n-1 on its verdict
     @pytest.mark.parametrize("convention", ["2n-1", "2n-2"])
     @pytest.mark.parametrize("n,l", [(1, 0), (2, 3), (3, 8)])
     def test_row_equals_one_distance_rows(self, n, l, convention):
         ds = [0.0, 0.3, 0.7, 1.1, 1.4]
-        row = _jacobi_rep_rows(n, [l], ds)[convention]
-        assert [r.parameters["d"] for r in row] == ds
-        assert row == [_jacobi_rep_rows(n, [l], [d])[convention][0] for d in ds]
+        row, verdict = _jacobi_rep_rows(n, [l], ds)
+        ones = [_jacobi_rep_rows(n, [l], [d]) for d in ds]
+        if convention == "2n-2":
+            assert [r.parameters["d"] for r in row] == ds
+            assert row == [reps[0] for reps, _ in ones]
+        else:
+            assert verdict == (all(holds for _, (holds, _) in ones),
+                               max(worst for _, (_, worst) in ones))
 
     @pytest.mark.parametrize("convention", ["2n-1", "2n-2"])
     def test_degrees_as_rows_are_one_degree_calls(self, convention):
         ds = [0.0, 0.3, 0.7, 1.1, 1.4]
         for n in (1, 3):
-            rows = _jacobi_rep_rows(n, range(9), ds)[convention]
-            assert rows == [rep for l in range(9)
-                            for rep in _jacobi_rep_rows(n, [l], ds)[convention]]
+            rows, verdict = _jacobi_rep_rows(n, range(9), ds)
+            ones = [_jacobi_rep_rows(n, [l], ds) for l in range(9)]
+            if convention == "2n-2":
+                assert rows == [rep for reps, _ in ones for rep in reps]
+            else:
+                assert verdict == (all(holds for _, (holds, _) in ones),
+                                   max(worst for _, (_, worst) in ones))
 
     def test_suite_resolution_names_winner(self):
         reports = full_suite(SuiteProfile(groups=("jacobi_rep",)))
@@ -223,12 +232,23 @@ class TestJacobiRep:
         assert len(res) == 1
         assert res[0].passed
         assert res[0].parameters["passing_convention"] == "2n-2"
+        assert res[0].parameters["rejected"] == ["2n-1"]
         assert res[0].parameters["rejected_max_rel_err"] > 1e-3
-        assert set(JACOBI_REP_CONVENTIONS) == {"2n-1", "2n-2"}
-        # the emitted point reports all carry the winning convention
+        # the point reports certify 2n-2 alone and carry no reading
         points = [r for r in reports if r.identity_name == "jacobi_sqrt_integral_rep"]
-        assert points and all(r.parameters["convention"] == "2n-2" for r in points)
+        assert len(points) == 3 * 9 * 5
+        assert all("convention" not in r.parameters for r in points)
         assert all(r.passed for r in points)
+
+    def test_resolution_fails_if_the_displayed_reading_holds(self, monkeypatch):
+        rows = verify._jacobi_rep_rows
+        monkeypatch.setattr(verify, "_jacobi_rep_rows",
+                            lambda n, ls, ds: (rows(n, ls, ds)[0], (True, 0.0)))
+        reports = full_suite(SuiteProfile(groups=("jacobi_rep",)))
+        [res] = [r for r in reports if r.identity_name == "jacobi_sqrt_integral_rep_resolution"]
+        assert not res.passed
+        assert (res.lhs, res.rhs) == (2.0, 1.0)
+        assert all(r.passed for r in reports if r is not res)
 
 
 class TestRadialIntegrals:
