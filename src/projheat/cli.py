@@ -1,4 +1,4 @@
-"""Command-line front end: point evaluation, grid tables, comparisons, self-test.
+"""Command-line front end: value tables, comparisons, self-test.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
 non-convergence, 141 standard output closed by its reader (as a shell
@@ -11,8 +11,8 @@ reproducible byte for byte.
 ``atexit`` handlers and finalizers of that process do not run.  Code that
 embeds the CLI calls ``main(argv)``, which returns the exit code.
 
-``eval`` and ``table`` evaluate the method that ``--method`` names, and
-``compare`` alone evaluates both.  ``table`` and ``compare`` evaluate the
+``table`` evaluates the method that ``--method`` names, at one point or
+over a grid, and ``compare`` alone evaluates both.  Both evaluate the
 whole (t, d) grid with one ``kernels.unified`` call per method, and write
 it one t-row at a time, each row one block of lines formatted from that
 row of the records' arrays, by one path whatever the method: the CLI
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_method=True):
+    def add_common(p, formats, default_format, with_method=True):
         p.add_argument("--space", choices=("cpn", "hpn"), default="hpn",
                        help="projective space family (default hpn)")
         p.add_argument("--n", type=int, default=1, help="projective index n >= 1")
@@ -96,18 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="representation to evaluate (default series); "
                                 "compare evaluates both")
         p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty",
-                       dest="fmt")
+        p.add_argument("--format", choices=formats, default=default_format, dest="fmt")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p_eval = sub.add_parser("eval", help="evaluate the kernel at one point")
-    add_common(p_eval)
-
-    p_table = sub.add_parser("table", help="emit a value table over grids")
-    add_common(p_table)
+    p_table = sub.add_parser("table", help="emit a value table at a point or over grids")
+    add_common(p_table, ("csv", "json"), "csv")
 
     p_cmp = sub.add_parser("compare", help="series vs integral over grids")
-    add_common(p_cmp, with_method=False)
+    add_common(p_cmp, ("csv", "json", "pretty"), "pretty", with_method=False)
 
     p_self = sub.add_parser("selftest", help="run the identity verification suite")
     p_self.add_argument("--only", default=None, metavar="PREFIX",
@@ -182,24 +178,6 @@ def _block(line: str, *columns) -> str:
     return "".join([line % entries for entries in zip(*columns)])
 
 
-def cmd_eval(args) -> int:
-    """One point; csv and json are the 1 x 1 table, pretty is name-value lines."""
-    for name in ("t", "d"):
-        given = getattr(args, name) is not None or getattr(args, f"{name}_grid")
-        if not given or len(_values_from_args(args, name, None)) != 1:
-            raise UsageError(f"eval needs a single --{name}")
-    if args.fmt != "pretty":
-        return cmd_table(args)
-    *_, [res] = _evaluate_grid(args, None, None, (args.method,), args.tol)
-
-    with _output(args) as out:
-        out.write(f"value          {_fmt(res.value[0, 0])}\n")
-        out.write(f"method         {args.method}\n")
-        out.write(f"terms_or_nodes {res.terms_or_nodes[0, 0]}\n")
-        out.write(f"est_error      {_fmt(res.est_error[0, 0])}\n")
-    return EXIT_OK
-
-
 def cmd_table(args) -> int:
     space, ts, ds, [res] = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", (args.method,),
                                           args.tol)
@@ -228,7 +206,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from . import verify  # here, not at the top: eval and table need only kernels
+    from . import verify  # here, not at the top: table needs only kernels
     tol = args.tol
     space, ts, ds, (series, integral) = _evaluate_grid(args, "0.1:1:4", "0:1.4:6",
                                                        kernels.METHODS, min(tol, 1e-10))
@@ -293,7 +271,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: --help and usage errors
         return exc.code
     handlers = {
-        "eval": cmd_eval,
         "table": cmd_table,
         "compare": cmd_compare,
         "selftest": cmd_selftest,

@@ -171,10 +171,10 @@ def test_criterion_11_cli_contract(suite):
     deterministic = a.returncode == 0 and a.stdout == b.stdout
 
     # documented exit codes: 2 usage, 3 non-convergence, 1 verification failure
-    usage = subprocess.run(cmd + ["eval", "--t", "-1", "--d", "0.1"],
+    usage = subprocess.run(cmd + ["table", "--t", "-1", "--d", "0.1"],
                            capture_output=True, text=True).returncode == 2
     noconv = subprocess.run(
-        cmd + ["eval", "--space", "hpn", "--n", "2", "--t", "0.001", "--d", "1.0",
+        cmd + ["table", "--space", "hpn", "--n", "2", "--t", "0.001", "--d", "1.0",
                "--method", "integral", "--tol", "1e-30"],
         capture_output=True, text=True).returncode == 3
     vfail = subprocess.run(

@@ -24,37 +24,43 @@ def run(*args, **kwargs):
     return subprocess.run(CMD + list(args), capture_output=True, text=True, **kwargs)
 
 
+def csv_value(stdout):
+    """The value column of a one-point table."""
+    header, row = stdout.splitlines()
+    return float(dict(zip(header.split(","), row.split(",")))["value"])
+
+
 class TestEval:
+    """Evaluation at one point: ``table --t T --d D``."""
+
     def test_hpn_stationary(self):
-        res = run("eval", "--space", "hpn", "--n", "1", "--t", "50", "--d", "0.3")
+        res = run("table", "--space", "hpn", "--n", "1", "--t", "50", "--d", "0.3")
         assert res.returncode == 0
-        value = float(res.stdout.splitlines()[0].split()[1])
-        assert abs(value - 6.0 / math.pi**2) <= 1e-10
+        assert abs(csv_value(res.stdout) - 6.0 / math.pi**2) <= 1e-10
 
     def test_cpn_stationary(self):
-        res = run("eval", "--space", "cpn", "--n", "1", "--t", "50", "--d", "0.1")
+        res = run("table", "--space", "cpn", "--n", "1", "--t", "50", "--d", "0.1")
         assert res.returncode == 0
-        value = float(res.stdout.splitlines()[0].split()[1])
-        assert abs(value - 1.0 / math.pi) <= 1e-10
+        assert abs(csv_value(res.stdout) - 1.0 / math.pi) <= 1e-10
 
     def test_negative_time_is_usage_error(self):
-        res = run("eval", "--t", "-1", "--d", "0.3")
+        res = run("table", "--t", "-1", "--d", "0.3")
         assert res.returncode == 2
         assert "t" in res.stderr and "range" in res.stderr
 
     def test_distance_out_of_range(self):
-        res = run("eval", "--t", "0.5", "--d", "1.6")
+        res = run("table", "--t", "0.5", "--d", "1.6")
         assert res.returncode == 2
 
     def test_unreachable_tolerance_is_exit_3(self):
         # roundoff keeps successive quadrature estimates from ever agreeing
         # to 1e-30 at these parameters, so the node cap is reached
-        res = run("eval", "--space", "hpn", "--n", "2", "--t", "0.001", "--d", "1.0",
+        res = run("table", "--space", "hpn", "--n", "2", "--t", "0.001", "--d", "1.0",
                   "--method", "integral", "--tol", "1e-30")
         assert res.returncode == 3
         assert "convergence" in res.stderr.lower()
 
-    @pytest.mark.parametrize("command", ["eval", "table"])
+    @pytest.mark.parametrize("command", ["table"])
     @pytest.mark.parametrize("method", ["series", "integral"])
     @pytest.mark.parametrize("tol", ["0", "-1"])
     def test_nonpositive_tolerance_is_usage_error(self, command, method, tol):
@@ -62,7 +68,7 @@ class TestEval:
         assert cli.main(argv) == cli.EXIT_USAGE
 
     def test_json_format(self):
-        res = run("eval", "--t", "0.5", "--d", "0.3", "--format", "json")
+        res = run("table", "--t", "0.5", "--d", "0.3", "--format", "json")
         assert res.returncode == 0
         rec = json.loads(res.stdout)
         assert rec["method"] == "series" and rec["value"] > 0
@@ -93,16 +99,6 @@ class TestTable:
         ds = [float(r[3]) for r in rows]
         assert ts == sorted(ts)
         assert ds[0] < ds[1] and ds[2] < ds[3]
-
-    @pytest.mark.parametrize("method", ["series", "integral"])
-    def test_pretty_is_the_csv(self, capsys, method):
-        # --format pretty, the default, writes the csv bytes
-        argv = ["table", "--space", "cpn", "--n", "2", "--t-grid", "0.3:0.6:2",
-                "--d-grid", "0.2:0.9:3", "--method", method]
-        assert cli.main(argv) == cli.EXIT_OK
-        pretty = capsys.readouterr().out
-        assert cli.main(argv + ["--format", "csv"]) == cli.EXIT_OK
-        assert pretty == capsys.readouterr().out
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -203,22 +199,22 @@ class TestErrorLines:
     """Exact stderr line and exit code, in-process."""
 
     def test_bad_index_is_usage_error(self, capsys):
-        assert cli.main(["eval", "--n", "0", "--t", "0.5", "--d", "0.3"]) == cli.EXIT_USAGE
+        assert cli.main(["table", "--n", "0", "--t", "0.5", "--d", "0.3"]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "projheat: error: projective index must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("t", ["inf", "nan"])
     def test_nonfinite_time_is_usage_error(self, capsys, t):
-        assert cli.main(["eval", "--t", t, "--d", "0.3"]) == cli.EXIT_USAGE
+        assert cli.main(["table", "--t", t, "--d", "0.3"]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"projheat: error: t={t} out of range: diffusion time "
                                 "must be finite and >= 0.0001\n")
 
     @pytest.mark.parametrize("argv,bad", [
-        (["eval", "--t", "0.5", "--d", "1.6"], "1.6"),
-        (["eval", "--t", "0.5", "--d", "-0.1", "--method", "integral"], "-0.1"),
+        (["table", "--t", "0.5", "--d", "1.6"], "1.6"),
+        (["table", "--t", "0.5", "--d", "-0.1", "--method", "integral"], "-0.1"),
         # the first distance of the grid past pi/2 is named
         (["table", "--t-grid", "0.2:1:3", "--d-grid", "1:2:5", "--format", "csv"], "1.75"),
     ])
@@ -233,7 +229,7 @@ class TestErrorLines:
 
     @pytest.mark.parametrize("method", ["series", "integral"])
     def test_index_whose_weights_overflow_is_usage_error(self, capsys, method):
-        argv = ["eval", "--n", "200", "--t", "0.5", "--d", "0.3", "--method", method]
+        argv = ["table", "--n", "200", "--t", "0.5", "--d", "0.3", "--method", method]
         assert cli.main(argv) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -258,7 +254,7 @@ class TestErrorLines:
         # a fresh process that turns warnings into errors: the whole stderr,
         # so a RuntimeWarning would show
         res = subprocess.run([sys.executable, "-W", "error", "-m", "projheat",
-                              "eval", "--d", "0.3", *argv], capture_output=True, text=True)
+                              "table", "--d", "0.3", *argv], capture_output=True, text=True)
         assert res.returncode == cli.EXIT_NO_CONVERGENCE
         assert res.stdout == ""
         assert res.stderr == f"projheat: no convergence: {line}\n"
@@ -324,7 +320,7 @@ class TestErrorLines:
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr() == want
 
-    @pytest.mark.parametrize("command", ["eval", "table"])
+    @pytest.mark.parametrize("command", ["table"])
     def test_method_both_is_usage_error(self, capsys, command):
         # compare is the one command that evaluates both methods
         argv = [command, "--t", "0.5", "--d", "0.3", "--method", "both"]
@@ -334,9 +330,24 @@ class TestErrorLines:
         assert captured.err.startswith(f"usage: projheat {command} ")
         assert "argument --method: invalid choice: 'both'" in captured.err
 
+    @pytest.mark.parametrize("argv,usage,error", [
+        # table is the one command that evaluates one method, at a point or over a grid
+        (["eval", "--t", "0.5", "--d", "0.3"], "usage: projheat [-h] {table,compare,selftest} ",
+         "argument command: invalid choice: 'eval'"),
+        # and csv is its one text format
+        (["table", "--t", "0.5", "--d", "0.3", "--format", "pretty"],
+         "usage: projheat table ", "argument --format: invalid choice: 'pretty'"),
+    ], ids=["eval", "table-pretty"])
+    def test_removed_spelling_is_usage_error(self, capsys, argv, usage, error):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(usage)
+        assert error in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["table"],
-        ["eval", "--t", "0.5", "--d", "0.3"],
+        ["table", "--t", "0.5", "--d", "0.3"],
         ["compare", "--t", "0.5", "--d", "0.3"],
     ])
     @pytest.mark.parametrize("target,reason", [
@@ -406,7 +417,7 @@ class TestSelftest:
         assert not target.exists()
 
     def test_bad_flag_is_usage_error(self):
-        res = run("eval", "--space", "qpn", "--t", "0.5", "--d", "0.1")
+        res = run("table", "--space", "qpn", "--t", "0.5", "--d", "0.1")
         assert res.returncode == 2
 
     def test_help_names_the_prefix(self, monkeypatch, capsys):
@@ -464,7 +475,7 @@ class TestImports:
         assert res.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv", [["table", "--method", "integral"],
-                                      ["eval", "--t", "0.5", "--d", "0.3"]])
+                                      ["table", "--t", "0.5", "--d", "0.3"]])
     def test_table_and_eval_leave_verify_unloaded(self, argv):
         code = (f"import sys; from projheat import cli; assert cli.main({argv!r}) == 0; "
                 "sys.stdout.flush(); print('projheat.verify' in sys.modules, file=sys.stderr)")
@@ -501,10 +512,10 @@ class TestProcessEntry:
 
     def test_usage_error_matches_in_process(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
-        argv = ["eval", "--space", "qpn", "--t", "0.5", "--d", "0.1"]
+        argv = ["table", "--space", "qpn", "--t", "0.5", "--d", "0.1"]
         code = cli.main(argv)
         captured = capsys.readouterr()
         res = run(*argv)
         assert res.returncode == code == cli.EXIT_USAGE
         assert (res.stdout, res.stderr) == (captured.out, captured.err)
-        assert res.stderr.startswith("usage: projheat eval")
+        assert res.stderr.startswith("usage: projheat table")

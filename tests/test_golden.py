@@ -38,10 +38,10 @@ COMMANDS = {
         for space in ("cpn", "hpn") for n in (1, 2, 3)
     },
     **{
-        f"eval_{method}.{fmt}": (["eval", *POINT, "--method", method, "--format", fmt],
-                                 cli.EXIT_OK)
+        f"table_point_{method}.{fmt}": (["table", *POINT, "--method", method,
+                                         "--format", fmt], cli.EXIT_OK)
         for method in ("series", "integral")
-        for fmt in ("pretty", "csv", "json")
+        for fmt in ("csv", "json")
     },
     "compare_cpn_n2.csv": (["compare", "--space", "cpn", "--n", "2",
                             "--t-grid", "0.1:1:3", "--d-grid", "0:1.4:4", "--format", "csv"],

@@ -1,8 +1,9 @@
 """README's examples stay true: the Python blocks of "Library use" run as
-written, and every ``projheat`` line of its ``sh`` blocks parses.
+written, every ``projheat`` line of its ``sh`` blocks parses, and the CLI
+section names exactly the parser's commands.
 
-A removed export, a changed signature or a removed flag then fails here
-instead of leaving the documentation wrong.
+A removed export, a changed signature, a removed flag or a removed
+command then fails here instead of leaving the documentation wrong.
 """
 
 import re
@@ -16,10 +17,13 @@ from projheat import cli
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _section(title: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 def _library_blocks() -> list:
-    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    return re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    return re.findall(r"```python\n(.*?)```", _section("Library use"), re.DOTALL)
 
 
 def test_library_use_has_two_python_blocks():
@@ -50,3 +54,12 @@ def test_cli_line_parses(line):
         cli.build_parser().parse_args(shlex.split(line)[1:])
     except SystemExit as exc:
         pytest.fail(f"README line does not parse (exit {exc.code}): {line}")
+
+
+def test_cli_section_names_exactly_the_commands():
+    # the commands of its command lines and of its "Flags of ..." sentences
+    section = _section("CLI")
+    lines = re.findall(r"^projheat (\w+)", section, re.MULTILINE)
+    flags_of = re.findall(r"`(\w+)`", " ".join(re.findall(r"Flags of (.*?):", section)))
+    [choices] = re.findall(r"\{(.*?)\}", cli.build_parser().format_usage())
+    assert set(lines) | set(flags_of) == set(choices.split(","))
