@@ -12,7 +12,7 @@ kernel at time t and geodesic distance d is
                 * integral_d^(pi/2) (cos^2 d - cos^2 u)^(k - 3/2)
                   Psi_c(t, u) du,
 
-where Psi_c = sin(u) L^c theta_{c+1}; ``thetapsi.psi_sum`` returns
+where Psi_c = sin(u) L^c theta_{c+1}; ``thetapsi.PsiSeries`` returns
 exp(c^2 t) Psi_c, the prefactor folded into the theta exponentials
 (giving decay rates exp(-4 t l (l + c)) termwise), so neither factor can
 overflow at large t.

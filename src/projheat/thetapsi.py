@@ -15,14 +15,14 @@ the shift exp(c^2 t) is folded into each term:
     exp(c^2 t) Psi_c(t, u)
         = sin(u) sum_{l>=0} (2l + c) 2^(c-1) (c-1)! exp(-4 t l (l + c)) C_{2l}^c(cos u).
 
-So ``psi_sum`` is sin(u) times the even-degree part of the zonal heat
-series of S^(2c+1), the sphere that fibres over P^n(F) when
+So ``PsiSeries`` sums sin(u) times the even-degree part of the zonal
+heat series of S^(2c+1), the sphere that fibres over P^n(F) when
 c = k(n+1) - 1.  It is assembled termwise by one rolling Gegenbauer
 recurrence of order c, with no actual differentiation, so it is finite
 at u = 0 and u = pi, and the folded exponents keep the large-t prefactor
 from overflowing.  Time enters only through the scalar weights, so
 ``PsiSeries`` sums each time's weights once and runs one recurrence for
-a whole column of times; ``psi_sum`` is its one-time form.
+a whole column of times.
 
 Truncation is controlled by an analytic tail bound: successive term
 bounds shrink by a factor that is itself decreasing, so the tail is
@@ -44,7 +44,7 @@ from .geometry import MAX_OFFSET
 from .orthopoly import _check_count, gegenbauer_step
 
 
-#: absolute tail tolerance of psi_sum, unless its caller gives one
+#: absolute tail tolerance of PsiSeries, unless its caller gives one
 DEFAULT_TOL = 1e-12
 
 #: hard cap on the terms of one series, which TruncationCapError reports
@@ -57,7 +57,7 @@ def _weights_overflow(c: int, t: float) -> TruncationCapError:
 
 
 def _weights(c: int, t: float, tol: float, base: float) -> list:
-    """psi_sum's term weights at time t, up to the first whose tail bound meets tol.
+    """The series' term weights at time t, up to the first whose tail bound meets tol.
 
     Term l is the Gegenbauer term of order c and degree 2l.  The tail bound
     majorizes |C_{2l}^c| by its value at the right endpoint,
@@ -98,18 +98,21 @@ class PsiSeries:
     """exp(c^2 t) Psi_c(t, u) for a column of times ``ts``, as a function of (rows, u).
 
     Construction sums each time's weights once, up to that time's own
-    truncation index, into one zero-padded row of a weight table, and
-    raises for the first time, in column order, that is not positive and
-    finite or whose weights overflow or need more than TERM_CAP terms.  A call
-    ``series(rows, u)`` gives one row of values per index in ``rows``
-    (into ``ts``), over the angles ``u``.  It takes those rows of the
-    table, longest series first, and runs one rolling order-c Gegenbauer
-    recurrence over the angles, two steps per term; term l adds
-    ``table[:m, l] * C_2l`` into the leading block of the m rows whose
-    series still have a term l.  Row i is bit for bit ``psi_sum(c,
-    ts[rows[i]], u, tol)``.  A call raises TruncationCapError for the
-    first row whose values are not finite: a finite weight whose term or
-    partial sum overflows leaves inf or NaN in them.
+    truncation index, into one zero-padded row of a weight table.  It
+    raises DomainError for a ladder count or tolerance outside its domain
+    or a time that is not positive and finite, and TruncationCapError for
+    the first time, in column order, whose weights overflow or need more
+    than TERM_CAP terms.  A call ``series(rows, u)`` gives one row of
+    values per index in ``rows`` (into ``ts``), over the angles ``u``.  It
+    takes those rows of the table, longest series first, and runs one
+    rolling order-c Gegenbauer recurrence over the angles, two steps per
+    term; term l adds ``table[:m, l] * C_2l`` into the leading block of
+    the m rows whose series still have a term l.  Row i is bit for bit
+    the one row of ``PsiSeries(c, (ts[rows[i]],), tol)((0,), u)``.  A call
+    raises DomainError for an angle that is not finite, and
+    TruncationCapError for the first row whose values are not finite: a
+    finite weight whose term or partial sum overflows leaves inf or NaN
+    in them.
     """
 
     def __init__(self, c: int, ts, tol: float = DEFAULT_TOL):
@@ -168,16 +171,3 @@ class PsiSeries:
             raise _weights_overflow(self.c, float(self.ts[rows[np.argmax(bad)]]))
         return totals
 
-
-def psi_sum(c: int, t: float, u, tol: float = DEFAULT_TOL):
-    """exp(c^2 t) Psi_c(t, u) = exp(c^2 t) sin(u) L^c theta_{c+1}(t, u), vectorized over u.
-
-    ``PsiSeries`` at the one time t, called once: values shaped like ``u``,
-    a float for a scalar angle.
-
-    Raises DomainError for a ladder count, tolerance, time or angle outside
-    its domain, and TruncationCapError when a weight or a value is not
-    finite or the series needs more than TERM_CAP terms.
-    """
-    values = PsiSeries(c, (t,), tol)((0,), u)[0]
-    return float(values) if np.ndim(u) == 0 else values

@@ -15,7 +15,6 @@ resolution report, which passes only while the displayed reading misses.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -345,6 +344,113 @@ def _radial_integrals(fvec: Callable[[list, np.ndarray], np.ndarray], tols: list
 
 
 # ---------------------------------------------------------------------------
+# whole polynomials by the production recurrence steps, for the identity checks
+#
+# Each takes one degree or a row of degrees: a row gives one row of values
+# per degree, from one recurrence up to the largest, each bit for bit its
+# one-degree call.  The operator L = -(1/sin u) d/du, acting on functions of
+# cos u, is plain d/d(cos u); on Gegenbauer terms it is applied through the
+# order-raising identity L^m C_l^lam(cos u) = 2^m (lam)_m C_{l-m}^{lam+m}(cos u),
+# never by numerical differentiation, and L cos(qu) = q C_{q-1}^1(cos u)
+# ladders a single cosine harmonic.  Each raises DomainError for a degree,
+# exponent, order, ladder count or evaluation point outside its domain.
+
+# cos() roundoff can land arguments marginally outside [-1, 1]
+_X_SLACK = 1e-12
+
+
+def _check_degrees(l) -> list:
+    """The degrees of ``l``, one degree or a row of them, as a list, each checked."""
+    arr = np.asarray(l)
+    if arr.ndim > 1:
+        raise DomainError(f"degrees must be one degree or a row, got {arr.ndim} dimensions")
+    degrees = arr.tolist() if arr.ndim else [l]
+    for degree in degrees:
+        orthopoly._check_count(degree, "degree")
+    return degrees
+
+
+def _check_order(lam: float) -> None:
+    if not 0 < lam < np.inf:  # NaN fails too
+        raise DomainError(f"order must be positive, got {lam}")
+
+
+def _check_x(x):
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.abs(arr) <= 1.0 + _X_SLACK):  # NaN fails too
+        raise DomainError("evaluation point must lie in [-1, 1]")
+    return np.clip(arr, -1.0, 1.0)
+
+
+def _rows(step, degrees: list, shape: tuple) -> np.ndarray:
+    """One row of the given shape per degree of ``degrees``, by the recurrence ``step``.
+
+    ``step(k, P_{k-1}, P_{k-2})`` gives P_k.  One recurrence runs up to
+    the largest degree, from (P_0, P_{-1}) = (1, 0), and each degree's row
+    is taken as the recurrence passes it.
+    """
+    rows = np.empty((len(degrees),) + shape)
+    p, p_prev, k = 1.0, 0.0, 0  # broadcast over the points
+    for i in sorted(range(len(degrees)), key=degrees.__getitem__):
+        for k in range(k + 1, degrees[i] + 1):
+            p, p_prev = step(k, p, p_prev), p
+        rows[i] = p
+    return rows
+
+
+def _one_or_rows(rows: np.ndarray, l, x):
+    """``rows`` for a row of degrees ``l``; for one degree its values, a float at a scalar x."""
+    if np.ndim(l):
+        return rows
+    return float(rows[0]) if np.ndim(x) == 0 else rows[0]
+
+
+def _jacobi_p(l, a: float, b: float, x):
+    """P_l^(a,b)(x) for x in [-1, 1] by three-term recurrence; l is a degree or a row."""
+    degrees = _check_degrees(l)
+    if not (-0.5 < a < np.inf and -0.5 < b < np.inf):
+        raise DomainError(f"weight exponents must exceed -1/2, got alpha={a}, beta={b}")
+    xv = _check_x(x)
+    return _one_or_rows(
+        _rows(lambda k, p, q: orthopoly.jacobi_step(k, a, b, xv, p, q), degrees, xv.shape), l, x)
+
+
+def _gegenbauer_c(l, lam: float, x):
+    """C_l^lam(x) for x in [-1, 1] by three-term recurrence; l is a degree or a row.
+
+    For lam = 1 this is the Dirichlet-type ratio sin((l+1)u)/sin(u) at
+    x = cos(u).
+    """
+    degrees = _check_degrees(l)
+    _check_order(lam)
+    xv = _check_x(x)
+    return _one_or_rows(_rows(lambda k, p, q: orthopoly.gegenbauer_step(k, lam, xv, p, q),
+                              degrees, xv.shape), l, x)
+
+
+def _ladder_apply(m: int, l, lam: float, x):
+    """L^m C_l^lam(cos u) at x = cos u, in closed form; l is a degree or a row.
+
+    That is 2^m (lam)_m C_{l-m}^{lam+m}(x), and zero when m > l (the
+    operator has differentiated the polynomial away).
+    """
+    orthopoly._check_count(m, "ladder count")
+    degrees = _check_degrees(l)
+    _check_order(lam)
+    rising = 1.0  # (lam)_m
+    for i in range(m):
+        rising *= lam + i
+    xv, order = _check_x(x), lam + m
+    rows = (2.0**m) * rising * _rows(
+        lambda k, p, q: orthopoly.gegenbauer_step(k, order, xv, p, q),
+        [max(0, d - m) for d in degrees], xv.shape)
+    for i, degree in enumerate(degrees):
+        if degree < m:
+            rows[i] = 0.0
+    return _one_or_rows(rows, l, x)
+
+
+# ---------------------------------------------------------------------------
 # named identity checks
 
 
@@ -361,13 +467,11 @@ def lemma_check(n: int, ls, ds) -> list:
     ls = list(ls)
 
     def g(rows, u):
-        return np.sin(u) * orthopoly.ladder_apply(2 * n, [2 * ls[i] + 2 * n for i in rows], 1.0,
-                                                  np.cos(u))
+        return np.sin(u) * _ladder_apply(2 * n, [2 * ls[i] + 2 * n for i in rows], 1.0, np.cos(u))
 
     consts = np.array([2.0 ** (2 * n - 2) * math.pi * (math.factorial(l + 2 * n)
                                                         / math.factorial(l + 1)) for l in ls])
-    rhss = consts[:, None] * orthopoly.jacobi_p(ls, 2 * n - 1, 1,
-                                                np.array([math.cos(2 * d) for d in ds]))
+    rhss = consts[:, None] * _jacobi_p(ls, 2 * n - 1, 1, np.array([math.cos(2 * d) for d in ds]))
     cos2s = np.array([math.cos(d) ** 2 for d in ds])
     qtols = np.maximum(1e-13, 1e-11 * np.abs(rhss)) * cos2s
     values = adaptive_integrate_row(ds, 0.5, g, qtols).value
@@ -390,8 +494,7 @@ def _jacobi_rep_rows(n: int, ls, ds) -> tuple:
     ls = list(ls)
 
     def g(rows, u):
-        return np.sin(u) * orthopoly.gegenbauer_c([2 * ls[i] + 2 for i in rows], 2 * n - 1,
-                                                  np.cos(u))
+        return np.sin(u) * _gegenbauer_c([2 * ls[i] + 2 for i in rows], 2 * n - 1, np.cos(u))
 
     consts = [2.0 * math.factorial(l + 1) * math.factorial(2 * n - 2) / (
         math.pi * math.factorial(l + 2 * n - 1)) for l in ls]
@@ -401,7 +504,7 @@ def _jacobi_rep_rows(n: int, ls, ds) -> tuple:
     xs = np.array([math.cos(2 * d) for d in ds])
 
     def sides(alpha):  # one reading's left side against rhs, with its endpoint scale
-        return (orthopoly.jacobi_p([l + 1 for l in ls], alpha, 0, xs).ravel(), rhs, 1e-8,
+        return (_jacobi_p([l + 1 for l in ls], alpha, 0, xs).ravel(), rhs, 1e-8,
                 [max(1.0, _jacobi_endpoint(l + 1, alpha)) for l in ls for _ in ds])
 
     reports = _row_reports("jacobi_sqrt_integral_rep",
@@ -440,7 +543,7 @@ def _check_orthopoly_recurrence():
         beta = rng.uniform(-0.5 + 1e-3, 5.0)
         x = rng.uniform(-1.0, 1.0)
         params.append({"sample": i, "l": l, "alpha": alpha, "beta": beta, "x": x})
-        ours.append(orthopoly.jacobi_p(l, alpha, beta, x))
+        ours.append(_jacobi_p(l, alpha, beta, x))
         exact.append(_exact_jacobi(l, alpha, beta, x))
         scales.append(max(1.0, _jacobi_endpoint(l, max(alpha, beta))))
     return _row_reports("jacobi_recurrence_vs_series", params, ours, exact, 1e-10, scale=scales)
@@ -450,7 +553,7 @@ def _check_orthopoly_endpoint():
     cases = [(l, alpha) for alpha in (0, 1, 2, 3, 5) for l in (0, 1, 5, 12, 30)]
     exact = [float(math.comb(l + alpha, l)) for l, alpha in cases]
     return _row_reports("jacobi_endpoint_binomial", [{"l": l, "alpha": a} for l, a in cases],
-                        [orthopoly.jacobi_p(l, a, 1, 1.0) for l, a in cases], exact, 1e-12,
+                        [_jacobi_p(l, a, 1, 1.0) for l, a in cases], exact, 1e-12,
                         scale=exact)
 
 
@@ -458,7 +561,7 @@ def _check_orthopoly_trig():
     thetas = np.linspace(0.01, math.pi - 0.01, 40)
     reports = []
     for l in (1, 2, 5, 20, 50):
-        vals = orthopoly.gegenbauer_c(l, 1.0, np.cos(thetas))
+        vals = _gegenbauer_c(l, 1.0, np.cos(thetas))
         ref = np.sin((l + 1) * thetas) / np.sin(thetas)
         reports.append(_worst_report(
             "gegenbauer_dirichlet_ratio", {"l": l}, "theta", thetas, vals, ref, 1e-10,
@@ -471,8 +574,8 @@ def _check_orthopoly_ladder():
     us = np.linspace(0.2, _HALF_PI - 0.2, 9)
     reports = []
     for m, l, lam in ((1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0), (4, 12, 1.0)):
-        exact_vals = orthopoly.ladder_apply(m, l, lam, np.cos(us))
-        fd_vals = _ladder_fd(lambda u: orthopoly.gegenbauer_c(l, lam, np.cos(u)), us, m)
+        exact_vals = _ladder_apply(m, l, lam, np.cos(us))
+        fd_vals = _ladder_fd(lambda u: _gegenbauer_c(l, lam, np.cos(u)), us, m)
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
             "gegenbauer_ladder_vs_fd", {"m": m, "l": l, "lam": lam}, "u", us,
@@ -480,7 +583,7 @@ def _check_orthopoly_ladder():
         ))
     for m, q in ((1, 3), (2, 5), (3, 5), (3, 8)):
         # L cos(qu) = q C_{q-1}^1(cos u)
-        exact_vals = q * orthopoly.ladder_apply(m - 1, q - 1, 1.0, np.cos(us))
+        exact_vals = q * _ladder_apply(m - 1, q - 1, 1.0, np.cos(us))
         fd_vals = _ladder_fd(lambda u: np.cos(q * u), us, m)
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
@@ -522,10 +625,13 @@ def _check_quadrature_substitution():
 
 def _check_quadrature_doubling():
     tol = 1e-12
-    psi = functools.partial(thetapsi.psi_sum, 3, 0.5)
+    series = thetapsi.PsiSeries(3, (0.5,))
+
+    def psi(u):
+        return series((0,), u)[0]
 
     def gegenbauer(u):
-        return np.sin(u) * orthopoly.gegenbauer_c(4, 1.0, np.cos(u))
+        return np.sin(u) * _gegenbauer_c(4, 1.0, np.cos(u))
 
     ds = (0.0, 0.35, 0.7, 1.05, 1.4)
     rows = [  # (parameters of each distance, distances, weight exponent, integrand)
@@ -556,23 +662,23 @@ def _check_theta_truncation():
     # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u), on theta_{j+1} times the folded exp(j^2 t)
     psi_brutes = [
         math.exp(j * j * t) * _brute_sum(j + 1, t, 2000, lambda a, q: a * math.sin(u) * (
-            q * orthopoly.ladder_apply(j - 1, q - 1, 1.0, math.cos(u))))
+            q * _ladder_apply(j - 1, q - 1, 1.0, math.cos(u))))
         for j, t, u in psi_cases]
     return (_row_reports("theta_truncation_soundness",
                          [{"m": m, "t": t, "u": u} for m, t, u in theta_cases],
                          [_theta_sum(m, t, u) for m, t, u in theta_cases], brutes, tol)
             + _row_reports("psi_truncation_soundness",
                            [{"j": j, "t": t, "u": u} for j, t, u in psi_cases],
-                           [thetapsi.psi_sum(j, t, u) for j, t, u in psi_cases],
+                           [thetapsi.PsiSeries(j, (t,))((0,), u)[0] for j, t, u in psi_cases],
                            psi_brutes, tol))
 
 
 def _check_theta_ladder():
     us = np.linspace(0.2, _HALF_PI - 0.1, 7)
     reports = []
+    ts = (0.2, 0.5, 1.0)
     for j in (1, 2, 3):
-        for t in (0.2, 0.5, 1.0):
-            exact_vals = thetapsi.psi_sum(j, t, us)
+        for t, exact_vals in zip(ts, thetapsi.PsiSeries(j, ts)(range(len(ts)), us)):
             fd_vals = math.exp(j * j * t) * np.sin(us) * _ladder_fd(
                 lambda u: _theta_sum(j + 1, t, u), us, j)
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))
@@ -633,8 +739,7 @@ def _check_geometry_eigenfunction():
     reports = []
     for space in _SPACES:
         def f(r, space=space):  # one row per degree l = 0..6, from one recurrence
-            return orthopoly.jacobi_p(range(7), space.jacobi_alpha, space.jacobi_beta,
-                                      np.cos(2.0 * r))
+            return _jacobi_p(range(7), space.jacobi_alpha, space.jacobi_beta, np.cos(2.0 * r))
 
         rows, laplacians = f(rs), geometry.radial_laplacian_fd(space, f, rs, h=5e-4)
         for l, (vals, laplacian) in enumerate(zip(rows, laplacians)):

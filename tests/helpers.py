@@ -18,9 +18,9 @@ bit-identity references of their replacements: the Legendre recurrence that
 Gauss-Legendre rules ran before they took the Gegenbauer step, the
 manifold volume as one float quotient (which overflows at the top of the
 accepted n range), the stationary value before the space owned its scaled
-factorial, and the general ladder sum psi_sum(j, m, t, u, tol, exp_shift)
-before it was cut down to the one case the integral form runs (it steps
-the package's own Gegenbauer recurrence, as that sum did).
+factorial, and the general ladder sum ``psi_sum_reference`` before it was
+cut down to the one case the integral form runs (it steps the package's
+own Gegenbauer recurrence, as that sum did).
 """
 
 import math
@@ -32,7 +32,7 @@ from projheat.errors import DomainError, QuadratureConvergenceError, TruncationC
 from projheat.kernels import KernelValue
 from projheat.orthopoly import gegenbauer_step
 from projheat.quadrature import MAX_NODES, START_NODES, gauss_legendre_rule, integrate_weighted
-from projheat.thetapsi import DEFAULT_TOL, TERM_CAP, psi_sum
+from projheat.thetapsi import DEFAULT_TOL, TERM_CAP, PsiSeries
 from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
 
 
@@ -269,8 +269,9 @@ def integral_kernel_reference(n, k, t, d, tol):
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outer = cnk / math.cos(d) ** (2 * (k - 1))
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
+    series = PsiSeries(c, (t,), theta_tol)  # the one time's row
     value, nodes, err = adaptive_reference(
-        d, 0.5 if k == 2 else -0.5, lambda u: psi_sum(c, t, u, theta_tol), 0.5 * tol / outer,
+        d, 0.5 if k == 2 else -0.5, lambda u: series((0,), u)[0], 0.5 * tol / outer,
     )
     return KernelValue(value=outer * value, terms_or_nodes=nodes,
                        est_error=outer * err + cnk * 0.5 * math.pi * theta_tol)

@@ -14,11 +14,17 @@ known to call.
 
 A third pin keeps the production modules to what the CLI runs: every
 function and class they define is reached from ``cli.main`` or named on
-an allowlist, with the reason it stays.
+an allowlist, with the reason it stays.  A fourth lists the benchmark
+tracer's targets that no longer resolve, since the tracer skips them and
+their metrics read 0.
 """
 
 import ast
+import importlib
+import importlib.util
 import inspect
+import pathlib
+import sys
 import textwrap
 
 import pytest
@@ -86,7 +92,7 @@ INTEGRAL = reach(kernels._integral_kernel)
 
 class TestPositiveControls:
     def test_integral_path_reaches_psi_sum(self):
-        # the kernel builds psi_sum's series itself, once per grid, and calls it
+        # the kernel builds the ladder series itself, once per grid, and calls it
         assert _key(thetapsi.PsiSeries.__call__) in INTEGRAL
         assert _key(thetapsi._weights) in INTEGRAL
         assert _key(orthopoly.gegenbauer_step) in INTEGRAL
@@ -96,9 +102,9 @@ class TestPositiveControls:
         assert _key(kernels._check_args) in SERIES
 
     def test_module_attribute_chains_and_lambdas_are_followed(self):
-        # _check_theta_ladder names thetapsi.psi_sum and _theta_sum inside a lambda
+        # _check_theta_ladder names thetapsi.PsiSeries, and _theta_sum inside a lambda
         seen = reach(verify._check_theta_ladder)
-        assert {_key(thetapsi.psi_sum), _key(verify._theta_sum)} <= seen
+        assert {_key(thetapsi.PsiSeries), _key(verify._theta_sum)} <= seen
 
     def test_construction_is_followed_through_properties(self):
         seen = reach(geometry.SpaceDescriptor)
@@ -115,9 +121,6 @@ def test_series_and_integral_paths_meet_only_in_checks_and_errors():
 
 
 @pytest.mark.parametrize("oracle,certified", [
-    (verify._theta_sum, thetapsi.psi_sum),
-    (verify._brute_sum, thetapsi.psi_sum),
-    (verify._ladder_fd, thetapsi.psi_sum),
     (verify._theta_sum, thetapsi.PsiSeries),
     (verify._brute_sum, thetapsi.PsiSeries),
     (verify._ladder_fd, thetapsi.PsiSeries),
@@ -133,21 +136,11 @@ def test_oracle_does_not_reach_what_it_certifies(oracle, certified):
 
 #: names defined in the production modules that ``cli.main`` never reaches, by reason
 UNREACHED_FROM_CLI = {
-    # README's "Library use" names, and the argument checks, row assembly and
-    # point encoding that only they run; the suite certifies them, and
-    # perfbench/tracecmd.py wraps the five names by module name too
-    "projheat.thetapsi.psi_sum",
+    # README's point example, and the point encoding only it runs; the suite
+    # certifies it, and perfbench/tracecmd.py wraps geometry.distance by name
     "projheat.geometry.distance",
     "projheat.geometry._unit_points",
     "projheat.geometry.scale_point",
-    "projheat.orthopoly.jacobi_p",
-    "projheat.orthopoly.gegenbauer_c",
-    "projheat.orthopoly.ladder_apply",
-    "projheat.orthopoly._check_degrees",
-    "projheat.orthopoly._check_order",
-    "projheat.orthopoly._check_x",
-    "projheat.orthopoly._rows",
-    "projheat.orthopoly._one_or_rows",
     # suite references that perfbench/tracecmd.py wraps by module name: moved
     # elsewhere, per-layer counts such as geometry.volume_density.calls read 0
     "projheat.quadrature.integrate_weighted",
@@ -165,3 +158,35 @@ def test_production_modules_hold_what_the_cli_runs():
                if _ours(obj) and obj.__module__ == module.__name__}
     # equal, not a subset: a name the CLI comes to reach leaves the list
     assert defined - reach(cli.main) == UNREACHED_FROM_CLI
+
+
+#: TRACED targets of perfbench/tracecmd.py that projheat no longer defines, by reason
+STALE_TRACE_TARGETS = {
+    ("thetapsi", "psi_sum"): "deleted: rows of PsiSeries are its one-time calls",
+    ("thetapsi", "theta_sum"): "moved into verify as the oracle _theta_sum",
+    ("thetapsi", "jacobi_theta2_reference"): "moved into verify as _jacobi_theta2_reference",
+    ("quadrature", "adaptive_integrate"): "replaced by the grid loop adaptive_integrate_row",
+    ("orthopoly", "cosine_ladder"): "deleted: the closed-form ladder covers a cosine harmonic",
+    ("orthopoly", "LadderResult.evaluate"): "deleted with the LadderResult class",
+    ("orthopoly", "jacobi_p"): "moved into verify as _jacobi_p: only the suite evaluates it",
+    ("orthopoly", "gegenbauer_c"): "moved into verify as _gegenbauer_c",
+    ("orthopoly", "ladder_apply"): "moved into verify as _ladder_apply",
+    ("verify", "make_report"): "replaced by _row_reports, _worst_report and _flag_report",
+}
+
+
+def test_stale_trace_targets_are_declared(monkeypatch):
+    # perfbench/tracecmd.py skips a target that does not resolve, and its metrics read 0
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracecmd.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no cache in perfbench/
+    spec = importlib.util.spec_from_file_location("perfbench_tracecmd", path)
+    tracecmd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracecmd)
+    unresolved = set()
+    for module_name, attr, *_ in tracecmd.TRACED:  # resolved as tracecmd.install does
+        owner = importlib.import_module(f"projheat.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.add((module_name, attr))
+    assert unresolved == set(STALE_TRACE_TARGETS)

@@ -24,8 +24,8 @@ from projheat.geometry import (
     scale_point,
     volume_density,
 )
-from projheat.orthopoly import jacobi_p
 from projheat.quadrature import gauss_legendre_rule
+from projheat.verify import _jacobi_p as jacobi_p
 from projheat.verify import _manifold_volume as manifold_volume
 from projheat.verify import _random_unit_scalar as random_unit_scalar
 from projheat.verify import _stationary_value as stationary_value

@@ -1,4 +1,8 @@
-"""Tests for Jacobi/Gegenbauer evaluation and the ladder operator."""
+"""Tests for the Jacobi and Gegenbauer recurrence steps and the ladder operator.
+
+The steps live in ``orthopoly``; they are tested through the whole
+polynomials and the closed-form ladder that ``verify`` builds on them.
+"""
 
 import math
 import random
@@ -8,8 +12,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projheat.errors import DomainError
-from projheat.orthopoly import gegenbauer_c, jacobi_p, ladder_apply
+from projheat.verify import _gegenbauer_c as gegenbauer_c
 from projheat.verify import _jacobi_endpoint as jacobi_endpoint
+from projheat.verify import _jacobi_p as jacobi_p
+from projheat.verify import _ladder_apply as ladder_apply
 
 from helpers import (
     gegenbauer_series_exact,

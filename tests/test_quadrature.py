@@ -194,10 +194,12 @@ class TestAdaptive:
         assert err <= 1e-13
 
     def test_psi_integrand_doubling_invariant(self):
-        from projheat.thetapsi import psi_sum
+        from projheat.thetapsi import PsiSeries
+
+        series = PsiSeries(3, (0.5,))
 
         def g(u):  # the folded exp(9 t) divided out, for the absolute tolerance
-            return psi_sum(3, 0.5, u) / math.exp(9 * 0.5)
+            return series((0,), u)[0] / math.exp(9 * 0.5)
 
         [[value]], [[nodes]], _ = adaptive_integrate_row([0.3], 0.5, _one_row(g), [[1e-12]])
         [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * int(nodes)))
@@ -215,13 +217,14 @@ class TestAdaptive:
 
 class TestAdaptiveRow:
     def test_equals_reference_per_distance(self):
-        from projheat.thetapsi import psi_sum
+        from projheat.thetapsi import PsiSeries
 
         ds = [0.0, 0.3, 0.7, 1.2, 1.4, 1.5]
         tols = [1e-8, 1e-9, 1e-6, 1e-9, 1e-8, 1e-9]
+        series = PsiSeries(3, (0.02,))
 
         def g(u):
-            return psi_sum(3, 0.02, u)
+            return series((0,), u)[0]
 
         for sign in (0.5, -0.5):
             row = adaptive_integrate_row(ds, sign, _one_row(g), [tols])
@@ -247,7 +250,7 @@ class TestAdaptiveRow:
     @pytest.mark.parametrize("cap,first", [(1 << 16, (3, 80)), (40, (2, 16))])
     def test_grid_rows_equal_rows_alone(self, cap, first, monkeypatch):
         # three times of one PsiSeries: 2e-4 needs up to 512 nodes, 0.5 only 32
-        from projheat.thetapsi import PsiSeries, psi_sum
+        from projheat.thetapsi import PsiSeries
 
         monkeypatch.setattr(quadrature, "_CALL_NODES", cap)
         ts = [0.02, 2e-4, 0.5]
@@ -263,8 +266,9 @@ class TestAdaptiveRow:
         grid = adaptive_integrate_row(ds, 0.5, g, tols)
         assert len(set(grid.nodes.ravel().tolist())) >= 3
         for t, row_tols, *row in zip(ts, tols, *grid):
+            one = PsiSeries(3, (t,))  # the time's row on its own
             for d, tol, *got in zip(ds, row_tols, *row):
-                assert tuple(got) == adaptive_reference(d, 0.5, lambda u: psi_sum(3, t, u), tol)
+                assert tuple(got) == adaptive_reference(d, 0.5, lambda u: one((0,), u)[0], tol)
         assert all(rows * nodes <= cap or rows == 1 for rows, nodes in calls)
         assert calls[0] == first
 

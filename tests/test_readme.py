@@ -26,11 +26,11 @@ def _library_blocks() -> list:
     return re.findall(r"```python\n(.*?)```", _section("Library use"), re.DOTALL)
 
 
-def test_library_use_has_two_python_blocks():
-    assert len(_library_blocks()) == 2
+def test_library_use_has_one_python_block():
+    assert len(_library_blocks()) == 1
 
 
-@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("index", [0])
 def test_library_use_block_runs(index):
     exec(compile(_library_blocks()[index], f"README.md, Library use block {index}", "exec"), {})
 

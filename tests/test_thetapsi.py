@@ -1,7 +1,7 @@
-"""Tests for the ladder sum psi_sum and for the theta oracles in verify that certify it.
+"""Tests for the ladder sum PsiSeries and for the theta oracles in verify that certify it.
 
 The oracles, ``verify._theta_sum`` and ``verify._jacobi_theta2_reference``,
-are tested here beside the function they certify.  psi_sum folds
+are tested here beside the series they certify.  The series folds
 exp(c^2 t) into every term; where a test compares it at an absolute
 tolerance with an unshifted sum, the test divides that factor out.
 """
@@ -15,12 +15,17 @@ from numpy.testing import assert_allclose
 
 from projheat import thetapsi, verify
 from projheat.errors import DomainError, ProjheatError, TruncationCapError
-from projheat.orthopoly import ladder_apply
-from projheat.thetapsi import DEFAULT_TOL, psi_sum
+from projheat.thetapsi import DEFAULT_TOL, PsiSeries
 from projheat.verify import _jacobi_theta2_reference as jacobi_theta2_reference
+from projheat.verify import _ladder_apply as ladder_apply
 from projheat.verify import _theta_sum as theta_sum
 
 from helpers import psi_sum_reference, theta2_brute, theta_brute
+
+
+def psi(c, t, u, tol=DEFAULT_TOL):
+    """exp(c^2 t) Psi_c(t, u) at the one time t: the one row of a one-time series."""
+    return PsiSeries(c, (t,), tol)((0,), u)[0]
 
 
 class TestTheta:
@@ -65,10 +70,10 @@ class TestTheta:
             theta_sum(2, 1e-4, 0.3)
 
     def test_query_validation(self):
-        # only psi_sum takes a tolerance; theta_sum always sums to 1e-12
+        # only PsiSeries takes a tolerance; theta_sum always sums to 1e-12
         for tol in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError, match="tolerance must be positive"):
-                psi_sum(3, 0.5, 0.3, tol)
+                psi(3, 0.5, 0.3, tol)
 
     def test_rejects_subscript_below_two(self):
         with pytest.raises(DomainError):
@@ -88,7 +93,7 @@ class TestPsi:
     def test_single_ladder_is_sine_series(self):
         # one application turns cos((2l+1)u) into (2l+1) sin((2l+1)u)
         t, u = 0.5, 0.9
-        lhs = psi_sum(1, t, u) / math.exp(t)
+        lhs = psi(1, t, u) / math.exp(t)
         rhs = sum(
             (2 * l + 1) * math.exp(-4.0 * t * (l + 0.5) ** 2) * math.sin((2 * l + 1) * u)
             for l in range(200)
@@ -99,12 +104,12 @@ class TestPsi:
         # (c=3, t=5): the leading term is 24 sin(u) exp(-45) exp(9 t) = 24 sin(u);
         # the next one is exp(-80) smaller, so the closed form is exact to roundoff
         u = 0.8
-        val = psi_sum(3, 5.0, u)
+        val = psi(3, 5.0, u)
         assert_allclose(val, 24.0 * math.sin(u), rtol=1e-12)
 
     def test_finite_at_u_zero_and_pi(self):
-        assert psi_sum(3, 0.5, 0.0) == 0.0
-        assert abs(psi_sum(3, 0.5, math.pi) / math.exp(9 * 0.5)) < 1e-12
+        assert psi(3, 0.5, 0.0) == 0.0
+        assert abs(psi(3, 0.5, math.pi) / math.exp(9 * 0.5)) < 1e-12
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_finite_at_half_pi_and_matches_fd(self, j):
@@ -112,7 +117,7 @@ class TestPsi:
         from helpers import ladder_fd
 
         t, u = 0.5, math.pi / 2
-        val = psi_sum(j, t, u)
+        val = psi(j, t, u)
         assert math.isfinite(val)
         val /= math.exp(j * j * t)
         fd = math.sin(u) * ladder_fd(lambda v: theta_sum(j + 1, t, v), u, j)
@@ -120,15 +125,15 @@ class TestPsi:
 
     def test_vectorized_matches_scalar(self):
         us = np.linspace(0.1, 1.4, 6)
-        vec = psi_sum(3, 0.5, us)
+        vec = psi(3, 0.5, us)
         for u, v in zip(us, vec):
-            assert_allclose(v, psi_sum(3, 0.5, float(u)), rtol=1e-14)
+            assert_allclose(v, psi(3, 0.5, float(u)), rtol=1e-14)
 
     def test_truncation_soundness(self):
         # doubling the brute-force term count changes nothing beyond tol
         for j, t, u in ((1, 0.3, 0.7), (3, 0.2, 0.9), (5, 0.1, 1.2)):
             m = j + 1
-            auto = psi_sum(j, t, u) / math.exp(j * j * t)
+            auto = psi(j, t, u) / math.exp(j * j * t)
             brute = 0.0
             for l in range(3000):
                 a = math.exp(-4.0 * t * (l + 0.5 * (m - 1)) ** 2)
@@ -147,42 +152,41 @@ class TestPsi:
             expected = psi_sum_reference(c, c + 1, t, u, DEFAULT_TOL, exp_shift=float(c * c))
         except ProjheatError as exc:
             with pytest.raises(type(exc)):
-                psi_sum(c, t, u, DEFAULT_TOL)
+                psi(c, t, u, DEFAULT_TOL)
             return
-        got = psi_sum(c, t, u, DEFAULT_TOL)
+        got = psi(c, t, u, DEFAULT_TOL)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_cap_error(self, monkeypatch):
         monkeypatch.setattr(thetapsi, "TERM_CAP", 4)
         with pytest.raises(TruncationCapError, match="more than 4 terms"):
-            psi_sum(3, 1e-4, 0.5)
+            psi(3, 1e-4, 0.5)
 
     def test_rejects_bad_ladder_count(self):
         with pytest.raises(DomainError):
-            psi_sum(0, 0.5, 0.3)
+            psi(0, 0.5, 0.3)
 
     @pytest.mark.parametrize("build", [
         lambda: thetapsi.PsiSeries(2.5, [0.5]),
         lambda: thetapsi.PsiSeries(2.0, [0.5]),
         lambda: thetapsi.PsiSeries(np.float64(3.0), [0.5]),
-        lambda: psi_sum(2.0, 0.5, 0.3),
-    ], ids=["half", "whole_float", "numpy_float", "psi_sum"])
+    ], ids=["half", "whole_float", "numpy_float"])
     def test_rejects_non_integer_ladder_count(self, build):
         with pytest.raises(DomainError, match="ladder count must be an integer"):
             build()
 
     def test_numpy_integer_ladder_count_passes(self):
-        assert psi_sum(np.int64(3), 0.5, 0.3) == psi_sum(3, 0.5, 0.3)
+        assert psi(np.int64(3), 0.5, 0.3) == psi(3, 0.5, 0.3)
 
     def test_rejects_ladder_count_whose_scale_overflows(self):
         with pytest.raises(DomainError, match="ladder count must be <= 171, got 200"):
-            psi_sum(200, 0.5, 0.3)
+            psi(200, 0.5, 0.3)
 
     def test_overflowing_weights_stop_the_sum(self):
         # 2^170 170! is inf: the first weight is not finite
         with pytest.raises(TruncationCapError,
                            match="ladder series weights overflow floating point at j=171"):
-            psi_sum(171, 5.0, 0.3)
+            psi(171, 5.0, 0.3)
 
     @pytest.mark.parametrize("j,t", [
         (151, 0.5),   # 2^150 150! is finite, the first weight 151 2^150 150! is not
@@ -194,21 +198,21 @@ class TestPsi:
             warnings.simplefilter("error")
             with pytest.raises(TruncationCapError,
                                match=f"ladder series weights overflow floating point at j={j}"):
-                psi_sum(j, t, u)
+                psi(j, t, u)
 
     @pytest.mark.parametrize("t", [0.0, -0.5, float("nan")])
     def test_rejects_nonpositive_time(self, t):
         with pytest.raises(DomainError):
-            psi_sum(3, t, 0.5)
+            psi(3, t, 0.5)
 
     def test_rejects_nonfinite_angle(self):
         with pytest.raises(DomainError):
-            psi_sum(3, 0.5, float("nan"))
+            psi(3, 0.5, float("nan"))
 
     def test_rejects_infinite_time(self):
         # the kernels' rule: a time must be finite, not an overflow of the weights
         with pytest.raises(DomainError, match="diffusion time must be positive and finite"):
-            psi_sum(3, math.inf, 0.3)
+            psi(3, math.inf, 0.3)
 
     def test_rejects_infinite_time_in_a_column(self):
         with pytest.raises(DomainError, match="diffusion time must be positive and finite, "

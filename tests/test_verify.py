@@ -12,11 +12,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import ladder_fd_point
-from projheat import orthopoly, verify
+from projheat import verify
 from projheat.errors import QuadratureConvergenceError
 from projheat.verify import (
     SuiteProfile,
     _brute_sum,
+    _gegenbauer_c,
     _jacobi_rep_rows,
     _ladder_fd,
     _radial_integrals,
@@ -121,9 +122,9 @@ class TestOracles:
     @pytest.mark.parametrize("m,l,lam", [(1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0),
                                          (4, 12, 1.0)])
     def test_gegenbauer_ladder_fd_row(self, m, l, lam):
-        row = _ladder_fd(lambda u: orthopoly.gegenbauer_c(l, lam, np.cos(u)), self.US, m)
+        row = _ladder_fd(lambda u: _gegenbauer_c(l, lam, np.cos(u)), self.US, m)
         self.assert_bit_identical(row, [
-            ladder_fd_point(lambda u: orthopoly.gegenbauer_c(l, lam, math.cos(u)), u, m)
+            ladder_fd_point(lambda u: _gegenbauer_c(l, lam, math.cos(u)), u, m)
             for u in self.US.tolist()])
 
     @pytest.mark.parametrize("m,q", [(1, 3), (2, 5), (3, 5), (3, 8)])
@@ -132,7 +133,7 @@ class TestOracles:
         self.assert_bit_identical(row, [ladder_fd_point(lambda u: math.cos(q * u), u, m)
                                         for u in self.US.tolist()])
 
-    # the theta_ladder group's cases: theta_{j+1}, the series psi_sum ladders j times
+    # the theta_ladder group's cases: theta_{j+1}, the series PsiSeries ladders j times
     @pytest.mark.parametrize("m,t,j", [(j + 1, t, j) for j in (1, 2, 3)
                                        for t in (0.2, 0.5, 1.0)])
     def test_theta_ladder_fd_row(self, m, t, j):
@@ -474,6 +475,20 @@ class TestOwners:
         assert named == {"unified", "METHODS"}
         assert not [node for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.module == "kernels"]
+
+    @pytest.mark.parametrize("module,names", [
+        ("thetapsi", {"PsiSeries"}),
+        ("orthopoly", {"jacobi_step", "gegenbauer_step", "_check_count"}),
+    ], ids=["thetapsi", "orthopoly"])
+    def test_production_names_it_uses(self, module, names):
+        # whole polynomials and one-time series are the suite's own; it runs the kernels' steps
+        tree = ast.parse(inspect.getsource(verify))
+        named = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == module}
+        assert named == names
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == module]
 
     @pytest.mark.parametrize("fn", [verify._theta_sum, verify._jacobi_theta2_reference,
                                     verify._check_theta_truncation], ids=lambda f: f.__name__)
