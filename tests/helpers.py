@@ -8,9 +8,7 @@ share nothing with the production recurrences either.  The same Jacobi
 series in ``Fraction`` arithmetic is kept here as the reference that the
 self-test's integer form is held to, and the finite-difference ladder at
 one point with a scalar ``f`` as the reference its row form is held to.
-The Hamilton product and the quaternionic distance below run on plain
-4-tuples, as the reference the package's complex encoding of P^n(H) is
-held to.  The reference doubling loop and kernel below run one distance
+The reference doubling loop and kernel below run one distance
 at a time over ``integrate_weighted``: they pin the row loop's batching,
 chunking and bookkeeping, not the substitution arithmetic they share
 with it.  Earlier forms of production arithmetic are kept as the
@@ -161,41 +159,6 @@ def psi_sum_reference(j, m, t, u, tol=DEFAULT_TOL, exp_shift=0.0):
             if not math.isfinite(tail):
                 raise overflow
     raise TruncationCapError(f"ladder series needs more than {TERM_CAP} terms at t={t}")
-
-
-def hamilton(p, q):
-    """Hamilton product of quaternions given as 4-tuples (w, x, y, z) = w + x i + y j + z k."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return (a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e)
-
-
-def quaternion_conjugate(q):
-    w, x, y, z = q
-    return (w, -x, -y, -z)
-
-
-def quaternion_distance(x, y):
-    """Fubini-Study distance of two points of P^n(H), each a sequence of 4-tuples."""
-    inner = (0.0, 0.0, 0.0, 0.0)
-    for a, b in zip(x, y):
-        inner = tuple(u + v for u, v in zip(inner, hamilton(quaternion_conjugate(a), b)))
-    norm_x = math.sqrt(sum(v * v for q in x for v in q))
-    norm_y = math.sqrt(sum(v * v for q in y for v in q))
-    return math.acos(min(1.0, math.hypot(*inner) / (norm_x * norm_y)))
-
-
-def encode_quaternions(coords):
-    """The complex encoding of a point of P^n(H) given as 4-tuples (w, x, y, z).
-
-    The entries are w + x i for every coordinate, then y - z i for every
-    coordinate.
-    """
-    return ([complex(w, x) for w, x, _, _ in coords]
-            + [complex(y, -z) for _, _, y, z in coords])
 
 
 def gegenbauer_series_exact(l, lam, x):

@@ -16,13 +16,15 @@ A third pin keeps the production modules to what the CLI runs: every
 function and class they define is reached from ``cli.main`` or named on
 an allowlist, with the reason it stays.  A fourth lists the benchmark
 tracer's targets that no longer resolve, since the tracer skips them and
-their metrics read 0.
+their metrics read 0, and the suite groups that the benchmark names
+metrics for and the suite no longer has, which read 0 the same way.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import sys
 import textwrap
@@ -129,6 +131,8 @@ def test_series_and_integral_paths_meet_only_in_checks_and_errors():
     (verify._stationary_value, kernels.series_values),
     (verify._stationary_value, kernels._integral_kernel),
     (verify._manifold_volume, geometry.volume_density),
+    (verify._weyl_dimensions, kernels.series_values),
+    (verify._weyl_dimensions, geometry.SpaceDescriptor.eigenvalue),
 ], ids=lambda f: f.__name__)
 def test_oracle_does_not_reach_what_it_certifies(oracle, certified):
     assert _key(certified) not in reach(oracle)
@@ -136,11 +140,6 @@ def test_oracle_does_not_reach_what_it_certifies(oracle, certified):
 
 #: names defined in the production modules that ``cli.main`` never reaches, by reason
 UNREACHED_FROM_CLI = {
-    # README's point example, and the point encoding only it runs; the suite
-    # certifies it, and perfbench/tracecmd.py wraps geometry.distance by name
-    "projheat.geometry.distance",
-    "projheat.geometry._unit_points",
-    "projheat.geometry.scale_point",
     # suite references that perfbench/tracecmd.py wraps by module name: moved
     # elsewhere, per-layer counts such as geometry.volume_density.calls read 0
     "projheat.quadrature.integrate_weighted",
@@ -172,6 +171,7 @@ STALE_TRACE_TARGETS = {
     ("orthopoly", "gegenbauer_c"): "moved into verify as _gegenbauer_c",
     ("orthopoly", "ladder_apply"): "moved into verify as _ladder_apply",
     ("verify", "make_report"): "replaced by _row_reports, _worst_report and _flag_report",
+    ("geometry", "distance"): "deleted with the point code (ROADMAP item 4's default)",
 }
 
 
@@ -190,3 +190,20 @@ def test_stale_trace_targets_are_declared(monkeypatch):
         if owner is None:
             unresolved.add((module_name, attr))
     assert unresolved == set(STALE_TRACE_TARGETS)
+
+
+#: verify groups that BENCHMARK.json names metrics for and the suite no longer has, by reason
+STALE_GROUP_METRICS = {
+    "theta_relation": "merged into theta2, one group on the union grid",
+    "theta_parity": "deleted: it checked that np.cos is even",
+    "kernels_prefactor": "deleted: it compared one number with itself written another way",
+    "geometry_invariance": "deleted with the point code (ROADMAP item 4's default)",
+}
+
+
+def test_stale_group_metrics_are_declared():
+    # perfbench/run.py reads verify.<group>.{s,reports} from tracecmd.py --groups, 0 when absent
+    spec = json.loads((pathlib.Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    named = {name.split(".")[1] for name in (metric["name"] for metric in spec["per_layer"])
+             if name.startswith("verify.") and name.rsplit(".", 1)[1] in ("s", "reports")}
+    assert named - set(verify.group_names()) == set(STALE_GROUP_METRICS)

@@ -1,191 +1,23 @@
-"""Tests for projective geometry, the volume density and the radial Laplacian."""
+"""Tests for the space descriptor, the volume density and the radial Laplacian."""
 
 import math
-import random
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import (
-    encode_quaternions,
-    hamilton,
-    manifold_volume_reference,
-    quaternion_conjugate,
-    quaternion_distance,
-    stationary_value_reference,
-)
+from helpers import manifold_volume_reference, stationary_value_reference
 from projheat.errors import DomainError
 from projheat.geometry import (
     MAX_OFFSET,
     SpaceDescriptor,
-    distance,
     radial_laplacian_fd,
-    scale_point,
     volume_density,
 )
 from projheat.quadrature import gauss_legendre_rule
 from projheat.verify import _jacobi_p as jacobi_p
 from projheat.verify import _manifold_volume as manifold_volume
-from projheat.verify import _random_unit_scalar as random_unit_scalar
 from projheat.verify import _stationary_value as stationary_value
-
-
-def _quaternions(rng, count):
-    return [tuple(map(float, rng.normal(size=4))) for _ in range(count)]
-
-
-def _points(rng, k, n, shape=()):
-    """Encoded points with normal random entries; any k(n+1) complex entries are a point."""
-    size = (*shape, k * (n + 1))
-    return rng.normal(size=size) + 1j * rng.normal(size=size)
-
-
-class TestQuaternion:
-    """The reference Hamilton product the encoded distance is held to."""
-
-    def test_multiplication_table(self):
-        i, j, k = (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
-        assert hamilton(i, j) == k
-        assert hamilton(j, i) == (0, 0, 0, -1)
-        assert hamilton(i, i) == (-1, 0, 0, 0)
-
-    def test_norm_is_multiplicative(self):
-        rng = np.random.default_rng(3)
-        for p, q in zip(_quaternions(rng, 50), _quaternions(rng, 50)):
-            norm_p, norm_q = math.hypot(*p), math.hypot(*q)
-            assert abs(math.hypot(*hamilton(p, q)) - norm_p * norm_q) <= 1e-14 * norm_p * norm_q
-
-    def test_conjugation(self):
-        q = (1.0, 2.0, -3.0, 0.5)
-        assert quaternion_conjugate(q) == (1.0, -2.0, 3.0, -0.5)
-        prod = hamilton(q, quaternion_conjugate(q))
-        assert_allclose(prod[0], sum(v * v for v in q), rtol=1e-15)
-        assert_allclose(prod[1:], (0.0, 0.0, 0.0), atol=1e-15)
-
-
-class TestDistance:
-    def test_identical_points(self):
-        space = SpaceDescriptor(n=2, k=1)
-        x = [1, 0, 0]
-        assert distance(space, x, x) == 0.0
-
-    def test_orthogonal_points(self):
-        space = SpaceDescriptor(n=2, k=1)
-        assert_allclose(distance(space, [1, 0, 0], [0, 1, 0]), math.pi / 2, rtol=1e-15)
-
-    def test_quaternionic_example(self):
-        # x = [1, 0], y = [1, j]: |sum| = 1, |x| = 1, |y| = sqrt 2 -> pi/4
-        space = SpaceDescriptor(n=1, k=2)
-        x = [1, 0, 0, 0]  # a = (1, 0), conj(b) = (0, 0)
-        y = [1, 0, 0, 1]  # a = (1, 0), conj(b) = (0, 1): the second coordinate is j
-        assert y == encode_quaternions([(1, 0, 0, 0), (0, 0, 1, 0)])
-        assert_allclose(distance(space, x, y), math.acos(1.0 / math.sqrt(2.0)), rtol=1e-15)
-        assert_allclose(distance(space, x, y), math.pi / 4, rtol=1e-15)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_projective_invariance_and_symmetry(self, k):
-        rng = np.random.default_rng(11)
-        space = SpaceDescriptor(n=2, k=k)
-        x, y = _points(rng, k, 2, (30,)), _points(rng, k, 2, (30,))
-        scalars = random.Random(11)
-        q1 = np.array([random_unit_scalar(k, scalars) for _ in range(30)])
-        q2 = np.array([random_unit_scalar(k, scalars) for _ in range(30)])
-        base = distance(space, x, y)
-        assert base.shape == (30,)
-        assert distance(space, y, x).tolist() == base.tolist()  # exact, row by row
-        moved = distance(space, scale_point(x, q1), scale_point(y, q2))
-        assert np.max(np.abs(moved - base)) <= 1e-12
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_point_to_itself_is_zero(self, k):
-        rng = np.random.default_rng(23)
-        space = SpaceDescriptor(n=2, k=k)
-        x = _points(rng, k, 2, (1000,))
-        assert np.max(distance(space, x, x)) <= 1e-15
-        # and to any multiple of itself by a scalar of F
-        scalars = random.Random(23)
-        s = np.array([random_unit_scalar(k, scalars) for _ in range(1000)])
-        assert np.max(distance(space, x, 3.0 * scale_point(x, s))) <= 1e-15
-
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("d", [1e-6, 1e-3])
-    def test_relative_accuracy_at_small_distances(self, k, d):
-        # y = cos(d) x + sin(d) v with v a unit vector F-orthogonal to x, moved by a scalar
-        rng = np.random.default_rng(29)
-        scalars = random.Random(29)
-        space = SpaceDescriptor(n=2, k=k)
-        units = [[1.0], [1j]] if k == 1 else [[1, 0], [1j, 0], [0, 1], [0, 1j]]
-        for x, v in zip(_points(rng, k, 2, (100,)), _points(rng, k, 2, (100,))):
-            x = x / np.linalg.norm(x)
-            for e in units:  # x e over the unit scalars e of F: an orthonormal real basis
-                b = scale_point(x, np.array(e, dtype=complex))
-                v = v - b * np.vdot(b, v).real
-            y = math.cos(d) * x + math.sin(d) * v / np.linalg.norm(v)
-            y = 2.5 * scale_point(y, random_unit_scalar(k, scalars))
-            assert abs(distance(space, x, y) - d) <= 1e-8 * d
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_matches_quaternion_reference(self, n):
-        rng = np.random.default_rng(5 + n)
-        space = SpaceDescriptor(n=n, k=2)
-        xs = [_quaternions(rng, n + 1) for _ in range(2000)]
-        ys = [_quaternions(rng, n + 1) for _ in range(2000)]
-        got = distance(space, [encode_quaternions(x) for x in xs],
-                       [encode_quaternions(y) for y in ys])
-        want = [quaternion_distance(x, y) for x, y in zip(xs, ys)]
-        assert np.max(np.abs(got - want)) <= 1e-14
-
-    def test_scale_point_is_the_hamilton_product(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            coords = _quaternions(rng, 3)
-            [raw] = _quaternions(rng, 1)
-            s = tuple(v / math.hypot(*raw) for v in raw)
-            got = scale_point(encode_quaternions(coords), encode_quaternions([s]))
-            want = encode_quaternions([hamilton(q, s) for q in coords])
-            assert np.max(np.abs(got - want)) <= 1e-15
-
-    def test_rows_broadcast(self):
-        rng = np.random.default_rng(17)
-        space = SpaceDescriptor(n=1, k=2)
-        x, ys = _points(rng, 2, 1), _points(rng, 2, 1, (4, 5))
-        row = distance(space, x, ys)
-        assert row.shape == (4, 5)
-        assert row[2, 3] == distance(space, x, ys[2, 3])
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_scale_free_at_extreme_magnitudes(self, k):
-        rng = np.random.default_rng(19)
-        space = SpaceDescriptor(n=2, k=k)
-        x, y = _points(rng, k, 2), _points(rng, k, 2)
-        base = distance(space, x, y)
-        for factor in (1e-200, 1e200):
-            assert abs(distance(space, factor * x, y) - base) <= 1e-15
-
-    @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_coordinate_rejected(self, k, bad):
-        space = SpaceDescriptor(n=2, k=k)
-        good = [1.0] + [0.0] * (3 * k - 1)
-        spoilt = [1.0, 0.0, bad] + [0.0] * (3 * k - 3)
-        for x, y in ((spoilt, good), (good, spoilt), ([good, spoilt], good)):
-            with pytest.raises(DomainError, match="finite"):
-                distance(space, x, y)
-
-    def test_validation(self):
-        space = SpaceDescriptor(n=2, k=1)
-        with pytest.raises(DomainError):
-            distance(space, [1, 0], [1, 0, 0])
-        with pytest.raises(DomainError, match="nonzero"):
-            distance(space, [0, 0, 0], [1, 0, 0])
-        with pytest.raises(DomainError):
-            # a point of P^2(H) has 6 entries, the space wants 3
-            distance(space, [1, 0, 0], encode_quaternions([(1, 0, 0, 0)] * 3))
-        with pytest.raises(DomainError):
-            SpaceDescriptor(n=0, k=1)
-        with pytest.raises(DomainError):
-            SpaceDescriptor(n=1, k=3)
 
 
 class TestAcceptedRange:
@@ -214,7 +46,9 @@ class TestAcceptedRange:
         lambda: SpaceDescriptor(n=2, k=1)._replace(n=0),
         lambda: SpaceDescriptor(n=2, k=1)._replace(k=3),
         lambda: SpaceDescriptor(n=2, k=2)._replace(n=86),
-    ], ids=["make_n", "make_k", "replace_n", "replace_k", "replace_range"])
+        lambda: SpaceDescriptor(n=0, k=1),
+        lambda: SpaceDescriptor(n=1, k=3),
+    ], ids=["make_n", "make_k", "replace_n", "replace_k", "replace_range", "new_n", "new_k"])
     def test_every_way_of_building_checks(self, build):
         with pytest.raises(DomainError):
             build()

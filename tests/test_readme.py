@@ -1,6 +1,7 @@
 """README's examples stay true: the Python blocks of "Library use" run as
-written, every ``projheat`` line of its ``sh`` blocks parses, and the CLI
-section names exactly the parser's commands.
+written, every ``projheat`` line of its ``sh`` blocks parses, the CLI
+section names exactly the parser's commands, and the suite groups it names
+exist.
 
 A removed export, a changed signature, a removed flag or a removed
 command then fails here instead of leaving the documentation wrong.
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from projheat import cli
+from projheat import cli, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -63,3 +64,10 @@ def test_cli_section_names_exactly_the_commands():
     flags_of = re.findall(r"`(\w+)`", " ".join(re.findall(r"Flags of (.*?):", section)))
     [choices] = re.findall(r"\{(.*?)\}", cli.build_parser().format_usage())
     assert set(lines) | set(flags_of) == set(choices.split(","))
+
+
+def test_selftest_paragraph_names_only_groups():
+    # the backticked snake_case names of the "Flags of `selftest`" paragraph
+    [paragraph] = [p for p in _section("CLI").split("\n\n") if p.startswith("Flags of `selftest`")]
+    named = set(re.findall(r"`([a-z0-9]+_[a-z0-9_]+)`", paragraph))
+    assert named and named <= set(verify.group_names())

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from helpers import ladder_fd_point
 from projheat import verify
 from projheat.errors import QuadratureConvergenceError
+from projheat.geometry import SpaceDescriptor
 from projheat.verify import (
     SuiteProfile,
     _brute_sum,
@@ -281,6 +282,37 @@ class TestRadialIntegrals:
             _radial_integrals(lambda rows, r: [fs[i](r) for i in rows], [1e-12, 1e-9])
 
 
+class TestKernelsTrace:
+    """The kernels_trace group: Weyl's dimensions against the series' weights and trace."""
+
+    def test_weyl_dimensions_of_the_first_representations(self):
+        # Sp(3) for hpn n = 2 and SU(4) for cpn n = 3; 14 and 15 are the familiar ones
+        assert verify._weyl_dimensions(SpaceDescriptor(n=2, k=2), 5) == [1, 14, 90, 385, 1274]
+        assert verify._weyl_dimensions(SpaceDescriptor(n=3, k=1), 5) == [1, 15, 84, 300, 825]
+
+    def test_fails_with_a_wrong_eigenvalue(self, monkeypatch):
+        # the series decays by the space's eigenvalue; the trace's exponent is the group's own
+        monkeypatch.setattr(SpaceDescriptor, "eigenvalue",
+                            lambda self, l: -4.0 * l * (l + self.spectral_offset + 1))
+        reports = full_suite(SuiteProfile(groups=("kernels_trace",)))
+        assert {r.identity_name for r in reports if not r.passed} == {"heat_trace_weyl"}
+
+    def test_fails_with_a_wrong_dimension(self, monkeypatch):
+        weyl = verify._weyl_dimensions
+
+        def off_by_one_at_3(space, count):
+            dims = weyl(space, count)
+            dims[3] += 1
+            return dims
+
+        monkeypatch.setattr(verify, "_weyl_dimensions", off_by_one_at_3)
+        reports = full_suite(SuiteProfile(groups=("kernels_trace",)))
+        failed = [r for r in reports if not r.passed]
+        assert {r.identity_name for r in failed} == {"weyl_dimension_multiplicity",
+                                                    "heat_trace_weyl"}
+        assert all(r.lhs == 1.0 for r in failed if r.identity_name == "weyl_dimension_multiplicity")
+
+
 class TestThetaRelation:
     @pytest.mark.parametrize("n,t,x", [(1, 0.5, 0.3), (2, 0.1, 0.0), (3, 2.0, 1.0)])
     def test_passes(self, n, t, x):
@@ -328,7 +360,7 @@ class TestSuite:
 
     def test_group_names_registered(self):
         names = group_names()
-        for expected in ("lemma", "jacobi_rep", "theta2", "kernels_equivalence"):
+        for expected in ("lemma", "jacobi_rep", "theta2", "kernels_equivalence", "kernels_trace"):
             assert expected in names
 
     def test_profile_refuses_a_bare_string(self):
