@@ -440,24 +440,11 @@ def _jacobi_p(l, a: float, b: float, x):
         _rows(lambda k, p, q: orthopoly.jacobi_step(k, a, b, xv, p, q), degrees, xv.shape), l, x)
 
 
-def _gegenbauer_c(l, lam: float, x):
-    """C_l^lam(x) for x in [-1, 1] by three-term recurrence; l is a degree or a row.
-
-    For lam = 1 this is the Dirichlet-type ratio sin((l+1)u)/sin(u) at
-    x = cos(u).
-    """
-    degrees = _check_degrees(l)
-    _check_order(lam)
-    xv = _check_x(x)
-    return _one_or_rows(_rows(lambda k, p, q: orthopoly.gegenbauer_step(k, lam, xv, p, q),
-                              degrees, xv.shape), l, x)
-
-
 def _ladder_apply(m: int, l, lam: float, x):
     """L^m C_l^lam(cos u) at x = cos u, in closed form; l is a degree or a row.
 
-    That is 2^m (lam)_m C_{l-m}^{lam+m}(x), and zero when m > l (the
-    operator has differentiated the polynomial away).
+    That is 2^m (lam)_m C_{l-m}^{lam+m}(x), so C_l^lam(x) itself at m = 0,
+    and zero when m > l (the operator has differentiated the polynomial away).
     """
     orthopoly._check_count(m, "ladder count")
     degrees = _check_degrees(l)
@@ -519,7 +506,7 @@ def _jacobi_rep_rows(n: int, ls, ds) -> tuple:
     ls = list(ls)
 
     def g(rows, u):
-        return np.sin(u) * _gegenbauer_c([2 * ls[i] + 2 for i in rows], 2 * n - 1, np.cos(u))
+        return np.sin(u) * _ladder_apply(0, [2 * ls[i] + 2 for i in rows], 2 * n - 1, np.cos(u))
 
     consts = [2.0 * math.factorial(l + 1) * math.factorial(2 * n - 2) / (
         math.pi * math.factorial(l + 2 * n - 1)) for l in ls]
@@ -586,7 +573,7 @@ def _check_orthopoly_trig():
     thetas = np.linspace(0.01, math.pi - 0.01, 40)
     reports = []
     for l in (1, 2, 5, 20, 50):
-        vals = _gegenbauer_c(l, 1.0, np.cos(thetas))
+        vals = _ladder_apply(0, l, 1.0, np.cos(thetas))
         ref = np.sin((l + 1) * thetas) / np.sin(thetas)
         reports.append(_worst_report(
             "gegenbauer_dirichlet_ratio", {"l": l}, "theta", thetas, vals, ref, 1e-10,
@@ -600,7 +587,7 @@ def _check_orthopoly_ladder():
     reports = []
     for m, l, lam in ((1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0), (4, 12, 1.0)):
         exact_vals = _ladder_apply(m, l, lam, np.cos(us))
-        fd_vals = _ladder_fd(lambda u: _gegenbauer_c(l, lam, np.cos(u)), us, m)
+        fd_vals = _ladder_fd(lambda u: _ladder_apply(0, l, lam, np.cos(u)), us, m)
         scale = max(1.0, float(np.max(np.abs(exact_vals))))
         reports.append(_worst_report(
             "gegenbauer_ladder_vs_fd", {"m": m, "l": l, "lam": lam}, "u", us,
@@ -656,7 +643,7 @@ def _check_quadrature_doubling():
         return series((0,), u)[0]
 
     def gegenbauer(u):
-        return np.sin(u) * _gegenbauer_c(4, 1.0, np.cos(u))
+        return np.sin(u) * _ladder_apply(0, 4, 1.0, np.cos(u))
 
     ds = (0.0, 0.35, 0.7, 1.05, 1.4)
     rows = [  # (parameters of each distance, distances, weight exponent, integrand)

@@ -168,7 +168,8 @@ STALE_TRACE_TARGETS = {
     ("orthopoly", "cosine_ladder"): "deleted: the closed-form ladder covers a cosine harmonic",
     ("orthopoly", "LadderResult.evaluate"): "deleted with the LadderResult class",
     ("orthopoly", "jacobi_p"): "moved into verify as _jacobi_p: only the suite evaluates it",
-    ("orthopoly", "gegenbauer_c"): "moved into verify as _gegenbauer_c",
+    ("orthopoly", "gegenbauer_c"): "moved into verify as _gegenbauer_c, then folded into "
+                                   "_ladder_apply: C_l^lam is its m = 0 case",
     ("orthopoly", "ladder_apply"): "moved into verify as _ladder_apply",
     ("verify", "make_report"): "replaced by _row_reports, _worst_report and _flag_report",
     ("geometry", "distance"): "deleted with the point code (ROADMAP item 4's default)",

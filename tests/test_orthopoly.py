@@ -12,7 +12,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from projheat.errors import DomainError
-from projheat.verify import _gegenbauer_c as gegenbauer_c
 from projheat.verify import _jacobi_endpoint as jacobi_endpoint
 from projheat.verify import _jacobi_p as jacobi_p
 from projheat.verify import _ladder_apply as ladder_apply
@@ -142,21 +141,23 @@ class TestExactSeriesOracle:
 
 
 class TestGegenbauer:
+    """C_l^lam(x), the ladder's m = 0 case."""
+
     def test_degree_zero_is_one(self):
-        assert gegenbauer_c(0, 1.0, 0.7) == 1.0
+        assert ladder_apply(0, 0, 1.0, 0.7) == 1.0
 
     def test_degree_two_at_zero(self):
         # C_2^1(x) = 4x^2 - 1; also sin(3 theta)/sin(theta) at theta = pi/2
-        assert_allclose(gegenbauer_c(2, 1.0, 0.0), -1.0, rtol=1e-15)
+        assert_allclose(ladder_apply(0, 2, 1.0, 0.0), -1.0, rtol=1e-15)
 
     def test_trig_ratio_example(self):
-        val = gegenbauer_c(3, 1.0, math.cos(0.4))
+        val = ladder_apply(0, 3, 1.0, math.cos(0.4))
         assert_allclose(val, math.sin(1.6) / math.sin(0.4), rtol=1e-14)
 
     def test_trig_identity_sweep(self):
         thetas = np.linspace(0.01, math.pi - 0.01, 60)
         for l in (1, 2, 5, 17, 50):
-            vals = gegenbauer_c(l, 1.0, np.cos(thetas))
+            vals = ladder_apply(0, l, 1.0, np.cos(thetas))
             ref = np.sin((l + 1) * thetas) / np.sin(thetas)
             assert np.max(np.abs(vals - ref)) <= 1e-10
 
@@ -166,41 +167,45 @@ class TestGegenbauer:
             l = int(rng.integers(0, 21))
             lam = float(rng.uniform(0.25, 6.0))
             x = float(rng.uniform(-1.0, 1.0))
-            ours = gegenbauer_c(l, lam, x)
+            ours = ladder_apply(0, l, lam, x)
             exact = gegenbauer_series_exact(l, lam, x)
             scale = max(1.0, abs(gegenbauer_series_exact(l, lam, 1.0)))
             assert abs(ours - exact) <= 1e-10 * scale
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            gegenbauer_c(2, 1.0, -1.2)
+            ladder_apply(0, 2, 1.0, -1.2)
         with pytest.raises(DomainError):
-            gegenbauer_c(2, 0.0, 0.3)
+            ladder_apply(0, 2, 0.0, 0.3)
         with pytest.raises(DomainError):
-            gegenbauer_c(-3, 1.0, 0.3)
+            ladder_apply(0, -3, 1.0, 0.3)
         with pytest.raises(DomainError):
-            gegenbauer_c(2, 1.0, float("nan"))
+            ladder_apply(0, 2, 1.0, float("nan"))
 
     def test_infinite_order_rejected(self):
         with pytest.raises(DomainError, match="order must be positive"):
-            gegenbauer_c(2, math.inf, 0.3)
+            ladder_apply(0, 2, math.inf, 0.3)
 
 
 class TestLadder:
     def test_identity_operator(self):
         x = np.cos(US)
-        assert np.all(ladder_apply(0, 4, 1.0, x) == gegenbauer_c(4, 1.0, x))
+        assert_allclose(ladder_apply(0, 4, 1.0, x),
+                        [gegenbauer_series_exact(4, 1.0, xi) for xi in x], rtol=1e-14)
 
     def test_two_applications(self):
         # L^2 C_4^1 = 2^2 (1)(2) C_2^3
-        assert ladder_apply(2, 4, 1.0, 0.3) == 8.0 * gegenbauer_c(2, 3.0, 0.3)
+        assert_allclose(ladder_apply(2, 4, 1.0, 0.3), 8.0 * gegenbauer_series_exact(2, 3.0, 0.3),
+                        rtol=1e-14)
 
     def test_rising_factorial_scale(self):
         # the scale 2^m (lam)_m: (1)_4 = 24, (0.5)_0 = 1, (2.5)_3 = 2.5 * 3.5 * 4.5
-        assert ladder_apply(4, 6, 1.0, 0.3) == 16.0 * 24.0 * gegenbauer_c(2, 5.0, 0.3)
-        assert ladder_apply(0, 3, 0.5, 0.3) == gegenbauer_c(3, 0.5, 0.3)
+        assert_allclose(ladder_apply(4, 6, 1.0, 0.3),
+                        16.0 * 24.0 * gegenbauer_series_exact(2, 5.0, 0.3), rtol=1e-14)
+        assert_allclose(ladder_apply(0, 3, 0.5, 0.3), gegenbauer_series_exact(3, 0.5, 0.3),
+                        rtol=1e-14)
         assert_allclose(ladder_apply(3, 5, 2.5, 0.3),
-                        8.0 * 2.5 * 3.5 * 4.5 * gegenbauer_c(2, 5.5, 0.3), rtol=1e-15)
+                        8.0 * 2.5 * 3.5 * 4.5 * gegenbauer_series_exact(2, 5.5, 0.3), rtol=1e-14)
 
     def test_annihilation(self):
         assert ladder_apply(3, 2, 1.0, 0.3) == 0.0
@@ -211,7 +216,7 @@ class TestLadder:
                                          (3, 9, 1.0), (4, 12, 1.0), (4, 8, 1.5)])
     def test_against_finite_differences(self, m, l, lam):
         exact = ladder_apply(m, l, lam, np.cos(US))
-        fd = ladder_fd(lambda u: gegenbauer_c(l, lam, np.cos(u)), US, m)
+        fd = ladder_fd(lambda u: ladder_apply(0, l, lam, np.cos(u)), US, m)
         scale = max(1.0, float(np.max(np.abs(exact))))
         assert np.max(np.abs(exact - fd)) <= 1e-5 * scale
 
@@ -252,7 +257,8 @@ class TestCosineLadder:
     def test_single_application(self):
         # L cos(3u) = 3 sin(3u)/sin(u) = 3 C_2^1(cos u)
         x = np.cos(US)
-        assert np.all(3 * ladder_apply(0, 2, 1.0, x) == 3.0 * gegenbauer_c(2, 1.0, x))
+        assert_allclose(3 * ladder_apply(0, 2, 1.0, x),
+                        [3.0 * gegenbauer_series_exact(2, 1.0, xi) for xi in x], rtol=1e-14)
         assert_allclose(3 * ladder_apply(0, 2, 1.0, x), 3.0 * np.sin(3 * US) / np.sin(US),
                         rtol=1e-14)
 
@@ -263,7 +269,8 @@ class TestCosineLadder:
     def test_triple_application(self):
         # L^3 cos(5u) = 5 * 2^2 * 2! * C_2^3
         x = np.cos(US)
-        assert np.all(5 * ladder_apply(2, 4, 1.0, x) == 40.0 * gegenbauer_c(2, 3.0, x))
+        assert_allclose(5 * ladder_apply(2, 4, 1.0, x),
+                        [40.0 * gegenbauer_series_exact(2, 3.0, xi) for xi in x], rtol=1e-14)
 
     @pytest.mark.parametrize("m,q", [(1, 3), (2, 5), (3, 5), (3, 8), (4, 9)])
     def test_against_finite_differences(self, m, q):
@@ -298,8 +305,8 @@ class TestRowsOfDegrees:
 
     @pytest.mark.parametrize("x", [0.3, np.cos(US)], ids=["scalar", "array"])
     def test_gegenbauer(self, x):
-        self.assert_rows(gegenbauer_c(np.array(self.DEGREES), 1.5, x),
-                         [gegenbauer_c(l, 1.5, x) for l in self.DEGREES], x)
+        self.assert_rows(ladder_apply(0, np.array(self.DEGREES), 1.5, x),
+                         [ladder_apply(0, l, 1.5, x) for l in self.DEGREES], x)
 
     @pytest.mark.parametrize("x", [0.3, np.cos(US)], ids=["scalar", "array"])
     def test_ladder(self, x):
@@ -316,6 +323,6 @@ class TestRowsOfDegrees:
         with pytest.raises(DomainError, match="got -1"):
             jacobi_p([2, -1], 1, 1, 0.3)
         with pytest.raises(DomainError, match="2 dimensions"):
-            gegenbauer_c([[1, 2]], 1.0, 0.3)
+            ladder_apply(0, [[1, 2]], 1.0, 0.3)
         with pytest.raises(DomainError):
             ladder_apply(1, [1, 2], 1.0, 1.5)

@@ -12,14 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import ladder_fd_point
-from projheat import verify
+from projheat import kernels, thetapsi, verify
 from projheat.errors import QuadratureConvergenceError
 from projheat.geometry import SpaceDescriptor
 from projheat.verify import (
     SuiteProfile,
     _brute_sum,
-    _gegenbauer_c,
     _jacobi_rep_rows,
+    _ladder_apply,
     _ladder_fd,
     _radial_integrals,
     _row_reports,
@@ -123,9 +123,9 @@ class TestOracles:
     @pytest.mark.parametrize("m,l,lam", [(1, 4, 1.0), (2, 4, 1.0), (2, 6, 2.0), (3, 9, 1.0),
                                          (4, 12, 1.0)])
     def test_gegenbauer_ladder_fd_row(self, m, l, lam):
-        row = _ladder_fd(lambda u: _gegenbauer_c(l, lam, np.cos(u)), self.US, m)
+        row = _ladder_fd(lambda u: _ladder_apply(0, l, lam, np.cos(u)), self.US, m)
         self.assert_bit_identical(row, [
-            ladder_fd_point(lambda u: _gegenbauer_c(l, lam, math.cos(u)), u, m)
+            ladder_fd_point(lambda u: _ladder_apply(0, l, lam, math.cos(u)), u, m)
             for u in self.US.tolist()])
 
     @pytest.mark.parametrize("m,q", [(1, 3), (2, 5), (3, 5), (3, 8)])
@@ -311,6 +311,32 @@ class TestKernelsTrace:
         assert {r.identity_name for r in failed} == {"weyl_dimension_multiplicity",
                                                     "heat_trace_weyl"}
         assert all(r.lhs == 1.0 for r in failed if r.identity_name == "weyl_dimension_multiplicity")
+
+    @staticmethod
+    def integral_trace_errors(space):
+        """Relative errors of vol E(t, 0) by the integral against Weyl's sum, at t = 0.05, 0.5, 5.
+
+        t = 0.01 stays out: the integral does not yet return there on every space.
+        """
+        ts, c = (0.05, 0.5, 5.0), space.spectral_offset
+        dims = verify._weyl_dimensions(space, 40)
+        sums = [math.fsum(m * math.exp(-4.0 * l * (l + c) * t) for l, m in enumerate(dims))
+                for t in ts]
+        traces = verify._manifold_volume(space) * kernels.unified(
+            space.n, space.k, ts, 0.0, 1e-12, "integral").value
+        return [abs(trace - exact) / exact for trace, exact in zip(traces.tolist(), sums)]
+
+    @pytest.mark.parametrize("space", verify._SPACES, ids=lambda s: f"k{s.k}_n{s.n}")
+    def test_integral_trace_against_weyl(self, space):
+        # the one check of the integral that does not go through the series
+        assert max(self.integral_trace_errors(space)) <= 1e-12
+
+    def test_integral_trace_fails_with_scaled_theta_weights(self, monkeypatch):
+        weights = thetapsi._weights
+        monkeypatch.setattr(thetapsi, "_weights",
+                            lambda *args: [w * (1 + 1e-9) for w in weights(*args)])
+        for space in verify._SPACES:
+            assert max(self.integral_trace_errors(space)) > 1e-12
 
 
 class TestThetaRelation:
