@@ -207,9 +207,9 @@ def cmd_table(args) -> int:
 
 def cmd_compare(args) -> int:
     from . import verify  # here, not at the top: table needs only kernels
-    tol = args.tol
-    space, ts, ds, (series, integral) = _evaluate_grid(args, "0.1:1:4", "0:1.4:6",
-                                                       kernels.METHODS, min(tol, 1e-10))
+    tol = args.tol  # the kernels' tolerance is at most 1e-10, and unified refuses an inf one
+    space, ts, ds, (series, integral) = _evaluate_grid(
+        args, "0.1:1:4", "0:1.4:6", kernels.METHODS, min(tol, 1e-10) if tol < math.inf else tol)
     grid_abs, grid_rel, grid_passed = verify.compare_values(series.value, integral.value, tol)
     d_strs = [_fmt(d) for d in ds]
     with _output(args) as out:

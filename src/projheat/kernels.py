@@ -19,7 +19,7 @@ overflow at large t.
 
 The two forms share no evaluation code, which is what makes their
 agreement a meaningful check: the series never integrates, and what
-``series_values`` and ``_integral_kernel`` reach meets only in ``_check_args``,
+``series_values`` and ``_integral_kernel`` reach meets only in
 ``SpaceDescriptor`` (with what its construction runs) and the error
 classes, as tests/test_boundaries.py pins by walking both call graphs.
 
@@ -29,12 +29,12 @@ integral form uses doubling Gauss-Legendre quadrature on the
 endpoint-regularized substitution from the quadrature module.
 
 ``unified`` checks every argument once, in ``_check_args``, before
-either method runs (``series_values``, a public entry of its own, checks
-its row there too): building the ``geometry.SpaceDescriptor`` decides
-whether (k, n) is accepted, and the times, the distances and the
-tolerance are checked here.  The space it returns supplies the series'
-alpha, beta, c and decay rates 4 l (l + c), as the suite certifies them
-on the space, and the integral's c and weight exponent k - 3/2.
+either method runs, and nothing beneath it checks them again: building
+the ``geometry.SpaceDescriptor`` decides whether (k, n) is accepted, and
+the times, the distances and the tolerance are checked here.  The space
+it returns supplies the series' alpha, beta, c and decay rates
+4 l (l + c), as the suite certifies them on the space, and the
+integral's c and weight exponent k - 3/2.
 
 ``unified`` takes a column of times by a row of distances.  The series
 sums each time's row on its own.  The integral evaluates the grid in one
@@ -98,8 +98,8 @@ def _check_args(k: int, n: int, ts, d, tol: float) -> SpaceDescriptor:
     inside = (d_arr >= 0.0) & (d_arr < _HALF_PI)
     if not inside.all():
         raise DomainError(f"distance must lie in [0, pi/2), got {d_arr[~inside].flat[0]}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     return space
 
 
@@ -116,13 +116,13 @@ def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
     The truncation index is shared across the array because the term
     bound is uniform in d.
 
-    Raises DomainError for an argument outside its domain, and
-    TruncationCapError when a weight or a value is not finite: a weight is
-    tested before it enters the sum, and a finite weight whose term or
-    partial sum overflows leaves inf or NaN in the values.
+    Trusts t, d and tol as ``unified`` checked them; the space checks
+    (k, n).  Raises TruncationCapError when a weight or a value is not
+    finite: a weight is tested before it enters the sum, and a finite
+    weight whose term or partial sum overflows leaves inf or NaN in the values.
     """
     d_arr = np.asarray(d, dtype=float)
-    space = _check_args(k, n, (t,), d_arr, tol)
+    space = SpaceDescriptor(n, k)
     x = np.cos(2.0 * d_arr)
     alpha = float(space.jacobi_alpha)
     beta = float(space.jacobi_beta)

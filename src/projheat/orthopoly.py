@@ -4,27 +4,13 @@ The kernels run only single steps: ``jacobi_step`` in the series, and
 ``gegenbauer_step`` in ``thetapsi.PsiSeries`` and in the Legendre
 recurrence of the Gauss-Legendre rule (Legendre is Gegenbauer order 1/2).
 Forward recurrence in the degree is stable for the weight exponents used
-here (all > -1/2) and exact to roundoff at degrees 0 and 1.
-``_check_count`` is the one check of an integer count: a ladder count, a
-node count or a degree.  The whole-polynomial evaluators and the
-closed-form derivative ladder that certify these steps live in
-``verify``, since only the identity checks evaluate whole polynomials.
+here (all > -1/2) and exact to roundoff at degrees 0 and 1.  The
+whole-polynomial evaluators and the closed-form derivative ladder that
+certify these steps live in ``verify``, with their argument checks,
+since only the identity checks evaluate whole polynomials.
 """
 
 from __future__ import annotations
-
-import operator
-
-from .errors import DomainError
-
-
-def _check_count(value, what: str, least: int = 0) -> None:
-    try:  # numpy integers pass, floats do not
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if value < least:
-        raise DomainError(f"{what} must be >= {least}, got {value}")
 
 
 def jacobi_step(l: int, a: float, b: float, x, p_cur, p_prev):

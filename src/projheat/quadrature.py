@@ -19,10 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError
-from .orthopoly import _check_count, gegenbauer_step
-
-_HALF_PI = 0.5 * math.pi
+from .errors import QuadratureConvergenceError
+from .orthopoly import gegenbauer_step
 
 #: most substitution nodes one call of the integrand receives
 _CALL_NODES = 1 << 16
@@ -59,9 +57,9 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
 
     Nodes are the Legendre roots found by Newton iteration from the
     standard cosine initial guesses; weights are 2 / ((1 - x^2) P_n'^2).
-    Results are cached and the returned arrays are read-only.
+    Results are cached and the returned arrays are read-only.  ``count``
+    is a positive integer.
     """
-    _check_count(count, "node count", 1)
     cached = _RULE_CACHE.get(count)
     if cached is not None:
         return cached
@@ -92,15 +90,9 @@ def gauss_legendre_rule(count: int) -> QuadratureRule:
     return rule
 
 
-def _check_limits(ds, exponent_sign: float) -> np.ndarray:
-    """cos d for each lower limit d of ``ds``, once the limits and the exponent are checked."""
-    ds = np.asarray(ds, dtype=float).tolist()
-    for d in ds:
-        if not (0.0 <= d < _HALF_PI):
-            raise DomainError(f"lower limit must lie in [0, pi/2), got {d}")
-    if exponent_sign not in (0.5, -0.5):
-        raise DomainError(f"weight exponent must be +0.5 or -0.5, got {exponent_sign}")
-    return np.array([math.cos(d) for d in ds])
+def _cosines(ds) -> np.ndarray:
+    """cos d for each lower limit d of ``ds``."""
+    return np.array([math.cos(d) for d in np.asarray(ds, dtype=float).tolist()])
 
 
 def _weighted_sums(cos_ds: np.ndarray, exponent_sign: float, g, rows: np.ndarray,
@@ -135,13 +127,14 @@ def integrate_weighted(ds, exponent_sign: float, g: Callable[[np.ndarray], np.nd
                        rule: QuadratureRule) -> np.ndarray:
     """Integral of (cos^2 d - cos^2 u)^exponent_sign * g(u) over [d, pi/2], each d of ``ds``.
 
-    Returns one float per distance.  ``exponent_sign`` is +0.5 or -0.5.
-    ``g`` is evaluated at interior points only, for whole distances per
-    call and at most ``_CALL_NODES`` nodes a call.  For the -1/2 weight
-    with d = 0 the transformed integrand is smooth provided g carries a
-    sin(u) factor, which every caller in this package does.
+    Returns one float per distance.  Each d lies in [0, pi/2), and
+    ``exponent_sign`` is +0.5 or -0.5.  ``g`` is evaluated at interior
+    points only, for whole distances per call and at most ``_CALL_NODES``
+    nodes a call.  For the -1/2 weight with d = 0 the transformed integrand
+    is smooth provided g carries a sin(u) factor, which every caller in
+    this package does.
     """
-    cos_ds = _check_limits(ds, exponent_sign)
+    cos_ds = _cosines(ds)
     return _weighted_sums(cos_ds, exponent_sign, lambda rows, u: g(u), np.arange(1), rule)[0]
 
 
@@ -171,16 +164,12 @@ def adaptive_integrate_row(ds, exponent_sign: float,
     entries, so each pair's entries are its last estimate, that rule's
     node count and the difference between its last two estimates, as if
     it were integrated alone.  Raises QuadratureConvergenceError for the
-    first pair, in row-major order, left unconverged at MAX_NODES.  A bad
-    limit, exponent or tolerance raises DomainError before ``g`` runs.
+    first pair, in row-major order, left unconverged at MAX_NODES.  The
+    limits and the exponent are as ``integrate_weighted`` takes them, and
+    the tolerances positive: ``kernels.unified`` checked them.
     """
     tols = np.asarray(tols, dtype=float)
-    bad = ~(tols > 0)
-    if bad.any():
-        raise DomainError(f"tolerance must be positive, got {float(tols[bad][0])}")
-    cos_ds = _check_limits(ds, exponent_sign)
-    if tols.ndim != 2 or tols.shape[1] != cos_ds.size:
-        raise DomainError(f"tolerances must have one column per distance, got shape {tols.shape}")
+    cos_ds = _cosines(ds)
     shape, width = tols.shape, cos_ds.size
     tols = tols.ravel()
     values = np.full(tols.size, np.nan)  # no pair converges on the first round

@@ -39,9 +39,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, TruncationCapError
-from .geometry import MAX_OFFSET
-from .orthopoly import _check_count, gegenbauer_step
+from .errors import TruncationCapError
+from .orthopoly import gegenbauer_step
 
 
 #: absolute tail tolerance of PsiSeries, unless its caller gives one
@@ -98,9 +97,10 @@ class PsiSeries:
     """exp(c^2 t) Psi_c(t, u) for a column of times ``ts``, as a function of (rows, u).
 
     Construction sums each time's weights once, up to that time's own
-    truncation index, into one zero-padded row of a weight table.  It
-    raises DomainError for a ladder count or tolerance outside its domain
-    or a time that is not positive and finite, and TruncationCapError for
+    truncation index, into one zero-padded row of a weight table.  Its
+    arguments are trusted as ``kernels.unified`` checked them: an integer
+    1 <= c <= ``geometry.MAX_OFFSET``, a column of positive finite times
+    and a positive finite tolerance.  It raises TruncationCapError for
     the first time, in column order, whose weights overflow or need more
     than TERM_CAP terms.  A call ``series(rows, u)`` gives one row of
     values per index in ``rows`` (into ``ts``), over the angles ``u``.  It
@@ -108,30 +108,17 @@ class PsiSeries:
     rolling order-c Gegenbauer recurrence over the angles, two steps per
     term; term l adds ``table[:m, l] * C_2l`` into the leading block of
     the m rows whose series still have a term l.  Row i is bit for bit
-    the one row of ``PsiSeries(c, (ts[rows[i]],), tol)((0,), u)``.  A call
-    raises DomainError for an angle that is not finite, and
-    TruncationCapError for the first row whose values are not finite: a
-    finite weight whose term or partial sum overflows leaves inf or NaN
-    in them.
+    the one row of ``PsiSeries(c, (ts[rows[i]],), tol)((0,), u)``, at
+    finite angles.  A call raises TruncationCapError for the first row
+    whose values are not finite: a finite weight whose term or partial
+    sum overflows leaves inf or NaN in them.
     """
 
     def __init__(self, c: int, ts, tol: float = DEFAULT_TOL):
-        _check_count(c, "ladder count", 1)
-        if not tol > 0:
-            raise DomainError(f"tolerance must be positive, got {tol}")
         ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise DomainError(f"times must form a column, got {ts.ndim} dimensions")
-        times = ts.tolist()
-        for t in times:
-            if not 0.0 < t < math.inf:
-                raise DomainError(f"diffusion time must be positive and finite, got {t}")
-        if c > MAX_OFFSET:
-            raise DomainError(f"ladder count must be <= {MAX_OFFSET}, got {c}: "
-                              "(j-1)! overflows floating point")
         base = (2.0 ** (c - 1)) * math.factorial(c - 1)  # q-independent ladder scale
         self.c, self.ts = c, ts
-        weights = [_weights(c, t, tol, base) for t in times]
+        weights = [_weights(c, t, tol, base) for t in ts.tolist()]
         self.terms = np.array([len(w) for w in weights], dtype=int)
         self.table = np.zeros((ts.size, self.terms.max(initial=0)))
         for row, w in zip(self.table, weights):
@@ -141,8 +128,6 @@ class PsiSeries:
     def __call__(self, rows, u) -> np.ndarray:
         rows = np.asarray(rows, dtype=int)
         u_arr = np.asarray(u, dtype=float)
-        if not np.isfinite(u_arr).all():
-            raise DomainError("angle must be finite")
         x = np.cos(u_arr)
         # longest series first: the rows still summing at term l are a leading block
         order = np.argsort(-self.terms[rows])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import pickle
 import random
@@ -384,6 +385,15 @@ def _radial_integrals(fvec: Callable[[list, np.ndarray], np.ndarray], tols: list
 _X_SLACK = 1e-12
 
 
+def _check_count(value, what: str) -> None:
+    try:  # numpy integers pass, floats do not
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise DomainError(f"{what} must be >= 0, got {value}")
+
+
 def _check_degrees(l) -> list:
     """The degrees of ``l``, one degree or a row of them, as a list, each checked."""
     arr = np.asarray(l)
@@ -391,7 +401,7 @@ def _check_degrees(l) -> list:
         raise DomainError(f"degrees must be one degree or a row, got {arr.ndim} dimensions")
     degrees = arr.tolist() if arr.ndim else [l]
     for degree in degrees:
-        orthopoly._check_count(degree, "degree")
+        _check_count(degree, "degree")
     return degrees
 
 
@@ -446,7 +456,7 @@ def _ladder_apply(m: int, l, lam: float, x):
     That is 2^m (lam)_m C_{l-m}^{lam+m}(x), so C_l^lam(x) itself at m = 0,
     and zero when m > l (the operator has differentiated the polynomial away).
     """
-    orthopoly._check_count(m, "ladder count")
+    _check_count(m, "ladder count")
     degrees = _check_degrees(l)
     _check_order(lam)
     rising = 1.0  # (lam)_m

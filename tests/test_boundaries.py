@@ -17,7 +17,9 @@ function and class they define is reached from ``cli.main`` or named on
 an allowlist, with the reason it stays.  A fourth lists the benchmark
 tracer's targets that no longer resolve, since the tracer skips them and
 their metrics read 0, and the suite groups that the benchmark names
-metrics for and the suite no longer has, which read 0 the same way.
+metrics for and the suite no longer has, which read 0 the same way; and
+a traced command still counts the series' points and terms, which the
+benchmark's own tests assert.
 """
 
 import ast
@@ -25,7 +27,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import textwrap
 
@@ -101,7 +105,7 @@ class TestPositiveControls:
 
     def test_series_path_reaches_jacobi_step(self):
         assert _key(orthopoly.jacobi_step) in SERIES
-        assert _key(kernels._check_args) in SERIES
+        assert _key(geometry.SpaceDescriptor) in SERIES
 
     def test_module_attribute_chains_and_lambdas_are_followed(self):
         # _check_theta_ladder names thetapsi.PsiSeries, and _theta_sum inside a lambda
@@ -116,10 +120,16 @@ class TestPositiveControls:
 
 
 def test_series_and_integral_paths_meet_only_in_checks_and_errors():
-    allowed = {_key(kernels._check_args)} | reach(geometry.SpaceDescriptor)
+    # the one check they share is the space's; unified checks the rest before either runs
+    allowed = reach(geometry.SpaceDescriptor)
     shared = {key for key in SERIES & INTEGRAL
               if key not in allowed and not key.startswith("projheat.errors.")}
     assert shared == set()
+
+
+def test_only_unified_checks_the_arguments():
+    assert _key(kernels._check_args) in reach(kernels.unified)
+    assert _key(kernels._check_args) not in SERIES | INTEGRAL
 
 
 @pytest.mark.parametrize("oracle,certified", [
@@ -208,3 +218,19 @@ def test_stale_group_metrics_are_declared():
     named = {name.split(".")[1] for name in (metric["name"] for metric in spec["per_layer"])
              if name.startswith("verify.") and name.rsplit(".", 1)[1] in ("s", "reports")}
     assert named - set(verify.group_names()) == set(STALE_GROUP_METRICS)
+
+
+@pytest.mark.parametrize("command", [["table", "--method", "series"], ["compare"]],
+                         ids=["table", "compare"])
+def test_traced_command_counts_series_points(command):
+    # what perfbench/selfcheck.py asserts of a traced run, on a 2 x 3 grid
+    root = pathlib.Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/tracecmd.py", *command, "--space", "hpn", "--n", "2",
+         "--t-grid", "0.2:1:2", "--d-grid", "0:1.2:3"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    [line] = [line for line in proc.stderr.splitlines() if line.startswith("PERFBENCH_TRACE ")]
+    stats = json.loads(line.removeprefix("PERFBENCH_TRACE "))["kernels.series_values"]
+    assert stats["points"] == 2 * 3 and type(stats["terms"]) is int

@@ -62,7 +62,7 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["table"])
     @pytest.mark.parametrize("method", ["series", "integral"])
-    @pytest.mark.parametrize("tol", ["0", "-1"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "inf"])
     def test_nonpositive_tolerance_is_usage_error(self, command, method, tol):
         argv = [command, "--t", "0.5", "--d", "0.3", "--method", method, "--tol", tol]
         assert cli.main(argv) == cli.EXIT_USAGE
@@ -188,6 +188,12 @@ class TestCompare:
             assert cli.main(["table", *grid, "--method", method]) == cli.EXIT_OK
             table = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
             assert [r[:4] + [r[column]] for r in rows] == [r[:4] + [r[5]] for r in table]
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tolerance_is_usage_error(self, tol, capsys):
+        # an infinite tolerance would pass every row whatever the two methods give
+        assert cli.main(["compare", "--t", "0.5", "--d", "0.3", "--tol", tol]) == cli.EXIT_USAGE
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     def test_largest_quaternionic_space(self):
         res = run("compare", "--space", "hpn", "--n", "3", "--t-grid", "0.1:0.5:2",

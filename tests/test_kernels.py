@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import integral_kernel_reference
-from projheat import quadrature, thetapsi
+from projheat import kernels, quadrature, thetapsi
 from projheat.errors import DomainError, QuadratureConvergenceError, TruncationCapError
 from projheat.geometry import SpaceDescriptor
 from projheat.kernels import KernelValue, series_values, unified
@@ -183,7 +183,7 @@ class TestQueryInterface:
         assert got.value == unified(2, 1, 0.5, 0.3).value
 
     @pytest.mark.parametrize("method", ["series", "integral"])
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), math.inf])
     def test_nonpositive_tolerance_rejected(self, method, tol):
         with pytest.raises(DomainError):
             unified(2, 2, 0.5, 0.3, tol=tol, method=method)
@@ -238,6 +238,78 @@ class TestQueryInterface:
         assert value is record.value and terms is record.terms_or_nodes
         assert err is record.est_error
         assert value.shape == terms.shape == err.shape == (2, 3)
+
+
+#: one bad argument of ``unified(n, k, t, d, tol, method)`` each; method None is either method
+_REFUSED = {
+    "t_zero": (2, 1, 0.0, 0.3, 1e-10, None),
+    "t_negative_in_column": (2, 1, [0.5, -0.5], 0.3, 1e-10, None),
+    "t_inf_in_column": (2, 1, [0.5, math.inf], 0.3, 1e-10, None),
+    "t_nan": (2, 1, math.nan, 0.3, 1e-10, None),
+    "t_2d": (2, 1, [[0.5]], 0.3, 1e-10, None),
+    "d_half_pi": (2, 1, 0.5, [0.3, math.pi / 2], 1e-10, None),
+    "d_negative": (2, 1, 0.5, -0.1, 1e-10, None),
+    "d_nan": (2, 1, 0.5, math.nan, 1e-10, None),
+    "d_2d": (2, 1, 0.5, [[0.3]], 1e-10, None),
+    "tol_zero": (2, 1, 0.5, 0.3, 0.0, None),
+    "tol_nan": (2, 1, 0.5, 0.3, math.nan, None),
+    "tol_inf": (2, 1, 0.5, 0.3, math.inf, None),
+    "n_zero": (0, 1, 0.5, 0.3, 1e-10, None),
+    "n_float": (2.0, 1, 0.5, 0.3, 1e-10, None),
+    "n_too_large": (86, 2, 0.5, 0.3, 1e-10, None),
+    "k_three": (2, 3, 0.5, 0.3, 1e-10, None),
+    "k_float": (2, 1.0, 0.5, 0.3, 1e-10, None),
+    "method": (2, 1, 0.5, 0.3, 1e-10, "magic"),
+}
+
+#: what each method runs beneath ``unified``, spied on where ``kernels`` looks them up
+_BENEATH = ("series_values", "PsiSeries", "adaptive_integrate_row")
+
+
+class TestOneCheck:
+    """``unified`` checks every argument before either method runs, and nothing beneath it does."""
+
+    @pytest.fixture
+    def entered(self, monkeypatch):
+        names = []
+        for name in _BENEATH:
+            original = getattr(kernels, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                names.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, spy)
+        return names
+
+    @pytest.mark.parametrize("method", ["series", "integral"])
+    @pytest.mark.parametrize("args", _REFUSED.values(), ids=_REFUSED.keys())
+    def test_refused_before_either_method_runs(self, entered, method, args):
+        *args, bad_method = args
+        with pytest.raises(DomainError):
+            unified(*args, bad_method or method)
+        assert entered == []
+
+    @pytest.mark.parametrize("method,names", [
+        ("series", ["series_values"] * 2),
+        ("integral", ["PsiSeries", "adaptive_integrate_row"]),
+    ])
+    def test_spies_see_a_good_call(self, entered, method, names):
+        # the positive control: the same spies see what each method runs
+        unified(2, 1, [0.5, 1.0], 0.3, 1e-10, method)
+        assert entered == names
+
+    def test_series_grid_checks_once(self, monkeypatch):
+        calls = []
+        original = kernels._check_args
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "_check_args", spy)
+        unified(2, 1, [0.1, 0.2, 0.5, 1.0, 2.0], [0.0, 0.3, 1.2])
+        assert len(calls) == 1
 
 
 def _entries(row):
@@ -480,7 +552,7 @@ class TestSeriesGrid:
 
 
 class TestSpaceOwnsTheNumbers:
-    """Both forms read alpha, beta, c and lambda_l from the space ``_check_args`` returns.
+    """Both forms read alpha, beta, c and lambda_l from ``SpaceDescriptor``.
 
     So what the suite's radial eigenfunction check certifies on
     ``SpaceDescriptor`` is what the series sums: a wrong value there shows

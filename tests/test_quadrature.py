@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from helpers import adaptive_reference, legendre_and_derivative_reference
 from projheat import quadrature
-from projheat.errors import DomainError, QuadratureConvergenceError
+from projheat.errors import QuadratureConvergenceError
 from projheat.quadrature import (
     MAX_NODES,
     adaptive_integrate_row,
@@ -71,15 +71,6 @@ class TestRuleGeneration:
         assert rule.nodes.tobytes() == reference.nodes.tobytes()
         assert rule.weights.tobytes() == reference.weights.tobytes()
 
-    def test_rejects_bad_count(self):
-        with pytest.raises(DomainError, match="node count must be >= 1, got 0"):
-            gauss_legendre_rule(0)
-
-    @pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0)])
-    def test_rejects_non_integer_count(self, count):
-        with pytest.raises(DomainError, match="node count must be an integer"):
-            gauss_legendre_rule(count)
-
 
 def _hard(u):
     return np.sin(u) / (1.01 + np.cos(37.0 * u))
@@ -111,18 +102,6 @@ class TestWeightedIntegration:
         [val] = integrate_weighted([math.pi / 2 - 1e-6], 0.5, lambda u: np.ones_like(u),
                                    gauss_legendre_rule(32))
         assert abs(val) <= 1e-9
-
-    def test_rejects_bad_spec(self):
-        rule = gauss_legendre_rule(8)
-        for where in (0, 2):
-            for bad in (math.pi / 2, -0.1, float("nan")):
-                ds = [0.1, 0.4, 0.7]
-                ds[where] = bad
-                with pytest.raises(DomainError, match="lower limit"):
-                    integrate_weighted(ds, 0.5, np.sin, rule)
-        for sign in (1.0, 0.0, -1.0):
-            with pytest.raises(DomainError, match="weight exponent"):
-                integrate_weighted([0.1], sign, np.sin, rule)
 
 
 def _reference_sums(ds, exponent_sign, g, rule):
@@ -209,11 +188,6 @@ class TestAdaptive:
         with pytest.raises(QuadratureConvergenceError):
             adaptive_integrate_row([0.2], 0.5, _one_row(_hard), [[1e-30]])
 
-    def test_rejects_bad_tolerance(self):
-        for tol in (0.0, -1.0, float("nan")):
-            with pytest.raises(DomainError):
-                adaptive_integrate_row([0.2], 0.5, _one_row(np.sin), [[tol]])
-
 
 class TestAdaptiveRow:
     def test_equals_reference_per_distance(self):
@@ -288,21 +262,3 @@ class TestAdaptiveRow:
         for tols in ([[]], np.empty((0, 2))):
             grid = adaptive_integrate_row([0.1, 0.2][:np.shape(tols)[1]], 0.5, g, tols)
             assert [column.shape for column in grid] == [np.shape(tols)] * 3
-
-    def test_rejects_bad_row(self):
-        def g(rows, u):
-            raise AssertionError("a rejected row never calls its integrand")
-
-        for where in (0, 2):
-            for bad in (math.pi / 2, -0.1, float("nan")):
-                ds = [0.2, 0.4, 0.6]
-                ds[where] = bad
-                with pytest.raises(DomainError, match="lower limit"):
-                    adaptive_integrate_row(ds, 0.5, g, [[1e-10] * 3])
-        for sign in (1.0, 0.0, -1.0):
-            with pytest.raises(DomainError, match="weight exponent"):
-                adaptive_integrate_row([0.2], sign, g, [[1e-10]])
-        with pytest.raises(DomainError):
-            adaptive_integrate_row([0.2, 0.4], 0.5, g, [[1e-10, 1e-10], [1e-10, 0.0]])
-        with pytest.raises(DomainError, match="one column per distance"):
-            adaptive_integrate_row([0.2, 0.4], 0.5, g, [1e-10, 1e-10])

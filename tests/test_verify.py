@@ -536,7 +536,7 @@ class TestOwners:
 
     @pytest.mark.parametrize("module,names", [
         ("thetapsi", {"PsiSeries"}),
-        ("orthopoly", {"jacobi_step", "gegenbauer_step", "_check_count"}),
+        ("orthopoly", {"jacobi_step", "gegenbauer_step"}),
     ], ids=["thetapsi", "orthopoly"])
     def test_production_names_it_uses(self, module, names):
         # whole polynomials and one-time series are the suite's own; it runs the kernels' steps
