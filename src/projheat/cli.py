@@ -6,6 +6,10 @@ reports SIGPIPE, e.g. after ``| head``; nothing goes to stderr then).
 Numeric output is printed with 17 significant digits so tables are
 reproducible byte for byte.
 
+The CLI checks no argument that ``kernels.unified`` checks (the index, a
+time below ``kernels.MIN_TIME``, the distances, the tolerance): it only
+parses the grids, refuses ``--t`` with ``--t-grid`` and opens ``--out``.
+
 ``python -m projheat`` and the ``projheat`` script run ``run()``: it calls
 ``main``, flushes the output and exits without interpreter teardown, so
 ``atexit`` handlers and finalizers of that process do not run.  Code that
@@ -37,10 +41,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ProjheatError, QuadratureConvergenceError, TruncationCapError
-from .geometry import SpaceDescriptor
-
-#: below this diffusion time the CLI refuses to evaluate
-MIN_TIME = 1e-4
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -114,10 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _space_from_args(args) -> SpaceDescriptor:
-    return SpaceDescriptor(n=args.n, k=1 if args.space == "cpn" else 2)
-
-
 def _values_from_args(args, name: str, grid_default: str) -> list:
     single = getattr(args, name)
     grid = getattr(args, f"{name}_grid")
@@ -128,14 +124,6 @@ def _values_from_args(args, name: str, grid_default: str) -> list:
     if grid is not None:
         return _parse_grid(grid, f"{name}-grid")
     return _parse_grid(grid_default, f"{name}-grid")
-
-
-def _validate_times(ts) -> None:
-    for t in ts:
-        if not MIN_TIME <= t < math.inf:
-            raise UsageError(
-                f"t={t} out of range: diffusion time must be finite and >= {MIN_TIME}"
-            )
 
 
 def _output(args):
@@ -149,7 +137,7 @@ def _output(args):
 
 
 def _evaluate_grid(args, t_default, d_default, methods, tol):
-    """Kernel records over the requested grid: (space, ts, ds, records).
+    """Kernel records over the requested grid: (k, n, ts, ds, records).
 
     ``records`` holds one grid record per method, in the order of
     ``methods``: the KernelValue of (t, d) arrays that one ``unified``
@@ -161,16 +149,15 @@ def _evaluate_grid(args, t_default, d_default, methods, tol):
     that fails raises its error.  If no row fails alone, the records are
     built from the rows, each bit for bit its part of the grid.
     """
-    space = _space_from_args(args)
+    k, n = 1 if args.space == "cpn" else 2, args.n
     ts = _values_from_args(args, "t", t_default)
     ds = _values_from_args(args, "d", d_default)
-    _validate_times(ts)  # distances are checked by ``unified``, before any output opens
-    try:
-        records = [kernels.unified(space.n, space.k, ts, ds, tol, m) for m in methods]
+    try:  # unified checks (k, n), the times, the distances and tol, before any output opens
+        records = [kernels.unified(n, k, ts, ds, tol, m) for m in methods]
     except (TruncationCapError, QuadratureConvergenceError):
-        rows = [[kernels.unified(space.n, space.k, t, ds, tol, m) for m in methods] for t in ts]
+        rows = [[kernels.unified(n, k, t, ds, tol, m) for m in methods] for t in ts]
         records = [kernels.KernelValue._make(map(np.stack, zip(*column))) for column in zip(*rows)]
-    return space, ts, ds, records
+    return k, n, ts, ds, records
 
 
 def _block(line: str, *columns) -> str:
@@ -179,8 +166,8 @@ def _block(line: str, *columns) -> str:
 
 
 def cmd_table(args) -> int:
-    space, ts, ds, [res] = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", (args.method,),
-                                          args.tol)
+    k, n, ts, ds, [res] = _evaluate_grid(args, "0.2:1:3", "0:1.2:5", (args.method,),
+                                         args.tol)
     names = ("value", "est_error", "terms_or_nodes")
     d_strs = [_fmt(d) for d in ds]
 
@@ -189,13 +176,13 @@ def cmd_table(args) -> int:
             out.write(f"k,n,t,d,method,{','.join(names)}\n")
         for t, *columns in zip(ts, res.value, res.est_error, res.terms_or_nodes):
             if args.fmt == "json":
-                head = {"k": space.k, "n": space.n, "t": t}
+                head = {"k": k, "n": n, "t": t}
                 out.write("".join(
                     json.dumps({**head, "d": d, "method": args.method,
                                 **dict(zip(names, entries))}) + "\n"
                     for d, *entries in zip(ds, *(c.tolist() for c in columns))))
             else:  # one row path for every method: each column is the record's own
-                line, varying = f"{space.k},{space.n},{_fmt(t)},%s,{args.method}", [d_strs]
+                line, varying = f"{k},{n},{_fmt(t)},%s,{args.method}", [d_strs]
                 for c in columns:  # bit for bit the same along the row: formatted once
                     if c.tobytes() == c[:1].tobytes() * c.size:
                         line += "," + _fmt(c[0])
@@ -208,7 +195,7 @@ def cmd_table(args) -> int:
 def cmd_compare(args) -> int:
     from . import verify  # here, not at the top: table needs only kernels
     tol = args.tol  # the kernels' tolerance is at most 1e-10, and unified refuses an inf one
-    space, ts, ds, (series, integral) = _evaluate_grid(
+    k, n, ts, ds, (series, integral) = _evaluate_grid(
         args, "0.1:1:4", "0:1.4:6", kernels.METHODS, min(tol, 1e-10) if tol < math.inf else tol)
     grid_abs, grid_rel, grid_passed = verify.compare_values(series.value, integral.value, tol)
     d_strs = [_fmt(d) for d in ds]
@@ -221,7 +208,7 @@ def cmd_compare(args) -> int:
                 out.write("".join(
                     verify.VerificationReport(
                         "representation_equivalence",
-                        {"k": space.k, "n": space.n, "t": t, "d": d},
+                        {"k": k, "n": n, "t": t, "d": d},
                         *entries, tol=tol, passed=ok,
                     ).to_json() + "\n"
                     for d, ok, *entries in zip(ds, passed.tolist(), rs.tolist(),
@@ -229,12 +216,12 @@ def cmd_compare(args) -> int:
                                                rel_err.tolist())))
             elif args.fmt == "csv":
                 out.write(_block(
-                    f"{space.k},{space.n},{_fmt(t)},%s,%.17g,%.17g,%.17g,%.17g,%s\n",
+                    f"{k},{n},{_fmt(t)},%s,%.17g,%.17g,%.17g,%.17g,%s\n",
                     d_strs, rs.tolist(), ri.tolist(), abs_err.tolist(),
                     rel_err.tolist(), np.where(passed, "pass", "fail").tolist()))
             else:
                 out.write(_block(
-                    f"%s k={space.k} n={space.n} t={_fmt(t)} d=%s "
+                    f"%s k={k} n={n} t={_fmt(t)} d=%s "
                     "series=%.17g integral=%.17g rel_err=%.3e\n",
                     np.where(passed, "PASS", "FAIL").tolist(), d_strs, rs.tolist(),
                     ri.tolist(), rel_err.tolist()))

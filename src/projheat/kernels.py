@@ -29,12 +29,12 @@ integral form uses doubling Gauss-Legendre quadrature on the
 endpoint-regularized substitution from the quadrature module.
 
 ``unified`` checks every argument once, in ``_check_args``, before
-either method runs, and nothing beneath it checks them again: building
-the ``geometry.SpaceDescriptor`` decides whether (k, n) is accepted, and
-the times, the distances and the tolerance are checked here.  The space
-it returns supplies the series' alpha, beta, c and decay rates
-4 l (l + c), as the suite certifies them on the space, and the
-integral's c and weight exponent k - 3/2.
+either method runs; nothing beneath it or in the CLI checks them again.
+Building the ``geometry.SpaceDescriptor`` decides whether (k, n) is
+accepted, and the times (finite, from ``MIN_TIME`` on), the distances and
+the tolerance are checked here.  The space supplies the series' alpha,
+beta, c and decay rates 4 l (l + c), as the suite certifies them on the
+space, and the integral's c and weight exponent k - 3/2.
 
 ``unified`` takes a column of times by a row of distances.  The series
 sums each time's row on its own.  The integral evaluates the grid in one
@@ -64,7 +64,10 @@ from .thetapsi import DEFAULT_TOL, PsiSeries
 
 _HALF_PI = 0.5 * math.pi
 
-#: hard cap on spectral series terms; ~320 suffice at t = 1e-4, the CLI's floor
+#: smallest diffusion time that ``unified`` accepts, the floor of the domain
+MIN_TIME = 1e-4
+#: a termination guard, as ``thetapsi.TERM_CAP`` is: no default-tol call in the domain reaches
+#: either (at t = MIN_TIME the series takes up to 1252 terms and ``PsiSeries`` 1336)
 SERIES_CAP = 2000
 
 METHODS = ("series", "integral")
@@ -90,8 +93,9 @@ class KernelValue(NamedTuple):
 def _check_args(k: int, n: int, ts, d, tol: float) -> SpaceDescriptor:
     space = SpaceDescriptor(n, k)  # validates the index, its range and the field selector
     for t in ts:
-        if not 0.0 < t < math.inf:
-            raise DomainError(f"diffusion time must be positive and finite, got {t}")
+        if not MIN_TIME <= t < math.inf:
+            raise DomainError(f"diffusion time out of range: must be finite and >= {MIN_TIME}, "
+                              f"got {t}")
     d_arr = np.asarray(d, dtype=float)
     if d_arr.ndim > 1:
         raise DomainError(f"distance must be a scalar or a row, got {d_arr.ndim} dimensions")
@@ -109,7 +113,7 @@ def _weights_overflow(k: int, n: int, t: float) -> TruncationCapError:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowed term is refused at the end
-def series_values(k: int, n: int, t: float, d, tol: float = 1e-10):
+def series_values(k: int, n: int, t: float, d, tol: float):
     """Spectral-series kernel at the one time t over a distance or an array of distances.
 
     Returns (values, terms_used, tail_bound), the values shaped like d.

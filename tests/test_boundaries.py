@@ -132,6 +132,15 @@ def test_only_unified_checks_the_arguments():
     assert _key(kernels._check_args) not in SERIES | INTEGRAL
 
 
+def test_the_cli_builds_no_space_of_its_own():
+    # what the CLI's own functions name: unified, but no space and no check
+    named = {_key(obj) for fn in vars(cli).values()
+             if inspect.isfunction(fn) and fn.__module__ == cli.__name__
+             for obj, _ in _named(fn, None) if _ours(obj)}
+    assert _key(kernels.unified) in named
+    assert named.isdisjoint({_key(geometry.SpaceDescriptor), _key(kernels._check_args)})
+
+
 @pytest.mark.parametrize("oracle,certified", [
     (verify._theta_sum, thetapsi.PsiSeries),
     (verify._brute_sum, thetapsi.PsiSeries),

@@ -15,7 +15,7 @@ import pytest
 
 import projheat
 from projheat import cli, kernels, thetapsi, verify
-from projheat.errors import TruncationCapError
+from projheat.errors import DomainError, TruncationCapError
 
 CMD = [sys.executable, "-m", "projheat"]
 
@@ -215,8 +215,35 @@ class TestErrorLines:
         assert cli.main(["table", "--t", t, "--d", "0.3"]) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"projheat: error: t={t} out of range: diffusion time "
-                                "must be finite and >= 0.0001\n")
+        assert captured.err == ("projheat: error: diffusion time out of range: "
+                                f"must be finite and >= 0.0001, got {t}\n")
+
+    @pytest.mark.parametrize("flags", ["--t 5e-5", "--t inf", "--d 1.6", "--n 0",
+                                       "--space hpn --n 86", "--tol 0", "--tol nan"])
+    def test_refused_value_is_the_kernels_error(self, capsys, monkeypatch, tmp_path, flags):
+        # the CLI checks none of these: its one line is what unified's check raised
+        check, raised = kernels._check_args, []
+
+        def spy(*args):
+            try:
+                return check(*args)
+            except DomainError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(kernels, "_check_args", spy)
+        target = tmp_path / "out.csv"
+        argv = ["table", "--t", "0.5", "--d", "0.3", *flags.split(), "--out", str(target)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert len(raised) == 1 and captured.out == ""
+        assert captured.err == f"projheat: error: {raised[0]}\n"
+        assert not target.exists()
+
+    def test_malformed_grid_is_reported_before_a_bad_index(self, capsys):
+        # the grids are parsed before unified checks the index
+        assert cli.main(["table", "--n", "0", "--t-grid", "1:2"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "projheat: error: --t-grid expects a:b:steps, got '1:2'\n"
 
     @pytest.mark.parametrize("argv,bad", [
         (["table", "--t", "0.5", "--d", "1.6"], "1.6"),

@@ -122,8 +122,9 @@ class TestTruncationBehaviour:
         assert many > few
 
     def test_cap_error_for_tiny_t(self):
-        with pytest.raises(TruncationCapError):
-            unified(1, 2, 1e-9, 0.3, tol=1e-12)
+        # below the domain, which unified refuses: the cap stops the loop all the same
+        with pytest.raises(TruncationCapError, match=f"more than {kernels.SERIES_CAP} terms"):
+            series_values(2, 1, 1e-9, 0.3, 1e-12)
 
     def test_series_values_vectorized(self):
         ds = np.linspace(0.0, 1.5, 7)
@@ -220,7 +221,7 @@ class TestQueryInterface:
             warnings.simplefilter("error")
             with pytest.raises(TruncationCapError,
                                match="spectral series weights overflow floating point"):
-                series_values(k, n, 1e-4, np.array([0.0, 0.3]))
+                series_values(k, n, 1e-4, np.array([0.0, 0.3]), 1e-10)
 
     def test_kernel_value_is_plain_record(self):
         v = KernelValue(value=1.0, terms_or_nodes=3, est_error=1e-12)
@@ -243,6 +244,7 @@ class TestQueryInterface:
 #: one bad argument of ``unified(n, k, t, d, tol, method)`` each; method None is either method
 _REFUSED = {
     "t_zero": (2, 1, 0.0, 0.3, 1e-10, None),
+    "t_below_floor_in_column": (2, 1, [0.5, 5e-5], 0.3, 1e-10, None),
     "t_negative_in_column": (2, 1, [0.5, -0.5], 0.3, 1e-10, None),
     "t_inf_in_column": (2, 1, [0.5, math.inf], 0.3, 1e-10, None),
     "t_nan": (2, 1, math.nan, 0.3, 1e-10, None),
@@ -492,21 +494,30 @@ class TestGridCall:
 
     @pytest.mark.parametrize("method", ["series", "integral"])
     def test_bad_time_anywhere_rejects_the_grid(self, method):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, 5e-5, math.inf, math.nan):
             with pytest.raises(DomainError, match=f"got {bad}"):
                 unified(1, 2, [0.5, bad, 0.1], [0.1, 0.4], method=method)
         with pytest.raises(DomainError, match="2 dimensions"):
             unified(1, 2, [[0.5]], [0.1, 0.4], method=method)
 
     @pytest.mark.parametrize("n,k,ts,method,error,match", [
-        # both times' weights overflow
-        (120, 1, [1e-4, 1e-7], "series", TruncationCapError, "at k=1, n=120, t=0.0001$"),
-        # t = 1e-9 needs more than TERM_CAP terms, before the doubling loop that
-        # t = 0.001 fails in starts
-        (3, 2, [0.001, 1e-9], "integral", QuadratureConvergenceError,
+        # both times' weights overflow, each with its own time in the message
+        (120, 1, [1e-4, 2e-4], "series", TruncationCapError, "at k=1, n=120, t=0.0001$"),
+        # the later time's weights fail (patched in below), before the doubling
+        # loop that t = 0.001 fails in starts
+        (3, 2, [0.001, 0.002], "integral", QuadratureConvergenceError,
          "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
     ])
-    def test_first_failing_time_raises(self, n, k, ts, method, error, match):
+    def test_first_failing_time_raises(self, monkeypatch, n, k, ts, method, error, match):
+        if method == "integral":
+            weights = thetapsi._weights
+
+            def failing_at_the_later_time(c, t, tol, base):
+                if t == ts[1]:
+                    raise TruncationCapError(f"ladder series weights fail at t={t}")
+                return weights(c, t, tol, base)
+
+            monkeypatch.setattr(thetapsi, "_weights", failing_at_the_later_time)
         failures = (TruncationCapError, QuadratureConvergenceError)
         alone = []  # (class, message) of each time's own call
         for t in ts:
@@ -545,9 +556,9 @@ class TestSeriesGrid:
         assert len(set(grid.terms_or_nodes[:, 0].tolist())) == len(set(ts))
 
     def test_one_time_shapes(self):
-        values, terms, tail = series_values(2, 1, 0.5, 0.4)
+        values, terms, tail = series_values(2, 1, 0.5, 0.4, 1e-10)
         assert np.shape(values) == () and type(terms) is int and type(tail) is float
-        row, _, _ = series_values(2, 1, 0.5, [0.4])
+        row, _, _ = series_values(2, 1, 0.5, [0.4], 1e-10)
         assert row.shape == (1,) and row[0] == values
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from projheat import cli, verify
+from projheat import cli, geometry, kernels, verify
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,8 +66,22 @@ def test_cli_section_names_exactly_the_commands():
     assert set(lines) | set(flags_of) == set(choices.split(","))
 
 
+def _flags_paragraph(command: str) -> str:
+    [paragraph] = [p for p in _section("CLI").split("\n\n")
+                   if p.startswith(f"Flags of `{command}`")]
+    return paragraph
+
+
 def test_selftest_paragraph_names_only_groups():
     # the backticked snake_case names of the "Flags of `selftest`" paragraph
-    [paragraph] = [p for p in _section("CLI").split("\n\n") if p.startswith("Flags of `selftest`")]
-    named = set(re.findall(r"`([a-z0-9]+_[a-z0-9_]+)`", paragraph))
+    named = set(re.findall(r"`([a-z0-9]+_[a-z0-9_]+)`", _flags_paragraph("selftest")))
     assert named and named <= set(verify.group_names())
+
+
+def test_stated_domain_is_the_checked_one():
+    # the time floor, in the flags paragraph and in "Library use", and the index caps
+    flags = _flags_paragraph("table")
+    floors = re.findall(r"below `([^`]+)`", flags + _section("Library use"))
+    assert len(floors) == 3 and {float(f) for f in floors} == {kernels.MIN_TIME}
+    caps = re.search(r"`--n` is at most (\d+) on `cpn` and (\d+) on\s+`hpn`", flags).groups()
+    assert [int(n) for n in caps] == [(geometry.MAX_OFFSET + 1) // k - 1 for k in (1, 2)]

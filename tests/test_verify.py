@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from helpers import ladder_fd_point
 from projheat import kernels, thetapsi, verify
-from projheat.errors import QuadratureConvergenceError
+from projheat.errors import QuadratureConvergenceError, TruncationCapError
 from projheat.geometry import SpaceDescriptor
 from projheat.verify import (
     SuiteProfile,
@@ -282,6 +282,14 @@ class TestRadialIntegrals:
             _radial_integrals(lambda rows, r: [fs[i](r) for i in rows], [1e-12, 1e-9])
 
 
+#: (k, n, t) whose series weights overflow a float at d = 0 (ROADMAP item 1(d)): cpn n = 150-171
+#: at t = 0.05, 167-171 at 0.5 and 169-171 at 5; hpn n = 75-85 at 0.05, 84-85 at 0.5 and at 5
+SERIES_WEIGHTS_OVERFLOW = frozenset(
+    [(1, n, 0.05) for n in range(150, 172)] + [(1, n, 0.5) for n in range(167, 172)]
+    + [(1, n, 5.0) for n in range(169, 172)] + [(2, n, 0.05) for n in range(75, 86)]
+    + [(2, n, t) for n in (84, 85) for t in (0.5, 5.0)])
+
+
 class TestKernelsTrace:
     """The kernels_trace group: Weyl's dimensions against the series' weights and trace."""
 
@@ -337,6 +345,47 @@ class TestKernelsTrace:
                             lambda *args: [w * (1 + 1e-9) for w in weights(*args)])
         for space in verify._SPACES:
             assert max(self.integral_trace_errors(space)) > 1e-12
+
+    @staticmethod
+    def series_trace_sweep() -> dict:
+        """(k, n, t) -> relative error of vol E(t, 0) by the series against Weyl's sum.
+
+        Every accepted index, at t = 0.05, 0.5, 5 and tol 1e-12.  A call that
+        raises TruncationCapError gives its message in place of the error.
+        """
+        sweep = {}
+        for k, top in ((1, 171), (2, 85)):
+            for n in range(1, top + 1):
+                space = SpaceDescriptor(n=n, k=k)
+                c, dims = space.spectral_offset, verify._weyl_dimensions(space, 60)
+                for t in (0.05, 0.5, 5.0):
+                    try:
+                        value = kernels.unified(n, k, t, 0.0, 1e-12).value
+                    except TruncationCapError as exc:
+                        sweep[k, n, t] = str(exc)
+                        continue
+                    exact = math.fsum(m * math.exp(-4.0 * l * (l + c) * t)
+                                      for l, m in enumerate(dims))
+                    sweep[k, n, t] = abs(verify._manifold_volume(space) * value - exact) / exact
+        return sweep
+
+    def test_series_trace_over_the_whole_index_range(self):
+        # the tolerance tightens to est_error once est_error counts roundoff
+        sweep = self.series_trace_sweep()
+        refused = {key: msg for key, msg in sweep.items() if isinstance(msg, str)}
+        assert set(refused) == SERIES_WEIGHTS_OVERFLOW
+        assert all(msg.startswith("spectral series weights overflow floating point")
+                   for msg in refused.values())
+        assert {key: err for key, err in sweep.items()
+                if key not in refused and not err <= 1e-12} == {}
+
+    def test_series_trace_fails_with_a_wrong_eigenvalue(self, monkeypatch):
+        # at t = 0.05 the l = 1 term still shows at every index that returns
+        monkeypatch.setattr(SpaceDescriptor, "eigenvalue",
+                            lambda self, l: -4.0 * l * (l + self.spectral_offset + 1))
+        errors = [err for (k, n, t), err in self.series_trace_sweep().items()
+                  if t == 0.05 and not isinstance(err, str)]
+        assert len(errors) == 149 + 74 and min(errors) > 1e-12
 
 
 class TestThetaRelation:
