@@ -26,7 +26,9 @@ classes, as tests/test_boundaries.py pins by walking both call graphs.
 Series truncation bounds |P_l| on [-1, 1] by its value at 1 and stops
 when a geometric majorant of the tail drops below the tolerance; the
 integral form uses doubling Gauss-Legendre quadrature on the
-endpoint-regularized substitution from the quadrature module.
+endpoint-regularized substitution from the quadrature module, and each
+(t, d) stops once two successive estimates agree within half the
+tolerance, absolutely or relative to the estimate.
 
 ``unified`` checks every argument once, in ``_check_args``, before
 either method runs; nothing beneath it or in the CLI checks them again.
@@ -186,7 +188,7 @@ def _integral_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
     theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
     psi = PsiSeries(c, ts, theta_tol)  # exp(c^2 t) folded in, termwise
     grid = adaptive_integrate_row(ds, k - 1.5, psi,
-                                  (0.5 * tol / outers)[None].repeat(ts.size, axis=0))
+                                  (0.5 * tol / outers)[None].repeat(ts.size, axis=0), 0.5 * tol)
     # termwise theta truncation contributes at most cnk * pi/2 * theta_tol
     return KernelValue(value=outers * grid.value, terms_or_nodes=grid.nodes,
                        est_error=outers * grid.est_error + cnk * _HALF_PI * theta_tol)

@@ -148,7 +148,7 @@ class AdaptiveResult(NamedTuple):
 
 def adaptive_integrate_row(ds, exponent_sign: float,
                            g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                           tols) -> AdaptiveResult:
+                           tols, rel: float) -> AdaptiveResult:
     """``integrate_weighted`` for a grid of integrands by distances, each pair to its tolerance.
 
     ``tols`` has one row per integrand and one column per distance, and
@@ -156,14 +156,15 @@ def adaptive_integrate_row(ds, exponent_sign: float,
     angles ``u``, one row each: the integral kernel's rows are its times,
     and ``g`` a ``thetapsi.PsiSeries``.  Doubles the node count from
     START_NODES until two successive estimates of a (row, distance) pair
-    agree within its tolerance.  Each round evaluates one grid, the rows
-    and the distances that still have an unconverged pair, building each
-    distance's nodes once, at most ``_CALL_NODES`` (row, node) pairs per
-    call of ``g``, and scatters its sums into a table of estimates that
-    only the unconverged pairs read.  A pair that has converged keeps its
-    entries, so each pair's entries are its last estimate, that rule's
-    node count and the difference between its last two estimates, as if
-    it were integrated alone.  Raises QuadratureConvergenceError for the
+    agree within its tolerance or within ``rel`` times the later estimate
+    (``rel`` = 0 makes the test absolute).  Each round evaluates one grid,
+    the rows and the distances that still have an unconverged pair,
+    building each distance's nodes once, at most ``_CALL_NODES`` (row,
+    node) pairs per call of ``g``, and scatters its sums into a table of
+    estimates that only the unconverged pairs read.  A pair that has
+    converged keeps its entries, so each pair's entries are its last
+    estimate, that rule's node count and the difference between its last
+    two estimates, as if it were integrated alone.  Raises QuadratureConvergenceError for the
     first pair, in row-major order, left unconverged at MAX_NODES.  The
     limits and the exponent are as ``integrate_weighted`` takes them, and
     the tolerances positive: ``kernels.unified`` checked them.
@@ -188,7 +189,7 @@ def adaptive_integrate_row(ds, exponent_sign: float,
         new = estimates.ravel()[todo]
         diff = np.abs(new - values[todo])
         values[todo] = new
-        done = diff <= tols[todo]
+        done = (diff <= tols[todo]) | (diff <= rel * np.abs(new))  # NaN in round 1: never done
         nodes[todo[done]] = count
         diffs[todo[done]] = diff[done]
         todo = todo[~done]

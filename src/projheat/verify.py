@@ -496,7 +496,7 @@ def lemma_check(n: int, ls, ds) -> list:
     rhss = consts[:, None] * _jacobi_p(ls, 2 * n - 1, 1, np.array([math.cos(2 * d) for d in ds]))
     cos2s = np.array([math.cos(d) ** 2 for d in ds])
     qtols = np.maximum(1e-13, 1e-11 * np.abs(rhss)) * cos2s
-    values = adaptive_integrate_row(ds, 0.5, g, qtols).value
+    values = adaptive_integrate_row(ds, 0.5, g, qtols, 0.0).value
     return _row_reports("gegenbauer_ladder_to_jacobi",
                         [{"n": n, "l": l, "d": float(d)} for l in ls for d in ds],
                         (values / cos2s).ravel(), rhss.ravel(), 1e-8)
@@ -522,7 +522,8 @@ def _jacobi_rep_rows(n: int, ls, ds) -> tuple:
         math.pi * math.factorial(l + 2 * n - 1)) for l in ls]
     qtols = [[max(1e-13, 1e-11 * max(1.0, _jacobi_endpoint(l + 1, 2 * n - 2))) / const]
              * len(ds) for l, const in zip(ls, consts)]
-    rhs = (np.array(consts)[:, None] * adaptive_integrate_row(ds, -0.5, g, qtols).value).ravel()
+    rhs = (np.array(consts)[:, None]
+           * adaptive_integrate_row(ds, -0.5, g, qtols, 0.0).value).ravel()
     xs = np.array([math.cos(2 * d) for d in ds])
 
     def sides(alpha):  # one reading's left side against rhs, with its endpoint scale
@@ -665,7 +666,7 @@ def _check_quadrature_doubling():
     params, values, extras = [], [], []
     for row_params, row, sign, g in rows:
         res = quadrature.adaptive_integrate_row(row, sign, lambda _, u: g(u),
-                                                [[tol] * len(row)])
+                                                [[tol] * len(row)], 0.0)
         for parameters, d, value, nodes in zip(row_params, row, res.value[0].tolist(),
                                                res.nodes[0].tolist()):
             [extra] = quadrature.integrate_weighted([d], sign, g, gauss_legendre_rule(2 * nodes))
@@ -771,29 +772,27 @@ _EQUIV_DS = tuple(np.linspace(0.0, 1.5, 11))
 
 
 def _check_kernels_equivalence():
-    params, series, integral = [], [], []
+    """Series against integral on one grid per space, and each method's positivity on it.
+
+    Positivity is read at the grid's first smallest value; the integral's report names its method.
+    """
+    params, series, integral, positivity = [], [], [], []
     for s in _SPACES:
-        rs, ri = (kernels.unified(s.n, s.k, _EQUIV_TS, _EQUIV_DS, 1e-12, m)
+        rs, ri = (kernels.unified(s.n, s.k, _EQUIV_TS, _EQUIV_DS, 1e-12, m).value
                   for m in kernels.METHODS)
         params.extend({"k": s.k, "n": s.n, "t": t, "d": float(d)}
                       for t in _EQUIV_TS for d in _EQUIV_DS)
-        series.append(rs.value.ravel())
-        integral.append(ri.value.ravel())
+        series.append(rs.ravel())
+        integral.append(ri.ravel())
+        for vals, tag in ((rs, {}), (ri, {"method": "integral"})):
+            i, j = np.unravel_index(np.argmin(vals), vals.shape)
+            min_val = float(vals[i, j])
+            positivity.append(_flag_report(
+                "kernel_positivity",
+                {"k": s.k, "n": s.n, "t": _EQUIV_TS[i], "d": float(_EQUIV_DS[j]), **tag},
+                min_val, 0.0, float(not min_val > 0.0)))
     return _row_reports("representation_equivalence", params, np.concatenate(series),
-                        np.concatenate(integral), 1e-8)
-
-
-def _check_kernels_positivity():
-    reports = []
-    for s in _SPACES:
-        vals = kernels.unified(s.n, s.k, _EQUIV_TS, _EQUIV_DS, 1e-12).value
-        i, j = np.unravel_index(np.argmin(vals), vals.shape)  # the first (t, d) at the minimum
-        min_val = float(vals[i, j])
-        reports.append(_flag_report(
-            "kernel_positivity", {"k": s.k, "n": s.n, "t": _EQUIV_TS[i], "d": float(_EQUIV_DS[j])},
-            min_val, 0.0, float(not min_val > 0.0),
-        ))
-    return reports
+                        np.concatenate(integral), 1e-8) + positivity
 
 
 def _check_kernels_normalization():
@@ -942,15 +941,13 @@ _GROUPS = {
     "quadrature_substitution": _check_quadrature_substitution,
     "quadrature_doubling": _check_quadrature_doubling,
     "theta_truncation": _check_theta_truncation,
-    "theta_ladder": _check_theta_ladder,
-    # here, not among the kernels_* groups: the forked child runs every
-    # second group, and this slot keeps the two shares balanced
+    # kernels_trace here and kernels_equivalence last: the forked child runs
+    # every second group, and these two slots keep the two shares balanced
     "kernels_trace": _check_kernels_trace,
+    "theta_ladder": _check_theta_ladder,
     "geometry_volume": _check_geometry_volume,
     "geometry_eigenfunction": _check_geometry_eigenfunction,
     "geometry_density": _check_geometry_density,
-    "kernels_equivalence": _check_kernels_equivalence,
-    "kernels_positivity": _check_kernels_positivity,
     "kernels_normalization": _check_kernels_normalization,
     "kernels_residual": _check_kernels_residual,
     "kernels_semigroup": _check_kernels_semigroup,
@@ -959,6 +956,7 @@ _GROUPS = {
     "lemma": _check_lemma,
     "jacobi_rep": _check_jacobi_rep,
     "theta2": _check_theta2_grid,
+    "kernels_equivalence": _check_kernels_equivalence,
 }
 
 

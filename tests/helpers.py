@@ -213,14 +213,18 @@ def s4_heat_kernel(t, d, terms=200):
     return 2.0 * total / math.pi**2
 
 
-def adaptive_reference(d, exponent_sign, g, tol):
-    """Doubling Gauss-Legendre for one distance alone: (value, nodes, est_error)."""
+def adaptive_reference(d, exponent_sign, g, tol, rel=0.0):
+    """Doubling Gauss-Legendre for one distance alone: (value, nodes, est_error).
+
+    Stops when two successive estimates differ by at most ``tol``, or by
+    at most ``rel`` times the later one.
+    """
     count = START_NODES
     [est] = integrate_weighted([d], exponent_sign, g, gauss_legendre_rule(count))
     while count < MAX_NODES:
         count *= 2
         [new] = integrate_weighted([d], exponent_sign, g, gauss_legendre_rule(count))
-        if abs(new - est) <= tol:
+        if abs(new - est) <= tol or abs(new - est) <= rel * abs(new):
             return new, count, abs(new - est)
         est = new
     raise QuadratureConvergenceError(f"no convergence to tol={tol} within {MAX_NODES} nodes")
@@ -235,6 +239,6 @@ def integral_kernel_reference(n, k, t, d, tol):
     series = PsiSeries(c, (t,), theta_tol)  # the one time's row
     value, nodes, err = adaptive_reference(
         d, 0.5 if k == 2 else -0.5, lambda u: series((0,), u)[0], 0.5 * tol / outer,
-    )
+        0.5 * tol)
     return KernelValue(value=outer * value, terms_or_nodes=nodes,
                        est_error=outer * err + cnk * 0.5 * math.pi * theta_tol)

@@ -218,6 +218,7 @@ STALE_GROUP_METRICS = {
     "theta_parity": "deleted: it checked that np.cos is even",
     "kernels_prefactor": "deleted: it compared one number with itself written another way",
     "geometry_invariance": "deleted with the point code (ROADMAP item 4's default)",
+    "kernels_positivity": "folded into kernels_equivalence, which reads both methods' grids",
 }
 
 

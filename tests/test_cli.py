@@ -293,17 +293,24 @@ class TestErrorLines:
         assert res.stderr == f"projheat: no convergence: {line}\n"
 
     def test_no_convergence_is_exit_3(self, capsys):
-        argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0"]
+        # a value far below the integral's absolute tolerance, yet not certified relatively
+        argv = ["compare", "--space", "hpn", "--n", "8", "--t", "0.01", "--d", "1.5"]
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("projheat: no convergence: ")
         assert captured.err.count("\n") == 1
 
+    def test_large_integral_converges_relatively(self, capsys):
+        # the value is 3.8e5: half of --tol 1e-10 is 1.3e-16 of it, so the relative test stops
+        argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("PASS k=2 n=3 t=0.01 d=0 ")
+
     @pytest.mark.parametrize("argv,line", [
         # only t = 0.001 fails, in the integral
-        ("compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0",
-         "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
+        ("compare --space hpn --n 8 --t-grid 0.001:0.05:5 --d 0.6",
+         "no convergence to tol=157.83341445680486 within 4096 nodes"),
         # both methods fail at every t: the series at the first t
         ("compare --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3",
          "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
@@ -311,9 +318,9 @@ class TestErrorLines:
         ("table --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3 --method series",
          "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
         # the first t fails, at the first distance that fails there
-        ("table --space hpn --n 8 --t-grid 0.5:5:3 --d-grid 0:1.2:3 --method integral",
-         "no convergence to tol=30.42376086438599 within 4096 nodes"),
-        ("compare --space cpn --n 15 --t-grid 0.1:0.5:3 --d-grid 0:1.5:4",
+        ("table --space hpn --n 8 --t-grid 0.001:0.5:3 --d-grid 0:1.2:3 --method integral",
+         "no convergence to tol=157.83341445680486 within 4096 nodes"),
+        ("compare --space cpn --n 15 --t-grid 0.001:0.5:3 --d-grid 0:1.5:4",
          "no convergence to tol=36.87719765726545 within 4096 nodes"),
     ])
     def test_failing_grid_names_the_first_failing_row(self, capsys, argv, line):
@@ -332,10 +339,10 @@ class TestErrorLines:
             return series_values(k, n, t, d, tol)
 
         monkeypatch.setattr(kernels, "series_values", failing_last)
-        argv = "compare --space hpn --n 3 --t-grid 0.001:0.05:5 --d 0".split()
+        argv = "compare --space hpn --n 8 --t-grid 0.001:0.05:5 --d 0.6".split()
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == ("projheat: no convergence: no convergence to "
-                                           "tol=2.416234582221433e-06 within 4096 nodes\n")
+                                           "tol=157.83341445680486 within 4096 nodes\n")
 
     def test_error_no_row_meets_alone_is_not_raised(self, capsys, monkeypatch):
         # a grid call may fail where no row fails alone; the rows then give the output
@@ -397,7 +404,7 @@ class TestErrorLines:
     def test_failed_compare_writes_no_out_file(self, tmp_path):
         # the whole grid is evaluated before --out is opened
         target = tmp_path / "compare.csv"
-        argv = ["compare", "--space", "hpn", "--n", "3", "--t", "0.01", "--d", "0",
+        argv = ["compare", "--space", "hpn", "--n", "8", "--t", "0.01", "--d", "1.5",
                 "--format", "csv", "--out", str(target)]
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
         assert not target.exists()

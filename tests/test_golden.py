@@ -54,7 +54,7 @@ COMMANDS = {
                                        cli.EXIT_VERIFY_FAILED)
         for fmt in ("csv", "json", "pretty")
     },
-    # its rows need 32, 64 and 512 quadrature nodes
+    # its rows need 32 and 128 quadrature nodes
     "table_integral_cpn_n2.json": (["table", "--space", "cpn", "--n", "2",
                                     "--t-grid", "0.0002:0.02:3", "--d-grid", "0:1.56:9",
                                     "--tol", "1e-6", "--method", "integral", "--format", "json"],

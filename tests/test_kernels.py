@@ -376,7 +376,7 @@ class TestRowCall:
 class TestIntegralRow:
     """The integral row against the one-distance reference doubling loop."""
 
-    # at t = 2e-4 the row needs 32, 64 and 512 nodes
+    # at t = 2e-4 the row needs 32, 64 and 128 nodes
     DS = [float(d) for d in np.linspace(0.0, 1.565, 60)]
 
     def test_mixed_node_counts(self):
@@ -395,13 +395,13 @@ class TestIntegralRow:
         # a grid: each psi call gets at most _CALL_NODES (time, node) pairs,
         # the 3 times' rows sharing one call while they fit, split when they do not
         calls = _spy_psi_calls(monkeypatch)
-        ts = [2e-4, 0.002, 0.02]
-        grid = unified(2, 1, ts, self.DS, 1e-6, "integral")
+        ts = [1e-4, 0.002, 0.02]
+        grid = unified(2, 1, ts, self.DS, 1e-10, "integral")
         assert max(rows * nodes for rows, nodes in calls) <= 1000
         assert (3, 320) in calls  # 20 distances of 16 nodes, for all three times
         assert len(set(grid.terms_or_nodes.ravel().tolist())) >= 4
         for t, row in zip(ts, _rows(grid)):
-            _assert_same(row, unified(2, 1, t, self.DS, 1e-6, "integral"))
+            _assert_same(row, unified(2, 1, t, self.DS, 1e-10, "integral"))
 
     def test_large_grid_calls_stay_under_the_cap(self, monkeypatch):
         # 120 x 300: one round asks for 576 000 (time, node) pairs at 16 nodes
@@ -446,10 +446,10 @@ class TestGridCall:
 
     DS = [float(d) for d in np.linspace(0.0, 1.565, 24)]
 
-    # the integral's times need 32 to 512 nodes and the series' from 2 to 305 terms
+    # the integral's times need 32 to 256 nodes and the series' from 2 to 266 terms
     @pytest.mark.parametrize("k,n,ts", [
         (1, 1, (2e-4, 0.002, 0.02)), (1, 2, (2e-4, 0.002, 0.02)), (2, 1, (2e-4, 0.002, 0.02)),
-        (1, 3, (0.002, 0.02, 0.2)), (2, 2, (0.002, 0.02, 0.2)), (2, 3, (0.004, 0.02, 0.2)),
+        (1, 3, (2e-4, 0.002, 0.02)), (2, 2, (2e-4, 0.002, 0.02)), (2, 3, (4e-4, 0.004, 0.04)),
     ])
     @pytest.mark.parametrize("method,tol", [("series", 1e-10), ("integral", 1e-6)])
     def test_grid_equals_per_time_calls(self, k, n, ts, method, tol):
@@ -504,9 +504,9 @@ class TestGridCall:
         # both times' weights overflow, each with its own time in the message
         (120, 1, [1e-4, 2e-4], "series", TruncationCapError, "at k=1, n=120, t=0.0001$"),
         # the later time's weights fail (patched in below), before the doubling
-        # loop that t = 0.001 fails in starts
-        (3, 2, [0.001, 0.002], "integral", QuadratureConvergenceError,
-         "no convergence to tol=2.416234582221433e-06 within 4096 nodes"),
+        # loop that t = 0.0005 fails in starts
+        (3, 2, [0.0005, 0.001], "integral", QuadratureConvergenceError,
+         "no convergence to tol=2.2052195184525946e-06 within 4096 nodes"),
     ])
     def test_first_failing_time_raises(self, monkeypatch, n, k, ts, method, error, match):
         if method == "integral":

@@ -166,7 +166,7 @@ class TestAdaptive:
             return np.sin(u) * np.cos(u) ** 6
 
         [[value]], [[nodes]], [[err]] = adaptive_integrate_row([0.4], 0.5, _one_row(g),
-                                                               [[1e-13]])
+                                                               [[1e-13]], 0.0)
         [direct] = integrate_weighted([0.4], 0.5, g, gauss_legendre_rule(32))
         assert nodes == 32
         assert_allclose(value, direct, rtol=1e-14)
@@ -180,13 +180,13 @@ class TestAdaptive:
         def g(u):  # the folded exp(9 t) divided out, for the absolute tolerance
             return series((0,), u)[0] / math.exp(9 * 0.5)
 
-        [[value]], [[nodes]], _ = adaptive_integrate_row([0.3], 0.5, _one_row(g), [[1e-12]])
+        [[value]], [[nodes]], _ = adaptive_integrate_row([0.3], 0.5, _one_row(g), [[1e-12]], 0.0)
         [bigger] = integrate_weighted([0.3], 0.5, g, gauss_legendre_rule(2 * int(nodes)))
         assert abs(value - bigger) <= 1e-12
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(QuadratureConvergenceError):
-            adaptive_integrate_row([0.2], 0.5, _one_row(_hard), [[1e-30]])
+            adaptive_integrate_row([0.2], 0.5, _one_row(_hard), [[1e-30]], 0.0)
 
 
 class TestAdaptiveRow:
@@ -201,9 +201,25 @@ class TestAdaptiveRow:
             return series((0,), u)[0]
 
         for sign in (0.5, -0.5):
-            row = adaptive_integrate_row(ds, sign, _one_row(g), [tols])
+            row = adaptive_integrate_row(ds, sign, _one_row(g), [tols], 0.0)
             for d, tol, *got in zip(ds, tols, *(column[0] for column in row)):
                 assert tuple(got) == adaptive_reference(d, sign, g, tol)
+
+    def test_relative_stop_equals_reference_per_distance(self):
+        from projheat.thetapsi import PsiSeries
+
+        ds = [0.0, 0.3, 0.7, 1.0]  # 64 nodes, and 32 at d = 1
+        series = PsiSeries(3, (0.02,))
+
+        def g(u):
+            return series((0,), u)[0]
+
+        # absolute tolerances no estimate meets: only the relative test stops
+        row = adaptive_integrate_row(ds, 0.5, _one_row(g), [[1e-30] * len(ds)], 1e-12)
+        for d, *got in zip(ds, *(column[0] for column in row)):
+            assert tuple(got) == adaptive_reference(d, 0.5, g, 1e-30, 1e-12)
+        with pytest.raises(QuadratureConvergenceError):
+            adaptive_integrate_row(ds, 0.5, _one_row(g), [[1e-30] * len(ds)], 0.0)
 
     def test_long_row_is_split_into_chunks(self):
         ds = [float(d) for d in np.linspace(0.0, 1.5, 5000)]
@@ -213,7 +229,7 @@ class TestAdaptiveRow:
             sizes.append(u.size)
             return np.sin(u) * np.cos(u) ** 6
 
-        row = adaptive_integrate_row(ds, 0.5, _one_row(g), [[1e-13] * len(ds)])
+        row = adaptive_integrate_row(ds, 0.5, _one_row(g), [[1e-13] * len(ds)], 0.0)
         assert max(sizes) <= quadrature._CALL_NODES
         assert len(sizes) > 2  # more than one call per round
         for d, *got in list(zip(ds, *(column[0] for column in row)))[::97]:
@@ -237,7 +253,7 @@ class TestAdaptiveRow:
             calls.append((rows.size, u.size))
             return series(rows, u)
 
-        grid = adaptive_integrate_row(ds, 0.5, g, tols)
+        grid = adaptive_integrate_row(ds, 0.5, g, tols, 0.0)
         assert len(set(grid.nodes.ravel().tolist())) >= 3
         for t, row_tols, *row in zip(ts, tols, *grid):
             one = PsiSeries(3, (t,))  # the time's row on its own
@@ -249,16 +265,16 @@ class TestAdaptiveRow:
     def test_cap_names_first_failing_distance(self):
         with pytest.raises(QuadratureConvergenceError, match=rf"tol=1e-30 within {MAX_NODES} nodes"):
             adaptive_integrate_row([0.2, 0.5, 0.9], 0.5, _one_row(_hard),
-                                   [[1.0, 1e-30, 2e-30]])
+                                   [[1.0, 1e-30, 2e-30]], 0.0)
         # in a grid, the first failing pair in row-major order
         with pytest.raises(QuadratureConvergenceError, match=rf"tol=3e-30 within {MAX_NODES}"):
             adaptive_integrate_row([0.2, 0.5], 0.5, lambda rows, u: np.outer(rows + 1.0, _hard(u)),
-                                   [[1.0, 1.0], [3e-30, 1.0], [1e-30, 2e-30]])
+                                   [[1.0, 1.0], [3e-30, 1.0], [1e-30, 2e-30]], 0.0)
 
     def test_empty_row(self):
         def g(rows, u):
             raise AssertionError("the integrand of an empty grid is never called")
 
         for tols in ([[]], np.empty((0, 2))):
-            grid = adaptive_integrate_row([0.1, 0.2][:np.shape(tols)[1]], 0.5, g, tols)
+            grid = adaptive_integrate_row([0.1, 0.2][:np.shape(tols)[1]], 0.5, g, tols, 0.0)
             assert [column.shape for column in grid] == [np.shape(tols)] * 3

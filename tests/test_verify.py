@@ -6,6 +6,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,11 @@ SERIES_WEIGHTS_OVERFLOW = frozenset(
     + [(1, n, 5.0) for n in range(169, 172)] + [(2, n, 0.05) for n in range(75, 86)]
     + [(2, n, t) for n in (84, 85) for t in (0.5, 5.0)])
 
+#: (k, n, t) whose integral ladder weights overflow a float at every t (ROADMAP item 1(d)):
+#: cpn n = 151-171 and hpn n = 75-85, where the ladder count c reaches 151
+LADDER_WEIGHTS_OVERFLOW = frozenset((k, n, t) for k, low, top in ((1, 151, 171), (2, 75, 85))
+                                    for n in range(low, top + 1) for t in (0.05, 0.5, 5.0))
+
 
 class TestKernelsTrace:
     """The kernels_trace group: Weyl's dimensions against the series' weights and trace."""
@@ -347,11 +353,11 @@ class TestKernelsTrace:
             assert max(self.integral_trace_errors(space)) > 1e-12
 
     @staticmethod
-    def series_trace_sweep() -> dict:
-        """(k, n, t) -> relative error of vol E(t, 0) by the series against Weyl's sum.
+    def trace_sweep(method: str, tol: float) -> dict:
+        """(k, n, t) -> relative error of vol E(t, 0) by ``method`` against Weyl's sum.
 
-        Every accepted index, at t = 0.05, 0.5, 5 and tol 1e-12.  A call that
-        raises TruncationCapError gives its message in place of the error.
+        Every accepted index, at t = 0.05, 0.5, 5.  A call that raises
+        TruncationCapError gives its message in place of the error.
         """
         sweep = {}
         for k, top in ((1, 171), (2, 85)):
@@ -360,7 +366,7 @@ class TestKernelsTrace:
                 c, dims = space.spectral_offset, verify._weyl_dimensions(space, 60)
                 for t in (0.05, 0.5, 5.0):
                     try:
-                        value = kernels.unified(n, k, t, 0.0, 1e-12).value
+                        value = kernels.unified(n, k, t, 0.0, tol, method).value
                     except TruncationCapError as exc:
                         sweep[k, n, t] = str(exc)
                         continue
@@ -369,23 +375,128 @@ class TestKernelsTrace:
                     sweep[k, n, t] = abs(verify._manifold_volume(space) * value - exact) / exact
         return sweep
 
-    def test_series_trace_over_the_whole_index_range(self):
-        # the tolerance tightens to est_error once est_error counts roundoff
-        sweep = self.series_trace_sweep()
+    @staticmethod
+    def assert_sweep(sweep: dict, overflow: frozenset, message: str) -> None:
+        """Exactly the ``overflow`` calls raise, with ``message``; the rest are within 1e-12."""
         refused = {key: msg for key, msg in sweep.items() if isinstance(msg, str)}
-        assert set(refused) == SERIES_WEIGHTS_OVERFLOW
-        assert all(msg.startswith("spectral series weights overflow floating point")
-                   for msg in refused.values())
+        assert set(refused) == overflow
+        assert all(msg.startswith(message) for msg in refused.values())
         assert {key: err for key, err in sweep.items()
                 if key not in refused and not err <= 1e-12} == {}
+
+    def test_series_trace_over_the_whole_index_range(self):
+        # the tolerance tightens to est_error once est_error counts roundoff
+        self.assert_sweep(self.trace_sweep("series", 1e-12), SERIES_WEIGHTS_OVERFLOW,
+                          "spectral series weights overflow floating point")
+
+    def test_integral_trace_over_the_whole_index_range(self):
+        # at the CLI's default tol, where a purely absolute quadrature tolerance
+        # failed on 431 of these calls
+        self.assert_sweep(self.trace_sweep("integral", 1e-10), LADDER_WEIGHTS_OVERFLOW,
+                          "ladder series weights overflow floating point")
 
     def test_series_trace_fails_with_a_wrong_eigenvalue(self, monkeypatch):
         # at t = 0.05 the l = 1 term still shows at every index that returns
         monkeypatch.setattr(SpaceDescriptor, "eigenvalue",
                             lambda self, l: -4.0 * l * (l + self.spectral_offset + 1))
-        errors = [err for (k, n, t), err in self.series_trace_sweep().items()
+        errors = [err for (k, n, t), err in self.trace_sweep("series", 1e-12).items()
                   if t == 0.05 and not isinstance(err, str)]
         assert len(errors) == 149 + 74 and min(errors) > 1e-12
+
+    def test_integral_trace_sweep_fails_with_scaled_theta_weights(self, monkeypatch):
+        weights = thetapsi._weights
+        monkeypatch.setattr(thetapsi, "_weights",
+                            lambda *args: [w * (1 + 1e-9) for w in weights(*args)])
+        errors = [err for err in self.trace_sweep("integral", 1e-10).values()
+                  if not isinstance(err, str)]
+        assert len(errors) == 3 * (150 + 74) and min(errors) > 1e-12
+
+
+def _jacobi_coefficients(l: int, a: int, b: int) -> list:
+    """Integer coefficients of P_l^(a,b)(2x - 1) in powers of x, from its binomial sum.
+
+    P_l^(a,b)(y) = sum_s C(l+a, l-s) C(l+b, s) ((y-1)/2)^s ((y+1)/2)^(l-s),
+    and y = 2x - 1 makes the two halves x - 1 and x.
+    """
+    coefficients = [0] * (l + 1)
+    for s in range(l + 1):
+        term = math.comb(l + a, l - s) * math.comb(l + b, s)
+        for j in range(s + 1):  # (x - 1)^s x^(l-s), expanded
+            coefficients[l - s + j] += term * math.comb(s, j) * (-1) ** (s - j)
+    return coefficients
+
+
+def _twistor_mismatches(beta: int, weight) -> int:
+    """How many (n, l), n <= 5 and l <= 14, break d/dx[x P_l^(2n-1,beta)] = weight(l) P_l^(2n,0).
+
+    Both polynomials are in 2x - 1 with x = cos^2 d, on Python ints.
+    """
+    bad = 0
+    for n in range(1, 6):
+        for l in range(15):
+            lhs = [(j + 1) * c for j, c in enumerate(_jacobi_coefficients(l, 2 * n - 1, beta))]
+            bad += lhs != [weight(l) * c for c in _jacobi_coefficients(l, 2 * n, 0)]
+    return bad
+
+
+class TestTwistor:
+    """hpn n from cpn 2n + 1 through the twistor fibration CP^(2n+1) -> HP^n (ROADMAP item 14).
+
+    The fibres are round spheres of area pi, and |z_1|^2 of a uniform unit
+    quaternion is uniform on [0, 1], so E_hpn(n; t, d) = pi int_0^1
+    E_cpn(2n+1; t, arccos(cos d sqrt(v))) dv.  Term by term that is
+    P_l^(2n-1,1)(2x-1) = (l+1) int_0^1 P_l^(2n,0)(2vx-1) dv, a second real
+    integral representation of the paper's Jacobi polynomials.
+    """
+
+    NS = (1, 2, 3, 10, 20, 40, 60, 74)  # 2n + 1 = 149 stays below the integral's ladder overflow
+    TS = (0.05, 0.5)
+    DS = (0.3, 0.7, 1.2)
+
+    def test_jacobi_coefficients_are_the_exact_series(self):
+        for l, a, b in ((0, 1, 1), (3, 1, 1), (7, 4, 0), (14, 9, 1)):
+            coefficients = _jacobi_coefficients(l, a, b)
+            for x in (0.0, 0.25, 0.625, 1.0):  # in exact rationals: the coefficients alternate
+                exact = sum(c * Fraction(x) ** j for j, c in enumerate(coefficients))
+                assert float(exact) == verify._exact_jacobi(l, a, b, 2.0 * x - 1.0)
+
+    def test_polynomial_identity_in_exact_arithmetic(self):
+        assert _twistor_mismatches(1, lambda l: l + 1) == 0
+
+    @pytest.mark.parametrize("beta,weight", [(0, lambda l: l + 1), (1, lambda l: 1)],
+                             ids=["beta_0", "weight_without_l_plus_1"])
+    def test_polynomial_identity_fails_when_mutated(self, beta, weight):
+        assert _twistor_mismatches(beta, weight) > 0
+
+    def fibre_errors(self, hpn_method: str, cpn_method: str) -> dict:
+        """n -> largest relative error of E_hpn(n) against pi times the fibre mean of E_cpn(2n+1).
+
+        v = s^2 and a 64-node Gauss-Legendre rule in s on [0, 1]: the mean
+        int_0^1 f(s^2) 2s ds is sum_i w_i s_i f(s_i^2) with the rule's
+        weights w_i on [-1, 1].  Each side is one kernel grid, at tol 1e-12.
+        """
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        s = 0.5 * (nodes + 1.0)
+        lifted = np.arccos(np.outer(np.cos(self.DS), s)).ravel()  # in (d, pi/2)
+        errors = {}
+        for n in self.NS:
+            base = kernels.unified(n, 2, self.TS, self.DS, 1e-12, hpn_method).value
+            total = kernels.unified(2 * n + 1, 1, self.TS, lifted, 1e-12, cpn_method).value
+            fibre = math.pi * (total.reshape(len(self.TS), len(self.DS), s.size) @ (weights * s))
+            errors[n] = float(np.max(np.abs(base - fibre) / np.abs(base)))
+        return errors
+
+    @pytest.mark.parametrize("hpn_method,cpn_method", [("series", "integral"),
+                                                        ("integral", "series")])
+    def test_kernel_identity_across_methods(self, hpn_method, cpn_method):
+        # always across methods: both integrals sum the same PsiSeries(2n + 1)
+        assert {n: err for n, err in self.fibre_errors(hpn_method, cpn_method).items()
+                if not err <= 1e-12} == {}
+
+    def test_kernel_identity_fails_with_beta_0(self, monkeypatch):
+        # the hpn series on P_l^(2n-1,0); the cpn side has beta = 0 already
+        monkeypatch.setattr(SpaceDescriptor, "jacobi_beta", property(lambda self: 0))
+        assert min(self.fibre_errors("series", "integral").values()) > 1e-12
 
 
 class TestThetaRelation:
