@@ -24,11 +24,13 @@ agreement a meaningful check: the series never integrates, and what
 classes, as tests/test_boundaries.py pins by walking both call graphs.
 
 Series truncation bounds |P_l| on [-1, 1] by its value at 1 and stops
-when a geometric majorant of the tail drops below the tolerance; the
-integral form uses doubling Gauss-Legendre quadrature on the
-endpoint-regularized substitution from the quadrature module, and each
-(t, d) stops once two successive estimates agree within half the
-tolerance, absolutely or relative to the estimate.
+when a geometric majorant of the tail drops below the tolerance; its
+error bound adds to that tail a roundoff floor that the summing loop
+accumulates per distance.  The integral form uses doubling
+Gauss-Legendre quadrature on the endpoint-regularized substitution from
+the quadrature module, and each (t, d) stops once two successive
+estimates agree within half the tolerance, absolutely or relative to
+the estimate.
 
 ``unified`` checks every argument once, in ``_check_args``, before
 either method runs; nothing beneath it or in the CLI checks them again.
@@ -62,7 +64,7 @@ from .errors import DomainError, TruncationCapError
 from .geometry import SpaceDescriptor
 from .orthopoly import jacobi_step
 from .quadrature import adaptive_integrate_row
-from .thetapsi import DEFAULT_TOL, PsiSeries
+from .thetapsi import PsiSeries
 
 _HALF_PI = 0.5 * math.pi
 
@@ -73,6 +75,9 @@ MIN_TIME = 1e-4
 SERIES_CAP = 2000
 
 METHODS = ("series", "integral")
+
+#: the unit roundoff u = eps/2 of a float, the unit of the series' roundoff floor
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class KernelValue(NamedTuple):
@@ -118,9 +123,10 @@ def _weights_overflow(k: int, n: int, t: float) -> TruncationCapError:
 def series_values(k: int, n: int, t: float, d, tol: float):
     """Spectral-series kernel at the one time t over a distance or an array of distances.
 
-    Returns (values, terms_used, tail_bound), the values shaped like d.
-    The truncation index is shared across the array because the term
-    bound is uniform in d.
+    Returns (values, terms_used, bounds), the values and their error
+    bounds shaped like d.  The truncation index is shared across the
+    array because the term bound is uniform in d; each bound is that tail
+    bound plus the distance's own roundoff floor (see below).
 
     Trusts t, d and tol as ``unified`` checked them; the space checks
     (k, n).  Raises TruncationCapError when a weight or a value is not
@@ -137,18 +143,41 @@ def series_values(k: int, n: int, t: float, d, tol: float):
     ratio = math.factorial(c - 1) / math.factorial(k - 1)  # (l+c-1)!/(l+k-1)!
     endpoint = 1.0  # binom(l + alpha, l)
     eigenvalue = space.eigenvalue
-    decay = 1.0  # exp(lambda_l t), and lambda_0 = 0
+    rate = 0.0  # lambda_l t, and lambda_0 = 0
+    decay = 1.0  # exp(lambda_l t)
     p_cur, p_prev = 1.0, 0.0  # (P_0, P_-1), broadcast over the distances
     total = np.zeros_like(x)
+    # The roundoff floor is a running error bound in the sense of Higham (Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., chapter 4 and section 5.1), accumulated in
+    # units of u = eps/2 from the same w and p_cur the value uses.  Term l of the sum is
+    # fl(w_l p_l), and to first order its relative error counts these roundings:
+    #   k n + 2     inv_pi: math.pi is within u of pi, raised to the power kn, and pow's ulp;
+    #   1 + 2 l     ratio: its first quotient, then a quotient and a product per degree;
+    #   2 + |rate|  decay: the product lambda_l t, an absolute |rate| u in the exponent,
+    #               and exp's ulp;
+    #   3 + 1       the three products that form w and the product w p;
+    #   5 l         P_l: the longest chain of roundings in one ``jacobi_step`` is five.
+    # The recurrence is stable for these weights (R. Barrio, J. Comput. Appl. Math. 138,
+    # 2002, bounds its forward error by the local roundings carried along its own
+    # solutions), so each step's five roundings stay on the scale of the polynomials; we
+    # take |P_l(x)| for that scale, which is first order and not a bound near a zero of
+    # one P_l, where the other terms carry the sum.  The additions add u |partial sum|
+    # each.  So the floor is u sum_l ((k n + 9 + 7 l + |rate_l|) w_l |P_l| + |s_l|).
+    # Not counted: the one rounding of x = cos 2d, which moves the value by about
+    # u |x dE/dx|.
+    floor = np.zeros_like(x)
+    fixed = k * n + 9
     for l in range(SERIES_CAP + 1):
         w = (2 * l + c) * ratio * decay * inv_pi
         if not math.isfinite(w):  # (l+c-1)!/(l+k-1)! overflowed: never let it into the sum
             raise _weights_overflow(k, n, t)
         total += w * p_cur
+        floor += ((fixed + 7 * l - rate) * w) * np.abs(p_cur) + np.abs(total)
         # coefficient trackers for l+1
         ratio *= (l + c) / (l + k)
         endpoint *= (l + 1 + alpha) / (l + 1)
-        decay = math.exp(eigenvalue(l + 1) * t)
+        rate = eigenvalue(l + 1) * t
+        decay = math.exp(rate)
         b_next = (2 * (l + 1) + c) * ratio * endpoint * decay * inv_pi
         # decreasing bound on the ratio of successive term bounds
         rho = (
@@ -162,7 +191,7 @@ def series_values(k: int, n: int, t: float, d, tol: float):
             if tail <= tol:
                 if not np.isfinite(total).all():
                     raise _weights_overflow(k, n, t)
-                return total, l + 1, tail
+                return total, l + 1, tail + UNIT_ROUNDOFF * floor
             if not math.isfinite(tail):  # (l+c-1)!/(l+k-1)! or the endpoint overflowed
                 raise _weights_overflow(k, n, t)
         p_cur, p_prev = jacobi_step(l + 1, alpha, beta, x, p_cur, p_prev), p_cur
@@ -173,11 +202,11 @@ def series_values(k: int, n: int, t: float, d, tol: float):
 
 def _series_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
                    tol: float) -> KernelValue:
-    values, tails = np.empty((ts.size, ds.size)), np.empty((ts.size, ds.size))
+    values, bounds = np.empty((ts.size, ds.size)), np.empty((ts.size, ds.size))
     terms = np.empty((ts.size, ds.size), dtype=int)
     for i, t in enumerate(ts.tolist()):
-        values[i], terms[i], tails[i] = series_values(space.k, space.n, t, ds, tol)
-    return KernelValue(value=values, terms_or_nodes=terms, est_error=tails)
+        values[i], terms[i], bounds[i] = series_values(space.k, space.n, t, ds, tol)
+    return KernelValue(value=values, terms_or_nodes=terms, est_error=bounds)
 
 
 def _integral_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
@@ -185,7 +214,7 @@ def _integral_kernel(space: SpaceDescriptor, ts: np.ndarray, ds: np.ndarray,
     k, n, c = space.k, space.n, space.spectral_offset  # c: the number of ladder applications
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outers = np.array([cnk / math.cos(d) ** (2 * (k - 1)) for d in ds.tolist()])
-    theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
+    theta_tol = min(1e-12, 0.1 * tol)  # the theta tail's share: a tenth of tol, at most 1e-12
     psi = PsiSeries(c, ts, theta_tol)  # exp(c^2 t) folded in, termwise
     grid = adaptive_integrate_row(ds, k - 1.5, psi,
                                   (0.5 * tol / outers)[None].repeat(ts.size, axis=0), 0.5 * tol)
@@ -202,10 +231,10 @@ def unified(n: int, k: int, t, d, tol: float = 1e-10, method: str = "series") ->
     times followed by the distances: ``unified(1, 2, [0.1, 0.5], [0.0,
     0.4, 0.8])`` gives 2 x 3 arrays, and a scalar time the row record.
     Each entry is bit for bit its scalar call's.  The series evaluates each
-    time's row in one ``series_values`` call (its truncation index and tail
-    bound do not depend on d, so ``terms_or_nodes`` and ``est_error`` are
-    constant along a row); the integral is one pass over the grid (see the
-    module docstring).
+    time's row in one ``series_values`` call (its truncation index does
+    not depend on d, so ``terms_or_nodes`` is constant along a row, and
+    ``est_error`` is each distance's tail bound plus roundoff floor); the
+    integral is one pass over the grid (see the module docstring).
 
     Raises DomainError for an index, field, time, distance (anywhere in
     the grid), tolerance or method outside its domain, whichever method

@@ -196,6 +196,6 @@ def adaptive_integrate_row(ds, exponent_sign: float,
         count *= 2
     if todo.size:
         raise QuadratureConvergenceError(
-            f"no convergence to tol={float(tols[todo[0]])} within {MAX_NODES} nodes")
+            f"no convergence to tol={float(tols[todo[0]])} or rel={rel} within {MAX_NODES} nodes")
     return AdaptiveResult(value=values.reshape(shape), nodes=nodes.reshape(shape),
                           est_error=diffs.reshape(shape))

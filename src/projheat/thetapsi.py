@@ -27,10 +27,10 @@ a whole column of times.
 Truncation is controlled by an analytic tail bound: successive term
 bounds shrink by a factor that is itself decreasing, so the tail is
 dominated by a geometric series and summation stops as soon as that
-majorant drops below the tolerance (``DEFAULT_TOL`` unless the caller
-gives one); a series that would need more than ``TERM_CAP`` terms raises
-TruncationCapError instead.  The theta series itself and the classical
-theta-2 function are summed only by the oracles in ``verify``.
+majorant drops below the caller's tolerance; a series that would need
+more than ``TERM_CAP`` terms raises TruncationCapError instead.  The
+theta series itself and the classical theta-2 function are summed only
+by the oracles in ``verify``.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ import numpy as np
 from .errors import TruncationCapError
 from .orthopoly import gegenbauer_step
 
-
-#: absolute tail tolerance of PsiSeries, unless its caller gives one
-DEFAULT_TOL = 1e-12
 
 #: hard cap on the terms of one series, which TruncationCapError reports
 TERM_CAP = 20000
@@ -114,7 +111,7 @@ class PsiSeries:
     sum overflows leaves inf or NaN in them.
     """
 
-    def __init__(self, c: int, ts, tol: float = DEFAULT_TOL):
+    def __init__(self, c: int, ts, tol: float):
         ts = np.asarray(ts, dtype=float)
         base = (2.0 ** (c - 1)) * math.factorial(c - 1)  # q-independent ladder scale
         self.c, self.ts = c, ts

@@ -120,17 +120,16 @@ def _row_reports(name: str, parameters: list, lhs, rhs, tol: float, scale=0.0) -
 def _worst_report(name: str, parameters: dict, key: str, xs: np.ndarray,
                   lhs: np.ndarray, rhs: np.ndarray, tol: float,
                   scale: float = 0.0) -> VerificationReport:
-    """One report at the first point of ``xs`` where |lhs - rhs| is largest.
+    """``_row_reports`` of the first point of ``xs`` where |lhs - rhs| is largest.
 
-    That point's coordinate is recorded under ``key`` after ``parameters``;
-    the whole row is compared in one ``compare_values`` call.  ``np.argmax``
-    picks a NaN point first, so a NaN anywhere in the row fails the report.
+    That point's coordinate is recorded under ``key`` after ``parameters``.
+    ``np.argmax`` picks a NaN point first, so a NaN anywhere in the row
+    fails the report.
     """
-    abs_err, rel_err, passed = compare_values(lhs, rhs, tol, scale)
-    worst = int(np.argmax(abs_err))
-    return VerificationReport(name, {**parameters, key: float(xs[worst])},
-                              float(lhs[worst]), float(rhs[worst]), float(abs_err[worst]),
-                              float(rel_err[worst]), tol, bool(passed[worst]))
+    worst = int(np.argmax(compare_values(lhs, rhs, tol, scale)[0]))
+    [report] = _row_reports(name, [{**parameters, key: float(xs[worst])}],
+                            lhs[worst:worst + 1], rhs[worst:worst + 1], tol, scale)
+    return report
 
 
 def _flag_report(name: str, parameters: dict, lhs: float, rhs: float, shortfall: float,
@@ -648,7 +647,7 @@ def _check_quadrature_substitution():
 
 def _check_quadrature_doubling():
     tol = 1e-12
-    series = thetapsi.PsiSeries(3, (0.5,))
+    series = thetapsi.PsiSeries(3, (0.5,), 1e-12)
 
     def psi(u):
         return series((0,), u)[0]
@@ -692,8 +691,8 @@ def _check_theta_truncation():
                          [_theta_sum(m, t, u) for m, t, u in theta_cases], brutes, tol)
             + _row_reports("psi_truncation_soundness",
                            [{"j": j, "t": t, "u": u} for j, t, u in psi_cases],
-                           [thetapsi.PsiSeries(j, (t,))((0,), u)[0] for j, t, u in psi_cases],
-                           psi_brutes, tol))
+                           [thetapsi.PsiSeries(j, (t,), 1e-12)((0,), u)[0]
+                            for j, t, u in psi_cases], psi_brutes, tol))
 
 
 def _check_theta_ladder():
@@ -701,7 +700,7 @@ def _check_theta_ladder():
     reports = []
     ts = (0.2, 0.5, 1.0)
     for j in (1, 2, 3):
-        for t, exact_vals in zip(ts, thetapsi.PsiSeries(j, ts)(range(len(ts)), us)):
+        for t, exact_vals in zip(ts, thetapsi.PsiSeries(j, ts, 1e-12)(range(len(ts)), us)):
             fd_vals = math.exp(j * j * t) * np.sin(us) * _ladder_fd(
                 lambda u: _theta_sum(j + 1, t, u), us, j)
             scale = max(1e-30, float(np.max(np.abs(exact_vals))))

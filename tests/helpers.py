@@ -30,7 +30,7 @@ from projheat.errors import DomainError, QuadratureConvergenceError, TruncationC
 from projheat.kernels import KernelValue
 from projheat.orthopoly import gegenbauer_step
 from projheat.quadrature import MAX_NODES, START_NODES, gauss_legendre_rule, integrate_weighted
-from projheat.thetapsi import DEFAULT_TOL, TERM_CAP, PsiSeries
+from projheat.thetapsi import TERM_CAP, PsiSeries
 from projheat.verify import _exact_jacobi as jacobi_series_exact, _ladder_fd as ladder_fd
 
 
@@ -94,7 +94,7 @@ def stationary_value_reference(space):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def psi_sum_reference(j, m, t, u, tol=DEFAULT_TOL, exp_shift=0.0):
+def psi_sum_reference(j, m, t, u, tol=1e-12, exp_shift=0.0):
     """sin(u) L^j theta_m(t, u) exp(exp_shift t), the general ladder sum, vectorized over u.
 
     Any subscript m >= 2 and any shift: harmonics below the ladder count
@@ -227,7 +227,8 @@ def adaptive_reference(d, exponent_sign, g, tol, rel=0.0):
         if abs(new - est) <= tol or abs(new - est) <= rel * abs(new):
             return new, count, abs(new - est)
         est = new
-    raise QuadratureConvergenceError(f"no convergence to tol={tol} within {MAX_NODES} nodes")
+    raise QuadratureConvergenceError(
+        f"no convergence to tol={tol} or rel={rel} within {MAX_NODES} nodes")
 
 
 def integral_kernel_reference(n, k, t, d, tol):
@@ -235,7 +236,7 @@ def integral_kernel_reference(n, k, t, d, tol):
     c = k * (n + 1) - 1
     cnk = 1.0 / (2.0 ** (k * n - 2) * math.pi ** (k * n + 1))
     outer = cnk / math.cos(d) ** (2 * (k - 1))
-    theta_tol = DEFAULT_TOL if tol >= 10.0 * DEFAULT_TOL else 0.1 * tol
+    theta_tol = 1e-12 if tol >= 1e-11 else 0.1 * tol
     series = PsiSeries(c, (t,), theta_tol)  # the one time's row
     value, nodes, err = adaptive_reference(
         d, 0.5 if k == 2 else -0.5, lambda u: series((0,), u)[0], 0.5 * tol / outer,

@@ -310,7 +310,7 @@ class TestErrorLines:
     @pytest.mark.parametrize("argv,line", [
         # only t = 0.001 fails, in the integral
         ("compare --space hpn --n 8 --t-grid 0.001:0.05:5 --d 0.6",
-         "no convergence to tol=157.83341445680486 within 4096 nodes"),
+         "no convergence to tol=157.83341445680486 or rel=5e-11 within 4096 nodes"),
         # both methods fail at every t: the series at the first t
         ("compare --space cpn --n 171 --t-grid 0.0001:5:4 --d 0.3",
          "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
@@ -319,9 +319,9 @@ class TestErrorLines:
          "spectral series weights overflow floating point at k=1, n=171, t=0.0001"),
         # the first t fails, at the first distance that fails there
         ("table --space hpn --n 8 --t-grid 0.001:0.5:3 --d-grid 0:1.2:3 --method integral",
-         "no convergence to tol=157.83341445680486 within 4096 nodes"),
+         "no convergence to tol=157.83341445680486 or rel=5e-11 within 4096 nodes"),
         ("compare --space cpn --n 15 --t-grid 0.001:0.5:3 --d-grid 0:1.5:4",
-         "no convergence to tol=36.87719765726545 within 4096 nodes"),
+         "no convergence to tol=36.87719765726545 or rel=5e-11 within 4096 nodes"),
     ])
     def test_failing_grid_names_the_first_failing_row(self, capsys, argv, line):
         assert cli.main(argv.split()) == cli.EXIT_NO_CONVERGENCE
@@ -342,7 +342,8 @@ class TestErrorLines:
         argv = "compare --space hpn --n 8 --t-grid 0.001:0.05:5 --d 0.6".split()
         assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == ("projheat: no convergence: no convergence to "
-                                           "tol=157.83341445680486 within 4096 nodes\n")
+                                           "tol=157.83341445680486 or rel=5e-11 within 4096 "
+                                           "nodes\n")
 
     def test_error_no_row_meets_alone_is_not_raised(self, capsys, monkeypatch):
         # a grid call may fail where no row fails alone; the rows then give the output

@@ -8,13 +8,18 @@ command runs in-process through ``cli.main``.  A few also run as a real
 process, ``python -m projheat`` with stdout to a pipe, because that path
 ends without interpreter teardown (``cli.run``): those cases show that no
 byte of block-buffered output is lost and no exit code changes there.
+Every row of the series goldens is also held to its ``est_error`` against
+an independent high-precision oracle.
 
 To regenerate the files (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import importlib.util
+import io
+import json
 import os
 import pathlib
 import subprocess
@@ -22,7 +27,7 @@ import sys
 
 import pytest
 
-from projheat import cli
+from projheat import cli, kernels
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 
@@ -101,15 +106,65 @@ def test_process_out_file_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_selftest_golden_passes_the_benchmark_check(monkeypatch):
-    # perfbench/checks.py reads the selftest workload's output; pin its verdict on the golden
+def _perfbench_module(name: str, monkeypatch):
+    """``perfbench/<name>.py`` as a module, imported without writing bytecode into perfbench/."""
     bench = pathlib.Path(__file__).parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))  # checks.py imports its siblings by bare name
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no cache in perfbench/
-    spec = importlib.util.spec_from_file_location("perfbench_checks", bench / "checks.py")
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_selftest_golden_passes_the_benchmark_check(monkeypatch):
+    # perfbench/checks.py reads the selftest workload's output; pin its verdict on the golden
+    checks = _perfbench_module("checks", monkeypatch)
     assert checks.check_selftest((GOLDEN / "selftest.txt").read_text()) == []
+
+
+#: the series goldens, whose rows the oracle holds to their est_error
+SERIES_GOLDENS = tuple(name for name in sorted(COMMANDS) if name.startswith("table_series_")
+                       or name.startswith("table_point_series."))
+
+
+@pytest.fixture(scope="module")
+def series_golden_rows():
+    """(file, k, n, t, d, value, est_error, oracle value) of every series golden row.
+
+    The oracle is ``perfbench/oracle.heat_kernel``, an ``mpmath`` sum that
+    shares no code with projheat.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        oracle = _perfbench_module("oracle", patch)
+    rows = []
+    for name in SERIES_GOLDENS:
+        text = (GOLDEN / name).read_text()
+        records = ([json.loads(line) for line in text.splitlines()] if name.endswith(".json")
+                   else list(csv.DictReader(io.StringIO(text))))
+        for r in records:
+            k, n, t, d = int(r["k"]), int(r["n"]), float(r["t"]), float(r["d"])
+            rows.append((name, k, n, t, d, float(r["value"]), float(r["est_error"]),
+                         oracle.heat_kernel(k, n, t, d)))
+    return rows
+
+
+def test_series_goldens_are_within_est_error_of_the_oracle(series_golden_rows):
+    assert len(series_golden_rows) == 6 * 20 + 2
+    assert [row for row in series_golden_rows if not abs(row[5] - row[7]) <= row[6]] == []
+
+
+def test_series_goldens_miss_the_oracle_without_the_roundoff_floor(series_golden_rows,
+                                                                   monkeypatch):
+    # the tail bound alone, what est_error was before the floor; the goldens' tol is the CLI's
+    monkeypatch.setattr(kernels, "UNIT_ROUNDOFF", 0.0)
+    misses = []
+    for name, k, n, t, d, value, _, exact in series_golden_rows:
+        record = kernels.unified(n, k, t, d, 1e-10, "series")
+        assert record.value == value
+        if not abs(value - exact) <= record.est_error:
+            misses.append(name)
+    assert len(misses) == 18
 
 
 def test_process_help_matches_in_process(monkeypatch, capsys):

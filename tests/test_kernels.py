@@ -126,12 +126,17 @@ class TestTruncationBehaviour:
         with pytest.raises(TruncationCapError, match=f"more than {kernels.SERIES_CAP} terms"):
             series_values(2, 1, 1e-9, 0.3, 1e-12)
 
-    def test_series_values_vectorized(self):
+    def test_series_values_vectorized(self, monkeypatch):
         ds = np.linspace(0.0, 1.5, 7)
-        vals, terms, tail = series_values(2, 1, 0.5, ds, 1e-12)
-        assert terms >= 1 and tail <= 1e-12
-        for d, v in zip(ds, vals):
-            assert_allclose(v, unified(1, 2, 0.5, float(d), tol=1e-12).value, rtol=1e-15)
+        vals, terms, bounds = series_values(2, 1, 0.5, ds, 1e-12)
+        assert terms >= 1 and bounds.shape == ds.shape
+        for d, v, b in zip(ds, vals, bounds):
+            point = unified(1, 2, 0.5, float(d), tol=1e-12)
+            assert_allclose([v, b], [point.value, point.est_error], rtol=1e-15)
+        # without the roundoff floor each bound is the row's one tail bound
+        monkeypatch.setattr(kernels, "UNIT_ROUNDOFF", 0.0)
+        _, _, tails = series_values(2, 1, 0.5, ds, 1e-12)
+        assert np.all(tails == tails[0]) and tails[0] <= 1e-12 and np.all(bounds > tails)
 
 
 class TestPositivityAndMonotonicity:
@@ -506,7 +511,7 @@ class TestGridCall:
         # the later time's weights fail (patched in below), before the doubling
         # loop that t = 0.0005 fails in starts
         (3, 2, [0.0005, 0.001], "integral", QuadratureConvergenceError,
-         "no convergence to tol=2.2052195184525946e-06 within 4096 nodes"),
+         "no convergence to tol=2.2052195184525946e-06 or rel=5e-11 within 4096 nodes"),
     ])
     def test_first_failing_time_raises(self, monkeypatch, n, k, ts, method, error, match):
         if method == "integral":
@@ -536,7 +541,7 @@ class TestGridCall:
 
 
 class TestSeriesGrid:
-    """The series grid is ``series_values`` at each of its times: values, terms and tail bounds."""
+    """The series grid is ``series_values`` at each of its times: values, terms and bounds."""
 
     DS = [float(d) for d in np.linspace(0.0, 1.5, 9)]
 
@@ -549,17 +554,18 @@ class TestSeriesGrid:
     def test_grid_rows_are_one_time_calls(self, k, n, ts):
         grid = unified(n, k, ts, self.DS, 1e-12)
         for i, t in enumerate(ts):
-            values, terms, tail = series_values(k, n, t, self.DS, 1e-12)
+            values, terms, bounds = series_values(k, n, t, self.DS, 1e-12)
             assert np.all(grid.value[i] == values)
             assert np.all(grid.terms_or_nodes[i] == terms)
-            assert np.all(grid.est_error[i] == tail)
+            assert np.all(grid.est_error[i] == bounds)
         assert len(set(grid.terms_or_nodes[:, 0].tolist())) == len(set(ts))
 
     def test_one_time_shapes(self):
-        values, terms, tail = series_values(2, 1, 0.5, 0.4, 1e-10)
-        assert np.shape(values) == () and type(terms) is int and type(tail) is float
-        row, _, _ = series_values(2, 1, 0.5, [0.4], 1e-10)
-        assert row.shape == (1,) and row[0] == values
+        # the bounds are shaped like the values, and the term count is an int
+        values, terms, bound = series_values(2, 1, 0.5, 0.4, 1e-10)
+        assert np.shape(values) == np.shape(bound) == () and type(terms) is int
+        row, _, bounds = series_values(2, 1, 0.5, [0.4], 1e-10)
+        assert row.shape == bounds.shape == (1,) and (row[0], bounds[0]) == (values, bound)
 
 
 class TestSpaceOwnsTheNumbers:

@@ -175,7 +175,7 @@ class TestAdaptive:
     def test_psi_integrand_doubling_invariant(self):
         from projheat.thetapsi import PsiSeries
 
-        series = PsiSeries(3, (0.5,))
+        series = PsiSeries(3, (0.5,), 1e-12)
 
         def g(u):  # the folded exp(9 t) divided out, for the absolute tolerance
             return series((0,), u)[0] / math.exp(9 * 0.5)
@@ -195,7 +195,7 @@ class TestAdaptiveRow:
 
         ds = [0.0, 0.3, 0.7, 1.2, 1.4, 1.5]
         tols = [1e-8, 1e-9, 1e-6, 1e-9, 1e-8, 1e-9]
-        series = PsiSeries(3, (0.02,))
+        series = PsiSeries(3, (0.02,), 1e-12)
 
         def g(u):
             return series((0,), u)[0]
@@ -209,7 +209,7 @@ class TestAdaptiveRow:
         from projheat.thetapsi import PsiSeries
 
         ds = [0.0, 0.3, 0.7, 1.0]  # 64 nodes, and 32 at d = 1
-        series = PsiSeries(3, (0.02,))
+        series = PsiSeries(3, (0.02,), 1e-12)
 
         def g(u):
             return series((0,), u)[0]
@@ -247,7 +247,7 @@ class TestAdaptiveRow:
         ds = [0.0, 0.3, 0.7, 1.2, 1.5]
         tols = [[1e-6, 1e-8, 1e-6, 1e-7, 1e-6], [1e-6] * 5, [1e-9, 1e-6, 1e-8, 1e-6, 1e-9]]
         calls = []
-        series = PsiSeries(3, ts)
+        series = PsiSeries(3, ts, 1e-12)
 
         def g(rows, u):
             calls.append((rows.size, u.size))
@@ -256,18 +256,20 @@ class TestAdaptiveRow:
         grid = adaptive_integrate_row(ds, 0.5, g, tols, 0.0)
         assert len(set(grid.nodes.ravel().tolist())) >= 3
         for t, row_tols, *row in zip(ts, tols, *grid):
-            one = PsiSeries(3, (t,))  # the time's row on its own
+            one = PsiSeries(3, (t,), 1e-12)  # the time's row on its own
             for d, tol, *got in zip(ds, row_tols, *row):
                 assert tuple(got) == adaptive_reference(d, 0.5, lambda u: one((0,), u)[0], tol)
         assert all(rows * nodes <= cap or rows == 1 for rows, nodes in calls)
         assert calls[0] == first
 
     def test_cap_names_first_failing_distance(self):
-        with pytest.raises(QuadratureConvergenceError, match=rf"tol=1e-30 within {MAX_NODES} nodes"):
+        with pytest.raises(QuadratureConvergenceError,
+                           match=rf"tol=1e-30 or rel=0.0 within {MAX_NODES} nodes"):
             adaptive_integrate_row([0.2, 0.5, 0.9], 0.5, _one_row(_hard),
                                    [[1.0, 1e-30, 2e-30]], 0.0)
         # in a grid, the first failing pair in row-major order
-        with pytest.raises(QuadratureConvergenceError, match=rf"tol=3e-30 within {MAX_NODES}"):
+        with pytest.raises(QuadratureConvergenceError,
+                           match=rf"tol=3e-30 or rel=0.0 within {MAX_NODES}"):
             adaptive_integrate_row([0.2, 0.5], 0.5, lambda rows, u: np.outer(rows + 1.0, _hard(u)),
                                    [[1.0, 1.0], [3e-30, 1.0], [1e-30, 2e-30]], 0.0)
 

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from projheat import thetapsi, verify
 from projheat.errors import DomainError, ProjheatError, TruncationCapError
-from projheat.thetapsi import DEFAULT_TOL, PsiSeries
+from projheat.thetapsi import PsiSeries
 from projheat.verify import _jacobi_theta2_reference as jacobi_theta2_reference
 from projheat.verify import _ladder_apply as ladder_apply
 from projheat.verify import _theta_sum as theta_sum
@@ -23,7 +23,7 @@ from projheat.verify import _theta_sum as theta_sum
 from helpers import psi_sum_reference, theta2_brute, theta_brute
 
 
-def psi(c, t, u, tol=DEFAULT_TOL):
+def psi(c, t, u, tol=1e-12):
     """exp(c^2 t) Psi_c(t, u) at the one time t: the one row of a one-time series."""
     return PsiSeries(c, (t,), tol)((0,), u)[0]
 
@@ -45,7 +45,7 @@ class TestTheta:
     def test_matches_brute_force(self, m, t, u):
         auto = theta_sum(m, t, u)
         brute = theta_brute(m, t, u, terms=2000)
-        assert abs(auto - brute) <= DEFAULT_TOL
+        assert abs(auto - brute) <= 1e-12
 
     def test_matches_half_classical_theta2(self):
         # the m=2 series is half the classical theta-2 on the nose
@@ -62,7 +62,7 @@ class TestTheta:
         for m, t, u in ((2, 0.3, 0.4), (4, 0.05, 1.0)):
             auto = theta_sum(m, t, u)
             brute = theta_brute(m, t, u, terms=4000)
-            assert abs(auto - brute) < DEFAULT_TOL
+            assert abs(auto - brute) < 1e-12
 
     def test_cap_error_signals_small_t(self, monkeypatch):
         monkeypatch.setattr(verify, "_THETA_CAP", 5)
@@ -135,7 +135,7 @@ class TestPsi:
                     break  # a only falls with l: every later term is +-0.0, a no-op
                 q = 2 * l + m - 1  # L^j cos(qu) = q L^(j-1) C_{q-1}^1(cos u)
                 brute += a * math.sin(u) * (q * ladder_apply(j - 1, q - 1, 1.0, math.cos(u)))
-            assert abs(auto - brute) <= DEFAULT_TOL
+            assert abs(auto - brute) <= 1e-12
 
     @pytest.mark.parametrize("t", [1e-4, 0.05, 0.5, 5.0])
     @pytest.mark.parametrize("c", [1, 2, 3, 5, 11, 150, 151, 171])
@@ -143,12 +143,12 @@ class TestPsi:
         # bit for bit on a row, or the same error class where the general sum raised
         u = np.array([0.0, 0.3, 0.9, math.pi / 2, 2.5, math.pi])
         try:
-            expected = psi_sum_reference(c, c + 1, t, u, DEFAULT_TOL, exp_shift=float(c * c))
+            expected = psi_sum_reference(c, c + 1, t, u, 1e-12, exp_shift=float(c * c))
         except ProjheatError as exc:
             with pytest.raises(type(exc)):
-                psi(c, t, u, DEFAULT_TOL)
+                psi(c, t, u, 1e-12)
             return
-        got = psi(c, t, u, DEFAULT_TOL)
+        got = psi(c, t, u, 1e-12)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
 
     def test_cap_error(self, monkeypatch):

@@ -8,6 +8,7 @@ import os
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -354,62 +355,87 @@ class TestKernelsTrace:
 
     @staticmethod
     def trace_sweep(method: str, tol: float) -> dict:
-        """(k, n, t) -> relative error of vol E(t, 0) by ``method`` against Weyl's sum.
+        """(k, n, t) -> (E(t, 0) by ``method``, its est_error, Weyl's sum over the volume).
 
-        Every accepted index, at t = 0.05, 0.5, 5.  A call that raises
-        TruncationCapError gives its message in place of the error.
+        Every accepted index, at t = 0.05, 0.5, 5.  The reference sums
+        Weyl's dimensions times exp(-4 l (l + c) t) over l < 60 and divides
+        by the volume pi^(kn) (k-1)!/c!, all in 30-digit ``mpmath``, then
+        rounds once, so it carries no error that the comparison must
+        allow for.  A call that raises TruncationCapError gives its message
+        in place of the triple.
         """
         sweep = {}
-        for k, top in ((1, 171), (2, 85)):
-            for n in range(1, top + 1):
-                space = SpaceDescriptor(n=n, k=k)
-                c, dims = space.spectral_offset, verify._weyl_dimensions(space, 60)
-                for t in (0.05, 0.5, 5.0):
-                    try:
-                        value = kernels.unified(n, k, t, 0.0, tol, method).value
-                    except TruncationCapError as exc:
-                        sweep[k, n, t] = str(exc)
-                        continue
-                    exact = math.fsum(m * math.exp(-4.0 * l * (l + c) * t)
-                                      for l, m in enumerate(dims))
-                    sweep[k, n, t] = abs(verify._manifold_volume(space) * value - exact) / exact
+        with mpmath.workdps(30):
+            for k, top in ((1, 171), (2, 85)):
+                for n in range(1, top + 1):
+                    space = SpaceDescriptor(n=n, k=k)
+                    c, dims = space.spectral_offset, verify._weyl_dimensions(space, 60)
+                    volume = (mpmath.pi ** (k * n) * math.factorial(k - 1)
+                              / mpmath.mpf(math.factorial(c)))
+                    for t in (0.05, 0.5, 5.0):
+                        try:
+                            record = kernels.unified(n, k, t, 0.0, tol, method)
+                        except TruncationCapError as exc:
+                            sweep[k, n, t] = str(exc)
+                            continue
+                        exact = mpmath.fsum(m * mpmath.exp(-4 * l * (l + c) * mpmath.mpf(t))
+                                            for l, m in enumerate(dims)) / volume
+                        sweep[k, n, t] = (record.value, record.est_error, float(exact))
         return sweep
 
     @staticmethod
-    def assert_sweep(sweep: dict, overflow: frozenset, message: str) -> None:
-        """Exactly the ``overflow`` calls raise, with ``message``; the rest are within 1e-12."""
+    def within_est_error(value: float, bound: float, exact: float) -> bool:
+        return abs(value - exact) <= bound
+
+    @staticmethod
+    def within_rel(value: float, bound: float, exact: float) -> bool:
+        return abs(value - exact) <= 1e-12 * exact
+
+    @staticmethod
+    def assert_sweep(sweep: dict, overflow: frozenset, message: str, within) -> None:
+        """Exactly the ``overflow`` calls raise, with ``message``; the rest pass ``within``."""
         refused = {key: msg for key, msg in sweep.items() if isinstance(msg, str)}
         assert set(refused) == overflow
         assert all(msg.startswith(message) for msg in refused.values())
-        assert {key: err for key, err in sweep.items()
-                if key not in refused and not err <= 1e-12} == {}
+        assert {key: entry for key, entry in sweep.items()
+                if key not in refused and not within(*entry)} == {}
 
     def test_series_trace_over_the_whole_index_range(self):
-        # the tolerance tightens to est_error once est_error counts roundoff
         self.assert_sweep(self.trace_sweep("series", 1e-12), SERIES_WEIGHTS_OVERFLOW,
-                          "spectral series weights overflow floating point")
+                          "spectral series weights overflow floating point",
+                          self.within_est_error)
 
     def test_integral_trace_over_the_whole_index_range(self):
         # at the CLI's default tol, where a purely absolute quadrature tolerance
         # failed on 431 of these calls
         self.assert_sweep(self.trace_sweep("integral", 1e-10), LADDER_WEIGHTS_OVERFLOW,
-                          "ladder series weights overflow floating point")
+                          "ladder series weights overflow floating point", self.within_rel)
 
     def test_series_trace_fails_with_a_wrong_eigenvalue(self, monkeypatch):
         # at t = 0.05 the l = 1 term still shows at every index that returns
         monkeypatch.setattr(SpaceDescriptor, "eigenvalue",
                             lambda self, l: -4.0 * l * (l + self.spectral_offset + 1))
-        errors = [err for (k, n, t), err in self.trace_sweep("series", 1e-12).items()
-                  if t == 0.05 and not isinstance(err, str)]
-        assert len(errors) == 149 + 74 and min(errors) > 1e-12
+        entries = [entry for (k, n, t), entry in self.trace_sweep("series", 1e-12).items()
+                   if t == 0.05 and not isinstance(entry, str)]
+        assert len(entries) == 149 + 74
+        assert not [entry for entry in entries if self.within_est_error(*entry)]
+
+    def test_series_trace_sweep_misses_without_the_roundoff_floor(self, monkeypatch):
+        # the tail bound alone falls below the error on most of these calls
+        monkeypatch.setattr(kernels, "UNIT_ROUNDOFF", 0.0)
+        entries = [entry for entry in self.trace_sweep("series", 1e-12).values()
+                   if not isinstance(entry, str)]
+        misses = [entry for entry in entries if not self.within_est_error(*entry)]
+        assert len(misses) > len(entries) // 2
 
     def test_integral_trace_sweep_fails_with_scaled_theta_weights(self, monkeypatch):
         weights = thetapsi._weights
         monkeypatch.setattr(thetapsi, "_weights",
                             lambda *args: [w * (1 + 1e-9) for w in weights(*args)])
-        errors = [err for err in self.trace_sweep("integral", 1e-10).values()
-                  if not isinstance(err, str)]
-        assert len(errors) == 3 * (150 + 74) and min(errors) > 1e-12
+        entries = [entry for entry in self.trace_sweep("integral", 1e-10).values()
+                   if not isinstance(entry, str)]
+        assert len(entries) == 3 * (150 + 74)
+        assert not [entry for entry in entries if self.within_rel(*entry)]
 
 
 def _jacobi_coefficients(l: int, a: int, b: int) -> list:
@@ -711,5 +737,17 @@ class TestOwners:
     @pytest.mark.parametrize("fn", [verify._theta_sum, verify._jacobi_theta2_reference,
                                     verify._check_theta_truncation], ids=lambda f: f.__name__)
     def test_theta_oracles_own_tolerance_and_cap(self, fn):
-        # the production series' limits may change without moving the oracles'
-        assert not _source_names(fn) & {"DEFAULT_TOL", "TERM_CAP"}
+        # the production series' cap may change without moving the oracles'; their
+        # tolerance is their own literal, since thetapsi has none to lend
+        assert "TERM_CAP" not in _source_names(fn)
+
+    def test_reports_are_built_in_two_places(self):
+        # _worst_report picks its point and hands it to _row_reports
+        def builds(fn):
+            return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                       and node.func.id == "VerificationReport"
+                       for node in ast.walk(ast.parse(inspect.getsource(fn))))
+
+        assert {name for name, fn in vars(verify).items()
+                if inspect.isfunction(fn) and fn.__module__ == verify.__name__
+                and builds(fn)} == {"_row_reports", "_flag_report"}
